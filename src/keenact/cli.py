@@ -37,7 +37,7 @@ from keenact.features import (
     read_tag_file,
     tfidf_item_features,
 )
-from keenact.recommend import recommend, write_recommendations
+from keenact.recommend import recommend, recommendation_lines, write_recommendations
 from keenact.snapshot import SnapshotError, load_model, save_model
 from keenact.synth import generate_two_stage
 from keenact.training import (
@@ -113,13 +113,15 @@ def _warn_if_stale(model_path) -> None:
 
 
 def _load_store(args):
+    """(catalog, store after --min-activities, duplicate rows ingest dropped)."""
     schema = LogSchema(activities=tuple(args.activities.split(",")) if getattr(args, "activities", None) else None)
     catalog, store = ingest(args.log, schema)
+    duplicates = store.n_duplicates
     min_acts = getattr(args, "min_activities", None)
     if min_acts and min_acts > 1:
         store = filter_active_users(store, min_acts)
         catalog = store.catalog
-    return catalog, store
+    return catalog, store, duplicates
 
 
 def _config_path(args) -> str | None:
@@ -160,17 +162,27 @@ def _adoption_band(args, n_items: int) -> tuple[int, int]:
     return min(10, n_items), min(30, n_items)
 
 
+def _synthetic_corpus(args, seed: int):
+    return generate_two_stage(
+        n_users=args.users,
+        n_items=args.items,
+        n_activities=args.n_activities,
+        seed=seed,
+        items_per_user=_adoption_band(args, args.items),
+    )
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_ingest(args) -> int:
-    catalog, store = _load_store(args)
+    catalog, store, duplicates = _load_store(args)
     print(f"users: {catalog.n_users}")
     print(f"items: {catalog.n_items}")
     print(f"activities: {catalog.n_activities}")
     print(f"activity records: {store.n_triples}")
     print(f"item pairs: {store.n_pairs}")
-    print(f"duplicates dropped: {store.n_duplicates}")
+    print(f"duplicates dropped: {duplicates}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, "interactions.tsv")
@@ -180,7 +192,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    catalog, store = _load_store(args)
+    catalog, store, _ = _load_store(args)
     config = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     train_store = store
@@ -242,13 +254,8 @@ def cmd_recommend(args) -> int:
         write_recommendations(recs, args.out, catalog)
         print(f"wrote {args.out}")
     else:
-        for rec in recs:
-            for rank, entry in enumerate(rec.entries, start=1):
-                print(
-                    f"{catalog.users[rec.user]}\t{catalog.items[entry.item]}\t"
-                    f"{catalog.activities[entry.activity]}\t{entry.keen_score!r}\t"
-                    f"{entry.act_score!r}\t{rank}"
-                )
+        for line in recommendation_lines(recs, catalog):
+            print(line)
     return 0
 
 
@@ -269,17 +276,11 @@ def _parse_ks(text: str):
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
     if args.synthetic:
-        catalog, store = generate_two_stage(
-            n_users=args.users,
-            n_items=args.items,
-            n_activities=args.n_activities,
-            seed=config.seed,
-            items_per_user=_adoption_band(args, args.items),
-        )
+        catalog, store = _synthetic_corpus(args, config.seed)
         dataset = args.dataset or "synthetic"
         item_feats = None
     else:
-        catalog, store = _load_store(args)
+        catalog, store, _ = _load_store(args)
         dataset = args.dataset or os.path.splitext(os.path.basename(args.log))[0]
         item_feats = _item_features(args, catalog) if args.tags else None
     variants = tuple(v.strip() for v in args.variants.split(",")) if args.variants else VARIANTS
@@ -310,13 +311,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    catalog, store = generate_two_stage(
-        n_users=args.users,
-        n_items=args.items,
-        n_activities=args.n_activities,
-        seed=args.seed,
-        items_per_user=_adoption_band(args, args.items),
-    )
+    catalog, store = _synthetic_corpus(args, args.seed)
     write_interaction_log(store, args.out)
     print(f"wrote {store.n_triples} records for {catalog.n_users} users to {args.out}")
     return 0

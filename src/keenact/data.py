@@ -116,17 +116,14 @@ class InteractionStore:
         for u, v, z in self.triples:
             if not (0 <= u < catalog.n_users and 0 <= v < catalog.n_items and 0 <= z < catalog.n_activities):
                 raise DatasetError(f"triple ({u}, {v}, {z}) outside catalog bounds")
-        self.act_triples = frozenset(self.triples)
         self.keen_pairs: tuple[tuple[int, int], ...] = tuple(sorted({(u, v) for u, v, _ in self.triples}))
-        self._pos_items: dict[int, frozenset[int]] = {}
-        self._pos_acts: dict[tuple[int, int], frozenset[int]] = {}
         items_by_user = defaultdict(set)
         acts_by_pair = defaultdict(set)
         for u, v, z in self.triples:
             items_by_user[u].add(v)
             acts_by_pair[(u, v)].add(z)
-        self._pos_items = {u: frozenset(s) for u, s in items_by_user.items()}
-        self._pos_acts = {p: frozenset(s) for p, s in acts_by_pair.items()}
+        self._pos_items: dict[int, frozenset[int]] = {u: frozenset(s) for u, s in items_by_user.items()}
+        self._pos_acts: dict[tuple[int, int], frozenset[int]] = {p: frozenset(s) for p, s in acts_by_pair.items()}
         self.timestamps: dict[tuple[int, int, int], int] = dict(timestamps or {})
 
     @property
@@ -246,7 +243,8 @@ def filter_active_users(store: InteractionStore, min_activities: int) -> Interac
     for u, _, _ in store.triples:
         counts[u] += 1
     kept_users = sorted(u for u, c in counts.items() if c >= min_activities)
-    kept_triples = [t for t in store.triples if t[0] in set(kept_users)]
+    kept = set(kept_users)
+    kept_triples = [t for t in store.triples if t[0] in kept]
     if not kept_triples:
         raise EmptyDatasetError(f"no user has >= {min_activities} activities")
     kept_items = sorted({v for _, v, _ in kept_triples})

@@ -6,9 +6,9 @@ depths.  Training positives are removed from every candidate list so
 variants cannot pad precision with pairs already observed.
 
 Single-model baselines treat each (item, activity) pair as one pseudo
-item in a flat space and train one scorer over it, with either a
-single-negative logistic update or the same rank-weighted update the
-two-stage scorers use.
+item in a flat space and train one scorer over it with the two-stage
+scorers' own sampled pairwise step, either with a single-negative
+logistic update or with the rank-weighted one.
 """
 
 from __future__ import annotations
@@ -25,24 +25,31 @@ from keenact.features import (
     FeatureLayout,
     FeatureMatrix,
     activity_part,
-    assemble_act_input,
     co_participation_features,
     empty_features,
     item_part,
+    join_parts,
     l2_normalize_rows,
     user_part,
 )
-from keenact.fm import AdamState, adam_update, combine_gradients, fm_gradient, init_params
-from keenact.scoring import Scorer, part_stats
+from keenact.fm import AdamState, init_params
+from keenact.scoring import Scorer
 from keenact.training import (
+    CandidateSpace,
     NumericalError,
     TrainConfig,
     TrainedModel,
-    estimate_rank,
-    phi,
+    pairwise_step,
     train,
 )
 from keenact.recommend import recommend, select_items
+
+# Not called here since the baselines train through pairwise_step; the
+# traced benchmark (perfbench/layers.py) still wraps these names on this
+# module, so they stay importable from it.
+from keenact.features import assemble_act_input  # noqa: F401
+from keenact.fm import adam_update, combine_gradients, fm_gradient  # noqa: F401
+from keenact.scoring import part_stats  # noqa: F401
 
 logger = logging.getLogger("keenact.evaluation")
 
@@ -77,6 +84,11 @@ class FlatPairSpace:
         if not 0 <= f < self.size:
             raise ValueError(f"flat id {f} outside space")
         return divmod(f, self.n_activities)
+
+
+def _flat_by_user(store: InteractionStore, space: FlatPairSpace) -> dict[int, frozenset]:
+    """Flat pair ids of each user's triples."""
+    return {u: frozenset(space.flatten(v, z) for _, v, z in rows) for u, rows in store.triples_by_user().items()}
 
 
 def average_precision_at_k(ranked, relevant, k: int | None = None) -> float:
@@ -120,159 +132,80 @@ class BaselineModel:
     seen_items: frozenset
     kind: str
     report: list[tuple[int, str, str, float]] = field(default_factory=list)
+    _scorer: Scorer | None = field(default=None, repr=False, compare=False)
 
-
-def _sigmoid_scalar(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
-
-
-class _FlatTrainer:
-    """One FM over flat pairs, trained with logistic or rank-weighted updates."""
-
-    def __init__(self, store, user_feats, item_feats, config, kind):
-        if kind not in ("bpr", "warp"):
-            raise ValueError(f"unknown baseline kind {kind!r}")
-        self.store = store
-        self.config = config
-        self.kind = kind
-        self.user_feats = user_feats
-        self.item_feats = item_feats
-        catalog = store.catalog
-        self.layout = FeatureLayout.for_act(catalog, user_feats, item_feats, config.id_onehots)
-        self.params = init_params(self.layout.dim, config.k, seed=config.seed + 3, scale=config.init_scale)
-        self.state = AdamState.for_params(self.params, **config.adam_kwargs())
-        self.rng = np.random.Generator(np.random.PCG64(config.seed))
-        self.train_items = np.array(store.items_with_interactions(), dtype=np.int64)
-        self.space = FlatPairSpace(catalog.n_items, catalog.n_activities)
-        self.positives = {
-            u: frozenset(self.space.flatten(v, z) for (_, v, z) in rows)
-            for u, rows in store.triples_by_user().items()
-        }
-        self.report: list[tuple[int, str, str, float]] = []
-
-    def _pair_stats(self, v: int, z: int, ubase, us):
-        iidx, ival = item_part(v, self.layout, self.item_feats)
-        zidx, zval = activity_part(z, self.layout)
-        idx = np.concatenate([iidx, zidx])
-        val = np.concatenate([ival, zval])
-        base, s = part_stats(self.params, idx, val)
-        return base + us @ s, idx, val
-
-    def _draw_negative(self, pos_flat: frozenset) -> tuple[int, int]:
-        n_items = len(self.train_items)
-        nz = self.space.n_activities
-        while True:
-            v = int(self.train_items[self.rng.integers(n_items)])
-            z = int(self.rng.integers(nz))
-            if self.space.flatten(v, z) not in pos_flat:
-                return v, z
-
-    def _decayed(self, grads):
-        grad = combine_gradients(grads)
-        # the flat space is dominated by item coordinates, so the
-        # item-stage decay is the comparable setting for the baselines
-        lam = self.config.lambda_keen
-        if lam:
-            grad.w = grad.w + lam * self.params.w[grad.indices]
-            grad.factors = grad.factors + lam * self.params.factors[grad.indices]
-        return grad
-
-    def _bpr_step(self, u, v, z) -> float:
-        pos_flat = self.positives[u]
-        total_neg = len(self.train_items) * self.space.n_activities - len(pos_flat)
-        if total_neg <= 0:
-            return 0.0
-        uidx, uval = user_part(u, self.layout, self.user_feats)
-        ubase, us = part_stats(self.params, uidx, uval)
-        s_pos, _, _ = self._pair_stats(v, z, ubase, us)
-        vn, zn = self._draw_negative(pos_flat)
-        s_neg, _, _ = self._pair_stats(vn, zn, ubase, us)
-        diff = s_pos - s_neg
-        slope = _sigmoid_scalar(-diff)
-        x_pos = assemble_act_input(u, v, z, self.layout, self.user_feats, self.item_feats)
-        x_neg = assemble_act_input(u, vn, zn, self.layout, self.user_feats, self.item_feats)
-        grad = self._decayed([fm_gradient(self.params, x_pos, -slope), fm_gradient(self.params, x_neg, slope)])
-        adam_update(self.params, self.state, grad)
-        return float(np.logaddexp(0.0, -diff))
-
-    def _warp_step(self, u, v, z) -> float:
-        cfg = self.config
-        pos_flat = self.positives[u]
-        total_neg = len(self.train_items) * self.space.n_activities - len(pos_flat)
-        if total_neg <= 0:
-            return 0.0
-        uidx, uval = user_part(u, self.layout, self.user_feats)
-        ubase, us = part_stats(self.params, uidx, uval)
-        s_pos, _, _ = self._pair_stats(v, z, ubase, us)
-        cap = min(cfg.max_neg_samples, total_neg)
-        drawn: set[int] = set()
-        while len(drawn) < cap:
-            vn, zn = self._draw_negative(pos_flat)
-            f = self.space.flatten(vn, zn)
-            if f in drawn:
-                continue
-            drawn.add(f)
-            # w0 and the user part are shared by both sides and cancel
-            s_neg, _, _ = self._pair_stats(vn, zn, ubase, us)
-            if s_pos < cfg.margin + s_neg:
-                weight = phi(estimate_rank(total_neg, len(drawn)))
-                x_pos = assemble_act_input(u, v, z, self.layout, self.user_feats, self.item_feats)
-                x_neg = assemble_act_input(u, vn, zn, self.layout, self.user_feats, self.item_feats)
-                grad = self._decayed(
-                    [fm_gradient(self.params, x_pos, -weight), fm_gradient(self.params, x_neg, weight)]
-                )
-                adam_update(self.params, self.state, grad)
-                return float(weight * (cfg.margin - s_pos + s_neg))
-        return 0.0
-
-    def run(self) -> BaselineModel:
-        step = self._bpr_step if self.kind == "bpr" else self._warp_step
-        triples = list(self.store.triples)
-        for epoch in range(self.config.epochs):
-            order = self.rng.permutation(len(triples))
-            total = 0.0
-            for i in order:
-                total += step(*triples[i])
-            mean_loss = total / max(len(triples), 1)
-            self.report.append((epoch, f"fm_{self.kind}", "loss", mean_loss))
-            if not np.isfinite(mean_loss) or not self.params.all_finite():
-                raise NumericalError(epoch, f"non-finite baseline loss at epoch {epoch}")
-        return BaselineModel(
-            params=self.params,
-            layout=self.layout,
-            user_feats=self.user_feats,
-            item_feats=self.item_feats,
-            seen_items=frozenset(int(v) for v in self.train_items),
-            kind=self.kind,
-            report=self.report,
-        )
+    def scorer(self) -> Scorer:
+        """Cached batch scorer over the flat pairs; cold items score feature-only."""
+        if self._scorer is None:
+            self._scorer = Scorer(
+                self.params, self.layout, self.user_feats, self.item_feats, seen_items=self.seen_items
+            )
+        return self._scorer
 
 
 def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str) -> BaselineModel:
-    """Train a flat single-model baseline: kind is "bpr" or "warp"."""
-    return _FlatTrainer(store, user_feats, item_feats, config, kind).run()
+    """Train a flat single-model baseline: kind is "bpr" or "warp".
+
+    The user is the context and negatives are training items x activities.
+    """
+    if kind not in ("bpr", "warp"):
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    catalog = store.catalog
+    layout = FeatureLayout.for_act(catalog, user_feats, item_feats, config.id_onehots)
+    params = init_params(layout.dim, config.k, seed=config.seed + 3, scale=config.init_scale)
+    state = AdamState.for_params(params, **config.adam_kwargs())
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    train_items = np.array(store.items_with_interactions(), dtype=np.int64)
+    pairs = FlatPairSpace(catalog.n_items, catalog.n_activities)
+    universe = (train_items[:, None] * pairs.n_activities + np.arange(pairs.n_activities)).ravel()
+    positives = _flat_by_user(store, pairs)
+
+    def pair_part(f: int) -> tuple[np.ndarray, np.ndarray]:
+        v, z = pairs.unflatten(f)
+        return join_parts(item_part(v, layout, item_feats), activity_part(z, layout))
+
+    report: list[tuple[int, str, str, float]] = []
+    triples = store.triples
+    for epoch in range(config.epochs):
+        total = 0.0
+        for i in rng.permutation(len(triples)):
+            u, v, z = triples[i]
+            space = CandidateSpace(user_part(u, layout, user_feats), pair_part, universe, positives[u])
+            # the flat space is dominated by item coordinates, so the
+            # item-stage decay is the comparable setting for the baselines
+            result = pairwise_step(
+                params, state, config.lambda_keen, space, pairs.flatten(v, z), rng, config, bpr=kind == "bpr"
+            )
+            total += float(result.loss)
+        mean_loss = total / max(len(triples), 1)
+        report.append((epoch, f"fm_{kind}", "loss", mean_loss))
+        if not np.isfinite(mean_loss) or not params.all_finite():
+            raise NumericalError(epoch, f"non-finite baseline loss at epoch {epoch}")
+    return BaselineModel(
+        params=params,
+        layout=layout,
+        user_feats=user_feats,
+        item_feats=item_feats,
+        seen_items=frozenset(int(v) for v in train_items),
+        kind=kind,
+        report=report,
+    )
 
 
 # -- ranked candidate lists per variant -------------------------------------
 
 
-def _ordered_flat(scores: np.ndarray, exclude: frozenset) -> list[int]:
-    flat_ids = np.arange(len(scores), dtype=np.int64)
-    order = np.lexsort((flat_ids, -scores))
+def _ordered_flat(scores: np.ndarray, exclude: frozenset, keep: np.ndarray | None = None) -> list[int]:
+    """Flat ids by score descending, ties by id; ``keep`` masks the candidates."""
+    flat_ids = np.arange(len(scores), dtype=np.int64) if keep is None else np.flatnonzero(keep)
+    order = np.lexsort((flat_ids, -scores[flat_ids]))
     return [int(f) for f in flat_ids[order] if f not in exclude]
 
 
 def rank_keen2act(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
     """Thresholded two-stage list in recommendation order (may be short)."""
-    recs = recommend(model, u)
-    return [
-        space.flatten(e.item, e.activity)
-        for e in recs.entries
-        if space.flatten(e.item, e.activity) not in exclude
-    ]
+    flat = (space.flatten(e.item, e.activity) for e in recommend(model, u).entries)
+    return [f for f in flat if f not in exclude]
 
 
 def rank_keen_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
@@ -295,21 +228,11 @@ def rank_act_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: fr
     _, act_scorer = model.scorers()
     scores = act_scorer.score_pair_matrix(u)
     keep = (scores >= model.thresholds.activity_thresholds).reshape(-1)
-    flat_scores = scores.reshape(-1)
-    flat_ids = np.flatnonzero(keep)
-    order = np.lexsort((flat_ids, -flat_scores[flat_ids]))
-    return [int(f) for f in flat_ids[order] if f not in exclude]
+    return _ordered_flat(scores.reshape(-1), exclude, keep)
 
 
 def rank_baseline(baseline: BaselineModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
-    scorer = Scorer(
-        baseline.params,
-        baseline.layout,
-        baseline.user_feats,
-        baseline.item_feats,
-        seen_items=baseline.seen_items,
-    )
-    scores = scorer.score_pair_matrix(u).reshape(-1)
+    scores = baseline.scorer().score_pair_matrix(u).reshape(-1)
     return _ordered_flat(scores, exclude)
 
 
@@ -400,43 +323,29 @@ def evaluate_split(
     cfg = dataclasses.replace(config, seed=seed)
     space = FlatPairSpace(catalog.n_items, catalog.n_activities)
 
-    grouped: dict[int, set] = {}
-    for u, v, z in split.test.triples:
-        grouped.setdefault(u, set()).add(space.flatten(v, z))
-    relevant = {u: frozenset(s) for u, s in grouped.items() if s}
+    relevant = _flat_by_user(split.test, space)
     if not relevant:
         raise ValueError("split produced no held-out positives")
-    train_by_user = split.train.triples_by_user()
-    exclude = {
-        u: frozenset(space.flatten(v, z) for (_, v, z) in train_by_user.get(u, []))
-        for u in relevant
-    }
+    exclude = _flat_by_user(split.train, space)
     empty = frozenset()
 
     out: dict[str, dict[str, float]] = {}
-    two_stage = [v for v in variants if v in ("keen2act", "keen", "act")]
+    two_stage = {"keen2act": rank_keen2act, "keen": rank_keen_only, "act": rank_act_only}
     model = None
-    if two_stage:
-        started = time.perf_counter()
-        model = train(split.train, user_feats, item_feats, cfg)
-        train_seconds = time.perf_counter() - started
-    rankers = {}
-    if model is not None:
-        rankers["keen2act"] = lambda u: rank_keen2act(model, space, u, exclude.get(u, empty))
-        rankers["keen"] = lambda u: rank_keen_only(model, space, u, exclude.get(u, empty))
-        rankers["act"] = lambda u: rank_act_only(model, space, u, exclude.get(u, empty))
     for variant in variants:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         started = time.perf_counter()
-        if variant in ("fm_bpr", "fm_warp"):
-            baseline = train_baseline(split.train, user_feats, item_feats, cfg, kind=variant.removeprefix("fm_"))
-            ranker = lambda u, b=baseline: rank_baseline(b, space, u, exclude.get(u, empty))
-            seconds = time.perf_counter() - started
+        if variant in two_stage:
+            # the three two-stage variants share one trained model
+            if model is None:
+                model = train(split.train, user_feats, item_feats, cfg)
+                train_seconds = time.perf_counter() - started
+            trained, rank, seconds = model, two_stage[variant], train_seconds
         else:
-            ranker = rankers[variant]
-            seconds = train_seconds
-        ranked = {u: ranker(u) for u in relevant}
+            trained = train_baseline(split.train, user_feats, item_feats, cfg, kind=variant.removeprefix("fm_"))
+            rank, seconds = rank_baseline, time.perf_counter() - started
+        ranked = {u: rank(trained, space, u, exclude.get(u, empty)) for u in relevant}
         metrics = {_metric_name(k): map_at_k(ranked, relevant, k) for k in ks}
         metrics["train_seconds"] = seconds
         metrics["eval_users"] = float(len(relevant))

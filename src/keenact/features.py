@@ -11,6 +11,7 @@ switched off for pure cold-start experiments.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from collections import defaultdict
 
@@ -82,10 +83,6 @@ class FeatureMatrix:
             raise IndexError(f"row {i} outside [0, {self.n_rows})")
         start, end = self.matrix.indptr[i], self.matrix.indptr[i + 1]
         return self.matrix.indices[start:end].astype(np.int64), self.matrix.data[start:end]
-
-    def row_vector(self, i: int) -> SparseVector:
-        idx, val = self.row(i)
-        return SparseVector(idx.copy(), val.copy(), self.dim)
 
 
 def empty_features(n_rows: int, entity_kind: str) -> FeatureMatrix:
@@ -267,15 +264,7 @@ class FeatureLayout:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "d_user": self.d_user,
-            "d_item": self.d_item,
-            "n_activities": self.n_activities,
-            "use_user_ids": self.use_user_ids,
-            "use_item_ids": self.use_item_ids,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureLayout":
@@ -283,15 +272,7 @@ class FeatureLayout:
 
     @classmethod
     def for_keen(cls, catalog, user_feats: FeatureMatrix, item_feats: FeatureMatrix, id_onehots: bool = True) -> "FeatureLayout":
-        return cls(
-            n_users=catalog.n_users,
-            n_items=catalog.n_items,
-            d_user=user_feats.dim,
-            d_item=item_feats.dim,
-            n_activities=0,
-            use_user_ids=id_onehots,
-            use_item_ids=id_onehots,
-        )
+        return dataclasses.replace(cls.for_act(catalog, user_feats, item_feats, id_onehots), n_activities=0)
 
     @classmethod
     def for_act(cls, catalog, user_feats: FeatureMatrix, item_feats: FeatureMatrix, id_onehots: bool = True) -> "FeatureLayout":
@@ -306,16 +287,22 @@ class FeatureLayout:
         )
 
 
+def _entity_part(i: int, one_hot: int | None, feat_offset: int, feats: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of one entity: the one-hot at absolute index ``one_hot`` (None: none) and its feature row."""
+    fidx, fval = feats.row(i)
+    if one_hot is not None:
+        idx = np.concatenate(([one_hot], feat_offset + fidx))
+        val = np.concatenate(([1.0], fval))
+        return idx.astype(np.int64), val.astype(np.float64)
+    return (feat_offset + fidx).astype(np.int64), fval.astype(np.float64)
+
+
 def user_part(u: int, layout: FeatureLayout, user_feats: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """User-side entries (id one-hot + feature block), absolute indices."""
     if not (0 <= u < layout.n_users):
         raise ValueError(f"user id {u} outside [0, {layout.n_users})")
-    fidx, fval = user_feats.row(u)
-    if layout.use_user_ids:
-        idx = np.concatenate(([layout.user_id_offset + u], layout.user_feat_offset + fidx))
-        val = np.concatenate(([1.0], fval))
-        return idx.astype(np.int64), val.astype(np.float64)
-    return (layout.user_feat_offset + fidx).astype(np.int64), fval.astype(np.float64)
+    one_hot = layout.user_id_offset + u if layout.use_user_ids else None
+    return _entity_part(u, one_hot, layout.user_feat_offset, user_feats)
 
 
 def item_part(
@@ -327,12 +314,8 @@ def item_part(
     """Item-side entries; a cold item contributes features only, no one-hot."""
     if not (0 <= v < layout.n_items):
         raise ValueError(f"item id {v} outside [0, {layout.n_items})")
-    fidx, fval = item_feats.row(v)
-    if layout.use_item_ids and not cold:
-        idx = np.concatenate(([layout.item_id_offset + v], layout.item_feat_offset + fidx))
-        val = np.concatenate(([1.0], fval))
-        return idx.astype(np.int64), val.astype(np.float64)
-    return (layout.item_feat_offset + fidx).astype(np.int64), fval.astype(np.float64)
+    one_hot = layout.item_id_offset + v if layout.use_item_ids and not cold else None
+    return _entity_part(v, one_hot, layout.item_feat_offset, item_feats)
 
 
 def activity_part(z: int, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -343,9 +326,13 @@ def activity_part(z: int, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray
     return np.array([layout.activity_offset + z], dtype=np.int64), np.array([1.0])
 
 
+def join_parts(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate (indices, values) parts of disjoint blocks, unsorted."""
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
 def _merge_parts(parts, dim: int) -> SparseVector:
-    idx = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.int64)
-    val = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
+    idx, val = join_parts(*parts)
     order = np.argsort(idx, kind="stable")
     return SparseVector(idx[order], val[order], dim)
 

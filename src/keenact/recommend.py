@@ -142,13 +142,18 @@ def recommend(model: TrainedModel, u: int, k: int | None = None) -> Recommendati
     return RecommendationList(user=u, entries=entries)
 
 
+def recommendation_lines(recs: list[RecommendationList], catalog):
+    """``user_id<TAB>item_id<TAB>activity<TAB>keen_score<TAB>act_score<TAB>rank`` per pair."""
+    for rec in recs:
+        for rank, entry in enumerate(rec.entries, start=1):
+            yield (
+                f"{catalog.users[rec.user]}\t{catalog.items[entry.item]}\t"
+                f"{catalog.activities[entry.activity]}\t{entry.keen_score!r}\t"
+                f"{entry.act_score!r}\t{rank}"
+            )
+
+
 def write_recommendations(recs: list[RecommendationList], path, catalog) -> None:
-    """``user_id<TAB>item_id<TAB>activity<TAB>keen_score<TAB>act_score<TAB>rank``."""
+    """Write ``recommendation_lines`` to ``path``, one per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in recs:
-            for rank, entry in enumerate(rec.entries, start=1):
-                fh.write(
-                    f"{catalog.users[rec.user]}\t{catalog.items[entry.item]}\t"
-                    f"{catalog.activities[entry.activity]}\t{entry.keen_score!r}\t"
-                    f"{entry.act_score!r}\t{rank}\n"
-                )
+        fh.writelines(line + "\n" for line in recommendation_lines(recs, catalog))

@@ -8,7 +8,8 @@ factor sums S_p = sum_{i in p} v_i x_i the score decomposes as
 with base_p folding the linear term and the within-part pairwise term.
 This lets one user be scored against every item (or every item-activity
 pair) with a few matrix products instead of per-pair loops.  Equality
-with fm_score on assembled inputs is covered by tests.
+with fm_score on assembled inputs is covered by tests, and so is the
+equality of part_gradient with fm_gradient/combine_gradients.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from keenact.features import FeatureLayout, FeatureMatrix
-from keenact.fm import FMParameters
+from keenact.features import FeatureLayout, FeatureMatrix, join_parts
+from keenact.fm import FMGradient, FMParameters
 
 
 def part_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[float, np.ndarray]:
@@ -29,6 +30,44 @@ def part_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[
     vx = rows * val[:, None]
     base = params.w[idx] @ val + 0.5 * (s @ s - (vx * vx).sum())
     return float(base), s
+
+
+def part_gradient(
+    params: FMParameters,
+    context: tuple[np.ndarray, np.ndarray],
+    pos: tuple[np.ndarray, np.ndarray],
+    neg: tuple[np.ndarray, np.ndarray],
+    s_ctx: np.ndarray,
+    s_pos: np.ndarray,
+    s_neg: np.ndarray,
+    weight: float,
+) -> FMGradient:
+    """Gradient of weight * (score(context + neg) - score(context + pos)).
+
+    Parts are (indices, values) with factor sums ``s_*`` from part_stats;
+    the context is disjoint from both candidates, which may share rows.
+    Context rows get a zero linear term and weight * x * (S_neg - S_pos);
+    candidate rows get the FM gradient against S_ctx + S_candidate, a
+    shared row summed once.  The index set is that of combine_gradients
+    over the two assembled inputs.
+    """
+    sizes = [pos[0].size, neg[0].size]
+    idx, val = join_parts(pos, neg)
+    upstream = np.repeat([-weight, weight], sizes)
+    s_rows = s_ctx + np.repeat(np.vstack([s_pos, s_neg]), sizes, axis=0)
+    g_rows = upstream[:, None] * (val[:, None] * s_rows - params.factors[idx] * (val * val)[:, None])
+    uniq, inverse = np.unique(idx, return_inverse=True)
+    w = np.zeros(uniq.size)
+    np.add.at(w, inverse, upstream * val)
+    factors = np.zeros((uniq.size, params.k))
+    np.add.at(factors, inverse, g_rows)
+    cidx, cval = context
+    return FMGradient(
+        w0=0.0,
+        indices=np.concatenate([cidx, uniq]),
+        w=np.concatenate([np.zeros(cidx.size), w]),
+        factors=np.vstack([weight * cval[:, None] * (s_neg - s_pos)[None, :], factors]),
+    )
 
 
 def _block_stats(

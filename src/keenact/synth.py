@@ -21,15 +21,7 @@ import math
 import numpy as np
 
 from keenact.data import Catalog, InteractionStore
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+from keenact.training import sigmoid
 
 
 def _calibrate_offset(logits: np.ndarray, target: float) -> float:
@@ -37,7 +29,7 @@ def _calibrate_offset(logits: np.ndarray, target: float) -> float:
     lo, hi = -60.0, 60.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if float(_sigmoid(logits + mid).sum()) < target:
+        if float(sigmoid(logits + mid).sum()) < target:
             lo = mid
         else:
             hi = mid
@@ -83,7 +75,7 @@ def generate_two_stage(
         logits = affinity_gain * affinity[u]
         target = float(rng.uniform(lo, hi))
         offset = _calibrate_offset(logits, target)
-        adopted = np.flatnonzero(rng.random(n_items) < _sigmoid(logits + offset))
+        adopted = np.flatnonzero(rng.random(n_items) < sigmoid(logits + offset))
         if len(adopted) == 0:
             adopted = np.array([int(np.argmax(logits))])
         for v in adopted:

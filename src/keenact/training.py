@@ -5,12 +5,15 @@ per epoch; for each positive it samples negatives until the margin is
 violated and applies one sparse Adam update weighted by the harmonic
 transform of the estimated rank.  Phase 2 freezes both scorers and fits
 per-item / per-activity decision thresholds with a cross-entropy loss.
+``pairwise_step`` is that sampled update; the flat baselines in
+``evaluation`` run it too.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +22,12 @@ from keenact.data import InteractionStore
 from keenact.features import (
     FeatureLayout,
     FeatureMatrix,
+    SparseVector,
     activity_part,
     assemble_act_input,
     assemble_keen_input,
     item_part,
+    join_parts,
     user_part,
 )
 from keenact.fm import (
@@ -34,7 +39,7 @@ from keenact.fm import (
     fm_score,
     init_params,
 )
-from keenact.scoring import Scorer, part_stats
+from keenact.scoring import Scorer, part_gradient, part_stats
 
 logger = logging.getLogger("keenact.training")
 
@@ -100,7 +105,6 @@ class TrainConfig:
     threshold_negative_ratio: float | str = 5.0
     id_onehots: bool = True
     init_scale: float = 0.01
-    early_stop: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -124,22 +128,7 @@ class TrainConfig:
         return {"alpha": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "max_neg_samples": self.max_neg_samples,
-            "k": self.k,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "lambda_keen": self.lambda_keen,
-            "lambda_act": self.lambda_act,
-            "margin": self.margin,
-            "seed": self.seed,
-            "threshold_epochs": self.threshold_epochs,
-            "threshold_negative_ratio": self.threshold_negative_ratio,
-            "id_onehots": self.id_onehots,
-        }
+        return {key: getattr(self, key) for key in CONFIG_KEYS}
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -159,10 +148,7 @@ def parse_config(path) -> TrainConfig:
             if "=" not in stripped:
                 raise ConfigError(stripped, f"line {lineno}: expected 'key = value', got {stripped!r}")
             key, _, value = stripped.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(key, f"unknown config key {key!r}")
-            raw[key] = value
+            raw[key.strip()] = value.strip()
     return config_from_mapping(raw)
 
 
@@ -312,9 +298,9 @@ def cross_entropy_grad_threshold(score, threshold, y):
 
 @dataclass
 class StepResult:
-    """Outcome of one WARP step: whether an update fired and its cost.
+    """Outcome of one sampled pairwise step: whether an update fired and its cost.
 
-    In diagnostic mode ``hinge_after`` holds the violating pair's hinge
+    In diagnostic mode ``hinge_after`` holds the updated pair's hinge
     after a small plain gradient probe step, not after the Adam step.
     """
 
@@ -324,6 +310,114 @@ class StepResult:
     skipped: bool = False
     hinge_before: float = 0.0
     hinge_after: float = 0.0
+
+
+@dataclass
+class CandidateSpace:
+    """What one sampled pairwise step ranks a positive against.
+
+    ``context`` is the (indices, values) part shared by every candidate
+    of the step, ``part(c)`` is candidate c's own part, and negatives are
+    drawn from ``universe`` minus ``positives``.  ``assemble(c)`` builds
+    the full input the reference path scores; only the descent probe
+    uses it, so spaces that are never probed leave it out.
+    """
+
+    context: tuple[np.ndarray, np.ndarray]
+    part: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    universe: np.ndarray
+    positives: frozenset
+    assemble: Callable[[int], SparseVector] | None = None
+
+
+def _negative_stream(rng: np.random.Generator, universe: np.ndarray, positives, cap: int):
+    """Up to ``cap`` distinct negatives, uniform without replacement."""
+    n_universe = len(universe)
+    total_neg = n_universe - len(positives)
+    if cap * 2 >= total_neg:
+        candidates = np.array([c for c in universe if c not in positives], dtype=np.int64)
+        order = rng.permutation(len(candidates))
+        for i in order[:cap]:
+            yield int(candidates[i])
+        return
+    drawn: set[int] = set()
+    while len(drawn) < cap:
+        c = int(universe[rng.integers(n_universe)])
+        if c in positives or c in drawn:
+            continue
+        drawn.add(c)
+        yield c
+
+
+def _descent_probe(params: FMParameters, x_pos: SparseVector, x_neg: SparseVector, weight: float, margin: float) -> float:
+    """The pair's hinge after a plain step of 1e-3 along its reference gradient.
+
+    That step must lower the hinge; the Adam step itself carries momentum
+    from earlier pairs and offers no such per-pair guarantee.
+    """
+    grad = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
+    alpha = 1e-3
+    trial = params.copy()
+    trial.w0 -= alpha * grad.w0
+    trial.w[grad.indices] = trial.w[grad.indices] - alpha * grad.w
+    trial.factors[grad.indices] = trial.factors[grad.indices] - alpha * grad.factors
+    return margin - fm_score(trial, x_pos) + fm_score(trial, x_neg)
+
+
+def pairwise_step(
+    params: FMParameters,
+    state: AdamState,
+    lam: float,
+    space: CandidateSpace,
+    positive: int,
+    rng: np.random.Generator,
+    config: TrainConfig,
+    bpr: bool = False,
+    check_descent: bool = False,
+) -> StepResult:
+    """One sampled pairwise update of ``params`` for ``positive``.
+
+    WARP draws up to ``max_neg_samples`` distinct negatives one at a
+    time and updates on the first that violates the margin, weighted by
+    phi of the estimated rank (WSABIE).  BPR draws one negative and
+    always updates, weighted by sigmoid(-(s_pos - s_neg)).  ``lam`` is
+    the L2 decay on the touched rows.
+    """
+    total_neg = len(space.universe) - len(space.positives)
+    if total_neg <= 0:
+        return StepResult(updated=False, draws=0, skipped=True)
+    cbase, s_ctx = part_stats(params, *space.context)
+    pos = space.part(positive)
+    pbase, s_pos_part = part_stats(params, *pos)
+    s_pos = params.w0 + cbase + pbase + s_ctx @ s_pos_part
+    cap = 1 if bpr else min(config.max_neg_samples, total_neg)
+    draws = 0
+    for c in _negative_stream(rng, space.universe, space.positives, cap):
+        draws += 1
+        neg = space.part(c)
+        nbase, s_neg_part = part_stats(params, *neg)
+        s_neg = params.w0 + cbase + nbase + s_ctx @ s_neg_part
+        hinge = config.margin - s_pos + s_neg
+        if bpr:
+            weight = sigmoid(s_neg - s_pos)
+            loss = float(np.logaddexp(0.0, s_neg - s_pos))
+        elif s_pos < config.margin + s_neg:
+            weight = phi(estimate_rank(total_neg, draws))
+            loss = weight * hinge
+        else:
+            continue
+        result = StepResult(updated=True, draws=draws, loss=loss, hinge_before=hinge)
+        if check_descent:
+            result.hinge_after = _descent_probe(
+                params, space.assemble(positive), space.assemble(c), weight, config.margin
+            )
+        grad = part_gradient(params, space.context, pos, neg, s_ctx, s_pos_part, s_neg_part, weight)
+        if lam:
+            grad.w = grad.w + lam * params.w[grad.indices]
+            grad.factors = grad.factors + lam * params.factors[grad.indices]
+        adam_update(params, state, grad)
+        return result
+    return StepResult(updated=False, draws=draws)
 
 
 class _CoordinateAdam:
@@ -416,139 +510,54 @@ class Trainer:
         self.act_state = AdamState.for_params(self.act, **config.adam_kwargs())
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.item_universe = np.array(store.items_with_interactions(), dtype=np.int64)
-        self.n_activities = catalog.n_activities
+        self.activity_universe = np.arange(catalog.n_activities, dtype=np.int64)
         self.report: list[tuple[int, str, str, float]] = []
         self.descent_violations = 0
 
     # -- phase 1: rank learning ------------------------------------------
 
-    def _negative_stream(self, universe: np.ndarray, positives, cap: int):
-        """Up to ``cap`` distinct negatives, uniform without replacement."""
-        n_universe = len(universe)
-        total_neg = n_universe - len(positives)
-        if cap * 2 >= total_neg:
-            candidates = np.array([c for c in universe if c not in positives], dtype=np.int64)
-            order = self.rng.permutation(len(candidates))
-            for i in order[:cap]:
-                yield int(candidates[i])
-            return
-        drawn: set[int] = set()
-        while len(drawn) < cap:
-            c = int(universe[self.rng.integers(n_universe)])
-            if c in positives or c in drawn:
-                continue
-            drawn.add(c)
-            yield c
-
-    def _hinge_update(
-        self, params, state, x_pos, x_neg, weight: float, lam: float, hinge_before: float | None = None
-    ) -> float | None:
-        grad = combine_gradients(
-            [fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)]
-        )
-        probe = None
-        if self.check_descent and hinge_before is not None:
-            # a plain small step along the pair's own hinge gradient must
-            # lower that hinge; the Adam step itself carries momentum from
-            # earlier pairs and offers no such per-pair guarantee
-            alpha = 1e-3
-            trial = params.copy()
-            trial.w0 -= alpha * grad.w0
-            trial.w[grad.indices] = trial.w[grad.indices] - alpha * grad.w
-            trial.factors[grad.indices] = trial.factors[grad.indices] - alpha * grad.factors
-            probe = self.config.margin - fm_score(trial, x_pos) + fm_score(trial, x_neg)
-            if probe >= hinge_before:
-                self.descent_violations += 1
-        if lam:
-            grad.w = grad.w + lam * params.w[grad.indices]
-            grad.factors = grad.factors + lam * params.factors[grad.indices]
-        adam_update(params, state, grad)
-        return probe
-
     def warp_step_keen(self, u: int, v: int) -> StepResult:
         """One WARP step for a positive item pair; no-op without violation."""
-        cfg = self.config
-        positives = self.store.positive_items(u)
-        total_neg = len(self.item_universe) - len(positives)
-        if total_neg <= 0:
+        layout, user_feats, item_feats = self.keen_layout, self.user_feats, self.item_feats
+        space = CandidateSpace(
+            context=user_part(u, layout, user_feats),
+            part=lambda c: item_part(c, layout, item_feats),
+            universe=self.item_universe,
+            positives=self.store.positive_items(u),
+            assemble=lambda c: assemble_keen_input(u, c, layout, user_feats, item_feats),
+        )
+        result = pairwise_step(
+            self.keen, self.keen_state, self.config.lambda_keen, space, v, self.rng, self.config,
+            check_descent=self.check_descent,
+        )
+        if result.skipped:
             logger.warning("user %d is positive on every training item; keen step skipped", u)
-            return StepResult(updated=False, draws=0, skipped=True)
-        uidx, uval = user_part(u, self.keen_layout, self.user_feats)
-        ubase, us = part_stats(self.keen, uidx, uval)
-        pidx, pval = item_part(v, self.keen_layout, self.item_feats)
-        pbase, ps = part_stats(self.keen, pidx, pval)
-        s_pos = self.keen.w0 + ubase + pbase + us @ ps
-        cap = min(cfg.max_neg_samples, total_neg)
-        draws = 0
-        for v_neg in self._negative_stream(self.item_universe, positives, cap):
-            draws += 1
-            nidx, nval = item_part(v_neg, self.keen_layout, self.item_feats)
-            nbase, ns = part_stats(self.keen, nidx, nval)
-            s_neg = self.keen.w0 + ubase + nbase + us @ ns
-            if s_pos < cfg.margin + s_neg:
-                weight = phi(estimate_rank(total_neg, draws))
-                x_pos = assemble_keen_input(u, v, self.keen_layout, self.user_feats, self.item_feats)
-                x_neg = assemble_keen_input(u, v_neg, self.keen_layout, self.user_feats, self.item_feats)
-                loss = weight * (cfg.margin - s_pos + s_neg)
-                result = StepResult(updated=True, draws=draws, loss=loss)
-                hinge = cfg.margin - s_pos + s_neg
-                result.hinge_before = hinge
-                probe = self._hinge_update(
-                    self.keen, self.keen_state, x_pos, x_neg, weight, cfg.lambda_keen,
-                    hinge_before=hinge if self.check_descent else None,
-                )
-                if probe is not None:
-                    result.hinge_after = probe
-                return result
-        return StepResult(updated=False, draws=draws)
+        return result
 
     def warp_step_act(self, u: int, v: int, z: int) -> StepResult:
         """One WARP step for a positive activity; negatives drawn from Z."""
-        cfg = self.config
-        positives = self.store.positive_activities(u, v)
-        total_neg = self.n_activities - len(positives)
-        if total_neg <= 0:
-            return StepResult(updated=False, draws=0, skipped=True)
-        uidx, uval = user_part(u, self.act_layout, self.user_feats)
-        iidx, ival = item_part(v, self.act_layout, self.item_feats)
-        ubase, us = part_stats(self.act, uidx, uval)
-        ibase, iv = part_stats(self.act, iidx, ival)
-        shared = self.act.w0 + ubase + ibase + us @ iv
-        zidx, zval = activity_part(z, self.act_layout)
-        zbase, zs = part_stats(self.act, zidx, zval)
-        s_pos = shared + zbase + (us + iv) @ zs
-        universe = np.arange(self.n_activities, dtype=np.int64)
-        cap = min(cfg.max_neg_samples, total_neg)
-        draws = 0
-        for z_neg in self._negative_stream(universe, positives, cap):
-            draws += 1
-            nidx, nval = activity_part(z_neg, self.act_layout)
-            nbase, nzs = part_stats(self.act, nidx, nval)
-            s_neg = shared + nbase + (us + iv) @ nzs
-            if s_pos < cfg.margin + s_neg:
-                weight = phi(estimate_rank(total_neg, draws))
-                x_pos = assemble_act_input(u, v, z, self.act_layout, self.user_feats, self.item_feats)
-                x_neg = assemble_act_input(u, v, z_neg, self.act_layout, self.user_feats, self.item_feats)
-                loss = weight * (cfg.margin - s_pos + s_neg)
-                result = StepResult(updated=True, draws=draws, loss=loss)
-                hinge = cfg.margin - s_pos + s_neg
-                result.hinge_before = hinge
-                probe = self._hinge_update(
-                    self.act, self.act_state, x_pos, x_neg, weight, cfg.lambda_act,
-                    hinge_before=hinge if self.check_descent else None,
-                )
-                if probe is not None:
-                    result.hinge_after = probe
-                return result
-        return StepResult(updated=False, draws=draws)
+        layout, user_feats, item_feats = self.act_layout, self.user_feats, self.item_feats
+        space = CandidateSpace(
+            context=join_parts(user_part(u, layout, user_feats), item_part(v, layout, item_feats)),
+            part=lambda c: activity_part(c, layout),
+            universe=self.activity_universe,
+            positives=self.store.positive_activities(u, v),
+            assemble=lambda c: assemble_act_input(u, v, c, layout, user_feats, item_feats),
+        )
+        return pairwise_step(
+            self.act, self.act_state, self.config.lambda_act, space, z, self.rng, self.config,
+            check_descent=self.check_descent,
+        )
 
-    def _run_phase(self, epoch: int, phase: str, examples, step) -> float:
+    def _run_phase(self, epoch: int, phase: str, examples, step) -> None:
         order = self.rng.permutation(len(examples))
         losses = 0.0
         draws = 0
         updates = 0
         for i in order:
             result = step(*examples[i])
+            if self.check_descent and result.updated and result.hinge_after >= result.hinge_before:
+                self.descent_violations += 1
             draws += result.draws
             losses += result.loss
             updates += int(result.updated)
@@ -560,27 +569,12 @@ class Trainer:
             self.report.append((epoch, phase, "descent_violations", float(self.descent_violations)))
         if not math.isfinite(losses) or not (self.keen.all_finite() and self.act.all_finite()):
             raise NumericalError(epoch, f"non-finite loss or parameters at epoch {epoch}")
-        return losses / n
 
     def run_rank_learning(self) -> None:
         """Phase 1: keen steps over the pairs, then act steps over the triples."""
-        pairs = list(self.store.keen_pairs)
-        triples = list(self.store.triples)
-        previous = None
-        flat_epochs = 0
         for epoch in range(self.config.epochs):
-            keen_loss = self._run_phase(epoch, "keen_rank", pairs, self.warp_step_keen)
-            act_loss = self._run_phase(epoch, "act_rank", triples, self.warp_step_act)
-            total = keen_loss + act_loss
-            if self.config.early_stop and previous is not None:
-                if abs(previous - total) < 1e-4 * max(abs(previous), 1e-12):
-                    flat_epochs += 1
-                else:
-                    flat_epochs = 0
-                if flat_epochs >= 3:
-                    logger.info("sampled loss flat for 3 epochs, stopping at epoch %d", epoch)
-                    break
-            previous = total
+            self._run_phase(epoch, "keen_rank", self.store.keen_pairs, self.warp_step_keen)
+            self._run_phase(epoch, "act_rank", self.store.triples, self.warp_step_act)
 
     # -- phase 2: threshold learning ---------------------------------------
 
@@ -629,7 +623,7 @@ class Trainer:
     def learn_thresholds_act(self) -> tuple[np.ndarray, list[float]]:
         """Fit per-activity cutoffs on frozen act scores over positive pairs."""
         scorer = Scorer(self.act, self.act_layout, self.user_feats, self.item_feats)
-        all_z = np.arange(self.n_activities, dtype=np.int64)
+        all_z = self.activity_universe
         scores_by_group, labels_by_group, coords_by_group = [], [], []
         for u, v in self.store.keen_pairs:
             positives = self.store.positive_activities(u, v)
@@ -641,7 +635,7 @@ class Trainer:
             scores_by_group,
             labels_by_group,
             coords_by_group,
-            self.n_activities,
+            len(all_z),
             self.config.threshold_epochs,
             **self.config.adam_kwargs(),
         )

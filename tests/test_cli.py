@@ -67,6 +67,20 @@ class TestIngest:
         assert main(["ingest", "--log", str(canonical)]) == 0
         assert "duplicates dropped: 0" in capsys.readouterr().out
 
+    def test_duplicates_counted_before_activity_filter(self, tmp_path, capsys):
+        """--min-activities reports the duplicate rows ingest dropped, not the filtered store's."""
+        rows = [
+            "a\tx\tfork\t1", "a\tx\tfork\t2", "a\ty\twatch\t3", "a\tz\tfork\t4",
+            "b\tx\tfork\t5", "b\tx\tfork\t6",
+        ]
+        log = tmp_path / "dups.tsv"
+        log.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["ingest", "--log", str(log), "--min-activities", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "users: 1" in out
+        assert "activity records: 3" in out
+        assert "duplicates dropped: 2" in out
+
     def test_empty_log(self, tmp_path, capsys):
         log = tmp_path / "empty.tsv"
         log.write_text("", encoding="utf-8")

@@ -13,8 +13,9 @@ from keenact.features import (
     co_participation_features,
     empty_features,
 )
-from keenact.fm import fm_score, init_params
-from keenact.scoring import Scorer, part_stats
+from keenact.features import activity_part, item_part, join_parts, user_part
+from keenact.fm import combine_gradients, fm_gradient, fm_score, init_params
+from keenact.scoring import Scorer, part_gradient, part_stats
 
 
 def random_setup(seed, n_users=6, n_items=9, n_acts=3, d_item=4, id_onehots=True):
@@ -68,6 +69,60 @@ class TestPartStats:
         base, s = part_stats(params, np.empty(0, dtype=np.int64), np.empty(0))
         assert base == 0.0
         np.testing.assert_array_equal(s, np.zeros(2))
+
+
+def assert_part_gradient_matches_oracle(params, context, pos, neg, x_pos, x_neg, weight):
+    _, s_ctx = part_stats(params, *context)
+    _, s_pos = part_stats(params, *pos)
+    _, s_neg = part_stats(params, *neg)
+    got = part_gradient(params, context, pos, neg, s_ctx, s_pos, s_neg, weight)
+    want = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
+    order = np.argsort(got.indices)
+    np.testing.assert_array_equal(got.indices[order], want.indices)
+    assert got.w0 == want.w0
+    np.testing.assert_allclose(got.w[order], want.w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.factors[order], want.factors, rtol=0, atol=1e-12)
+
+
+class TestPartGradient:
+    """part_gradient equals the combined fm_gradient of the assembled pair."""
+
+    @pytest.mark.parametrize("id_onehots", [True, False])
+    @pytest.mark.parametrize("dense_items", [False, True])
+    def test_keen_act_and_flat_layouts(self, id_onehots, dense_items):
+        catalog, _, uf, itf, keen_l, act_l, keen_p, act_p = random_setup(31, id_onehots=id_onehots)
+        if dense_items:
+            # every item row fills every column, so candidates share feature rows
+            rows = np.random.default_rng(5).normal(size=(catalog.n_items, itf.dim))
+            itf = FeatureMatrix(sparse.csr_matrix(rows), "item")
+        rng = np.random.default_rng(17)
+        n_items, n_acts = catalog.n_items, catalog.n_activities
+        for _ in range(30):
+            u = int(rng.integers(catalog.n_users))
+            v, v2 = (int(x) for x in rng.choice(n_items, size=2, replace=False))
+            z, z2 = (int(x) for x in rng.choice(n_acts, size=2, replace=False))
+            weight = float(rng.uniform(0.1, 3.0))
+            # keen: user context, item candidates
+            assert_part_gradient_matches_oracle(
+                keen_p, user_part(u, keen_l, uf), item_part(v, keen_l, itf), item_part(v2, keen_l, itf),
+                assemble_keen_input(u, v, keen_l, uf, itf), assemble_keen_input(u, v2, keen_l, uf, itf), weight,
+            )
+            # act: user + item context, activity candidates
+            assert_part_gradient_matches_oracle(
+                act_p, join_parts(user_part(u, act_l, uf), item_part(v, act_l, itf)),
+                activity_part(z, act_l), activity_part(z2, act_l),
+                assemble_act_input(u, v, z, act_l, uf, itf), assemble_act_input(u, v, z2, act_l, uf, itf), weight,
+            )
+            # flat: user context, (item, activity) candidates sharing an item,
+            # sharing an activity, or sharing neither
+            for pv, pz, nv, nz in ((v, z, v, z2), (v, z, v2, z), (v, z, v2, z2)):
+                assert_part_gradient_matches_oracle(
+                    act_p, user_part(u, act_l, uf),
+                    join_parts(item_part(pv, act_l, itf), activity_part(pz, act_l)),
+                    join_parts(item_part(nv, act_l, itf), activity_part(nz, act_l)),
+                    assemble_act_input(u, pv, pz, act_l, uf, itf), assemble_act_input(u, nv, nz, act_l, uf, itf),
+                    weight,
+                )
 
 
 class TestScorerEquality:

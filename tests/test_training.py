@@ -11,12 +11,13 @@ from scipy import sparse
 from keenact.data import Catalog, InteractionStore
 from keenact.features import (
     FeatureMatrix,
+    assemble_act_input,
     assemble_keen_input,
     co_participation_features,
     empty_features,
     l2_normalize_rows,
 )
-from keenact.fm import fm_score
+from keenact.fm import adam_update, combine_gradients, fm_gradient, fm_score
 from keenact.synth import generate_two_stage
 from keenact.training import (
     ConfigError,
@@ -344,6 +345,81 @@ class TestWarpSteps:
                 seen_update = True
                 assert result.hinge_after < result.hinge_before
         assert seen_update
+
+
+def reference_negatives(rng, universe, positives, cap):
+    """The WARP sampler written out: a shuffled list when negatives are few, else rejection draws."""
+    total_neg = len(universe) - len(positives)
+    if cap * 2 >= total_neg:
+        candidates = [int(c) for c in universe if c not in positives]
+        for i in rng.permutation(len(candidates))[:cap]:
+            yield candidates[i]
+        return
+    drawn = set()
+    while len(drawn) < cap:
+        c = int(universe[rng.integers(len(universe))])
+        if c not in positives and c not in drawn:
+            drawn.add(c)
+            yield c
+
+
+def reference_warp_step(rng, config, params, state, lam, universe, positives, assemble, positive):
+    """WARP on assembled inputs with fm_score, fm_gradient and combine_gradients."""
+    total_neg = len(universe) - len(positives)
+    if total_neg <= 0:
+        return False, 0
+    x_pos = assemble(positive)
+    draws = 0
+    for c in reference_negatives(rng, universe, positives, min(config.max_neg_samples, total_neg)):
+        draws += 1
+        x_neg = assemble(c)
+        if fm_score(params, x_pos) < config.margin + fm_score(params, x_neg):
+            weight = phi(estimate_rank(total_neg, draws))
+            grad = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
+            grad.w = grad.w + lam * params.w[grad.indices]
+            grad.factors = grad.factors + lam * params.factors[grad.indices]
+            adam_update(params, state, grad)
+            return True, draws
+    return False, draws
+
+
+class TestStepMatchesReference:
+    def test_one_epoch_of_each_stage(self):
+        """Same seed: same draws and updates per step, parameters within 1e-9."""
+        catalog, store = generate_two_stage(12, 30, 3, seed=4, items_per_user=(3, 8))
+        uf = l2_normalize_rows(co_participation_features(store))
+        rows = np.random.default_rng(9).random((catalog.n_items, 5))
+        itf = FeatureMatrix(sparse.csr_matrix(rows * (rows < 0.6)), "item")
+        config = TrainConfig(seed=6, k=4)
+        new, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
+        stages = [
+            (store.keen_pairs, new.warp_step_keen, "keen", config.lambda_keen),
+            (store.triples, new.warp_step_act, "act", config.lambda_act),
+        ]
+        updates = 0
+        for examples, step, stage, lam in stages:
+            order = new.rng.permutation(len(examples))
+            np.testing.assert_array_equal(order, ref.rng.permutation(len(examples)))
+            for i in order:
+                u, v = examples[i][:2]
+                if stage == "keen":
+                    universe, positives, positive = ref.item_universe, store.positive_items(u), v
+                    assemble = lambda c: assemble_keen_input(u, c, ref.keen_layout, uf, itf)
+                else:
+                    universe, positives, positive = ref.activity_universe, store.positive_activities(u, v), examples[i][2]
+                    assemble = lambda c: assemble_act_input(u, v, c, ref.act_layout, uf, itf)
+                got = step(*examples[i])
+                want = reference_warp_step(
+                    ref.rng, config, getattr(ref, stage), getattr(ref, f"{stage}_state"), lam,
+                    universe, positives, assemble, positive,
+                )
+                assert (got.updated, got.draws) == want
+                updates += int(got.updated)
+                a, b = getattr(new, stage), getattr(ref, stage)
+                np.testing.assert_allclose(a.w0, b.w0, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(a.w, b.w, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(a.factors, b.factors, rtol=0, atol=1e-9)
+        assert updates > 0
 
 
 class TestTrain:
