@@ -30,6 +30,7 @@ from keenact.features import (
     item_part,
     join_parts,
     l2_normalize_rows,
+    pad_parts,
     user_part,
 )
 from keenact.fm import AdamState, init_params
@@ -41,6 +42,7 @@ from keenact.training import (
     TrainedModel,
     pairwise_step,
     train,
+    universe_positions,
 )
 from keenact.recommend import recommend, select_items
 
@@ -143,6 +145,25 @@ class BaselineModel:
         return self._scorer
 
 
+def flat_candidate_spaces(store, layout: FeatureLayout, user_feats, item_feats) -> dict[int, CandidateSpace]:
+    """Each user's flat pairwise space: the user part against training items x activities.
+
+    One part table, with a row per flat pair id, serves every user.
+    """
+    pairs = FlatPairSpace(layout.n_items, layout.n_activities)
+    train_items = np.array(store.items_with_interactions(), dtype=np.int64)
+    universe = (train_items[:, None] * pairs.n_activities + np.arange(pairs.n_activities)).ravel()
+    table = pad_parts(
+        join_parts(item_part(v, layout, item_feats), activity_part(z, layout))
+        for v in range(pairs.n_items)
+        for z in range(pairs.n_activities)
+    )
+    return {
+        u: CandidateSpace(user_part(u, layout, user_feats), table, universe, universe_positions(universe, flat))
+        for u, flat in _flat_by_user(store, pairs).items()
+    }
+
+
 def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str) -> BaselineModel:
     """Train a flat single-model baseline: kind is "bpr" or "warp".
 
@@ -155,26 +176,18 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     params = init_params(layout.dim, config.k, seed=config.seed + 3, scale=config.init_scale)
     state = AdamState.for_params(params, **config.adam_kwargs())
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    train_items = np.array(store.items_with_interactions(), dtype=np.int64)
+    spaces = flat_candidate_spaces(store, layout, user_feats, item_feats)
     pairs = FlatPairSpace(catalog.n_items, catalog.n_activities)
-    universe = (train_items[:, None] * pairs.n_activities + np.arange(pairs.n_activities)).ravel()
-    positives = _flat_by_user(store, pairs)
-
-    def pair_part(f: int) -> tuple[np.ndarray, np.ndarray]:
-        v, z = pairs.unflatten(f)
-        return join_parts(item_part(v, layout, item_feats), activity_part(z, layout))
-
     report: list[tuple[int, str, str, float]] = []
     triples = store.triples
     for epoch in range(config.epochs):
         total = 0.0
         for i in rng.permutation(len(triples)):
             u, v, z = triples[i]
-            space = CandidateSpace(user_part(u, layout, user_feats), pair_part, universe, positives[u])
             # the flat space is dominated by item coordinates, so the
             # item-stage decay is the comparable setting for the baselines
             result = pairwise_step(
-                params, state, config.lambda_keen, space, pairs.flatten(v, z), rng, config, bpr=kind == "bpr"
+                params, state, config.lambda_keen, spaces[u], pairs.flatten(v, z), rng, config, bpr=kind == "bpr"
             )
             total += float(result.loss)
         mean_loss = total / max(len(triples), 1)
@@ -186,7 +199,7 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
         layout=layout,
         user_feats=user_feats,
         item_feats=item_feats,
-        seen_items=frozenset(int(v) for v in train_items),
+        seen_items=frozenset(store.items_with_interactions()),
         kind=kind,
         report=report,
     )

@@ -331,6 +331,23 @@ def join_parts(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.nd
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
+def pad_parts(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Stack parts into one padded (indices, values) pair, one row per part.
+
+    Padding is index 0 with value 0, which adds nothing to a part's base
+    or factor sum; stored values are never 0, so a row's nonzero entries
+    are its part.
+    """
+    parts = list(parts)
+    width = max([1] + [p[0].size for p in parts])
+    indices = np.zeros((len(parts), width), dtype=np.int64)
+    values = np.zeros((len(parts), width))
+    for row, (idx, val) in enumerate(parts):
+        indices[row, : idx.size] = idx
+        values[row, : val.size] = val
+    return indices, values
+
+
 def _merge_parts(parts, dim: int) -> SparseVector:
     idx, val = join_parts(*parts)
     order = np.argsort(idx, kind="stable")

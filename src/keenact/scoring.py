@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from keenact.features import FeatureLayout, FeatureMatrix, join_parts
+from keenact.features import FeatureLayout, FeatureMatrix
 from keenact.fm import FMGradient, FMParameters
 
 
@@ -30,6 +30,14 @@ def part_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[
     vx = rows * val[:, None]
     base = params.w[idx] @ val + 0.5 * (s @ s - (vx * vx).sum())
     return float(base), s
+
+
+def table_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """part_stats for every row of a padded part table: (base per row, factor sums)."""
+    vx = params.factors[idx] * val[:, :, None]
+    s = vx.sum(axis=1)
+    base = (params.w[idx] * val).sum(axis=1) + 0.5 * ((s * s).sum(axis=1) - (vx * vx).sum(axis=(1, 2)))
+    return base, s
 
 
 def part_gradient(
@@ -45,28 +53,31 @@ def part_gradient(
     """Gradient of weight * (score(context + neg) - score(context + pos)).
 
     Parts are (indices, values) with factor sums ``s_*`` from part_stats;
-    the context is disjoint from both candidates, which may share rows.
-    Context rows get a zero linear term and weight * x * (S_neg - S_pos);
-    candidate rows get the FM gradient against S_ctx + S_candidate, a
-    shared row summed once.  The index set is that of combine_gradients
-    over the two assembled inputs.
+    the context is disjoint from both candidates, whose indices are sorted
+    and may overlap.  Context rows get a zero linear term and
+    weight * x * (S_neg - S_pos); candidate rows get the FM gradient
+    against S_ctx + S_candidate, a shared row summed once.  The index set
+    is that of combine_gradients over the two assembled inputs, in
+    context, positive, negative-only order.
     """
-    sizes = [pos[0].size, neg[0].size]
-    idx, val = join_parts(pos, neg)
-    upstream = np.repeat([-weight, weight], sizes)
-    s_rows = s_ctx + np.repeat(np.vstack([s_pos, s_neg]), sizes, axis=0)
-    g_rows = upstream[:, None] * (val[:, None] * s_rows - params.factors[idx] * (val * val)[:, None])
-    uniq, inverse = np.unique(idx, return_inverse=True)
-    w = np.zeros(uniq.size)
-    np.add.at(w, inverse, upstream * val)
-    factors = np.zeros((uniq.size, params.k))
-    np.add.at(factors, inverse, g_rows)
+    (pidx, pval), (nidx, nval) = pos, neg
+    w_pos, w_neg = -weight * pval, weight * nval
+    g_pos = w_pos[:, None] * (s_ctx + s_pos) - (w_pos * pval)[:, None] * params.factors[pidx]
+    g_neg = w_neg[:, None] * (s_ctx + s_neg) - (w_neg * nval)[:, None] * params.factors[nidx]
+    if pidx.size and nidx.size:
+        loc = np.searchsorted(pidx, nidx)
+        shared = pidx[np.minimum(loc, pidx.size - 1)] == nidx
+        if shared.any():
+            w_pos[loc[shared]] += w_neg[shared]
+            g_pos[loc[shared]] += g_neg[shared]
+            own = ~shared
+            nidx, w_neg, g_neg = nidx[own], w_neg[own], g_neg[own]
     cidx, cval = context
     return FMGradient(
         w0=0.0,
-        indices=np.concatenate([cidx, uniq]),
-        w=np.concatenate([np.zeros(cidx.size), w]),
-        factors=np.vstack([weight * cval[:, None] * (s_neg - s_pos)[None, :], factors]),
+        indices=np.concatenate([cidx, pidx, nidx]),
+        w=np.concatenate([np.zeros(cidx.size), w_pos, w_neg]),
+        factors=np.concatenate([weight * cval[:, None] * (s_neg - s_pos), g_pos, g_neg]),
     )
 
 

@@ -83,31 +83,66 @@ def model_to_dict(model: TrainedModel) -> dict:
     }
 
 
+def _check_shape(name: str, array: np.ndarray, shape: tuple) -> None:
+    if array.shape != shape:
+        raise SnapshotError(f"{name} has shape {array.shape}, expected {shape}")
+
+
 def model_from_dict(payload: dict) -> TrainedModel:
+    """Rebuild a model; a missing key, a wrong type or a size that does
+    not fit the stored layouts is a SnapshotError."""
     if payload.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} file")
     if payload.get("version") != FORMAT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {payload.get('version')!r}")
+    try:
+        return _model_from_payload(payload)
+    except SnapshotError:
+        raise
+    except KeyError as exc:
+        raise SnapshotError(f"malformed snapshot: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"malformed snapshot: {exc}") from None
+
+
+def _model_from_payload(payload: dict) -> TrainedModel:
+    config = TrainConfig(**payload["config"])
+    keen_layout = FeatureLayout.from_dict(payload["keen_layout"])
+    act_layout = FeatureLayout.from_dict(payload["act_layout"])
+    keen = _params_from_dict(payload["keen"])
+    act = _params_from_dict(payload["act"])
+    for name, params, layout in (("keen", keen, keen_layout), ("act", act, act_layout)):
+        _check_shape(f"{name}.w", params.w, (layout.dim,))
+        _check_shape(f"{name}.factors", params.factors, (layout.dim, config.k))
+    user_feats = _feats_from_dict(payload["user_feats"])
+    item_feats = _feats_from_dict(payload["item_feats"])
+    _check_shape("user_feats", user_feats.matrix, (keen_layout.n_users, keen_layout.d_user))
+    _check_shape("item_feats", item_feats.matrix, (keen_layout.n_items, keen_layout.d_item))
     thresholds = ThresholdTable(
         item_thresholds=np.array(payload["thresholds"]["item"], dtype=np.float64),
         activity_thresholds=np.array(payload["thresholds"]["activity"], dtype=np.float64),
         global_item_fallback=float(payload["thresholds"]["fallback"]),
         item_trained=np.array(payload["thresholds"]["trained"], dtype=bool),
     )
-    model = TrainedModel(
-        keen=_params_from_dict(payload["keen"]),
-        act=_params_from_dict(payload["act"]),
+    _check_shape("thresholds.item", thresholds.item_thresholds, (keen_layout.n_items,))
+    _check_shape("thresholds.trained", thresholds.item_trained, (keen_layout.n_items,))
+    _check_shape("thresholds.activity", thresholds.activity_thresholds, (act_layout.n_activities,))
+    seen_items = frozenset(int(v) for v in payload["seen_items"])
+    if seen_items and not (min(seen_items) >= 0 and max(seen_items) < keen_layout.n_items):
+        raise SnapshotError(f"seen_items outside [0, {keen_layout.n_items})")
+    return TrainedModel(
+        keen=keen,
+        act=act,
         thresholds=thresholds,
-        keen_layout=FeatureLayout.from_dict(payload["keen_layout"]),
-        act_layout=FeatureLayout.from_dict(payload["act_layout"]),
-        user_feats=_feats_from_dict(payload["user_feats"]),
-        item_feats=_feats_from_dict(payload["item_feats"]),
-        seen_items=frozenset(int(v) for v in payload["seen_items"]),
+        keen_layout=keen_layout,
+        act_layout=act_layout,
+        user_feats=user_feats,
+        item_feats=item_feats,
+        seen_items=seen_items,
         report=[(int(e), str(p), str(m), float(v)) for e, p, m, v in payload["report"]],
-        config=TrainConfig(**payload["config"]),
+        config=config,
         catalog=Catalog.from_dict(payload["catalog"]) if payload.get("catalog") else None,
     )
-    return model
 
 
 def save_model(model: TrainedModel, path) -> None:

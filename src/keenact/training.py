@@ -1,9 +1,10 @@
 """Two-phase learning: WARP rank learning, then decision-threshold fitting.
 
 Phase 1 walks the item-level pairs and the activity-level triples once
-per epoch; for each positive it samples negatives until the margin is
-violated and applies one sparse Adam update weighted by the harmonic
-transform of the estimated rank.  Phase 2 freezes both scorers and fits
+per epoch; for each positive it draws up to ``max_neg_samples``
+negatives as one array, scores them together, and applies one sparse
+Adam update for the first that violates the margin, weighted by the
+harmonic transform of the estimated rank.  Phase 2 freezes both scorers and fits
 per-item / per-activity decision thresholds with a cross-entropy loss.
 ``pairwise_step`` is that sampled update; the flat baselines in
 ``evaluation`` run it too.
@@ -28,6 +29,7 @@ from keenact.features import (
     assemble_keen_input,
     item_part,
     join_parts,
+    pad_parts,
     user_part,
 )
 from keenact.fm import (
@@ -39,7 +41,7 @@ from keenact.fm import (
     fm_score,
     init_params,
 )
-from keenact.scoring import Scorer, part_gradient, part_stats
+from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
 
 logger = logging.getLogger("keenact.training")
 
@@ -107,22 +109,29 @@ class TrainConfig:
     init_scale: float = 0.01
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.max_neg_samples < 1:
-            raise ValueError("max_neg_samples must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.lambda_keen < 0 or self.lambda_act < 0:
-            raise ValueError("regularization strengths must be >= 0")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
-        if self.threshold_epochs < 1:
-            raise ValueError("threshold_epochs must be >= 1")
+        checks = [
+            ("epochs", self.epochs >= 1, "must be >= 1"),
+            ("max_neg_samples", self.max_neg_samples >= 1, "must be >= 1"),
+            ("k", self.k >= 1, "must be >= 1"),
+            ("threshold_epochs", self.threshold_epochs >= 1, "must be >= 1"),
+            ("lr", self.lr > 0, "must be > 0"),
+            ("beta1", 0 <= self.beta1 < 1, "must be in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "must be in [0, 1)"),
+            ("eps", self.eps > 0, "must be > 0"),
+            ("lambda_keen", self.lambda_keen >= 0, "must be >= 0"),
+            ("lambda_act", self.lambda_act >= 0, "must be >= 0"),
+            ("margin", self.margin > 0, "must be > 0"),
+            ("init_scale", self.init_scale > 0, "must be > 0"),
+        ]
         if self.threshold_negative_ratio != "full":
             ratio = float(self.threshold_negative_ratio)
-            if ratio <= 0:
-                raise ValueError("threshold_negative_ratio must be 'full' or > 0")
+            checks.append(("threshold_negative_ratio", math.isfinite(ratio) and ratio > 0, "must be 'full' or > 0"))
+        for key in ("lr", "beta1", "beta2", "eps", "lambda_keen", "lambda_act", "margin", "init_scale"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(key, f"{key} must be finite, got {getattr(self, key)!r}")
+        for key, ok, rule in checks:
+            if not ok:
+                raise ConfigError(key, f"{key} {rule}, got {getattr(self, key)!r}")
 
     def adam_kwargs(self) -> dict:
         return {"alpha": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
@@ -177,10 +186,7 @@ def config_from_mapping(raw: dict) -> TrainConfig:
     missing = [k for k in CONFIG_KEYS if k not in kwargs]
     if missing:
         logger.warning("config keys %s not set, using defaults", ", ".join(missing))
-    try:
-        return TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from None
+    return TrainConfig(**kwargs)
 
 
 @dataclass
@@ -317,36 +323,61 @@ class CandidateSpace:
     """What one sampled pairwise step ranks a positive against.
 
     ``context`` is the (indices, values) part shared by every candidate
-    of the step, ``part(c)`` is candidate c's own part, and negatives are
-    drawn from ``universe`` minus ``positives``.  ``assemble(c)`` builds
+    of the step; ``table`` is the padded (indices, values) pair of
+    ``pad_parts`` with one row per candidate id.  Negatives are drawn
+    from the sorted ``universe`` minus ``positives``, the sorted
+    positions of the positive candidates in it.  ``assemble(c)`` builds
     the full input the reference path scores; only the descent probe
     uses it, so spaces that are never probed leave it out.
     """
 
     context: tuple[np.ndarray, np.ndarray]
-    part: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    table: tuple[np.ndarray, np.ndarray]
     universe: np.ndarray
-    positives: frozenset
+    positives: np.ndarray
     assemble: Callable[[int], SparseVector] | None = None
 
+    def part(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate c's own part: its table row without the padding."""
+        idx, val = self.table[0][c], self.table[1][c]
+        keep = val != 0.0
+        return idx[keep], val[keep]
 
-def _negative_stream(rng: np.random.Generator, universe: np.ndarray, positives, cap: int):
-    """Up to ``cap`` distinct negatives, uniform without replacement."""
-    n_universe = len(universe)
-    total_neg = n_universe - len(positives)
-    if cap * 2 >= total_neg:
-        candidates = np.array([c for c in universe if c not in positives], dtype=np.int64)
-        order = rng.permutation(len(candidates))
-        for i in order[:cap]:
-            yield int(candidates[i])
-        return
-    drawn: set[int] = set()
-    while len(drawn) < cap:
-        c = int(universe[rng.integers(n_universe)])
-        if c in positives or c in drawn:
-            continue
-        drawn.add(c)
-        yield c
+
+def universe_positions(universe: np.ndarray, ids) -> np.ndarray:
+    """Sorted positions in the sorted ``universe`` of candidate ``ids``, all in it."""
+    return np.searchsorted(universe, np.fromiter(sorted(ids), dtype=np.int64, count=len(ids)))
+
+
+def draw_negatives(rng: np.random.Generator, n_universe: int, positives: np.ndarray, cap: int) -> np.ndarray:
+    """Positions of ``cap`` distinct negatives, uniform without replacement.
+
+    ``positives`` are the sorted positive positions among ``n_universe``
+    candidates, and ``cap`` is at most the number of negatives.  With few
+    negatives (2 * cap >= total) the draw permutes the negatives in
+    universe order; otherwise it is one draw of cap + |positives|
+    distinct positions with the positives dropped.  Either way the result
+    is the first ``cap`` of a uniform permutation of the negatives, and
+    memory is O(cap + |positives|).
+    """
+    total_neg = n_universe - positives.size
+    if 2 * cap >= total_neg:
+        ranks = rng.permutation(total_neg)[:cap]
+        # the r-th negative comes after every positive with at most r negatives before it
+        return ranks + np.searchsorted(positives - np.arange(positives.size), ranks, side="right")
+    drawn = rng.choice(n_universe, cap + positives.size, replace=False)
+    if positives.size:
+        drawn = drawn[positives[np.minimum(np.searchsorted(positives, drawn), positives.size - 1)] != drawn]
+    return drawn[:cap]
+
+
+def _logistic(diff: float) -> tuple[float, float]:
+    """(sigmoid(diff), log(1 + exp(diff))) of one float, both overflow-free."""
+    if diff >= 0.0:
+        e = math.exp(-diff)
+        return 1.0 / (1.0 + e), diff + math.log1p(e)
+    e = math.exp(diff)
+    return e / (1.0 + e), math.log1p(e)
 
 
 def _descent_probe(params: FMParameters, x_pos: SparseVector, x_neg: SparseVector, weight: float, margin: float) -> float:
@@ -377,47 +408,50 @@ def pairwise_step(
 ) -> StepResult:
     """One sampled pairwise update of ``params`` for ``positive``.
 
-    WARP draws up to ``max_neg_samples`` distinct negatives one at a
-    time and updates on the first that violates the margin, weighted by
-    phi of the estimated rank (WSABIE).  BPR draws one negative and
-    always updates, weighted by sigmoid(-(s_pos - s_neg)).  ``lam`` is
-    the L2 decay on the touched rows.
+    WARP draws up to ``max_neg_samples`` distinct negatives as one
+    array, scores them with one gather from the part table, and updates
+    on the first that violates the margin, weighted by phi of the
+    estimated rank (WSABIE); ``draws`` is that violator's 1-based
+    position, or the number drawn when none violates.  BPR draws one
+    negative and always updates, weighted by sigmoid(-(s_pos - s_neg)).
+    ``lam`` is the L2 decay on the touched rows.
     """
-    total_neg = len(space.universe) - len(space.positives)
+    total_neg = space.universe.size - space.positives.size
     if total_neg <= 0:
         return StepResult(updated=False, draws=0, skipped=True)
-    cbase, s_ctx = part_stats(params, *space.context)
-    pos = space.part(positive)
-    pbase, s_pos_part = part_stats(params, *pos)
-    s_pos = params.w0 + cbase + pbase + s_ctx @ s_pos_part
     cap = 1 if bpr else min(config.max_neg_samples, total_neg)
-    draws = 0
-    for c in _negative_stream(rng, space.universe, space.positives, cap):
-        draws += 1
-        neg = space.part(c)
-        nbase, s_neg_part = part_stats(params, *neg)
-        s_neg = params.w0 + cbase + nbase + s_ctx @ s_neg_part
-        hinge = config.margin - s_pos + s_neg
-        if bpr:
-            weight = sigmoid(s_neg - s_pos)
-            loss = float(np.logaddexp(0.0, s_neg - s_pos))
-        elif s_pos < config.margin + s_neg:
-            weight = phi(estimate_rank(total_neg, draws))
-            loss = weight * hinge
-        else:
-            continue
-        result = StepResult(updated=True, draws=draws, loss=loss, hinge_before=hinge)
-        if check_descent:
-            result.hinge_after = _descent_probe(
-                params, space.assemble(positive), space.assemble(c), weight, config.margin
-            )
-        grad = part_gradient(params, space.context, pos, neg, s_ctx, s_pos_part, s_neg_part, weight)
-        if lam:
-            grad.w = grad.w + lam * params.w[grad.indices]
-            grad.factors = grad.factors + lam * params.factors[grad.indices]
-        adam_update(params, state, grad)
-        return result
-    return StepResult(updated=False, draws=draws)
+    negatives = space.universe[draw_negatives(rng, space.universe.size, space.positives, cap)]
+    candidates = np.concatenate(([positive], negatives))
+    cbase, s_ctx = part_stats(params, *space.context)
+    base, s = table_stats(params, space.table[0][candidates], space.table[1][candidates])
+    scores = params.w0 + cbase + base + s @ s_ctx
+    # BPR updates on its single negative; WARP on the first margin violator
+    j = 0
+    if not bpr:
+        violates = scores[0] < config.margin + scores[1:]
+        j = int(violates.argmax())
+        if not violates[j]:
+            return StepResult(updated=False, draws=cap)
+    draws = j + 1
+    s_pos, s_neg = float(scores[0]), float(scores[draws])
+    hinge = config.margin - s_pos + s_neg
+    if bpr:
+        weight, loss = _logistic(s_neg - s_pos)
+    else:
+        weight = phi(estimate_rank(total_neg, draws))
+        loss = weight * hinge
+    result = StepResult(updated=True, draws=draws, loss=loss, hinge_before=hinge)
+    c = int(negatives[j])
+    if check_descent:
+        result.hinge_after = _descent_probe(
+            params, space.assemble(positive), space.assemble(c), weight, config.margin
+        )
+    grad = part_gradient(params, space.context, space.part(positive), space.part(c), s_ctx, s[0], s[draws], weight)
+    if lam:
+        grad.w = grad.w + lam * params.w[grad.indices]
+        grad.factors = grad.factors + lam * params.factors[grad.indices]
+    adam_update(params, state, grad)
+    return result
 
 
 class _CoordinateAdam:
@@ -511,6 +545,19 @@ class Trainer:
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.item_universe = np.array(store.items_with_interactions(), dtype=np.int64)
         self.activity_universe = np.arange(catalog.n_activities, dtype=np.int64)
+        # user and item blocks sit at the same offsets in both layouts, so
+        # one part per user and per item serves keen and act
+        self.user_parts = [user_part(u, self.act_layout, user_feats) for u in range(catalog.n_users)]
+        self.item_parts = [item_part(v, self.act_layout, item_feats) for v in range(catalog.n_items)]
+        self.item_table = pad_parts(self.item_parts)
+        self.activity_table = pad_parts(activity_part(z, self.act_layout) for z in self.activity_universe)
+        self.item_positives = [
+            universe_positions(self.item_universe, store.positive_items(u)) for u in range(catalog.n_users)
+        ]
+        self.activity_positives = {
+            (u, v): universe_positions(self.activity_universe, store.positive_activities(u, v))
+            for u, v in store.keen_pairs
+        }
         self.report: list[tuple[int, str, str, float]] = []
         self.descent_violations = 0
 
@@ -520,10 +567,10 @@ class Trainer:
         """One WARP step for a positive item pair; no-op without violation."""
         layout, user_feats, item_feats = self.keen_layout, self.user_feats, self.item_feats
         space = CandidateSpace(
-            context=user_part(u, layout, user_feats),
-            part=lambda c: item_part(c, layout, item_feats),
+            context=self.user_parts[u],
+            table=self.item_table,
             universe=self.item_universe,
-            positives=self.store.positive_items(u),
+            positives=self.item_positives[u],
             assemble=lambda c: assemble_keen_input(u, c, layout, user_feats, item_feats),
         )
         result = pairwise_step(
@@ -538,10 +585,10 @@ class Trainer:
         """One WARP step for a positive activity; negatives drawn from Z."""
         layout, user_feats, item_feats = self.act_layout, self.user_feats, self.item_feats
         space = CandidateSpace(
-            context=join_parts(user_part(u, layout, user_feats), item_part(v, layout, item_feats)),
-            part=lambda c: activity_part(c, layout),
+            context=join_parts(self.user_parts[u], self.item_parts[v]),
+            table=self.activity_table,
             universe=self.activity_universe,
-            positives=self.store.positive_activities(u, v),
+            positives=self.activity_positives[u, v],
             assemble=lambda c: assemble_act_input(u, v, c, layout, user_feats, item_feats),
         )
         return pairwise_step(
@@ -578,20 +625,25 @@ class Trainer:
 
     # -- phase 2: threshold learning ---------------------------------------
 
-    def _threshold_enum_items(self, u: int) -> np.ndarray:
-        """Items a user contributes to threshold fitting: all training items,
-        or positives plus a sampled negative subset when the ratio is finite."""
+    def _threshold_enum_items(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Items a user contributes to threshold fitting and their 0/1 labels:
+        all training items, or positives plus a sampled negative subset when
+        the ratio is finite."""
+        positives = self.item_positives[u]
+        negative = np.ones(self.item_universe.size, dtype=bool)
+        negative[positives] = False
         ratio = self.config.threshold_negative_ratio
         if ratio == "full":
-            return self.item_universe
-        pos_set = self.store.positive_items(u)
-        positives = sorted(pos_set)
-        n_neg = math.ceil(float(ratio) * len(positives))
-        negatives = np.array([v for v in self.item_universe if v not in pos_set], dtype=np.int64)
-        if n_neg < len(negatives):
-            chosen = self.rng.choice(len(negatives), size=n_neg, replace=False)
+            return self.item_universe, (~negative).astype(np.float64)
+        negatives = self.item_universe[negative]
+        n_neg = math.ceil(float(ratio) * positives.size)
+        if n_neg < negatives.size:
+            chosen = self.rng.choice(negatives.size, size=n_neg, replace=False)
             negatives = negatives[np.sort(chosen)]
-        return np.concatenate([np.array(positives, dtype=np.int64), negatives])
+        items = np.concatenate([self.item_universe[positives], negatives])
+        labels = np.zeros(items.size)
+        labels[: positives.size] = 1.0
+        return items, labels
 
     def learn_thresholds_keen(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
         """Fit per-item cutoffs on frozen keen scores.
@@ -603,9 +655,7 @@ class Trainer:
         scores_by_group, labels_by_group, coords_by_group = [], [], []
         trained = np.zeros(self.store.catalog.n_items, dtype=bool)
         for u in users:
-            enum_items = self._threshold_enum_items(u)
-            positives = self.store.positive_items(u)
-            labels = np.array([1.0 if v in positives else 0.0 for v in enum_items])
+            enum_items, labels = self._threshold_enum_items(u)
             scores_by_group.append(scorer.score_items(u, enum_items))
             labels_by_group.append(labels)
             coords_by_group.append(enum_items)
@@ -626,8 +676,8 @@ class Trainer:
         all_z = self.activity_universe
         scores_by_group, labels_by_group, coords_by_group = [], [], []
         for u, v in self.store.keen_pairs:
-            positives = self.store.positive_activities(u, v)
-            labels = np.array([1.0 if z in positives else 0.0 for z in all_z])
+            labels = np.zeros(all_z.size)
+            labels[self.activity_positives[u, v]] = 1.0
             scores_by_group.append(scorer.score_activities(u, v))
             labels_by_group.append(labels)
             coords_by_group.append(all_z)

@@ -140,6 +140,13 @@ class TestTrain:
         assert main(["train", "--log", str(log), "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "learning_rate_typo" in capsys.readouterr().err
 
+    def test_out_of_range_config_value(self, corpus, tmp_path, capsys):
+        log, _ = corpus
+        bad = tmp_path / "bad.conf"
+        bad.write_text("epochs = 2\nlr = -1\n", encoding="utf-8")
+        assert main(["train", "--log", str(log), "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert "lr" in capsys.readouterr().err
+
 
 class TestEnvironmentOverrides:
     def test_config_from_environment(self, corpus, tmp_path, monkeypatch):

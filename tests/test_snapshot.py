@@ -106,3 +106,80 @@ class TestFormatChecks:
         path = tmp_path / "model.json"
         save_model(model, path)
         assert load_model(path).catalog is None
+
+
+def saved_payload(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(trained_model(), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def drop(*keys):
+    def edit(payload):
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+
+    return edit
+
+
+def put(value, *keys):
+    def edit(payload):
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value(node[keys[-1]]) if callable(value) else value
+
+    return edit
+
+
+class TestContract:
+    """A snapshot that does not fit its own layouts is a SnapshotError, not a crash."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            drop("keen"),
+            drop("thresholds", "item"),
+            drop("act", "factors"),
+            drop("keen_layout", "n_items"),
+            put([], "thresholds"),
+            put("abc", "keen"),
+            put(7, "seen_items"),
+            put(None, "thresholds", "fallback"),
+            put(lambda d: {**d, "colour": 1}, "keen_layout"),
+            put(lambda w: w[:-1], "keen", "w"),
+            put(lambda w: [w], "act", "w"),
+            put(lambda f: f[:-1], "keen", "factors"),
+            put(lambda f: [row[:-1] for row in f], "act", "factors"),
+            put(lambda t: t + [0.0], "thresholds", "item"),
+            put(lambda t: t[:-1], "thresholds", "activity"),
+            put(lambda t: t[:-1], "thresholds", "trained"),
+            put(lambda s: s + [10_000], "seen_items"),
+            put(lambda s: [-1] + s, "seen_items"),
+            put(lambda c: {**c, "lr": -1.0}, "config"),
+        ],
+        ids=[
+            "missing-keen", "missing-item-thresholds", "missing-factors", "missing-layout-field",
+            "thresholds-not-object", "params-not-object", "seen-not-list", "fallback-null",
+            "unknown-layout-field", "short-w", "w-not-vector", "short-factors", "narrow-factors",
+            "long-item-thresholds", "short-activity-thresholds", "short-trained-mask",
+            "seen-item-too-large", "seen-item-negative", "bad-config",
+        ],
+    )
+    def test_rejected_with_snapshot_error(self, tmp_path, edit):
+        path, payload = saved_payload(tmp_path)
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SnapshotError):
+            load_model(path)
+
+    def test_recommend_exits_2_on_missing_key(self, tmp_path, capsys):
+        from keenact.cli import main
+
+        path, payload = saved_payload(tmp_path)
+        del payload["act"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["recommend", "--model", str(path), "--all-users"]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -6,10 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from keenact import training
+
 from keenact.data import Catalog, InteractionStore
+from keenact.evaluation import flat_candidate_spaces, train_baseline
 from keenact.features import (
+    FeatureLayout,
     FeatureMatrix,
     assemble_act_input,
     assemble_keen_input,
@@ -17,7 +23,8 @@ from keenact.features import (
     empty_features,
     l2_normalize_rows,
 )
-from keenact.fm import adam_update, combine_gradients, fm_gradient, fm_score
+from keenact.fm import AdamState, adam_update, combine_gradients, fm_gradient, fm_score, init_params
+from keenact.scoring import Scorer
 from keenact.synth import generate_two_stage
 from keenact.training import (
     ConfigError,
@@ -26,8 +33,10 @@ from keenact.training import (
     config_from_mapping,
     cross_entropy,
     cross_entropy_grad_threshold,
+    draw_negatives,
     estimate_rank,
     fit_thresholds,
+    pairwise_step,
     parse_config,
     phi,
     sigmoid,
@@ -172,6 +181,39 @@ class TestConfig:
         path.write_text("epochs 2\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("margin", "nan"),
+            ("margin", "inf"),
+            ("lr", "-1"),
+            ("lr", "0"),
+            ("lr", "nan"),
+            ("beta1", "1.5"),
+            ("beta1", "1"),
+            ("beta2", "-0.1"),
+            ("eps", "0"),
+            ("lambda_keen", "inf"),
+            ("lambda_act", "-1"),
+            ("lambda_act", "nan"),
+            ("threshold_negative_ratio", "inf"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({key: value})
+        assert err.value.key == key
+
+    def test_range_edges_accepted(self):
+        cfg = config_from_mapping({"beta1": "0", "beta2": "0.9999", "lambda_keen": "0", "lambda_act": "0"})
+        assert (cfg.beta1, cfg.lambda_keen) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.01, math.inf])
+    def test_init_scale_must_be_positive(self, scale):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(init_scale=scale)
+        assert err.value.key == "init_scale"
 
     def test_round_trip_dict(self):
         cfg = TrainConfig(epochs=4, lr=0.2, threshold_negative_ratio="full")
@@ -421,6 +463,221 @@ class TestStepMatchesReference:
                 np.testing.assert_allclose(a.factors, b.factors, rtol=0, atol=1e-9)
         assert updates > 0
 
+
+def reference_sparse_warp_step(rng, config, params, state, lam, universe, positives, assemble, positive):
+    """WARP for 2 * cap < total negatives, written out: one rng.choice draw of
+    cap + |positives| distinct positions, positives dropped, the first cap
+    kept, then a walk over fm_score on assembled inputs."""
+    total_neg = len(universe) - len(positives)
+    cap = min(config.max_neg_samples, total_neg)
+    assert 2 * cap < total_neg
+    drawn = rng.choice(len(universe), cap + len(positives), replace=False)
+    negatives = [int(universe[i]) for i in drawn if int(universe[i]) not in positives][:cap]
+    x_pos = assemble(positive)
+    for draws, c in enumerate(negatives, start=1):
+        x_neg = assemble(c)
+        if fm_score(params, x_pos) < config.margin + fm_score(params, x_neg):
+            weight = phi(estimate_rank(total_neg, draws))
+            grad = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
+            grad.w = grad.w + lam * params.w[grad.indices]
+            grad.factors = grad.factors + lam * params.factors[grad.indices]
+            adam_update(params, state, grad)
+            return True, draws
+    return False, len(negatives)
+
+
+def assert_params_close(a, b):
+    np.testing.assert_allclose(a.w0, b.w0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(a.w, b.w, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(a.factors, b.factors, rtol=0, atol=1e-9)
+
+
+def sparse_corpus():
+    """60 items, at most 8 positives per user: more than 2 * cap negatives everywhere."""
+    catalog, store = generate_two_stage(30, 60, 3, seed=8, items_per_user=(3, 8))
+    uf = l2_normalize_rows(co_participation_features(store))
+    rows = np.random.default_rng(3).random((catalog.n_items, 4))
+    itf = FeatureMatrix(sparse.csr_matrix(rows * (rows < 0.5)), "item")
+    return catalog, store, uf, itf
+
+
+class TestSparseStepMatchesReference:
+    def test_keen_epochs(self):
+        """Same seed: same draws and updates per keen step, parameters within 1e-9."""
+        _, store, uf, itf = sparse_corpus()
+        config = TrainConfig(seed=2, k=4, lr=0.05)
+        new, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
+        outcomes = set()
+        for _ in range(3):
+            order = new.rng.permutation(store.n_pairs)
+            np.testing.assert_array_equal(order, ref.rng.permutation(store.n_pairs))
+            for i in order:
+                u, v = store.keen_pairs[i]
+                got = new.warp_step_keen(u, v)
+                want = reference_sparse_warp_step(
+                    ref.rng, config, ref.keen, ref.keen_state, config.lambda_keen, ref.item_universe,
+                    store.positive_items(u), lambda c: assemble_keen_input(u, c, ref.keen_layout, uf, itf), v,
+                )
+                assert (got.updated, got.draws) == want
+                outcomes.add((got.updated, got.draws > 1))
+                assert_params_close(new.keen, ref.keen)
+        # updates on the first draw and on later ones, and steps without a violator
+        assert outcomes == {(True, False), (True, True), (False, True)}
+
+    def test_fm_warp_epoch(self):
+        """The flat space against the written-out step, and train_baseline against both."""
+        catalog, store, uf, itf = sparse_corpus()
+        config = TrainConfig(seed=5, k=4, epochs=1)
+        layout = FeatureLayout.for_act(catalog, uf, itf)
+        params = init_params(layout.dim, config.k, seed=config.seed + 3, scale=config.init_scale)
+        ref_params = params.copy()
+        state = AdamState.for_params(params, **config.adam_kwargs())
+        ref_state = AdamState.for_params(ref_params, **config.adam_kwargs())
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+        ref_rng = np.random.Generator(np.random.PCG64(config.seed))
+        spaces = flat_candidate_spaces(store, layout, uf, itf)
+        n_acts = catalog.n_activities
+        universe = [v * n_acts + z for v in store.items_with_interactions() for z in range(n_acts)]
+        flat = {u: frozenset(v * n_acts + z for _, v, z in rows) for u, rows in store.triples_by_user().items()}
+        order = rng.permutation(store.n_triples)
+        np.testing.assert_array_equal(order, ref_rng.permutation(store.n_triples))
+        updates = 0
+        for i in order:
+            u, v, z = store.triples[i]
+            got = pairwise_step(params, state, config.lambda_keen, spaces[u], v * n_acts + z, rng, config)
+            want = reference_sparse_warp_step(
+                ref_rng, config, ref_params, ref_state, config.lambda_keen, universe, flat[u],
+                lambda f: assemble_act_input(u, f // n_acts, f % n_acts, layout, uf, itf), v * n_acts + z,
+            )
+            assert (got.updated, got.draws) == want
+            updates += int(got.updated)
+            assert_params_close(params, ref_params)
+        assert updates > 0
+        assert_params_close(train_baseline(store, uf, itf, config, kind="warp").params, ref_params)
+
+
+positions_and_cap = st.integers(1, 120).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.integers(0, n - 1), max_size=n - 1),
+        st.integers(1, n + 3),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+class TestDrawNegatives:
+    @settings(max_examples=300, deadline=None)
+    @given(positions_and_cap)
+    def test_distinct_negatives_up_to_cap(self, case):
+        n_universe, positives, cap, seed = case
+        positions = np.array(sorted(positives), dtype=np.int64)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        drawn = draw_negatives(rng, n_universe, positions, cap)
+        total_neg = n_universe - len(positives)
+        assert len(drawn) == min(cap, total_neg)
+        assert len(set(drawn.tolist())) == len(drawn)
+        assert all(0 <= c < n_universe and c not in positives for c in drawn.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 199), max_size=30))
+    def test_sparse_branch_keeps_a_uniform_draw_in_order(self, seed, positives):
+        """With 2 * cap < total, the result is the choice draw with positives removed."""
+        positions = np.array(sorted(positives), dtype=np.int64)
+        drawn = draw_negatives(np.random.Generator(np.random.PCG64(seed)), 200, positions, 20)
+        want = np.random.Generator(np.random.PCG64(seed)).choice(200, 20 + len(positives), replace=False)
+        np.testing.assert_array_equal(drawn, [c for c in want if c not in positives][:20])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 29), max_size=25))
+    def test_dense_branch_permutes_negatives_in_universe_order(self, seed, positives):
+        """With 2 * cap >= total, the result indexes the negatives in universe order."""
+        positions = np.array(sorted(positives), dtype=np.int64)
+        drawn = draw_negatives(np.random.Generator(np.random.PCG64(seed)), 30, positions, 20)
+        negatives = [c for c in range(30) if c not in positives]
+        order = np.random.Generator(np.random.PCG64(seed)).permutation(len(negatives))[:20]
+        np.testing.assert_array_equal(drawn, [negatives[i] for i in order])
+
+
+class TestStepCost:
+    def test_one_part_stats_call_per_step(self, monkeypatch):
+        """Only the context goes through part_stats; candidates come from the part table."""
+        _, store, uf, itf = sparse_corpus()
+        trainer = Trainer(store, uf, itf, TrainConfig(seed=3, k=4))
+        calls = []
+        original = training.part_stats
+        monkeypatch.setattr(training, "part_stats", lambda *a: calls.append(1) or original(*a))
+        steps = 0
+        for u, v, z in store.triples[:60]:
+            for step, example in ((trainer.warp_step_keen, (u, v)), (trainer.warp_step_act, (u, v, z))):
+                before = len(calls)
+                result = step(*example)
+                assert len(calls) - before == (0 if result.skipped else 1)
+                steps += not result.skipped
+        assert steps > 60
+
+
+def list_threshold_groups(trainer, rng):
+    """Keen and act threshold groups built with Python lists, as a written-out reference."""
+    store, universe = trainer.store, trainer.item_universe
+    ratio = trainer.config.threshold_negative_ratio
+    keen = []
+    for u in store.users_with_interactions():
+        pos_set = store.positive_items(u)
+        items = universe
+        if ratio != "full":
+            positives = sorted(pos_set)
+            n_neg = math.ceil(float(ratio) * len(positives))
+            negatives = np.array([v for v in universe if v not in pos_set], dtype=np.int64)
+            if n_neg < len(negatives):
+                chosen = rng.choice(len(negatives), size=n_neg, replace=False)
+                negatives = negatives[np.sort(chosen)]
+            items = np.concatenate([np.array(positives, dtype=np.int64), negatives])
+        keen.append((items, np.array([1.0 if v in pos_set else 0.0 for v in items])))
+    act = [
+        np.array([1.0 if z in store.positive_activities(u, v) else 0.0 for z in trainer.activity_universe])
+        for u, v in store.keen_pairs
+    ]
+    return keen, act
+
+
+class TestThresholdSampling:
+    @pytest.mark.parametrize("ratio", ["full", 0.5, 1.0])
+    def test_masks_match_list_version(self, ratio):
+        """Same RNG state: the same items, labels and cutoffs as the list version."""
+        store, uf, itf = small_store(seed=29, n_users=8, n_items=20, density=70)
+        config = TrainConfig(seed=4, epochs=1, threshold_negative_ratio=ratio, threshold_epochs=3)
+        trainer = Trainer(store, uf, itf, config)
+        trainer.run_rank_learning()
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = trainer.rng.bit_generator.state
+        keen, act = list_threshold_groups(trainer, rng)
+        probe = Trainer(store, uf, itf, config)
+        probe.rng.bit_generator.state = trainer.rng.bit_generator.state
+        for u, (items, labels) in zip(store.users_with_interactions(), keen):
+            got_items, got_labels = probe._threshold_enum_items(u)
+            np.testing.assert_array_equal(got_items, items)
+            np.testing.assert_array_equal(got_labels, labels)
+        keen_scorer, act_scorer = (
+            Scorer(m, layout, uf, itf)
+            for m, layout in ((trainer.keen, trainer.keen_layout), (trainer.act, trainer.act_layout))
+        )
+        users = store.users_with_interactions()
+        want_keen, _ = fit_thresholds(
+            [keen_scorer.score_items(u, items) for u, (items, _) in zip(users, keen)],
+            [labels for _, labels in keen], [items for items, _ in keen],
+            store.catalog.n_items, config.threshold_epochs, **config.adam_kwargs(),
+        )
+        want_act, _ = fit_thresholds(
+            [act_scorer.score_activities(u, v) for u, v in store.keen_pairs], act,
+            [trainer.activity_universe] * len(act), store.catalog.n_activities,
+            config.threshold_epochs, **config.adam_kwargs(),
+        )
+        table = trainer.run_threshold_learning()
+        np.testing.assert_array_equal(table.item_thresholds, want_keen)
+        np.testing.assert_array_equal(table.activity_thresholds, want_act)
+        # a finite ratio samples the negatives of at least one user
+        assert (ratio == "full") != any(len(items) < len(trainer.item_universe) for items, _ in keen)
 
 class TestTrain:
     def test_bitwise_determinism(self):
