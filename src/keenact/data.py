@@ -205,7 +205,7 @@ def ingest(path, schema: LogSchema | None = None) -> tuple[Catalog, InteractionS
 
     triples: list[tuple[int, int, int]] = []
     timestamps: dict[tuple[int, int, int], int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1 and schema.has_header:
                 continue

@@ -44,7 +44,7 @@ from keenact.training import (
     train,
     universe_positions,
 )
-from keenact.recommend import recommend, select_items
+from keenact.recommend import act_stage, recommend, select_items
 
 # Not called here since the baselines train through pairwise_step; the
 # traced benchmark (perfbench/layers.py) still wraps these names on this
@@ -173,7 +173,7 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
         raise ValueError(f"unknown baseline kind {kind!r}")
     catalog = store.catalog
     layout = FeatureLayout.for_act(catalog, user_feats, item_feats, config.id_onehots)
-    params = init_params(layout.dim, config.k, seed=config.seed + 3, scale=config.init_scale)
+    params = init_params(layout.dim, config.k, seed=config.seed + 3)
     state = AdamState.for_params(params, **config.adam_kwargs())
     rng = np.random.Generator(np.random.PCG64(config.seed))
     spaces = flat_candidate_spaces(store, layout, user_feats, item_feats)
@@ -238,10 +238,8 @@ def rank_keen_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: f
 
 def rank_act_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
     """Pairs whose act score clears its activity cutoff, by score alone (no item stage)."""
-    _, act_scorer = model.scorers()
-    scores = act_scorer.score_pair_matrix(u)
-    keep = (scores >= model.thresholds.activity_thresholds).reshape(-1)
-    return _ordered_flat(scores.reshape(-1), exclude, keep)
+    scores, keep = act_stage(model, u)
+    return _ordered_flat(scores.reshape(-1), exclude, keep.reshape(-1))
 
 
 def rank_baseline(baseline: BaselineModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:

@@ -172,7 +172,7 @@ def tfidf_item_features(tags: dict, catalog) -> FeatureMatrix:
 def read_tag_file(path) -> dict[str, list[str]]:
     """Read lines of ``item_id<TAB>tag1,tag2,...`` into a tag map."""
     tags: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line.strip():

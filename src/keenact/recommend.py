@@ -54,55 +54,64 @@ def _check_user(model: TrainedModel, u: int) -> None:
         raise ValueError(f"unknown user index {u}")
 
 
-def _item_order(scores: np.ndarray, items: np.ndarray) -> np.ndarray:
-    # lexsort uses the last key as primary: score descending, id ascending
-    return np.lexsort((items, -scores))
+def _check_item(model: TrainedModel, v: int) -> None:
+    if not 0 <= v < model.n_items:
+        raise ValueError(f"unknown item index {v}")
+
+
+def keen_stage(model: TrainedModel, u: int, items: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Keen scores of ``items`` (default: every item) and which of them stage one accepts.
+
+    An item is accepted when its score is at least its cutoff; items
+    unseen at training time score without their identity one-hot and
+    face the global fallback cutoff.
+    """
+    keen_scorer, _ = model.scorers()
+    scores = keen_scorer.score_items(u, items)
+    cutoffs = model.thresholds.effective_item_thresholds()
+    return scores, scores >= (cutoffs if items is None else cutoffs[items])
+
+
+def act_stage(model: TrainedModel, u: int, items: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Act scores as an (items, activities) matrix and which pairs stage two accepts.
+
+    A pair is accepted when its score is at least its activity's cutoff.
+    """
+    _, act_scorer = model.scorers()
+    scores = act_scorer.score_pair_matrix(u, items)
+    return scores, scores >= model.thresholds.activity_thresholds
 
 
 def select_items(model: TrainedModel, u: int, items: np.ndarray | None = None) -> np.ndarray:
-    """Items whose keen score meets their cutoff, ascending ids.
-
-    Items unseen at training time are scored without their identity
-    one-hot and compared against the global fallback cutoff.
-    """
+    """Items stage one accepts, in the order given (default: ascending ids)."""
     _check_user(model, u)
-    keen_scorer, _ = model.scorers()
     if items is None:
-        items = np.arange(model.n_items, dtype=np.int64)
-    else:
-        items = np.asarray(items, dtype=np.int64)
-    scores = keen_scorer.score_items(u, items)
-    cutoffs = model.thresholds.effective_item_thresholds()[items]
-    return items[scores >= cutoffs]
+        return np.flatnonzero(keen_stage(model, u)[1])
+    items = np.asarray(items, dtype=np.int64)
+    return items[keen_stage(model, u, items)[1]]
 
 
 def select_activities(model: TrainedModel, u: int, v: int, verify_item: bool = True) -> np.ndarray:
-    """Activities on item ``v`` whose act score meets their cutoff.
+    """Activities on item ``v`` that stage two accepts, ascending ids.
 
     Stage two is only defined for items stage one selected; by default
     that contract is checked and violations raise StageOrderError.
     """
     _check_user(model, u)
-    if not 0 <= v < model.n_items:
-        raise ValueError(f"unknown item index {v}")
-    if verify_item and len(select_items(model, u, np.array([v]))) == 0:
+    _check_item(model, v)
+    if verify_item and not keen_stage(model, u, np.array([v]))[1][0]:
         raise StageOrderError(f"item {v} was not selected for user {u}")
-    _, act_scorer = model.scorers()
-    scores = act_scorer.score_activities(u, v)
-    cutoffs = model.thresholds.activity_thresholds
-    return np.flatnonzero(scores >= cutoffs).astype(np.int64)
+    return np.flatnonzero(act_stage(model, u, np.array([v]))[1][0])
 
 
 def decide(model: TrainedModel, u: int, v: int, z: int) -> bool:
     """True when both stages accept: keen(u, v) and act(u, v, z)."""
     _check_user(model, u)
-    if not 0 <= v < model.n_items:
-        raise ValueError(f"unknown item index {v}")
+    _check_item(model, v)
     if not 0 <= z < model.n_activities:
         raise ValueError(f"unknown activity index {z}")
-    if len(select_items(model, u, np.array([v]))) == 0:
-        return False
-    return z in select_activities(model, u, v, verify_item=False)
+    item = np.array([v])
+    return bool(keen_stage(model, u, item)[1][0] and act_stage(model, u, item)[1][0, z])
 
 
 def recommend(model: TrainedModel, u: int, k: int | None = None) -> RecommendationList:
@@ -114,31 +123,19 @@ def recommend(model: TrainedModel, u: int, k: int | None = None) -> Recommendati
     _check_user(model, u)
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
-    keen_scorer, act_scorer = model.scorers()
-    items = np.arange(model.n_items, dtype=np.int64)
-    keen_scores = keen_scorer.score_items(u, items)
-    cutoffs = model.thresholds.effective_item_thresholds()
-    selected = items[keen_scores >= cutoffs]
-    act_cutoffs = model.thresholds.activity_thresholds
-    entries: list[Recommendation] = []
-    for v in selected[_item_order(keen_scores[selected], selected)]:
-        act_scores = act_scorer.score_activities(u, int(v))
-        kept = np.flatnonzero(act_scores >= act_cutoffs)
-        if len(kept) == 0:
-            continue
-        for z in kept[_item_order(act_scores[kept], kept)]:
-            entries.append(
-                Recommendation(
-                    item=int(v),
-                    activity=int(z),
-                    keen_score=float(keen_scores[v]),
-                    act_score=float(act_scores[z]),
-                )
-            )
-        if k is not None and len(entries) >= k:
-            break
-    if k is not None:
-        entries = entries[:k]
+    keen, keen_ok = keen_stage(model, u)
+    act, act_ok = act_stage(model, u)
+    items = np.flatnonzero(keen_ok)
+    # lexsort's last key is primary: keen score descending, then item id
+    items = items[np.lexsort((items, -keen[items]))]
+    # a stable sort keeps ascending activity ids among equal act scores
+    order = np.argsort(-act[items], axis=1, kind="stable")
+    rows, cols = np.nonzero(np.take_along_axis(act_ok[items], order, axis=1))
+    pair_items, pair_acts = items[rows[:k]], order[rows[:k], cols[:k]]
+    entries = [
+        Recommendation(item=int(v), activity=int(z), keen_score=float(keen[v]), act_score=float(act[v, z]))
+        for v, z in zip(pair_items, pair_acts)
+    ]
     return RecommendationList(user=u, entries=entries)
 
 

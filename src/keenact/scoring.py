@@ -117,6 +117,11 @@ def _block_stats(
     return base, s
 
 
+def _rows(items) -> slice | np.ndarray:
+    """Row selector for per-item arrays: every row for None, else the given ids."""
+    return slice(None) if items is None else np.asarray(items, dtype=np.int64)
+
+
 class Scorer:
     """Read-only batch scorer for one trained FM over one layout.
 
@@ -167,41 +172,24 @@ class Scorer:
     def score_items(self, u: int, items: np.ndarray | None = None) -> np.ndarray:
         """K(u, v) for the given items (default: every catalog item)."""
         self._check_user(u)
-        if items is None:
-            base, s = self._item_base, self._item_s
-        else:
-            items = np.asarray(items, dtype=np.int64)
-            base, s = self._item_base[items], self._item_s[items]
-        return self.params.w0 + self._user_base[u] + base + s @ self._user_s[u]
+        rows = _rows(items)
+        return self.params.w0 + self._user_base[u] + self._item_base[rows] + self._item_s[rows] @ self._user_s[u]
 
     def score_activities(self, u: int, v: int) -> np.ndarray:
-        """A(u, v, z) for every activity z."""
-        self._check_user(u)
-        if self._act_s is None:
-            raise ValueError("scorer layout has no activity block")
-        us, its = self._user_s[u], self._item_s[v]
-        return (
-            self.params.w0
-            + self._user_base[u]
-            + self._item_base[v]
-            + self._act_base
-            + us @ its
-            + self._act_s @ us
-            + self._act_s @ its
-        )
+        """A(u, v, z) for every activity z: row ``v`` of score_pair_matrix."""
+        return self._pair_matrix(u, slice(v, v + 1))[0]
 
-    def score_pair_matrix(self, u: int) -> np.ndarray:
-        """A(u, v, z) as an (n_items, n_activities) matrix."""
+    def score_pair_matrix(self, u: int, items: np.ndarray | None = None) -> np.ndarray:
+        """A(u, v, z) as an (items, n_activities) matrix (default: every catalog item)."""
+        return self._pair_matrix(u, _rows(items))
+
+    def _pair_matrix(self, u: int, rows: slice | np.ndarray) -> np.ndarray:
+        """The act score of user ``u`` on the item rows ``rows`` selects, for every activity."""
         self._check_user(u)
         if self._act_s is None:
             raise ValueError("scorer layout has no activity block")
         us = self._user_s[u]
-        item_terms = self._item_base + self._item_s @ us
+        item_terms = self._item_base[rows] + self._item_s[rows] @ us
         act_terms = self._act_base + self._act_s @ us
-        return (
-            self.params.w0
-            + self._user_base[u]
-            + item_terms[:, None]
-            + act_terms[None, :]
-            + self._item_act_cross
-        )
+        cross = self._item_act_cross[rows]
+        return self.params.w0 + self._user_base[u] + item_terms[:, None] + act_terms[None, :] + cross

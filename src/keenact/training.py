@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -44,24 +44,6 @@ from keenact.fm import (
 from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
 
 logger = logging.getLogger("keenact.training")
-
-CONFIG_KEYS = (
-    "epochs",
-    "max_neg_samples",
-    "k",
-    "lr",
-    "beta1",
-    "beta2",
-    "eps",
-    "lambda_keen",
-    "lambda_act",
-    "margin",
-    "seed",
-    "threshold_epochs",
-    "threshold_negative_ratio",
-    "id_onehots",
-)
-
 
 class ConfigError(ValueError):
     """Unknown or malformed configuration key; carries the key name."""
@@ -106,7 +88,6 @@ class TrainConfig:
     threshold_epochs: int = 10
     threshold_negative_ratio: float | str = 5.0
     id_onehots: bool = True
-    init_scale: float = 0.01
 
     def __post_init__(self):
         checks = [
@@ -121,12 +102,11 @@ class TrainConfig:
             ("lambda_keen", self.lambda_keen >= 0, "must be >= 0"),
             ("lambda_act", self.lambda_act >= 0, "must be >= 0"),
             ("margin", self.margin > 0, "must be > 0"),
-            ("init_scale", self.init_scale > 0, "must be > 0"),
         ]
         if self.threshold_negative_ratio != "full":
             ratio = float(self.threshold_negative_ratio)
             checks.append(("threshold_negative_ratio", math.isfinite(ratio) and ratio > 0, "must be 'full' or > 0"))
-        for key in ("lr", "beta1", "beta2", "eps", "lambda_keen", "lambda_act", "margin", "init_scale"):
+        for key in ("lr", "beta1", "beta2", "eps", "lambda_keen", "lambda_act", "margin"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(key, f"{key} must be finite, got {getattr(self, key)!r}")
         for key, ok, rule in checks:
@@ -137,7 +117,10 @@ class TrainConfig:
         return {"alpha": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in CONFIG_KEYS}
+        return asdict(self)
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -149,7 +132,7 @@ def parse_config(path) -> TrainConfig:
     Missing keys fall back to defaults with one logged warning.
     """
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -202,11 +185,6 @@ class ThresholdTable:
     activity_thresholds: np.ndarray
     global_item_fallback: float
     item_trained: np.ndarray
-
-    def item_threshold(self, v: int) -> float:
-        if self.item_trained[v]:
-            return float(self.item_thresholds[v])
-        return self.global_item_fallback
 
     def effective_item_thresholds(self) -> np.ndarray:
         return np.where(self.item_trained, self.item_thresholds, self.global_item_fallback)
@@ -504,10 +482,9 @@ def fit_thresholds(
     for _ in range(epochs):
         ce_sum = 0.0
         for scores, labels, coords in zip(scores_by_group, labels_by_group, coords_by_group):
-            x = scores - delta[coords]
-            ce_sum += float(np.sum(cross_entropy(x, labels)))
-            grad = labels - sigmoid(x)
-            adam.update(delta, coords, grad)
+            cutoffs = delta[coords]
+            ce_sum += float(np.sum(cross_entropy(scores - cutoffs, labels)))
+            adam.update(delta, coords, cross_entropy_grad_threshold(scores, cutoffs, labels))
         trace.append(ce_sum / max(total, 1))
     return delta, trace
 
@@ -538,8 +515,8 @@ class Trainer:
         catalog = store.catalog
         self.keen_layout = FeatureLayout.for_keen(catalog, user_feats, item_feats, config.id_onehots)
         self.act_layout = FeatureLayout.for_act(catalog, user_feats, item_feats, config.id_onehots)
-        self.keen = init_params(self.keen_layout.dim, config.k, seed=config.seed + 1, scale=config.init_scale)
-        self.act = init_params(self.act_layout.dim, config.k, seed=config.seed + 2, scale=config.init_scale)
+        self.keen = init_params(self.keen_layout.dim, config.k, seed=config.seed + 1)
+        self.act = init_params(self.act_layout.dim, config.k, seed=config.seed + 2)
         self.keen_state = AdamState.for_params(self.keen, **config.adam_kwargs())
         self.act_state = AdamState.for_params(self.act, **config.adam_kwargs())
         self.rng = np.random.Generator(np.random.PCG64(config.seed))

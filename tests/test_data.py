@@ -68,6 +68,26 @@ class TestIngest:
         assert store.n_triples == 2
         assert store.n_duplicates == 2
 
+    def test_byte_order_mark_is_not_part_of_the_first_user(self, tmp_path):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(b"\xef\xbb\xbfu1\tx\tfork\t1\nu1\ty\twatch\t2\n")
+        catalog, store = ingest(log)
+        assert catalog.users == ("u1",)
+        assert store.n_pairs == 2
+
+    def test_crlf_line_endings(self, tmp_path):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(b"a\tx\tfork\t1\r\nb\ty\twatch\t2\r\n")
+        catalog, store = ingest(log)
+        assert (catalog.users, catalog.items, catalog.activities) == (("a", "b"), ("x", "y"), ("fork", "watch"))
+        assert store.timestamps == {(0, 0, 0): 1, (1, 1, 1): 2}
+
+    def test_extra_columns_are_ignored(self, tmp_path):
+        log = write_log(tmp_path / "log.tsv", [("a", "x", "fork", 1, "note"), ("b", "x", "watch", 2, "", "more")])
+        catalog, store = ingest(log)
+        assert (catalog.users, catalog.items, catalog.activities) == (("a", "b"), ("x",), ("fork", "watch"))
+        assert store.triples == ((0, 0, 0), (1, 0, 1))
+
     def test_parse_error_carries_line_number(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", [("a", "x", "fork", 1), ("broken",)])
         with pytest.raises(ParseError) as err:

@@ -139,6 +139,11 @@ class TestTfidf:
         tags = read_tag_file(path)
         assert tags == {"x": ["python", "ml"], "y": [], "z": ["solo"]}
 
+    def test_read_tag_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "tags.tsv"
+        path.write_bytes(b"\xef\xbb\xbfx\tpython\r\ny\tml\r\n")
+        assert read_tag_file(path) == {"x": ["python"], "y": ["ml"]}
+
 
 class TestFeatureMatrixIO:
     def test_round_trip(self, tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keenact.data import Catalog
 from keenact.features import FeatureLayout, empty_features
@@ -285,6 +287,67 @@ class TestRecommend:
                     if decide(model, u, v, z)
                 }
                 assert recs.pairs() == accepted
+
+
+@st.composite
+def decision_cases(draw):
+    """A build_model model plus the scores and cutoffs it was built from.
+
+    Integer-valued scores make ties, and scores equal to a cutoff, common.
+    """
+    n_items = draw(st.integers(1, 7))
+    n_acts = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        value = st.integers(-2, 2).map(float)
+    else:
+        value = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    keen = np.array(draw(st.lists(value, min_size=n_items, max_size=n_items)))
+    act = np.array(draw(st.lists(value, min_size=n_items * n_acts, max_size=n_items * n_acts)))
+    act = act.reshape(n_items, n_acts)
+    item_cutoffs = np.array(draw(st.lists(value, min_size=n_items, max_size=n_items)))
+    act_cutoffs = np.array(draw(st.lists(value, min_size=n_acts, max_size=n_acts)))
+    fallback = draw(value)
+    cold = draw(st.frozensets(st.integers(0, n_items - 1)))
+    model = build_model(keen, act, item_cutoffs, act_cutoffs, fallback=fallback, cold=cold)
+    return model, keen, act, item_cutoffs, act_cutoffs, fallback, cold
+
+
+class TestDecisionPathProperties:
+    """recommend, decide and the per-stage selections agree on arbitrary models."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(decision_cases())
+    def test_all_entry_points_agree(self, case):
+        model, keen, act, item_cutoffs, act_cutoffs, fallback, cold = case
+        n_items, n_acts = act.shape
+        recs = recommend(model, 0)
+        accepted = {(v, z) for v in range(n_items) for z in range(n_acts) if decide(model, 0, v, z)}
+        assert recs.pairs() == accepted
+        assert recs.is_ordered()
+        for k in range(1, len(recs) + 2):
+            assert recommend(model, 0, k).entries == recs.entries[:k]
+        selected = select_items(model, 0)
+        for v in range(n_items):
+            listed = [z for item, z in sorted(accepted) if item == v]
+            if v in selected:
+                np.testing.assert_array_equal(select_activities(model, 0, v), listed)
+            else:
+                assert listed == []
+                with pytest.raises(StageOrderError):
+                    select_activities(model, 0, v)
+
+        # written out: a cold item scores 0 on both stages (its identity
+        # one-hot carries every score) and faces the fallback cutoff
+        expected = []
+        for v in range(n_items):
+            keen_v = 0.0 if v in cold else keen[v]
+            cutoff = fallback if v in cold else item_cutoffs[v]
+            for z in range(n_acts):
+                act_vz = 0.0 if v in cold else act[v, z]
+                if keen_v >= cutoff and act_vz >= act_cutoffs[z]:
+                    expected.append((-keen_v, v, -act_vz, z))
+        got = [(-e.keen_score, e.item, -e.act_score, e.activity) for e in recs.entries]
+        assert got == sorted(expected)
 
 
 class TestOutput:

@@ -156,6 +156,15 @@ class TestScorerEquality:
             for v in range(catalog.n_items):
                 np.testing.assert_allclose(matrix[v], scorer.score_activities(u, v), atol=1e-12)
 
+    def test_pair_matrix_item_subset(self):
+        """Rows asked for by id equal the same rows of the full matrix, cold items included."""
+        catalog, _, uf, itf, _, al, _, ap = random_setup(13)
+        scorer = Scorer(ap, al, uf, itf, seen_items=frozenset(range(0, catalog.n_items, 2)))
+        subset = np.array([4, 0, 7, 4, 3], dtype=np.int64)
+        for u in range(catalog.n_users):
+            full = scorer.score_pair_matrix(u)
+            np.testing.assert_allclose(scorer.score_pair_matrix(u, subset), full[subset], rtol=0, atol=1e-12)
+
     def test_item_subset_selection(self):
         catalog, _, uf, itf, kl, _, kp, _ = random_setup(12)
         scorer = Scorer(kp, kl, uf, itf)
