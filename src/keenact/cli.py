@@ -71,7 +71,7 @@ def write_manifest(path, config: TrainConfig, inputs: dict, artifacts: list) -> 
         "seed": config.seed,
         "config": config.to_dict(),
         "inputs": {
-            label: {"path": str(p), "sha256": _sha256(p)} for label, p in inputs.items()
+            label: {"path": os.path.abspath(p), "sha256": _sha256(p)} for label, p in inputs.items()
         },
         "artifacts": [str(a) for a in artifacts],
     }

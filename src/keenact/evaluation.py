@@ -44,13 +44,15 @@ from keenact.training import (
     train,
     universe_positions,
 )
-from keenact.recommend import act_stage, recommend, select_items
+from keenact.recommend import act_stage, keen_stage, recommend
 
-# Not called here since the baselines train through pairwise_step; the
-# traced benchmark (perfbench/layers.py) still wraps these names on this
-# module, so they stay importable from it.
+# Not called here since the baselines train through pairwise_step and the
+# rankers score through the stage helpers; the traced benchmark
+# (perfbench/layers.py) still wraps these names on this module, so they
+# stay importable from it.
 from keenact.features import assemble_act_input  # noqa: F401
 from keenact.fm import adam_update, combine_gradients, fm_gradient  # noqa: F401
+from keenact.recommend import select_items  # noqa: F401
 from keenact.scoring import part_stats  # noqa: F401
 
 logger = logging.getLogger("keenact.evaluation")
@@ -223,17 +225,11 @@ def rank_keen2act(model: TrainedModel, space: FlatPairSpace, u: int, exclude: fr
 
 def rank_keen_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
     """Stage-one items by keen score, each expanded to all activities in id order."""
-    selected = select_items(model, u)
-    keen_scorer, _ = model.scorers()
-    scores = keen_scorer.score_items(u, selected)
-    order = np.lexsort((selected, -scores))
-    out = []
-    for v in selected[order]:
-        for z in range(space.n_activities):
-            f = space.flatten(int(v), z)
-            if f not in exclude:
-                out.append(f)
-    return out
+    scores, keep = keen_stage(model, u)
+    items = np.flatnonzero(keep)
+    items = items[np.lexsort((items, -scores[items]))]
+    flat = (items[:, None] * space.n_activities + np.arange(space.n_activities)).reshape(-1)
+    return [int(f) for f in flat if f not in exclude]
 
 
 def rank_act_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:

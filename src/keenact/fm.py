@@ -141,28 +141,29 @@ def combine_gradients(grads: list[FMGradient]) -> FMGradient:
     return FMGradient(w0=w0, indices=uniq, w=w, factors=factors)
 
 
+def adam_moves(m, v, grad, t, alpha: float, beta1: float, beta2: float, eps: float):
+    """Bias-corrected Adam (Kingma & Ba, 2015): the new moments and the step to subtract.
+
+    ``t`` is the step count after this update, a scalar or one count per
+    coordinate; ``m``, ``v`` and ``grad`` may be floats or arrays.
+    """
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    return m, v, alpha * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+
+
 def adam_update(params: FMParameters, state: AdamState, grad: FMGradient) -> tuple[FMParameters, AdamState]:
     """One bias-corrected Adam step, in place; sparse over grad.indices."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
-
-    state.m_w0 = b1 * state.m_w0 + (1.0 - b1) * grad.w0
-    state.v_w0 = b2 * state.v_w0 + (1.0 - b2) * grad.w0 * grad.w0
-    params.w0 -= state.alpha * (state.m_w0 / bc1) / (np.sqrt(state.v_w0 / bc2) + state.eps)
-
+    hyper = (state.t, state.alpha, state.beta1, state.beta2, state.eps)
+    state.m_w0, state.v_w0, step = adam_moves(state.m_w0, state.v_w0, grad.w0, *hyper)
+    params.w0 -= step
     idx = grad.indices
     if idx.size:
-        m_w = b1 * state.m_w[idx] + (1.0 - b1) * grad.w
-        v_w = b2 * state.v_w[idx] + (1.0 - b2) * grad.w * grad.w
-        state.m_w[idx] = m_w
-        state.v_w[idx] = v_w
-        params.w[idx] -= state.alpha * (m_w / bc1) / (np.sqrt(v_w / bc2) + state.eps)
-
-        m_f = b1 * state.m_factors[idx] + (1.0 - b1) * grad.factors
-        v_f = b2 * state.v_factors[idx] + (1.0 - b2) * grad.factors * grad.factors
-        state.m_factors[idx] = m_f
-        state.v_factors[idx] = v_f
-        params.factors[idx] -= state.alpha * (m_f / bc1) / (np.sqrt(v_f / bc2) + state.eps)
+        state.m_w[idx], state.v_w[idx], step = adam_moves(state.m_w[idx], state.v_w[idx], grad.w, *hyper)
+        params.w[idx] -= step
+        state.m_factors[idx], state.v_factors[idx], step = adam_moves(
+            state.m_factors[idx], state.v_factors[idx], grad.factors, *hyper
+        )
+        params.factors[idx] -= step
     return params, state

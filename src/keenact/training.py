@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -23,10 +22,7 @@ from keenact.data import InteractionStore
 from keenact.features import (
     FeatureLayout,
     FeatureMatrix,
-    SparseVector,
     activity_part,
-    assemble_act_input,
-    assemble_keen_input,
     item_part,
     join_parts,
     pad_parts,
@@ -35,13 +31,17 @@ from keenact.features import (
 from keenact.fm import (
     AdamState,
     FMParameters,
+    adam_moves,
     adam_update,
-    combine_gradients,
-    fm_gradient,
-    fm_score,
     init_params,
 )
 from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
+
+# Not called here since the step computes its update from block parts;
+# the traced benchmark (perfbench/layers.py) still wraps these names on
+# this module, so they stay importable from it.
+from keenact.features import assemble_act_input, assemble_keen_input  # noqa: F401
+from keenact.fm import combine_gradients, fm_gradient  # noqa: F401
 
 logger = logging.getLogger("keenact.training")
 
@@ -282,18 +282,12 @@ def cross_entropy_grad_threshold(score, threshold, y):
 
 @dataclass
 class StepResult:
-    """Outcome of one sampled pairwise step: whether an update fired and its cost.
-
-    In diagnostic mode ``hinge_after`` holds the updated pair's hinge
-    after a small plain gradient probe step, not after the Adam step.
-    """
+    """Outcome of one sampled pairwise step: whether an update fired and its cost."""
 
     updated: bool
     draws: int
     loss: float = 0.0
     skipped: bool = False
-    hinge_before: float = 0.0
-    hinge_after: float = 0.0
 
 
 @dataclass
@@ -304,16 +298,13 @@ class CandidateSpace:
     of the step; ``table`` is the padded (indices, values) pair of
     ``pad_parts`` with one row per candidate id.  Negatives are drawn
     from the sorted ``universe`` minus ``positives``, the sorted
-    positions of the positive candidates in it.  ``assemble(c)`` builds
-    the full input the reference path scores; only the descent probe
-    uses it, so spaces that are never probed leave it out.
+    positions of the positive candidates in it.
     """
 
     context: tuple[np.ndarray, np.ndarray]
     table: tuple[np.ndarray, np.ndarray]
     universe: np.ndarray
     positives: np.ndarray
-    assemble: Callable[[int], SparseVector] | None = None
 
     def part(self, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Candidate c's own part: its table row without the padding."""
@@ -358,21 +349,6 @@ def _logistic(diff: float) -> tuple[float, float]:
     return e / (1.0 + e), math.log1p(e)
 
 
-def _descent_probe(params: FMParameters, x_pos: SparseVector, x_neg: SparseVector, weight: float, margin: float) -> float:
-    """The pair's hinge after a plain step of 1e-3 along its reference gradient.
-
-    That step must lower the hinge; the Adam step itself carries momentum
-    from earlier pairs and offers no such per-pair guarantee.
-    """
-    grad = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
-    alpha = 1e-3
-    trial = params.copy()
-    trial.w0 -= alpha * grad.w0
-    trial.w[grad.indices] = trial.w[grad.indices] - alpha * grad.w
-    trial.factors[grad.indices] = trial.factors[grad.indices] - alpha * grad.factors
-    return margin - fm_score(trial, x_pos) + fm_score(trial, x_neg)
-
-
 def pairwise_step(
     params: FMParameters,
     state: AdamState,
@@ -382,7 +358,6 @@ def pairwise_step(
     rng: np.random.Generator,
     config: TrainConfig,
     bpr: bool = False,
-    check_descent: bool = False,
 ) -> StepResult:
     """One sampled pairwise update of ``params`` for ``positive``.
 
@@ -412,50 +387,18 @@ def pairwise_step(
             return StepResult(updated=False, draws=cap)
     draws = j + 1
     s_pos, s_neg = float(scores[0]), float(scores[draws])
-    hinge = config.margin - s_pos + s_neg
     if bpr:
         weight, loss = _logistic(s_neg - s_pos)
     else:
         weight = phi(estimate_rank(total_neg, draws))
-        loss = weight * hinge
-    result = StepResult(updated=True, draws=draws, loss=loss, hinge_before=hinge)
+        loss = weight * (config.margin - s_pos + s_neg)
     c = int(negatives[j])
-    if check_descent:
-        result.hinge_after = _descent_probe(
-            params, space.assemble(positive), space.assemble(c), weight, config.margin
-        )
     grad = part_gradient(params, space.context, space.part(positive), space.part(c), s_ctx, s[0], s[draws], weight)
     if lam:
         grad.w = grad.w + lam * params.w[grad.indices]
         grad.factors = grad.factors + lam * params.factors[grad.indices]
     adam_update(params, state, grad)
-    return result
-
-
-class _CoordinateAdam:
-    """Adam over a threshold vector with per-coordinate step counts.
-
-    Per-coordinate counts make a vectorized group update identical to
-    updating its coordinates one by one, since each coordinate's moments
-    and bias correction depend only on its own history.
-    """
-
-    def __init__(self, n: int, alpha: float, beta1: float, beta2: float, eps: float):
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.t = np.zeros(n, dtype=np.int64)
-        self.alpha, self.beta1, self.beta2, self.eps = alpha, beta1, beta2, eps
-
-    def update(self, values: np.ndarray, idx, grad: np.ndarray) -> None:
-        self.t[idx] += 1
-        t = self.t[idx]
-        m = self.beta1 * self.m[idx] + (1.0 - self.beta1) * grad
-        v = self.beta2 * self.v[idx] + (1.0 - self.beta2) * grad * grad
-        self.m[idx] = m
-        self.v[idx] = v
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        values[idx] -= self.alpha * m_hat / (np.sqrt(v_hat) + self.eps)
+    return StepResult(updated=True, draws=draws, loss=loss)
 
 
 def fit_thresholds(
@@ -476,7 +419,8 @@ def fit_thresholds(
     coordinate-sequential one.  Returns (thresholds, mean CE per epoch).
     """
     delta = np.zeros(n_coords)
-    adam = _CoordinateAdam(n_coords, alpha, beta1, beta2, eps)
+    # a step count per coordinate keeps each cutoff's bias correction its own
+    m, v, t = np.zeros(n_coords), np.zeros(n_coords), np.zeros(n_coords, dtype=np.int64)
     trace: list[float] = []
     total = sum(len(s) for s in scores_by_group)
     for _ in range(epochs):
@@ -484,7 +428,10 @@ def fit_thresholds(
         for scores, labels, coords in zip(scores_by_group, labels_by_group, coords_by_group):
             cutoffs = delta[coords]
             ce_sum += float(np.sum(cross_entropy(scores - cutoffs, labels)))
-            adam.update(delta, coords, cross_entropy_grad_threshold(scores, cutoffs, labels))
+            grad = cross_entropy_grad_threshold(scores, cutoffs, labels)
+            t[coords] += 1
+            m[coords], v[coords], step = adam_moves(m[coords], v[coords], grad, t[coords], alpha, beta1, beta2, eps)
+            delta[coords] -= step
         trace.append(ce_sum / max(total, 1))
     return delta, trace
 
@@ -503,7 +450,6 @@ class Trainer:
         user_feats: FeatureMatrix,
         item_feats: FeatureMatrix,
         config: TrainConfig,
-        check_descent: bool = False,
     ):
         if store.n_triples == 0:
             raise ValueError("empty training store")
@@ -511,7 +457,6 @@ class Trainer:
         self.config = config
         self.user_feats = user_feats
         self.item_feats = item_feats
-        self.check_descent = check_descent
         catalog = store.catalog
         self.keen_layout = FeatureLayout.for_keen(catalog, user_feats, item_feats, config.id_onehots)
         self.act_layout = FeatureLayout.for_act(catalog, user_feats, item_feats, config.id_onehots)
@@ -536,42 +481,31 @@ class Trainer:
             for u, v in store.keen_pairs
         }
         self.report: list[tuple[int, str, str, float]] = []
-        self.descent_violations = 0
 
     # -- phase 1: rank learning ------------------------------------------
 
     def warp_step_keen(self, u: int, v: int) -> StepResult:
         """One WARP step for a positive item pair; no-op without violation."""
-        layout, user_feats, item_feats = self.keen_layout, self.user_feats, self.item_feats
         space = CandidateSpace(
             context=self.user_parts[u],
             table=self.item_table,
             universe=self.item_universe,
             positives=self.item_positives[u],
-            assemble=lambda c: assemble_keen_input(u, c, layout, user_feats, item_feats),
         )
-        result = pairwise_step(
-            self.keen, self.keen_state, self.config.lambda_keen, space, v, self.rng, self.config,
-            check_descent=self.check_descent,
-        )
+        result = pairwise_step(self.keen, self.keen_state, self.config.lambda_keen, space, v, self.rng, self.config)
         if result.skipped:
             logger.warning("user %d is positive on every training item; keen step skipped", u)
         return result
 
     def warp_step_act(self, u: int, v: int, z: int) -> StepResult:
         """One WARP step for a positive activity; negatives drawn from Z."""
-        layout, user_feats, item_feats = self.act_layout, self.user_feats, self.item_feats
         space = CandidateSpace(
             context=join_parts(self.user_parts[u], self.item_parts[v]),
             table=self.activity_table,
             universe=self.activity_universe,
             positives=self.activity_positives[u, v],
-            assemble=lambda c: assemble_act_input(u, v, c, layout, user_feats, item_feats),
         )
-        return pairwise_step(
-            self.act, self.act_state, self.config.lambda_act, space, z, self.rng, self.config,
-            check_descent=self.check_descent,
-        )
+        return pairwise_step(self.act, self.act_state, self.config.lambda_act, space, z, self.rng, self.config)
 
     def _run_phase(self, epoch: int, phase: str, examples, step) -> None:
         order = self.rng.permutation(len(examples))
@@ -580,8 +514,6 @@ class Trainer:
         updates = 0
         for i in order:
             result = step(*examples[i])
-            if self.check_descent and result.updated and result.hinge_after >= result.hinge_before:
-                self.descent_violations += 1
             draws += result.draws
             losses += result.loss
             updates += int(result.updated)
@@ -589,8 +521,6 @@ class Trainer:
         self.report.append((epoch, phase, "warp_loss", float(losses) / n))
         self.report.append((epoch, phase, "mean_draws", draws / n))
         self.report.append((epoch, phase, "violation_rate", updates / n))
-        if self.check_descent:
-            self.report.append((epoch, phase, "descent_violations", float(self.descent_violations)))
         if not math.isfinite(losses) or not (self.keen.all_finite() and self.act.all_finite()):
             raise NumericalError(epoch, f"non-finite loss or parameters at epoch {epoch}")
 
@@ -704,10 +634,9 @@ def train(
     user_feats: FeatureMatrix,
     item_feats: FeatureMatrix,
     config: TrainConfig,
-    check_descent: bool = False,
 ) -> TrainedModel:
     """Run both phases and return the trained two-stage model."""
-    trainer = Trainer(store, user_feats, item_feats, config, check_descent=check_descent)
+    trainer = Trainer(store, user_feats, item_feats, config)
     trainer.run_rank_learning()
     thresholds = trainer.run_threshold_learning()
     return trainer.finish(thresholds)

@@ -230,6 +230,17 @@ class TestRecommend:
                      "--user", "u0000", "--k", "1"]) == 0
         assert any("stale" in r.message for r in caplog.records)
 
+    def test_relative_inputs_verify_from_another_directory(self, corpus, tmp_path, monkeypatch, caplog):
+        """Inputs named relative to the training directory are not stale from a sibling one."""
+        log, config = corpus
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--log", log.name, "--config", config.name, "--out", "relrun"]) == 0
+        (tmp_path / "other").mkdir()
+        monkeypatch.chdir(tmp_path / "other")
+        assert stale_inputs("../relrun/manifest.json") == []
+        assert main(["recommend", "--model", "../relrun/model.json", "--user", "u0000", "--k", "1"]) == 0
+        assert not any("stale" in r.message for r in caplog.records)
+
     def test_missing_model(self, tmp_path, capsys):
         assert main(["recommend", "--model", str(tmp_path / "no.json"), "--user", "u0"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,7 +1,12 @@
 """Ingestion, deduplication, user filtering, and per-user splitting."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keenact.data import (
     Catalog,
@@ -135,6 +140,57 @@ class TestIngest:
         _, reread = ingest(out)
         assert reread.triples == store.triples
         assert reread.catalog.users == store.catalog.users
+
+
+# raw ids the parser keeps as written: no tabs, line breaks, edge whitespace or BOM
+raw_ids = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), exclude_characters="\ufeff"),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def raw_logs(draw):
+    """Rows over small id pools, so the same triple recurs with other timestamps."""
+    users, items, acts = (draw(st.lists(raw_ids, min_size=1, max_size=4, unique=True)) for _ in range(3))
+    row = st.tuples(st.sampled_from(users), st.sampled_from(items), st.sampled_from(acts), st.integers(-(2**40), 2**40))
+    return draw(st.lists(row, min_size=1, max_size=25))
+
+
+def raw_view(catalog, store):
+    """Catalog id sets, triples and timestamps in raw ids."""
+    def raw(t):
+        return catalog.users[t[0]], catalog.items[t[1]], catalog.activities[t[2]]
+
+    return (
+        (set(catalog.users), set(catalog.items), set(catalog.activities)),
+        {raw(t) for t in store.triples},
+        {raw(t): ts for t, ts in store.timestamps.items()},
+    )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_logs())
+    def test_ingest_write_ingest_keeps_the_log(self, rows):
+        """The canonical log keeps every raw triple and its first timestamp.
+
+        Dense ids may be renumbered: the log is written in dense-id order
+        and read back in first-seen order.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            catalog, store = ingest(write_log(Path(tmp) / "raw.tsv", rows))
+            write_interaction_log(store, Path(tmp) / "canonical.tsv")
+            reread_catalog, reread = ingest(Path(tmp) / "canonical.tsv")
+        first = {}
+        for u, v, z, ts in rows:
+            first.setdefault((u, v, z), ts)
+        ids = ({r[0] for r in rows}, {r[1] for r in rows}, {r[2] for r in rows})
+        assert raw_view(catalog, store) == (ids, set(first), first)
+        assert store.n_duplicates == len(rows) - len(first)
+        assert raw_view(reread_catalog, reread) == raw_view(catalog, store)
+        assert reread.n_duplicates == 0
 
 
 class TestStore:

@@ -219,6 +219,10 @@ class TestRankers:
             items_in_order = [self.space.unflatten(f)[0] for f in ranked]
             acts_in_order = [self.space.unflatten(f)[1] for f in ranked]
             assert set(items_in_order) == set(int(v) for v in selected)
+            # items by keen score descending, exact ties by ascending id
+            keen = self.model.scorers()[0].score_items(u)
+            keys = [(-keen[v], v) for v in items_in_order[:: self.space.n_activities]]
+            assert keys == sorted(keys)
             # every item contributes a full id-ordered activity run
             for i in range(0, len(ranked), self.space.n_activities):
                 run = acts_in_order[i : i + self.space.n_activities]

@@ -17,6 +17,7 @@ from keenact.evaluation import flat_candidate_spaces, train_baseline
 from keenact.features import (
     FeatureLayout,
     FeatureMatrix,
+    SparseVector,
     assemble_act_input,
     assemble_keen_input,
     co_participation_features,
@@ -24,7 +25,7 @@ from keenact.features import (
     l2_normalize_rows,
 )
 from keenact.fm import AdamState, adam_update, combine_gradients, fm_gradient, fm_score, init_params
-from keenact.scoring import Scorer
+from keenact.scoring import Scorer, part_gradient
 from keenact.synth import generate_two_stage
 from keenact.training import (
     ConfigError,
@@ -367,26 +368,50 @@ class TestWarpSteps:
         np.testing.assert_array_equal(trainer.keen.w, w_before)
         np.testing.assert_array_equal(trainer.keen.factors, f_before)
 
-    def test_every_accepted_update_descends_its_own_hinge(self):
-        """A small plain step along each accepted gradient lowers its hinge."""
+    def test_every_accepted_update_descends_its_own_hinge(self, monkeypatch):
+        """A plain 1e-3 step along each gradient a training step applies lowers that pair's hinge."""
         store, uf, itf = small_store(seed=5, density=60)
         config = TrainConfig(seed=1, epochs=2)
-        model = train(store, uf, itf, config, check_descent=True)
-        descent_rows = [r for r in model.report if r[2] == "descent_violations"]
-        assert descent_rows
-        assert descent_rows[-1][3] == 0.0
+        hinges = record_hinge_descent(monkeypatch, config.margin)
+        train(store, uf, itf, config)
+        assert hinges and all(after < before for before, after in hinges)
 
-    def test_probe_hinge_strictly_below_original(self):
-        """The diagnostic records hinge_after < hinge_before per update."""
+    def test_probe_hinge_strictly_below_original(self, monkeypatch):
+        """Each keen update's gradient, stepped plainly, leaves the hinge strictly below its value before."""
         store, uf, itf = small_store(seed=7)
-        trainer = Trainer(store, uf, itf, TrainConfig(seed=2), check_descent=True)
-        seen_update = False
-        for u, v in store.keen_pairs:
-            result = trainer.warp_step_keen(u, v)
-            if result.updated:
-                seen_update = True
-                assert result.hinge_after < result.hinge_before
-        assert seen_update
+        config = TrainConfig(seed=2)
+        trainer = Trainer(store, uf, itf, config)
+        hinges = record_hinge_descent(monkeypatch, config.margin)
+        updates = sum(trainer.warp_step_keen(u, v).updated for u, v in store.keen_pairs)
+        assert updates > 0
+        assert len(hinges) == updates
+        for before, after in hinges:
+            assert after < before
+
+
+def record_hinge_descent(monkeypatch, margin, step=1e-3):
+    """Wrap training.part_gradient; for each gradient applied, record the pair's hinge before and after a plain step."""
+    hinges = []
+
+    def assembled(dim, context, part):
+        idx, val = np.concatenate([context[0], part[0]]), np.concatenate([context[1], part[1]])
+        order = np.argsort(idx)
+        return SparseVector(idx[order], val[order], dim)
+
+    def checked_part_gradient(params, context, pos, neg, *rest):
+        grad = part_gradient(params, context, pos, neg, *rest)
+        x_pos, x_neg = assembled(params.dim, context, pos), assembled(params.dim, context, neg)
+        trial = params.copy()
+        trial.w0 -= step * grad.w0
+        trial.w[grad.indices] -= step * grad.w
+        trial.factors[grad.indices] -= step * grad.factors
+        before = margin - fm_score(params, x_pos) + fm_score(params, x_neg)
+        after = margin - fm_score(trial, x_pos) + fm_score(trial, x_neg)
+        hinges.append((before, after))
+        return grad
+
+    monkeypatch.setattr(training, "part_gradient", checked_part_gradient)
+    return hinges
 
 
 def reference_negatives(rng, universe, positives, cap):
