@@ -290,7 +290,11 @@ def split_per_user(store: InteractionStore, fraction: float, seed: int) -> Split
 
 
 def write_interaction_log(store: InteractionStore, path) -> None:
-    """Write a store back to the canonical tab-separated log format."""
+    """Write a store back to the canonical tab-separated log format.
+
+    Re-ingesting it keeps raw ids, triples and first timestamps, but may
+    renumber dense ids: no row order keeps every first-seen numbering.
+    """
     catalog = store.catalog
     with open(path, "w", encoding="utf-8") as fh:
         for t in store.triples:

@@ -145,11 +145,13 @@ def adam_moves(m, v, grad, t, alpha: float, beta1: float, beta2: float, eps: flo
     """Bias-corrected Adam (Kingma & Ba, 2015): the new moments and the step to subtract.
 
     ``t`` is the step count after this update, a scalar or one count per
-    coordinate; ``m``, ``v`` and ``grad`` may be floats or arrays.
+    coordinate; ``m``, ``v`` and ``grad`` may be floats or arrays.  The
+    root is ``** 0.5``: numpy takes it as ``sqrt`` on arrays, and on
+    floats it keeps floats as floats (C ``pow``, within an ulp of sqrt).
     """
     m = beta1 * m + (1.0 - beta1) * grad
     v = beta2 * v + (1.0 - beta2) * grad * grad
-    return m, v, alpha * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return m, v, alpha * (m / (1.0 - beta1**t)) / ((v / (1.0 - beta2**t)) ** 0.5 + eps)
 
 
 def adam_update(params: FMParameters, state: AdamState, grad: FMGradient) -> tuple[FMParameters, AdamState]:

@@ -414,26 +414,36 @@ def fit_thresholds(
 ) -> tuple[np.ndarray, list[float]]:
     """Adam-fit cutoffs minimizing CE(score - delta[coord], label).
 
-    Groups are visited in order once per epoch; within a group every
-    coordinate appears at most once, so the group update equals the
-    coordinate-sequential one.  Returns (thresholds, mean CE per epoch).
+    A group holds each coordinate at most once and Adam is elementwise,
+    so each cutoff is its own scalar recurrence over its (score, label)
+    stream in group order, run ``epochs`` times in Python floats: cost is
+    linear in observations x epochs.  An unobserved coordinate keeps 0.0.
+    Returns (thresholds, mean CE per epoch).
     """
     delta = np.zeros(n_coords)
-    # a step count per coordinate keeps each cutoff's bias correction its own
-    m, v, t = np.zeros(n_coords), np.zeros(n_coords), np.zeros(n_coords, dtype=np.int64)
-    trace: list[float] = []
+    ce_sums = [0.0] * epochs
     total = sum(len(s) for s in scores_by_group)
-    for _ in range(epochs):
-        ce_sum = 0.0
-        for scores, labels, coords in zip(scores_by_group, labels_by_group, coords_by_group):
-            cutoffs = delta[coords]
-            ce_sum += float(np.sum(cross_entropy(scores - cutoffs, labels)))
-            grad = cross_entropy_grad_threshold(scores, cutoffs, labels)
-            t[coords] += 1
-            m[coords], v[coords], step = adam_moves(m[coords], v[coords], grad, t[coords], alpha, beta1, beta2, eps)
-            delta[coords] -= step
-        trace.append(ce_sum / max(total, 1))
-    return delta, trace
+    if total:
+        coords = np.concatenate(coords_by_group)
+        order = np.argsort(coords, kind="stable")
+        scores = np.concatenate(scores_by_group)[order].tolist()
+        labels = np.concatenate(labels_by_group)[order].tolist()
+        observed = list(zip(scores, labels))
+        start = 0
+        for c, end in enumerate(np.cumsum(np.bincount(coords, minlength=n_coords)).tolist()):
+            stream, start = observed[start:end], end
+            cutoff = m = v = 0.0
+            for epoch in range(epochs):
+                ce_sum = 0.0
+                for t, (score, label) in enumerate(stream, start=epoch * len(stream) + 1):
+                    x = score - cutoff
+                    prob, softplus = _logistic(x)
+                    ce_sum += softplus - label * x
+                    m, v, step = adam_moves(m, v, label - prob, t, alpha, beta1, beta2, eps)
+                    cutoff -= step
+                ce_sums[epoch] += ce_sum
+            delta[c] = cutoff
+    return delta, [ce_sum / max(total, 1) for ce_sum in ce_sums]
 
 
 class Trainer:
@@ -559,44 +569,26 @@ class Trainer:
         """
         scorer = Scorer(self.keen, self.keen_layout, self.user_feats, self.item_feats)
         users = self.store.users_with_interactions()
-        scores_by_group, labels_by_group, coords_by_group = [], [], []
+        items, labels = zip(*(self._threshold_enum_items(u) for u in users))
         trained = np.zeros(self.store.catalog.n_items, dtype=bool)
-        for u in users:
-            enum_items, labels = self._threshold_enum_items(u)
-            scores_by_group.append(scorer.score_items(u, enum_items))
-            labels_by_group.append(labels)
-            coords_by_group.append(enum_items)
-            trained[enum_items] = True
+        trained[np.concatenate(items)] = True
         delta, trace = fit_thresholds(
-            scores_by_group,
-            labels_by_group,
-            coords_by_group,
-            self.store.catalog.n_items,
-            self.config.threshold_epochs,
-            **self.config.adam_kwargs(),
+            [scorer.score_items(u, enum) for u, enum in zip(users, items)], labels, items, trained.size,
+            self.config.threshold_epochs, **self.config.adam_kwargs(),
         )
         return delta, trained, trace
 
     def learn_thresholds_act(self) -> tuple[np.ndarray, list[float]]:
         """Fit per-activity cutoffs on frozen act scores over positive pairs."""
         scorer = Scorer(self.act, self.act_layout, self.user_feats, self.item_feats)
-        all_z = self.activity_universe
-        scores_by_group, labels_by_group, coords_by_group = [], [], []
-        for u, v in self.store.keen_pairs:
-            labels = np.zeros(all_z.size)
-            labels[self.activity_positives[u, v]] = 1.0
-            scores_by_group.append(scorer.score_activities(u, v))
-            labels_by_group.append(labels)
-            coords_by_group.append(all_z)
-        delta, trace = fit_thresholds(
-            scores_by_group,
-            labels_by_group,
-            coords_by_group,
-            len(all_z),
-            self.config.threshold_epochs,
-            **self.config.adam_kwargs(),
+        pairs, all_z = self.store.keen_pairs, self.activity_universe
+        labels = np.zeros((len(pairs), all_z.size))
+        for row, pair in enumerate(pairs):
+            labels[row, self.activity_positives[pair]] = 1.0
+        return fit_thresholds(
+            [scorer.score_activities(u, v) for u, v in pairs], list(labels), [all_z] * len(pairs), all_z.size,
+            self.config.threshold_epochs, **self.config.adam_kwargs(),
         )
-        return delta, trace
 
     def run_threshold_learning(self) -> ThresholdTable:
         item_delta, trained, keen_trace = self.learn_thresholds_keen()

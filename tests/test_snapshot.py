@@ -1,16 +1,20 @@
 """Snapshot files: exact round trips and strict format checks."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keenact.data import Catalog
 from keenact.features import co_participation_features, empty_features, l2_normalize_rows
+from keenact.fm import FMParameters
 from keenact.recommend import recommend
 from keenact.snapshot import SnapshotError, load_model, save_model
 from keenact.synth import generate_two_stage
-from keenact.training import TrainConfig, train
+from keenact.training import ThresholdTable, TrainConfig, train
 
 
 def trained_model(seed=3):
@@ -65,6 +69,62 @@ class TestRoundTrip:
         save_model(model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+# any finite float, with the edge values drawn often: signed zeros,
+# subnormals, the smallest normal and magnitudes near the float64 limit
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308, 1.7976931348623157e308]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+SMALL_MODEL = trained_model()
+
+
+def float_arrays(shape):
+    size = int(np.prod(shape))
+    return st.lists(finite_floats, min_size=size, max_size=size).map(lambda xs: np.array(xs).reshape(shape))
+
+
+@st.composite
+def filled_models(draw):
+    """SMALL_MODEL with every weight, factor, cutoff and the fallback drawn."""
+    def params(p):
+        return FMParameters(draw(finite_floats), draw(float_arrays(p.w.shape)), draw(float_arrays(p.factors.shape)))
+
+    t = SMALL_MODEL.thresholds
+    thresholds = ThresholdTable(
+        item_thresholds=draw(float_arrays(t.item_thresholds.shape)),
+        activity_thresholds=draw(float_arrays(t.activity_thresholds.shape)),
+        global_item_fallback=draw(finite_floats),
+        item_trained=t.item_trained,
+    )
+    return dataclasses.replace(SMALL_MODEL, keen=params(SMALL_MODEL.keen), act=params(SMALL_MODEL.act), thresholds=thresholds)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(filled_models())
+    def test_any_finite_floats_reload_bit_exact(self, tmp_path_factory, model):
+        """Every float block reloads with its bits, -0.0 and subnormals
+        included, and a re-save writes the same bytes."""
+        d = tmp_path_factory.mktemp("snap")
+        save_model(model, d / "a.json")
+        back = load_model(d / "a.json")
+        for name in ("keen", "act"):
+            want, got = getattr(model, name), getattr(back, name)
+            assert same_bits(got.w0, want.w0)
+            assert same_bits(got.w, want.w)
+            assert same_bits(got.factors, want.factors)
+        t, bt = model.thresholds, back.thresholds
+        assert same_bits(bt.item_thresholds, t.item_thresholds)
+        assert same_bits(bt.activity_thresholds, t.activity_thresholds)
+        assert same_bits(bt.global_item_fallback, t.global_item_fallback)
+        save_model(back, d / "b.json")
+        assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
 
 
 class TestFormatChecks:

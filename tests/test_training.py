@@ -24,7 +24,7 @@ from keenact.features import (
     empty_features,
     l2_normalize_rows,
 )
-from keenact.fm import AdamState, adam_update, combine_gradients, fm_gradient, fm_score, init_params
+from keenact.fm import AdamState, adam_moves, adam_update, combine_gradients, fm_gradient, fm_score, init_params
 from keenact.scoring import Scorer, part_gradient
 from keenact.synth import generate_two_stage
 from keenact.training import (
@@ -240,6 +240,48 @@ class ScalarAdam:
         return value - self.alpha * m_hat / (math.sqrt(v_hat) + self.eps)
 
 
+def group_loop_fit(scores_by_group, labels_by_group, coords_by_group, n_coords, epochs,
+                   alpha=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Oracle: the cutoff fit one group at a time, in the vector CE and
+    gradient of acceptance check 2 and the array Adam rule."""
+    delta = np.zeros(n_coords)
+    m, v, t = np.zeros(n_coords), np.zeros(n_coords), np.zeros(n_coords, dtype=np.int64)
+    trace = []
+    total = sum(len(s) for s in scores_by_group)
+    for _ in range(epochs):
+        ce_sum = 0.0
+        for scores, labels, coords in zip(scores_by_group, labels_by_group, coords_by_group):
+            cutoffs = delta[coords]
+            ce_sum += float(np.sum(cross_entropy(scores - cutoffs, labels)))
+            grad = cross_entropy_grad_threshold(scores, cutoffs, labels)
+            t[coords] += 1
+            m[coords], v[coords], step = adam_moves(m[coords], v[coords], grad, t[coords], alpha, beta1, beta2, eps)
+            delta[coords] -= step
+        trace.append(ce_sum / max(total, 1))
+    return delta, trace
+
+
+def act_shaped_groups(seed, n_groups=60, n_coords=3, scale=2.0):
+    """Every group holds every coordinate, as in the per-activity fit."""
+    rng = np.random.default_rng(seed)
+    labels = [(rng.random(n_coords) < 0.4).astype(np.float64) for _ in range(n_groups)]
+    scores = [rng.normal(size=n_coords) * scale for _ in range(n_groups)]
+    return scores, labels, [np.arange(n_coords)] * n_groups
+
+
+def extreme_groups(seed, n_groups=30, n_coords=6):
+    """Scores of +-40 and +-1000: both logistic branches, exp underflow,
+    and CE terms of a thousand."""
+    rng = np.random.default_rng(seed)
+    scores, labels, coords = [], [], []
+    for _ in range(n_groups):
+        chosen = np.sort(rng.choice(n_coords, size=int(rng.integers(1, n_coords + 1)), replace=False))
+        scores.append(rng.choice([-1000.0, -40.0, 40.0, 1000.0], size=chosen.size))
+        labels.append((rng.random(chosen.size) < 0.5).astype(np.float64))
+        coords.append(chosen)
+    return scores, labels, coords
+
+
 class TestFitThresholds:
     def _grouped_scores(self, seed, n_groups=12, n_coords=15):
         """Random per-group subsets with labels from shifted separating bands."""
@@ -270,6 +312,48 @@ class TestFitThresholds:
                 for j, g in zip(c, grads):
                     ref[j] = states[j].step(ref[j], g)
         np.testing.assert_allclose(delta, ref, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["grouped-23", "grouped-29-wide", "act-shaped", "act-shaped-2-coords", "extreme-41", "extreme-43"],
+    )
+    @pytest.mark.parametrize("adam", [{}, {"alpha": 0.05, "beta1": 0.5, "beta2": 0.9}])
+    def test_matches_group_loop_oracle(self, case, adam):
+        """Per-cutoff scalar recurrences give the group loop's cutoffs and CE trace."""
+        kind, seed, *rest = case.split("-")
+        if kind == "grouped":
+            scores, labels, coords, _ = self._grouped_scores(int(seed), n_groups=40 if rest else 12)
+            n_coords = 15
+        elif kind == "act":
+            n_coords = 2 if rest else 3
+            scores, labels, coords = act_shaped_groups(7, n_coords=n_coords)
+        else:
+            scores, labels, coords = extreme_groups(int(seed))
+            n_coords = 6
+        delta, trace = fit_thresholds(scores, labels, coords, n_coords, 9, **adam)
+        want_delta, want_trace = group_loop_fit(scores, labels, coords, n_coords, 9, **adam)
+        np.testing.assert_allclose(delta, want_delta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
+        # plain floats, so report.tsv writes them as plain reprs
+        assert all(type(ce) is float for ce in trace)
+
+    def test_empty_input_and_unobserved_coordinates(self):
+        """No observations: zero cutoffs and a zero trace; empty groups add
+        nothing, and a coordinate never observed keeps 0.0."""
+        delta, trace = fit_thresholds([], [], [], 4, 3)
+        assert delta.tolist() == [0.0] * 4 and trace == [0.0] * 3
+        empty = np.array([], dtype=np.int64)
+        delta, trace = fit_thresholds([np.array([])] * 2, [np.array([])] * 2, [empty] * 2, 3, 2)
+        assert delta.tolist() == [0.0] * 3 and trace == [0.0] * 2
+        scores = [np.array([1.0, -2.0]), np.array([]), np.array([0.5]), np.array([])]
+        labels = [np.array([1.0, 0.0]), np.array([]), np.array([0.0]), np.array([])]
+        coords = [np.array([0, 2]), empty, np.array([0]), empty]
+        delta, trace = fit_thresholds(scores, labels, coords, 4, 5)
+        want_delta, want_trace = group_loop_fit(scores, labels, coords, 4, 5)
+        assert delta[1] == 0.0 and delta[3] == 0.0
+        assert delta[0] != 0.0 and delta[2] != 0.0
+        np.testing.assert_allclose(delta, want_delta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
 
     def test_recovers_shifted_bands(self):
         """Cutoffs move into each coordinate's separating band."""
