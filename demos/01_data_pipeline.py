@@ -8,17 +8,17 @@ matrices the scorers consume.
 import tempfile
 from pathlib import Path
 
-from keenact.data import LogSchema, filter_active_users, ingest, split_per_user
+from keenact.data import filter_active_users, ingest, split_per_user
 from keenact.features import co_participation_features, l2_normalize_rows, read_tag_file, tfidf_item_features
 
 with tempfile.TemporaryDirectory(prefix="keenact-demo-") as tmp:
     workdir = Path(tmp)
 
-    # A raw log: one row per (user, item, activity, timestamp) event.
-    # Note the duplicate row and the blank line; both are tolerated.
+    # A raw log: one row per (user, item, activity, timestamp) event, with
+    # no header line. Note the duplicate row and the blank line; both are
+    # tolerated.
     log = workdir / "raw.tsv"
     log.write_text(
-        "user\titem\tactivity\ttimestamp\n"
         "ana\trepo-a\tfork\t1700000001\n"
         "ana\trepo-a\twatch\t1700000002\n"
         "ana\trepo-b\twatch\t1700000003\n"
@@ -30,7 +30,7 @@ with tempfile.TemporaryDirectory(prefix="keenact-demo-") as tmp:
         encoding="utf-8",
     )
 
-    catalog, store = ingest(log, LogSchema(has_header=True))
+    catalog, store = ingest(log)
     print("users:", list(catalog.users))
     print("items:", list(catalog.items))
     print("activities:", list(catalog.activities))

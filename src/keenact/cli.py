@@ -22,7 +22,6 @@ import sys
 from keenact import __version__
 from keenact.data import (
     DatasetError,
-    LogSchema,
     filter_active_users,
     ingest,
     split_per_user,
@@ -114,8 +113,8 @@ def _warn_if_stale(model_path) -> None:
 
 def _load_store(args):
     """(catalog, store after --min-activities, duplicate rows ingest dropped)."""
-    schema = LogSchema(activities=tuple(args.activities.split(",")) if getattr(args, "activities", None) else None)
-    catalog, store = ingest(args.log, schema)
+    activities = tuple(args.activities.split(",")) if getattr(args, "activities", None) else None
+    catalog, store = ingest(args.log, activities)
     duplicates = store.n_duplicates
     min_acts = getattr(args, "min_activities", None)
     if min_acts and min_acts > 1:

@@ -1,6 +1,7 @@
 """Catalog, interaction storage, ingestion and per-user train/test splitting.
 
-An interaction log is a UTF-8 text file with one record per line:
+An interaction log is a UTF-8 text file with one record per line and
+no header line:
 
     user_id<TAB>item_id<TAB>activity<TAB>unix_timestamp
 
@@ -38,22 +39,6 @@ class SchemaError(DatasetError):
 
 class EmptyDatasetError(DatasetError):
     """No interactions survive ingestion or filtering."""
-
-
-@dataclass(frozen=True)
-class LogSchema:
-    """Column mapping for interaction logs.
-
-    ``activities`` declares the finite set of legal activity names; when
-    None the set is inferred from the file in first-seen order.
-    """
-
-    user_col: int = 0
-    item_col: int = 1
-    activity_col: int = 2
-    timestamp_col: int = 3
-    has_header: bool = False
-    activities: tuple[str, ...] | None = None
 
 
 class Catalog:
@@ -152,12 +137,6 @@ class InteractionStore:
             grouped[t[0]].append(t)
         return dict(grouped)
 
-    def activity_counts(self) -> dict[int, int]:
-        counts = dict.fromkeys(range(self.catalog.n_activities), 0)
-        for _, _, z in self.triples:
-            counts[z] += 1
-        return counts
-
 
 @dataclass(frozen=True)
 class SplitPair:
@@ -169,15 +148,14 @@ class SplitPair:
     fraction: float
 
 
-def _parse_line(line: str, lineno: int, schema: LogSchema) -> tuple[str, str, str, int]:
+def _parse_line(line: str, lineno: int) -> tuple[str, str, str, int]:
     cols = line.rstrip("\n").split("\t")
-    needed = max(schema.user_col, schema.item_col, schema.activity_col, schema.timestamp_col) + 1
-    if len(cols) < needed:
-        raise ParseError(f"expected at least {needed} tab-separated columns, got {len(cols)}", lineno)
-    user = cols[schema.user_col].strip()
-    item = cols[schema.item_col].strip()
-    activity = cols[schema.activity_col].strip()
-    ts_raw = cols[schema.timestamp_col].strip()
+    if len(cols) < 4:
+        raise ParseError(f"expected at least 4 tab-separated columns, got {len(cols)}", lineno)
+    user = cols[0].strip()
+    item = cols[1].strip()
+    activity = cols[2].strip()
+    ts_raw = cols[3].strip()
     if not user or not item or not activity:
         raise ParseError("empty user, item or activity field", lineno)
     try:
@@ -187,36 +165,32 @@ def _parse_line(line: str, lineno: int, schema: LogSchema) -> tuple[str, str, st
     return user, item, activity, ts
 
 
-def ingest(path, schema: LogSchema | None = None) -> tuple[Catalog, InteractionStore]:
+def ingest(path, activities: tuple[str, ...] | None = None) -> tuple[Catalog, InteractionStore]:
     """Read an interaction log into a catalog and a deduplicated store.
 
-    Dense ids are assigned in first-seen order.  Duplicate rows collapse
-    to one triple (the count is recorded on the store); the keen pairs
-    are the projection of the triples onto (user, item).
+    ``activities`` declares the legal activity names; when None they are
+    inferred from the file.  Dense ids are assigned in first-seen order.
+    Duplicate rows collapse to one triple (the count is recorded on the
+    store); the keen pairs are the projection of the triples onto
+    (user, item).
     """
-    schema = schema or LogSchema()
     users: dict[str, int] = {}
     items: dict[str, int] = {}
-    activities: dict[str, int] = {}
-    declared = None
-    if schema.activities is not None:
-        declared = {name: i for i, name in enumerate(schema.activities)}
-        activities = dict(declared)
+    declared = None if activities is None else {name: i for i, name in enumerate(activities)}
+    activity_ids: dict[str, int] = dict(declared or {})
 
     triples: list[tuple[int, int, int]] = []
     timestamps: dict[tuple[int, int, int], int] = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and schema.has_header:
-                continue
             if not line.strip():
                 continue
-            user, item, activity, ts = _parse_line(line, lineno, schema)
+            user, item, activity, ts = _parse_line(line, lineno)
             if declared is not None and activity not in declared:
                 raise SchemaError(f"line {lineno}: activity {activity!r} not in declared set {sorted(declared)}")
             u = users.setdefault(user, len(users))
             v = items.setdefault(item, len(items))
-            z = activities.setdefault(activity, len(activities))
+            z = activity_ids.setdefault(activity, len(activity_ids))
             t = (u, v, z)
             triples.append(t)
             if t not in timestamps:
@@ -224,7 +198,7 @@ def ingest(path, schema: LogSchema | None = None) -> tuple[Catalog, InteractionS
 
     if not triples:
         raise EmptyDatasetError(f"empty dataset: no interactions in {path}")
-    catalog = Catalog(list(users), list(items), list(activities))
+    catalog = Catalog(list(users), list(items), list(activity_ids))
     store = InteractionStore(catalog, triples, timestamps)
     return catalog, store
 

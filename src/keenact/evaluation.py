@@ -37,12 +37,12 @@ from keenact.fm import AdamState, init_params
 from keenact.scoring import Scorer
 from keenact.training import (
     CandidateSpace,
-    NumericalError,
     TrainConfig,
     TrainedModel,
     pairwise_step,
+    run_phase,
     train,
-    universe_positions,
+    user_spaces,
 )
 from keenact.recommend import act_stage, keen_stage, recommend
 
@@ -160,10 +160,8 @@ def flat_candidate_spaces(store, layout: FeatureLayout, user_feats, item_feats) 
         for v in range(pairs.n_items)
         for z in range(pairs.n_activities)
     )
-    return {
-        u: CandidateSpace(user_part(u, layout, user_feats), table, universe, universe_positions(universe, flat))
-        for u, flat in _flat_by_user(store, pairs).items()
-    }
+    contexts = [user_part(u, layout, user_feats) for u in range(layout.n_users)]
+    return user_spaces(contexts, table, universe, _flat_by_user(store, pairs))
 
 
 def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str) -> BaselineModel:
@@ -180,22 +178,16 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     rng = np.random.Generator(np.random.PCG64(config.seed))
     spaces = flat_candidate_spaces(store, layout, user_feats, item_feats)
     pairs = FlatPairSpace(catalog.n_items, catalog.n_activities)
+    examples = [(u, pairs.flatten(v, z)) for u, v, z in store.triples]
+
+    def step(u: int, flat: int):
+        # the flat space is dominated by item coordinates, so the
+        # item-stage decay is the comparable setting for the baselines
+        return pairwise_step(params, state, config.lambda_keen, spaces[u], flat, rng, config, bpr=kind == "bpr")
+
     report: list[tuple[int, str, str, float]] = []
-    triples = store.triples
     for epoch in range(config.epochs):
-        total = 0.0
-        for i in rng.permutation(len(triples)):
-            u, v, z = triples[i]
-            # the flat space is dominated by item coordinates, so the
-            # item-stage decay is the comparable setting for the baselines
-            result = pairwise_step(
-                params, state, config.lambda_keen, spaces[u], pairs.flatten(v, z), rng, config, bpr=kind == "bpr"
-            )
-            total += float(result.loss)
-        mean_loss = total / max(len(triples), 1)
-        report.append((epoch, f"fm_{kind}", "loss", mean_loss))
-        if not np.isfinite(mean_loss) or not params.all_finite():
-            raise NumericalError(epoch, f"non-finite baseline loss at epoch {epoch}")
+        run_phase(epoch, f"fm_{kind}", examples, step, params, rng, report)
     return BaselineModel(
         params=params,
         layout=layout,

@@ -183,33 +183,6 @@ def read_tag_file(path) -> dict[str, list[str]]:
     return tags
 
 
-def save_feature_matrix(feats: FeatureMatrix, path) -> None:
-    """Persist as triplet text: header ``dims: R C`` then row\\tcol\\tvalue lines."""
-    coo = feats.matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dims: {feats.n_rows} {feats.dim}\n")
-        for r, c, x in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{int(r)}\t{int(c)}\t{float(x)!r}\n")
-
-
-def load_feature_matrix(path, entity_kind: str) -> FeatureMatrix:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("dims: "):
-            raise ValueError(f"{path}: missing 'dims: R C' header")
-        n_rows, n_cols = (int(x) for x in header[len("dims: "):].split())
-        rows, cols, vals = [], [], []
-        for line in fh:
-            if not line.strip():
-                continue
-            r, c, x = line.split("\t")
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(x))
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols), dtype=np.float64)
-    return FeatureMatrix(mat, entity_kind)
-
-
 @dataclass(frozen=True)
 class FeatureLayout:
     """Block offsets for scorer inputs.

@@ -23,6 +23,10 @@ import numpy as np
 from keenact.data import Catalog, InteractionStore
 from keenact.training import sigmoid
 
+LATENT_DIM = 8
+AFFINITY_GAIN = 4.0
+PROPENSITY_SHAPE = 0.4
+
 
 def _calibrate_offset(logits: np.ndarray, target: float) -> float:
     """Offset b with sum(sigmoid(logits + b)) = target, by bisection."""
@@ -41,19 +45,17 @@ def generate_two_stage(
     n_items: int = 500,
     n_activities: int = 2,
     seed: int = 0,
-    latent_dim: int = 8,
-    affinity_gain: float = 4.0,
     items_per_user: tuple[int, int] = (10, 30),
-    propensity_shape: float = 0.4,
 ) -> tuple[Catalog, InteractionStore]:
     """Draw a corpus whose adoption and activity signals are separable.
 
-    Each user adopts items with probability sigmoid(gain * affinity +
-    offset), the offset calibrated per user so expected adoption counts
-    land uniformly inside ``items_per_user``.  Each adopted item then
-    receives activity z with the user's propensity rho[u, z], drawn from
-    a Beta(shape, shape); the U-shaped default pushes most users toward
-    all-or-nothing activity habits.  Every user adopts at least one item
+    Each user adopts items with probability sigmoid(AFFINITY_GAIN *
+    affinity + offset), the offset calibrated per user so expected
+    adoption counts land uniformly inside ``items_per_user``.  Each
+    adopted item then receives activity z with the user's propensity
+    rho[u, z], drawn from a U-shaped Beta(PROPENSITY_SHAPE,
+    PROPENSITY_SHAPE) that pushes most users toward all-or-nothing
+    activity habits.  Every user adopts at least one item
     and every adopted item carries at least one activity.
     """
     if n_users < 1 or n_items < 2 or n_activities < 1:
@@ -63,16 +65,16 @@ def generate_two_stage(
         raise ValueError("items_per_user bounds must satisfy 0 < lo <= hi <= n_items")
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    user_latent = rng.standard_normal((n_users, latent_dim))
-    item_latent = rng.standard_normal((n_items, latent_dim))
-    affinity = (user_latent @ item_latent.T) / math.sqrt(latent_dim)
-    propensity = rng.beta(propensity_shape, propensity_shape, size=(n_users, n_activities))
+    user_latent = rng.standard_normal((n_users, LATENT_DIM))
+    item_latent = rng.standard_normal((n_items, LATENT_DIM))
+    affinity = (user_latent @ item_latent.T) / math.sqrt(LATENT_DIM)
+    propensity = rng.beta(PROPENSITY_SHAPE, PROPENSITY_SHAPE, size=(n_users, n_activities))
 
     triples: list[tuple[int, int, int]] = []
     timestamps: dict[tuple[int, int, int], int] = {}
     base_ts = 1_600_000_000
     for u in range(n_users):
-        logits = affinity_gain * affinity[u]
+        logits = AFFINITY_GAIN * affinity[u]
         target = float(rng.uniform(lo, hi))
         offset = _calibrate_offset(logits, target)
         adopted = np.flatnonzero(rng.random(n_items) < sigmoid(logits + offset))

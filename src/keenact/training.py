@@ -90,6 +90,10 @@ class TrainConfig:
     id_onehots: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and value != "full" and not math.isfinite(float(value)):
+                raise ConfigError(f.name, f"{f.name} must be finite, got {value!r}")
         checks = [
             ("epochs", self.epochs >= 1, "must be >= 1"),
             ("max_neg_samples", self.max_neg_samples >= 1, "must be >= 1"),
@@ -104,11 +108,7 @@ class TrainConfig:
             ("margin", self.margin > 0, "must be > 0"),
         ]
         if self.threshold_negative_ratio != "full":
-            ratio = float(self.threshold_negative_ratio)
-            checks.append(("threshold_negative_ratio", math.isfinite(ratio) and ratio > 0, "must be 'full' or > 0"))
-        for key in ("lr", "beta1", "beta2", "eps", "lambda_keen", "lambda_act", "margin"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(key, f"{key} must be finite, got {getattr(self, key)!r}")
+            checks.append(("threshold_negative_ratio", float(self.threshold_negative_ratio) > 0, "must be 'full' or > 0"))
         for key, ok, rule in checks:
             if not ok:
                 raise ConfigError(key, f"{key} {rule}, got {getattr(self, key)!r}")
@@ -120,7 +120,8 @@ class TrainConfig:
         return asdict(self)
 
 
-CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
+# each key's type is its default's: int, float or bool
+_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -147,26 +148,21 @@ def parse_config(path) -> TrainConfig:
 def config_from_mapping(raw: dict) -> TrainConfig:
     kwargs: dict = {}
     for key, value in raw.items():
-        if key not in CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(key, f"unknown config key {key!r}")
+        text = str(value).strip().lower()
         try:
-            if key in ("epochs", "max_neg_samples", "k", "seed", "threshold_epochs"):
-                kwargs[key] = int(value)
-            elif key == "id_onehots":
-                text = str(value).strip().lower()
-                if isinstance(value, bool):
-                    kwargs[key] = value
-                elif text in _BOOL_VALUES:
-                    kwargs[key] = _BOOL_VALUES[text]
-                else:
+            if key == "threshold_negative_ratio" and text == "full":
+                kwargs[key] = "full"
+            elif isinstance(_DEFAULTS[key], bool):
+                if text not in _BOOL_VALUES:
                     raise ValueError(f"not a boolean: {value!r}")
-            elif key == "threshold_negative_ratio":
-                kwargs[key] = "full" if str(value).strip().lower() == "full" else float(value)
+                kwargs[key] = _BOOL_VALUES[text]
             else:
-                kwargs[key] = float(value)
+                kwargs[key] = type(_DEFAULTS[key])(value)
         except ValueError as exc:
             raise ConfigError(key, f"bad value for {key!r}: {exc}") from None
-    missing = [k for k in CONFIG_KEYS if k not in kwargs]
+    missing = [k for k in _DEFAULTS if k not in kwargs]
     if missing:
         logger.warning("config keys %s not set, using defaults", ", ".join(missing))
     return TrainConfig(**kwargs)
@@ -318,6 +314,14 @@ def universe_positions(universe: np.ndarray, ids) -> np.ndarray:
     return np.searchsorted(universe, np.fromiter(sorted(ids), dtype=np.int64, count=len(ids)))
 
 
+def user_spaces(contexts, table, universe: np.ndarray, positives_by_user: dict) -> dict[int, CandidateSpace]:
+    """Per user u of ``positives_by_user``: context ``contexts[u]`` against the shared table and universe."""
+    return {
+        u: CandidateSpace(contexts[u], table, universe, universe_positions(universe, ids))
+        for u, ids in positives_by_user.items()
+    }
+
+
 def draw_negatives(rng: np.random.Generator, n_universe: int, positives: np.ndarray, cap: int) -> np.ndarray:
     """Positions of ``cap`` distinct negatives, uniform without replacement.
 
@@ -399,6 +403,29 @@ def pairwise_step(
         grad.factors = grad.factors + lam * params.factors[grad.indices]
     adam_update(params, state, grad)
     return StepResult(updated=True, draws=draws, loss=loss)
+
+
+def run_phase(epoch: int, phase: str, examples, step, params: FMParameters, rng, report: list) -> None:
+    """One epoch of ``step`` over ``examples`` in a fresh random order.
+
+    Appends mean loss, draws and violation rate rows to ``report``;
+    raises NumericalError on a non-finite loss sum or ``params``.
+    """
+    order = rng.permutation(len(examples))
+    losses = 0.0
+    draws = 0
+    updates = 0
+    for i in order:
+        result = step(*examples[i])
+        draws += result.draws
+        losses += result.loss
+        updates += int(result.updated)
+    n = max(len(examples), 1)
+    report.append((epoch, phase, "warp_loss", float(losses) / n))
+    report.append((epoch, phase, "mean_draws", draws / n))
+    report.append((epoch, phase, "violation_rate", updates / n))
+    if not math.isfinite(losses) or not params.all_finite():
+        raise NumericalError(epoch, f"non-finite loss or parameters at epoch {epoch}")
 
 
 def fit_thresholds(
@@ -483,9 +510,8 @@ class Trainer:
         self.item_parts = [item_part(v, self.act_layout, item_feats) for v in range(catalog.n_items)]
         self.item_table = pad_parts(self.item_parts)
         self.activity_table = pad_parts(activity_part(z, self.act_layout) for z in self.activity_universe)
-        self.item_positives = [
-            universe_positions(self.item_universe, store.positive_items(u)) for u in range(catalog.n_users)
-        ]
+        positive_items = {u: store.positive_items(u) for u in store.users_with_interactions()}
+        self.keen_spaces = user_spaces(self.user_parts, self.item_table, self.item_universe, positive_items)
         self.activity_positives = {
             (u, v): universe_positions(self.activity_universe, store.positive_activities(u, v))
             for u, v in store.keen_pairs
@@ -496,12 +522,7 @@ class Trainer:
 
     def warp_step_keen(self, u: int, v: int) -> StepResult:
         """One WARP step for a positive item pair; no-op without violation."""
-        space = CandidateSpace(
-            context=self.user_parts[u],
-            table=self.item_table,
-            universe=self.item_universe,
-            positives=self.item_positives[u],
-        )
+        space = self.keen_spaces[u]
         result = pairwise_step(self.keen, self.keen_state, self.config.lambda_keen, space, v, self.rng, self.config)
         if result.skipped:
             logger.warning("user %d is positive on every training item; keen step skipped", u)
@@ -517,28 +538,11 @@ class Trainer:
         )
         return pairwise_step(self.act, self.act_state, self.config.lambda_act, space, z, self.rng, self.config)
 
-    def _run_phase(self, epoch: int, phase: str, examples, step) -> None:
-        order = self.rng.permutation(len(examples))
-        losses = 0.0
-        draws = 0
-        updates = 0
-        for i in order:
-            result = step(*examples[i])
-            draws += result.draws
-            losses += result.loss
-            updates += int(result.updated)
-        n = max(len(examples), 1)
-        self.report.append((epoch, phase, "warp_loss", float(losses) / n))
-        self.report.append((epoch, phase, "mean_draws", draws / n))
-        self.report.append((epoch, phase, "violation_rate", updates / n))
-        if not math.isfinite(losses) or not (self.keen.all_finite() and self.act.all_finite()):
-            raise NumericalError(epoch, f"non-finite loss or parameters at epoch {epoch}")
-
     def run_rank_learning(self) -> None:
         """Phase 1: keen steps over the pairs, then act steps over the triples."""
         for epoch in range(self.config.epochs):
-            self._run_phase(epoch, "keen_rank", self.store.keen_pairs, self.warp_step_keen)
-            self._run_phase(epoch, "act_rank", self.store.triples, self.warp_step_act)
+            run_phase(epoch, "keen_rank", self.store.keen_pairs, self.warp_step_keen, self.keen, self.rng, self.report)
+            run_phase(epoch, "act_rank", self.store.triples, self.warp_step_act, self.act, self.rng, self.report)
 
     # -- phase 2: threshold learning ---------------------------------------
 
@@ -546,7 +550,7 @@ class Trainer:
         """Items a user contributes to threshold fitting and their 0/1 labels:
         all training items, or positives plus a sampled negative subset when
         the ratio is finite."""
-        positives = self.item_positives[u]
+        positives = self.keen_spaces[u].positives
         negative = np.ones(self.item_universe.size, dtype=bool)
         negative[positives] = False
         ratio = self.config.threshold_negative_ratio
@@ -593,10 +597,12 @@ class Trainer:
     def run_threshold_learning(self) -> ThresholdTable:
         item_delta, trained, keen_trace = self.learn_thresholds_keen()
         act_delta, act_trace = self.learn_thresholds_act()
-        for epoch, ce in enumerate(keen_trace):
-            self.report.append((epoch, "keen_threshold", "mean_ce", ce))
-        for epoch, ce in enumerate(act_trace):
-            self.report.append((epoch, "act_threshold", "mean_ce", ce))
+        fits = (("keen_threshold", keen_trace, item_delta), ("act_threshold", act_trace, act_delta))
+        for phase, trace, delta in fits:
+            for epoch, ce in enumerate(trace):
+                self.report.append((epoch, phase, "mean_ce", ce))
+            if not (all(map(math.isfinite, trace)) and np.isfinite(delta).all()):
+                raise NumericalError(len(trace) - 1, f"non-finite {phase} cross-entropy or cutoff")
         fallback = float(item_delta[trained].mean()) if trained.any() else 0.0
         return ThresholdTable(
             item_thresholds=item_delta,

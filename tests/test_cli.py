@@ -147,6 +147,18 @@ class TestTrain:
         assert main(["train", "--log", str(log), "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "lr" in capsys.readouterr().err
 
+    def test_diverging_run_exits_3_without_model(self, tmp_path, capsys):
+        """Finite huge parameters overflow the cutoff scores: exit 3, no NaN model."""
+        log = tmp_path / "log.tsv"
+        assert main(["synth", "--out", str(log), "--users", "20", "--items", "60",
+                     "--items-per-user", "5,10", "--seed", "1"]) == 0
+        config = tmp_path / "diverge.conf"
+        config.write_text("lr = 1e300\nepochs = 2\n", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--log", str(log), "--config", str(config), "--out", str(out_dir)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out_dir / "model.json").exists()
+
 
 class TestEnvironmentOverrides:
     def test_config_from_environment(self, corpus, tmp_path, monkeypatch):

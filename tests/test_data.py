@@ -12,7 +12,6 @@ from keenact.data import (
     Catalog,
     EmptyDatasetError,
     InteractionStore,
-    LogSchema,
     ParseError,
     SchemaError,
     filter_active_users,
@@ -105,16 +104,22 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest(log)
 
+    def test_header_line_is_a_record(self, tmp_path):
+        """A log has no header: a column-name line fails to parse at line 1."""
+        log = write_log(tmp_path / "log.tsv", [("user", "item", "activity", "timestamp"), ("a", "x", "fork", 1)])
+        with pytest.raises(ParseError) as err:
+            ingest(log)
+        assert err.value.line_number == 1
+
     def test_declared_activities_enforced(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", [("a", "x", "star", 1)])
-        schema = LogSchema(activities=("fork", "watch"))
         with pytest.raises(SchemaError):
-            ingest(log, schema)
+            ingest(log, ("fork", "watch"))
 
     def test_declared_activities_fix_ids(self, tmp_path):
         """Declared vocabulary pins activity ids even for unseen types."""
         log = write_log(tmp_path / "log.tsv", [("a", "x", "watch", 1)])
-        catalog, _ = ingest(log, LogSchema(activities=("fork", "watch")))
+        catalog, _ = ingest(log, ("fork", "watch"))
         assert catalog.activities == ("fork", "watch")
         assert catalog.activity_index["watch"] == 1
 
@@ -206,11 +211,6 @@ class TestStore:
         catalog = Catalog(["a"], ["x"], ["fork"])
         with pytest.raises(ValueError):
             InteractionStore(catalog, [(0, 1, 0)])
-
-    def test_activity_counts(self):
-        catalog = Catalog(["a", "b"], ["x"], ["fork", "watch"])
-        store = InteractionStore(catalog, [(0, 0, 0), (1, 0, 0), (0, 0, 1)])
-        assert store.activity_counts() == {0: 2, 1: 1}
 
 
 class TestFilterActiveUsers:

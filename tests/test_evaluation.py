@@ -162,6 +162,20 @@ class TestBaselines:
         b = train_baseline(store, uf, itf, FAST, kind="warp")
         assert not np.array_equal(a.params.w, b.params.w)
 
+    def test_report_rows_per_epoch(self):
+        """Baselines report the stages' three rows; BPR draws and updates once per example."""
+        _, store, uf, itf = small_corpus()
+        reports = {kind: train_baseline(store, uf, itf, FAST, kind=kind).report for kind in ("bpr", "warp")}
+        for kind, report in reports.items():
+            assert [(e, m) for e, _, m, _ in report] == [
+                (e, m) for e in range(FAST.epochs) for m in ("warp_loss", "mean_draws", "violation_rate")
+            ]
+            assert {phase for _, phase, _, _ in report} == {f"fm_{kind}"}
+        bpr = {(e, m): value for e, _, m, value in reports["bpr"]}
+        for epoch in range(FAST.epochs):
+            assert bpr[epoch, "mean_draws"] == 1.0
+            assert bpr[epoch, "violation_rate"] == 1.0
+
     def test_warp_ranks_training_positives_above_chance(self):
         """After training, held-in positives sit far above a random shuffle."""
         catalog, store, uf, itf = small_corpus(seed=9, n_items=30)

@@ -12,9 +12,7 @@ from keenact.features import (
     co_participation_features,
     empty_features,
     l2_normalize_rows,
-    load_feature_matrix,
     read_tag_file,
-    save_feature_matrix,
     tfidf_item_features,
 )
 
@@ -143,22 +141,6 @@ class TestTfidf:
         path = tmp_path / "tags.tsv"
         path.write_bytes(b"\xef\xbb\xbfx\tpython\r\ny\tml\r\n")
         assert read_tag_file(path) == {"x": ["python"], "y": ["ml"]}
-
-
-class TestFeatureMatrixIO:
-    def test_round_trip(self, tmp_path):
-        feats = co_participation_features(two_user_store())
-        path = tmp_path / "feats.tsv"
-        save_feature_matrix(feats, path)
-        loaded = load_feature_matrix(path, "user")
-        np.testing.assert_array_equal(loaded.matrix.toarray(), feats.matrix.toarray())
-        assert loaded.entity_kind == "user"
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "feats.tsv"
-        path.write_text("0\t0\t1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_feature_matrix(path, "user")
 
 
 class TestLayout:
