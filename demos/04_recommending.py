@@ -25,7 +25,7 @@ items = select_items(model, u)
 print("items admitted by stage one:", len(items), "of", catalog.n_items)
 
 # Stage two is only defined on admitted items; asking about a rejected
-# item raises unless you explicitly skip the check.
+# item raises StageOrderError.
 v = int(items[0])
 acts = select_activities(model, u, v)
 print(f"activities admitted on {catalog.items[v]}:", [catalog.activities[z] for z in acts])

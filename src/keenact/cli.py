@@ -253,8 +253,7 @@ def cmd_recommend(args) -> int:
         write_recommendations(recs, args.out, catalog)
         print(f"wrote {args.out}")
     else:
-        for line in recommendation_lines(recs, catalog):
-            print(line)
+        sys.stdout.writelines(recommendation_lines(recs, catalog))
     return 0
 
 

@@ -37,6 +37,7 @@ from keenact.fm import AdamState, init_params
 from keenact.scoring import Scorer
 from keenact.training import (
     CandidateSpace,
+    NumericalError,
     TrainConfig,
     TrainedModel,
     pairwise_step,
@@ -44,7 +45,7 @@ from keenact.training import (
     train,
     user_spaces,
 )
-from keenact.recommend import act_stage, keen_stage, recommend
+from keenact.recommend import accepted_pairs, act_stage, keen_stage
 
 # Not called here since the baselines train through pairwise_step and the
 # rankers score through the stage helpers; the traced benchmark
@@ -52,7 +53,7 @@ from keenact.recommend import act_stage, keen_stage, recommend
 # stay importable from it.
 from keenact.features import assemble_act_input  # noqa: F401
 from keenact.fm import adam_update, combine_gradients, fm_gradient  # noqa: F401
-from keenact.recommend import select_items  # noqa: F401
+from keenact.recommend import recommend, select_items  # noqa: F401
 from keenact.scoring import part_stats  # noqa: F401
 
 logger = logging.getLogger("keenact.evaluation")
@@ -129,22 +130,12 @@ def map_at_k(ranked_by_user: dict, relevant_by_user: dict, k: int | None = None)
 
 @dataclass
 class BaselineModel:
-    params: object
-    layout: FeatureLayout
-    user_feats: FeatureMatrix
-    item_feats: FeatureMatrix
-    seen_items: frozenset
-    kind: str
-    report: list[tuple[int, str, str, float]] = field(default_factory=list)
-    _scorer: Scorer | None = field(default=None, repr=False, compare=False)
+    """A trained flat baseline and its batch scorer over the flat pairs; cold items score feature-only."""
 
-    def scorer(self) -> Scorer:
-        """Cached batch scorer over the flat pairs; cold items score feature-only."""
-        if self._scorer is None:
-            self._scorer = Scorer(
-                self.params, self.layout, self.user_feats, self.item_feats, seen_items=self.seen_items
-            )
-        return self._scorer
+    params: object
+    scorer: Scorer
+    kind: str
+    report: list[tuple[int, str, str, float]]
 
 
 def flat_candidate_spaces(store, layout: FeatureLayout, user_feats, item_feats) -> dict[int, CandidateSpace]:
@@ -188,31 +179,33 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     report: list[tuple[int, str, str, float]] = []
     for epoch in range(config.epochs):
         run_phase(epoch, f"fm_{kind}", examples, step, params, rng, report)
-    return BaselineModel(
-        params=params,
-        layout=layout,
-        user_feats=user_feats,
-        item_feats=item_feats,
-        seen_items=frozenset(store.items_with_interactions()),
-        kind=kind,
-        report=report,
-    )
+    scorer = Scorer(params, layout, user_feats, item_feats, seen_items=frozenset(store.items_with_interactions()))
+    # finite parameters near the float limit can still overflow the
+    # scores, and no phase 2 runs here to catch it in a cross-entropy
+    if not scorer.all_finite():
+        raise NumericalError(config.epochs - 1, f"non-finite fm_{kind} scores after training")
+    return BaselineModel(params=params, scorer=scorer, kind=kind, report=report)
 
 
 # -- ranked candidate lists per variant -------------------------------------
+
+
+def _excluding(flat: np.ndarray, exclude: frozenset) -> list[int]:
+    """``flat`` in its own order without the ids in ``exclude``, as Python ints."""
+    return flat[~np.isin(flat, list(exclude))].tolist()
 
 
 def _ordered_flat(scores: np.ndarray, exclude: frozenset, keep: np.ndarray | None = None) -> list[int]:
     """Flat ids by score descending, ties by id; ``keep`` masks the candidates."""
     flat_ids = np.arange(len(scores), dtype=np.int64) if keep is None else np.flatnonzero(keep)
     order = np.lexsort((flat_ids, -scores[flat_ids]))
-    return [int(f) for f in flat_ids[order] if f not in exclude]
+    return _excluding(flat_ids[order], exclude)
 
 
 def rank_keen2act(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
     """Thresholded two-stage list in recommendation order (may be short)."""
-    flat = (space.flatten(e.item, e.activity) for e in recommend(model, u).entries)
-    return [f for f in flat if f not in exclude]
+    items, activities, _, _ = accepted_pairs(model, u)
+    return _excluding(items * space.n_activities + activities, exclude)
 
 
 def rank_keen_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
@@ -221,7 +214,7 @@ def rank_keen_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: f
     items = np.flatnonzero(keep)
     items = items[np.lexsort((items, -scores[items]))]
     flat = (items[:, None] * space.n_activities + np.arange(space.n_activities)).reshape(-1)
-    return [int(f) for f in flat if f not in exclude]
+    return _excluding(flat, exclude)
 
 
 def rank_act_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
@@ -231,7 +224,7 @@ def rank_act_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: fr
 
 
 def rank_baseline(baseline: BaselineModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
-    scores = baseline.scorer().score_pair_matrix(u).reshape(-1)
+    scores = baseline.scorer.score_pair_matrix(u).reshape(-1)
     return _ordered_flat(scores, exclude)
 
 

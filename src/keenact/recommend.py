@@ -9,6 +9,7 @@ positive decisions, ordered by keen score and then by act score.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,7 @@ class StageOrderError(RuntimeError):
     """Activity selection was asked for an item that stage one rejected."""
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     item: int
     activity: int
     keen_score: float
@@ -91,15 +91,15 @@ def select_items(model: TrainedModel, u: int, items: np.ndarray | None = None) -
     return items[keen_stage(model, u, items)[1]]
 
 
-def select_activities(model: TrainedModel, u: int, v: int, verify_item: bool = True) -> np.ndarray:
+def select_activities(model: TrainedModel, u: int, v: int) -> np.ndarray:
     """Activities on item ``v`` that stage two accepts, ascending ids.
 
-    Stage two is only defined for items stage one selected; by default
-    that contract is checked and violations raise StageOrderError.
+    Stage two is only defined for items stage one selected; asking about
+    any other item raises StageOrderError.
     """
     _check_user(model, u)
     _check_item(model, v)
-    if verify_item and not keen_stage(model, u, np.array([v]))[1][0]:
+    if not keen_stage(model, u, np.array([v]))[1][0]:
         raise StageOrderError(f"item {v} was not selected for user {u}")
     return np.flatnonzero(act_stage(model, u, np.array([v]))[1][0])
 
@@ -114,11 +114,12 @@ def decide(model: TrainedModel, u: int, v: int, z: int) -> bool:
     return bool(keen_stage(model, u, item)[1][0] and act_stage(model, u, item)[1][0, z])
 
 
-def recommend(model: TrainedModel, u: int, k: int | None = None) -> RecommendationList:
-    """Ranked (item, activity) pairs accepted by both stages.
+def accepted_pairs(model: TrainedModel, u: int, k: int | None = None) -> tuple[np.ndarray, ...]:
+    """Items, activities, keen scores and act scores of the pairs both stages accept.
 
-    Items with no accepted activity are dropped.  ``k`` truncates the
-    flattened pair list; None keeps everything.
+    The four arrays are in list order: keen score descending, then act
+    score descending within an item, ascending ids breaking exact ties.
+    ``k`` keeps the first k pairs; None keeps everything.
     """
     _check_user(model, u)
     if k is not None and k < 1:
@@ -132,25 +133,24 @@ def recommend(model: TrainedModel, u: int, k: int | None = None) -> Recommendati
     order = np.argsort(-act[items], axis=1, kind="stable")
     rows, cols = np.nonzero(np.take_along_axis(act_ok[items], order, axis=1))
     pair_items, pair_acts = items[rows[:k]], order[rows[:k], cols[:k]]
-    entries = [
-        Recommendation(item=int(v), activity=int(z), keen_score=float(keen[v]), act_score=float(act[v, z]))
-        for v, z in zip(pair_items, pair_acts)
-    ]
-    return RecommendationList(user=u, entries=entries)
+    return pair_items, pair_acts, keen[pair_items], act[pair_items, pair_acts]
+
+
+def recommend(model: TrainedModel, u: int, k: int | None = None) -> RecommendationList:
+    """The pairs of ``accepted_pairs`` as entries whose fields are Python ints and floats."""
+    columns = accepted_pairs(model, u, k)
+    return RecommendationList(user=u, entries=list(map(Recommendation, *(c.tolist() for c in columns))))
 
 
 def recommendation_lines(recs: list[RecommendationList], catalog):
-    """``user_id<TAB>item_id<TAB>activity<TAB>keen_score<TAB>act_score<TAB>rank`` per pair."""
+    """One ``user_id<TAB>item_id<TAB>activity<TAB>keen_score<TAB>act_score<TAB>rank`` line per pair, newline included."""
     for rec in recs:
-        for rank, entry in enumerate(rec.entries, start=1):
-            yield (
-                f"{catalog.users[rec.user]}\t{catalog.items[entry.item]}\t"
-                f"{catalog.activities[entry.activity]}\t{entry.keen_score!r}\t"
-                f"{entry.act_score!r}\t{rank}"
-            )
+        user = catalog.users[rec.user]
+        for rank, (v, z, keen, act) in enumerate(rec.entries, start=1):
+            yield f"{user}\t{catalog.items[v]}\t{catalog.activities[z]}\t{keen!r}\t{act!r}\t{rank}\n"
 
 
 def write_recommendations(recs: list[RecommendationList], path, catalog) -> None:
-    """Write ``recommendation_lines`` to ``path``, one per line."""
+    """Write ``recommendation_lines`` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in recommendation_lines(recs, catalog))
+        fh.writelines(recommendation_lines(recs, catalog))

@@ -155,15 +155,16 @@ class Scorer:
         self._item_base, self._item_s = _block_stats(
             params, item_oh, layout.n_items, layout.item_feat_offset, item_feats, onehot_mask=mask
         )
-        if layout.n_activities:
-            oh = params.factors[layout.activity_offset : layout.activity_offset + layout.n_activities]
-            self._act_base = params.w[layout.activity_offset : layout.activity_offset + layout.n_activities].copy()
-            self._act_s = oh.copy()
-            self._item_act_cross = self._item_s @ self._act_s.T
-        else:
-            self._act_base = None
-            self._act_s = None
-            self._item_act_cross = None
+        # the activity block is the layout's last; the keen layout has none
+        activities = slice(layout.activity_offset, layout.dim)
+        self._act_base = params.w[activities].copy()
+        self._act_s = params.factors[activities].copy()
+        self._item_act_cross = self._item_s @ self._act_s.T
+
+    def all_finite(self) -> bool:
+        """True when every cached per-user, per-item and per-activity term is finite."""
+        terms = (self._user_base, self._user_s, self._item_base, self._item_s, self._act_base, self._act_s)
+        return all(np.isfinite(t).all() for t in (*terms, self._item_act_cross))
 
     def _check_user(self, u: int) -> None:
         if not (0 <= u < self.layout.n_users):
@@ -186,7 +187,7 @@ class Scorer:
     def _pair_matrix(self, u: int, rows: slice | np.ndarray) -> np.ndarray:
         """The act score of user ``u`` on the item rows ``rows`` selects, for every activity."""
         self._check_user(u)
-        if self._act_s is None:
+        if not self.layout.n_activities:
             raise ValueError("scorer layout has no activity block")
         us = self._user_s[u]
         item_terms = self._item_base[rows] + self._item_s[rows] @ us

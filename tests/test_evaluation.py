@@ -23,7 +23,7 @@ from keenact.evaluation import (
 from keenact.features import co_participation_features, empty_features, l2_normalize_rows
 from keenact.recommend import recommend
 from keenact.synth import generate_two_stage
-from keenact.training import TrainConfig, train
+from keenact.training import NumericalError, TrainConfig, train
 
 FAST = TrainConfig(epochs=2, k=4, threshold_epochs=3, max_neg_samples=5)
 
@@ -176,6 +176,18 @@ class TestBaselines:
             assert bpr[epoch, "mean_draws"] == 1.0
             assert bpr[epoch, "violation_rate"] == 1.0
 
+    def test_overflowing_scores_raise(self):
+        """Finite parameters whose scores overflow raise instead of ranking by NaN.
+
+        At this step size the WARP losses stay finite (the second epoch
+        reads 0.0), so only the scores show the divergence.
+        """
+        catalog, store = generate_two_stage(20, 60, 2, seed=1, items_per_user=(5, 10))
+        uf = l2_normalize_rows(co_participation_features(store))
+        itf = empty_features(catalog.n_items, "item")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            train_baseline(store, uf, itf, TrainConfig(lr=1e300, epochs=2), kind="warp")
+
     def test_warp_ranks_training_positives_above_chance(self):
         """After training, held-in positives sit far above a random shuffle."""
         catalog, store, uf, itf = small_corpus(seed=9, n_items=30)
@@ -218,10 +230,14 @@ class TestRankers:
                 assert got == [f for f in base if f not in dropped]
 
     def test_keen2act_matches_recommendations(self):
-        for u in range(3):
-            recs = recommend(self.model, u)
-            expected = [self.space.flatten(e.item, e.activity) for e in recs.entries]
-            assert rank_keen2act(self.model, self.space, u, frozenset()) == expected
+        """Equal to filtering recommend()'s entries one by one, for every user."""
+        positives = {u: {(v, z) for _, v, z in rows} for u, rows in self.store.triples_by_user().items()}
+        for u in range(self.catalog.n_users):
+            flat = [self.space.flatten(e.item, e.activity) for e in recommend(self.model, u).entries]
+            held_in = frozenset(self.space.flatten(v, z) for v, z in positives.get(u, ()))
+            for exclude in (frozenset(), held_in, frozenset(flat[::2]) | {self.space.size - 1}):
+                expected = [f for f in flat if f not in exclude]
+                assert rank_keen2act(self.model, self.space, u, exclude) == expected
 
     def test_keen_only_expands_selected_items_over_all_activities(self):
         from keenact.recommend import select_items

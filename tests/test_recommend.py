@@ -9,9 +9,14 @@ from keenact.data import Catalog
 from keenact.features import FeatureLayout, empty_features
 from keenact.fm import FMParameters, init_params
 from keenact.recommend import (
+    Recommendation,
+    RecommendationList,
     StageOrderError,
+    act_stage,
     decide,
+    keen_stage,
     recommend,
+    recommendation_lines,
     select_activities,
     select_items,
     write_recommendations,
@@ -133,7 +138,8 @@ class TestSelectActivities:
         model = build_model([0.5], [[1.0]], item_cutoffs=[2.0], act_cutoffs=[0.0])
         with pytest.raises(StageOrderError):
             select_activities(model, 0, 0)
-        np.testing.assert_array_equal(select_activities(model, 0, 0, verify_item=False), [0])
+        # stage two alone still accepts the pair
+        np.testing.assert_array_equal(np.flatnonzero(act_stage(model, 0, np.array([0]))[1][0]), [0])
 
     def test_empty_activity_set(self):
         model = build_model([1.0], [[-2.0, -3.0]], item_cutoffs=[0.0], act_cutoffs=[0.0, 0.0])
@@ -170,7 +176,7 @@ class TestDecide:
             selected = set(int(v) for v in select_items(model, 0))
             for v in range(n_items):
                 acts = (
-                    set(int(z) for z in select_activities(model, 0, v, verify_item=False))
+                    set(int(z) for z in np.flatnonzero(act_stage(model, 0, np.array([v]))[1][0]))
                     if v in selected
                     else set()
                 )
@@ -364,3 +370,62 @@ class TestOutput:
         assert float(act_score) == 0.7
         assert rank == "1"
         assert [line.split("\t")[5] for line in lines] == ["1", "2", "3"]
+
+
+def reference_lines(model, u, pairs):
+    """Reference formatting of one user's list: float() of each numpy score, one lookup per field and pair."""
+    keen, act = keen_stage(model, u)[0], act_stage(model, u)[0]
+    catalog = model.catalog
+    return [
+        f"{catalog.users[u]}\t{catalog.items[v]}\t{catalog.activities[z]}\t"
+        f"{float(np.float64(keen[v]))!r}\t{float(np.float64(act[v, z]))!r}\t{rank}\n"
+        for rank, (v, z) in enumerate(pairs, start=1)
+    ]
+
+
+# finite scores at the edges of float64 next to ordinary ones
+edge_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestListPath:
+    """Entries and written lines of the array-built recommendation list."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lines_match_per_pair_formatting(self, data):
+        n_items = data.draw(st.integers(1, 6))
+        n_acts = data.draw(st.integers(1, 3))
+        # a few distinct keen values make repeated keen scores common
+        pool = data.draw(st.lists(edge_floats, min_size=1, max_size=3))
+        keen = data.draw(st.lists(st.sampled_from(pool), min_size=n_items, max_size=n_items))
+        act = data.draw(st.lists(edge_floats, min_size=n_items * n_acts, max_size=n_items * n_acts))
+        item_cutoffs = data.draw(st.lists(st.sampled_from(pool + [-np.inf]), min_size=n_items, max_size=n_items))
+        act_cutoffs = data.draw(st.lists(edge_floats | st.just(-np.inf), min_size=n_acts, max_size=n_acts))
+        model = build_model(keen, np.reshape(act, (n_items, n_acts)), item_cutoffs, act_cutoffs, n_users=2)
+        recs = [recommend(model, u) for u in range(2)]
+        expected = [
+            line for rec in recs for line in reference_lines(model, rec.user, [(v, z) for v, z, _, _ in rec.entries])
+        ]
+        assert list(recommendation_lines(recs, model.catalog)) == expected
+        for rec in recs:
+            for entry in rec.entries:
+                assert [type(x) for x in entry] == [int, int, float, float]
+
+    @given(st.lists(edge_floats, min_size=1, max_size=8))
+    def test_tolist_floats_print_as_numpy_floats(self, values):
+        """The bytes a score writes do not depend on how it left its array."""
+        column = np.array(values, dtype=np.float64)
+        assert [repr(x) for x in column.tolist()] == [repr(float(x)) for x in column]
+
+    def test_positional_list_as_the_benchmark_builds_it(self):
+        entries = [Recommendation(3, 1, 0.9, 0.5), Recommendation(3, 0, 0.9, 0.2), Recommendation(1, 0, 0.4, 0.8)]
+        recs = RecommendationList(0, entries)
+        assert recs.is_ordered()
+        assert not RecommendationList(0, entries[::-1]).is_ordered()
+        assert recs.pairs() == {(3, 1), (3, 0), (1, 0)}
+        assert entries[0].keen_score == 0.9 and entries[0] == (3, 1, 0.9, 0.5)
+        with pytest.raises(AttributeError):
+            entries[0].item = 2
