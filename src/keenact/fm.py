@@ -3,7 +3,10 @@
 A score is w0 + sum_i w_i x_i + 0.5 * sum_f [(sum_i v_if x_i)^2
 - sum_i v_if^2 x_i^2], evaluated over the nonzero entries of x only.
 One parameter set backs one scorer; the Keen and Act models share
-nothing.
+nothing.  Each set keeps w and V in one (dim, k+1) table whose row i is
+[w_i | v_i], so a gradient is one block of rows and an Adam update one
+step over them.  The bias w0 is part of the formula and the snapshot but
+is never trained: the pairwise losses do not depend on it.
 """
 
 from __future__ import annotations
@@ -15,53 +18,68 @@ import numpy as np
 from keenact.features import SparseVector
 
 
-@dataclass
 class FMParameters:
-    """Global bias, linear weights (dim,) and latent factors (dim, k)."""
+    """Global bias and one (dim, k+1) table of rows [w_i | v_i].
 
-    w0: float
-    w: np.ndarray
-    factors: np.ndarray
+    ``w`` (dim,) and ``factors`` (dim, k) are views of the table.
+    """
+
+    def __init__(self, w0: float, w: np.ndarray, factors: np.ndarray):
+        if np.ndim(w) != 1 or np.ndim(factors) != 2 or len(factors) != len(w):
+            raise ValueError(f"w {np.shape(w)} and factors {np.shape(factors)} need shapes (dim,) and (dim, k)")
+        self.w0 = w0
+        self.table = np.column_stack((w, factors))
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def factors(self) -> np.ndarray:
+        return self.table[:, 1:]
 
     @property
     def dim(self) -> int:
-        return self.w.shape[0]
+        return self.table.shape[0]
 
     @property
     def k(self) -> int:
-        return self.factors.shape[1]
+        return self.table.shape[1] - 1
 
     def all_finite(self) -> bool:
-        return bool(np.isfinite(self.w0) and np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.factors)))
+        return bool(np.isfinite(self.w0) and np.all(np.isfinite(self.table)))
 
     def copy(self) -> "FMParameters":
-        return FMParameters(self.w0, self.w.copy(), self.factors.copy())
+        return FMParameters(self.w0, self.w, self.factors)
 
 
 @dataclass
 class FMGradient:
-    """Per-example gradient, sparse over the touched indices."""
+    """Per-example gradient, sparse over the touched indices: one [w | V] row each."""
 
     w0: float
     indices: np.ndarray
-    w: np.ndarray
-    factors: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.rows[:, 0]
+
+    @property
+    def factors(self) -> np.ndarray:
+        return self.rows[:, 1:]
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators matching FMParameters' shape.
+    """First/second moment tables matching FMParameters.table.
 
-    Sparse gradients touch only their own coordinates' moments; the step
+    Sparse gradients touch only their own rows' moments; the step
     counter t is global.
     """
 
-    m_w0: float
-    v_w0: float
-    m_w: np.ndarray
-    v_w: np.ndarray
-    m_factors: np.ndarray
-    v_factors: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     t: int
     alpha: float
     beta1: float
@@ -78,12 +96,8 @@ class AdamState:
         eps: float = 1e-8,
     ) -> "AdamState":
         return cls(
-            m_w0=0.0,
-            v_w0=0.0,
-            m_w=np.zeros_like(params.w),
-            v_w=np.zeros_like(params.w),
-            m_factors=np.zeros_like(params.factors),
-            v_factors=np.zeros_like(params.factors),
+            m=np.zeros_like(params.table),
+            v=np.zeros_like(params.table),
             t=0,
             alpha=alpha,
             beta1=beta1,
@@ -125,7 +139,7 @@ def fm_gradient(params: FMParameters, x: SparseVector, upstream: float) -> FMGra
     rows = params.factors[idx]
     s = rows.T @ val
     g_factors = upstream * (val[:, None] * s[None, :] - rows * (val * val)[:, None])
-    return FMGradient(w0=float(upstream), indices=idx, w=upstream * val, factors=g_factors)
+    return FMGradient(w0=float(upstream), indices=idx, rows=np.column_stack((upstream * val, g_factors)))
 
 
 def combine_gradients(grads: list[FMGradient]) -> FMGradient:
@@ -133,12 +147,9 @@ def combine_gradients(grads: list[FMGradient]) -> FMGradient:
     w0 = float(sum(g.w0 for g in grads))
     idx = np.concatenate([g.indices for g in grads])
     uniq, inverse = np.unique(idx, return_inverse=True)
-    w = np.zeros(uniq.size)
-    np.add.at(w, inverse, np.concatenate([g.w for g in grads]))
-    k = grads[0].factors.shape[1]
-    factors = np.zeros((uniq.size, k))
-    np.add.at(factors, inverse, np.vstack([g.factors for g in grads]))
-    return FMGradient(w0=w0, indices=uniq, w=w, factors=factors)
+    rows = np.zeros((uniq.size, grads[0].rows.shape[1]))
+    np.add.at(rows, inverse, np.vstack([g.rows for g in grads]))
+    return FMGradient(w0=w0, indices=uniq, rows=rows)
 
 
 def adam_moves(m, v, grad, t, alpha: float, beta1: float, beta2: float, eps: float):
@@ -155,17 +166,16 @@ def adam_moves(m, v, grad, t, alpha: float, beta1: float, beta2: float, eps: flo
 
 
 def adam_update(params: FMParameters, state: AdamState, grad: FMGradient) -> tuple[FMParameters, AdamState]:
-    """One bias-corrected Adam step, in place; sparse over grad.indices."""
+    """One bias-corrected Adam step, in place; sparse over grad.indices.
+
+    ``grad.w0`` is not applied and ``params.w0`` does not move: every
+    loss trained here is a difference of two scores, in which the bias
+    cancels, so its gradient is always 0 (Rendle et al., BPR, 2009).
+    """
     state.t += 1
-    hyper = (state.t, state.alpha, state.beta1, state.beta2, state.eps)
-    state.m_w0, state.v_w0, step = adam_moves(state.m_w0, state.v_w0, grad.w0, *hyper)
-    params.w0 -= step
     idx = grad.indices
-    if idx.size:
-        state.m_w[idx], state.v_w[idx], step = adam_moves(state.m_w[idx], state.v_w[idx], grad.w, *hyper)
-        params.w[idx] -= step
-        state.m_factors[idx], state.v_factors[idx], step = adam_moves(
-            state.m_factors[idx], state.v_factors[idx], grad.factors, *hyper
-        )
-        params.factors[idx] -= step
+    state.m[idx], state.v[idx], step = adam_moves(
+        state.m[idx], state.v[idx], grad.rows, state.t, state.alpha, state.beta1, state.beta2, state.eps
+    )
+    params.table[idx] -= step
     return params, state

@@ -25,18 +25,19 @@ def part_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[
     """(base, factor sum) for one part given absolute indices."""
     if idx.size == 0:
         return 0.0, np.zeros(params.k)
-    rows = params.factors[idx]
-    s = rows.T @ val
-    vx = rows * val[:, None]
-    base = params.w[idx] @ val + 0.5 * (s @ s - (vx * vx).sum())
+    rows = params.table[idx]
+    s = rows[:, 1:].T @ val
+    vx = rows[:, 1:] * val[:, None]
+    base = rows[:, 0] @ val + 0.5 * (s @ s - (vx * vx).sum())
     return float(base), s
 
 
 def table_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """part_stats for every row of a padded part table: (base per row, factor sums)."""
-    vx = params.factors[idx] * val[:, :, None]
+    rows = params.table[idx]
+    vx = rows[:, :, 1:] * val[:, :, None]
     s = vx.sum(axis=1)
-    base = (params.w[idx] * val).sum(axis=1) + 0.5 * ((s * s).sum(axis=1) - (vx * vx).sum(axis=(1, 2)))
+    base = (rows[:, :, 0] * val).sum(axis=1) + 0.5 * ((s * s).sum(axis=1) - (vx * vx).sum(axis=(1, 2)))
     return base, s
 
 
@@ -64,21 +65,17 @@ def part_gradient(
     w_pos, w_neg = -weight * pval, weight * nval
     g_pos = w_pos[:, None] * (s_ctx + s_pos) - (w_pos * pval)[:, None] * params.factors[pidx]
     g_neg = w_neg[:, None] * (s_ctx + s_neg) - (w_neg * nval)[:, None] * params.factors[nidx]
+    g_pos, g_neg = np.column_stack((w_pos, g_pos)), np.column_stack((w_neg, g_neg))
     if pidx.size and nidx.size:
         loc = np.searchsorted(pidx, nidx)
         shared = pidx[np.minimum(loc, pidx.size - 1)] == nidx
         if shared.any():
-            w_pos[loc[shared]] += w_neg[shared]
             g_pos[loc[shared]] += g_neg[shared]
             own = ~shared
-            nidx, w_neg, g_neg = nidx[own], w_neg[own], g_neg[own]
+            nidx, g_neg = nidx[own], g_neg[own]
     cidx, cval = context
-    return FMGradient(
-        w0=0.0,
-        indices=np.concatenate([cidx, pidx, nidx]),
-        w=np.concatenate([np.zeros(cidx.size), w_pos, w_neg]),
-        factors=np.concatenate([weight * cval[:, None] * (s_neg - s_pos), g_pos, g_neg]),
-    )
+    g_ctx = np.column_stack((np.zeros(cidx.size), weight * cval[:, None] * (s_neg - s_pos)))
+    return FMGradient(w0=0.0, indices=np.concatenate([cidx, pidx, nidx]), rows=np.concatenate([g_ctx, g_pos, g_neg]))
 
 
 def _block_stats(
@@ -101,11 +98,11 @@ def _block_stats(
     sumsq = np.zeros(n_entities)
     if d:
         mat: sparse.csr_matrix = feats.matrix
-        vf = params.factors[feat_offset : feat_offset + d]
-        wf = params.w[feat_offset : feat_offset + d]
-        s += mat @ vf
-        lin += mat @ wf
-        sumsq += mat.power(2) @ (vf * vf).sum(axis=1)
+        block = params.table[feat_offset : feat_offset + d]
+        prod = mat @ block
+        lin += prod[:, 0]
+        s += prod[:, 1:]
+        sumsq += mat.power(2) @ (block[:, 1:] ** 2).sum(axis=1)
     if onehot_offset is not None:
         oh = params.factors[onehot_offset : onehot_offset + n_entities]
         w_oh = params.w[onehot_offset : onehot_offset + n_entities]

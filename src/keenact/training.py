@@ -371,7 +371,8 @@ def pairwise_step(
     estimated rank (WSABIE); ``draws`` is that violator's 1-based
     position, or the number drawn when none violates.  BPR draws one
     negative and always updates, weighted by sigmoid(-(s_pos - s_neg)).
-    ``lam`` is the L2 decay on the touched rows.
+    ``lam`` is the L2 decay on the touched rows.  The scores leave out
+    w0, which cancels in every difference taken.
     """
     total_neg = space.universe.size - space.positives.size
     if total_neg <= 0:
@@ -381,7 +382,7 @@ def pairwise_step(
     candidates = np.concatenate(([positive], negatives))
     cbase, s_ctx = part_stats(params, *space.context)
     base, s = table_stats(params, space.table[0][candidates], space.table[1][candidates])
-    scores = params.w0 + cbase + base + s @ s_ctx
+    scores = cbase + base + s @ s_ctx
     # BPR updates on its single negative; WARP on the first margin violator
     j = 0
     if not bpr:
@@ -399,8 +400,7 @@ def pairwise_step(
     c = int(negatives[j])
     grad = part_gradient(params, space.context, space.part(positive), space.part(c), s_ctx, s[0], s[draws], weight)
     if lam:
-        grad.w = grad.w + lam * params.w[grad.indices]
-        grad.factors = grad.factors + lam * params.factors[grad.indices]
+        grad.rows = grad.rows + lam * params.table[grad.indices]
     adam_update(params, state, grad)
     return StepResult(updated=True, draws=draws, loss=loss)
 

@@ -35,8 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def random_params(rng, dim, k):
     params = init_params(dim, k, seed=int(rng.integers(1 << 30)), scale=0.5)
     params.w0 = float(rng.normal())
-    params.w = rng.normal(size=dim)
-    params.factors = rng.normal(size=(dim, k))
+    params.w[:] = rng.normal(size=dim)
+    params.factors[:] = rng.normal(size=(dim, k))
     return params
 
 

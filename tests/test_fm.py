@@ -243,6 +243,50 @@ class TestInit:
             init_params(4, 0, seed=0)
 
 
+class TestTable:
+    """w and factors are views of one [w | V] table, which Adam updates row by row."""
+
+    def test_views_share_the_table(self):
+        params = random_params(np.random.default_rng(20), dim=5, k=3)
+        assert params.table.shape == (5, 4)
+        assert np.shares_memory(params.w, params.table)
+        assert np.shares_memory(params.factors, params.table)
+
+    @pytest.mark.parametrize("w_shape, f_shape", [((5, 2), (5, 1)), ((5,), (4, 2)), ((5,), (5,))])
+    def test_constructor_rejects_mismatched_shapes(self, w_shape, f_shape):
+        with pytest.raises(ValueError):
+            FMParameters(0.0, np.zeros(w_shape), np.zeros(f_shape))
+
+    def test_update_shows_through_both_views(self):
+        rng = np.random.default_rng(21)
+        params = random_params(rng, dim=6, k=2)
+        before = params.copy()
+        state = AdamState.for_params(params)
+        assert state.m.shape == state.v.shape == params.table.shape
+        touched = [1, 4]
+        adam_update(params, state, fm_gradient(params, SparseVector.from_entries([(1, 2.0), (4, -1.0)], 6), 1.0))
+        assert np.all(params.w[touched] != before.w[touched])
+        assert np.all(params.factors[touched] != before.factors[touched])
+
+    def test_copy_is_independent(self):
+        params = random_params(np.random.default_rng(22), dim=4, k=2)
+        twin = params.copy()
+        twin.w[0] += 1.0
+        twin.factors[1, 1] += 1.0
+        assert not np.shares_memory(twin.table, params.table)
+        assert params.w[0] != twin.w[0] and params.factors[1, 1] != twin.factors[1, 1]
+
+    def test_bias_is_not_stepped(self):
+        """A pairwise loss never moves w0, so the update leaves it even when its gradient is not 0."""
+        rng = np.random.default_rng(23)
+        params = random_params(rng, dim=5, k=2)
+        w0 = params.w0
+        grad = fm_gradient(params, SparseVector.from_entries([(2, 1.0)], 5), upstream=1.0)
+        assert grad.w0 != 0.0
+        adam_update(params, AdamState.for_params(params), grad)
+        assert params.w0 == w0
+
+
 class TestAdam:
     """Sparse Adam semantics on fresh state."""
 

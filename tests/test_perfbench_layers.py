@@ -44,3 +44,5 @@ def test_instrument_installs_and_uninstalls():
     assert totals["training.keen_rank"]["calls"] == store.n_pairs
     assert totals["training.act_rank"]["calls"] == store.n_triples
     assert rec.counters["training.keen_draws"] > 0
+    # fm.updates counts one fm.adam span per applied update
+    assert totals["fm.adam"]["calls"] == rec.counters["training.keen_updates"] + rec.counters["training.act_updates"]

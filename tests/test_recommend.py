@@ -277,8 +277,8 @@ class TestRecommend:
             model = two_item_model(n_users=3)
             model.keen = init_params(model.keen_layout.dim, 4, seed=trial, scale=1.0)
             model.act = init_params(model.act_layout.dim, 4, seed=trial + 100, scale=1.0)
-            model.keen.w = rng.normal(size=model.keen_layout.dim)
-            model.act.w = rng.normal(size=model.act_layout.dim)
+            model.keen.w[:] = rng.normal(size=model.keen_layout.dim)
+            model.act.w[:] = rng.normal(size=model.act_layout.dim)
             model._scorers = None
             keen_scorer, _ = model.scorers()
             median = float(np.median(keen_scorer.score_items(0)))

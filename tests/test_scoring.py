@@ -44,9 +44,9 @@ def random_setup(seed, n_users=6, n_items=9, n_acts=3, d_item=4, id_onehots=True
     keen_params = init_params(keen_layout.dim, 5, seed=seed + 1, scale=0.5)
     act_params = init_params(act_layout.dim, 5, seed=seed + 2, scale=0.5)
     keen_params.w0 = 0.3
-    keen_params.w = rng.normal(size=keen_layout.dim)
+    keen_params.w[:] = rng.normal(size=keen_layout.dim)
     act_params.w0 = -0.2
-    act_params.w = rng.normal(size=act_layout.dim)
+    act_params.w[:] = rng.normal(size=act_layout.dim)
     return catalog, store, user_feats, item_feats, keen_layout, act_layout, keen_params, act_params
 
 
@@ -55,7 +55,7 @@ class TestPartStats:
         """base folds the linear and within-part pairwise contributions."""
         rng = np.random.default_rng(2)
         params = init_params(6, 3, seed=0, scale=0.4)
-        params.w = rng.normal(size=6)
+        params.w[:] = rng.normal(size=6)
         idx = np.array([1, 4], dtype=np.int64)
         val = np.array([2.0, -1.0])
         base, s = part_stats(params, idx, val)

@@ -213,6 +213,8 @@ class TestContract:
             put(lambda w: [w], "act", "w"),
             put(lambda f: f[:-1], "keen", "factors"),
             put(lambda f: [row[:-1] for row in f], "act", "factors"),
+            put(lambda p: {**p, "w": [[w, f[0]] for w, f in zip(p["w"], p["factors"])],
+                           "factors": [f[1:] for f in p["factors"]]}, "keen"),
             put(lambda t: t + [0.0], "thresholds", "item"),
             put(lambda t: t[:-1], "thresholds", "activity"),
             put(lambda t: t[:-1], "thresholds", "trained"),
@@ -224,7 +226,7 @@ class TestContract:
             "missing-keen", "missing-item-thresholds", "missing-factors", "missing-layout-field",
             "thresholds-not-object", "params-not-object", "seen-not-list", "fallback-null",
             "unknown-layout-field", "short-w", "w-not-vector", "short-factors", "narrow-factors",
-            "long-item-thresholds", "short-activity-thresholds", "short-trained-mask",
+            "w-as-rows", "long-item-thresholds", "short-activity-thresholds", "short-trained-mask",
             "seen-item-too-large", "seen-item-negative", "bad-config",
         ],
     )

@@ -527,8 +527,7 @@ def reference_warp_step(rng, config, params, state, lam, universe, positives, as
         if fm_score(params, x_pos) < config.margin + fm_score(params, x_neg):
             weight = phi(estimate_rank(total_neg, draws))
             grad = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
-            grad.w = grad.w + lam * params.w[grad.indices]
-            grad.factors = grad.factors + lam * params.factors[grad.indices]
+            grad.rows = grad.rows + lam * params.table[grad.indices]
             adam_update(params, state, grad)
             return True, draws
     return False, draws
@@ -588,8 +587,7 @@ def reference_sparse_warp_step(rng, config, params, state, lam, universe, positi
         if fm_score(params, x_pos) < config.margin + fm_score(params, x_neg):
             weight = phi(estimate_rank(total_neg, draws))
             grad = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
-            grad.w = grad.w + lam * params.w[grad.indices]
-            grad.factors = grad.factors + lam * params.factors[grad.indices]
+            grad.rows = grad.rows + lam * params.table[grad.indices]
             adam_update(params, state, grad)
             return True, draws
     return False, len(negatives)
@@ -799,6 +797,12 @@ class TestTrain:
         np.testing.assert_array_equal(a.act.factors, b.act.factors)
         np.testing.assert_array_equal(a.thresholds.item_thresholds, b.thresholds.item_thresholds)
         assert a.report == b.report
+
+    def test_bias_is_never_trained(self):
+        """Pairwise losses do not depend on w0, so both scorers keep its initial 0.0."""
+        store, uf, itf = small_store(seed=11, density=50)
+        model = train(store, uf, itf, TrainConfig(seed=4, epochs=2))
+        assert (model.keen.w0, model.act.w0) == (0.0, 0.0)
 
     def test_seed_changes_the_run(self):
         store, uf, itf = small_store(seed=11, density=50)
