@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -84,31 +86,62 @@ class Catalog:
         return cls(d["users"], d["items"], d["activities"])
 
 
+def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (``np.unique`` without its sort)."""
+    first = np.ones(sorted_keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return sorted_keys[first]
+
+
+def _invalid_triple(raw, limits) -> DatasetError:
+    """The error for a triple list that fails the vectorised checks.
+
+    A triple holding a non-integer id comes first, in input order; else
+    the smallest triple outside the catalog bounds, in sorted order.
+    """
+    for t in raw:
+        if not all(isinstance(x, (int, np.integer)) for x in t):
+            return DatasetError(f"triple {tuple(t)} holds a non-integer id")
+    u, v, z = min(tuple(t) for t in raw if not all(0 <= x < n for x, n in zip(t, limits)))
+    return DatasetError(f"triple ({u}, {v}, {z}) outside catalog bounds")
+
+
 class InteractionStore:
     """Deduplicated activity triples plus the derived item-level pairs.
 
-    ``triples`` is kept in sorted order so iteration is deterministic.
+    Construction is one sort over encoded keys: each triple becomes
+    ``(u * n_items + v) * n_activities + z``, whose order is the
+    lexicographic order of the triples.  Dropping equal neighbours from
+    the sorted keys dedups the triples, and from ``key // n_activities``
+    (sorted with them) the keen pairs.  ``triples`` and ``keen_pairs``
+    are sorted tuples of Python ints; ``columns`` holds the triples as
+    read-only int64 ``(u, v, z)`` arrays.  The positive-item and
+    positive-activity maps are built on first use.
+
     Construction is the only mutation point; instances are safe for
-    concurrent reads afterwards.
+    concurrent reads afterwards.  A concurrent first use may build a
+    positive map more than once; every build is equal, so each reader
+    gets the same sets.
     """
 
     def __init__(self, catalog: Catalog, triples, timestamps: dict | None = None):
         self.catalog = catalog
-        raw = [tuple(t) for t in triples]
-        seen = dict.fromkeys(raw)
-        self.n_duplicates = len(raw) - len(seen)
-        self.triples: tuple[tuple[int, int, int], ...] = tuple(sorted(seen))
-        for u, v, z in self.triples:
-            if not (0 <= u < catalog.n_users and 0 <= v < catalog.n_items and 0 <= z < catalog.n_activities):
-                raise DatasetError(f"triple ({u}, {v}, {z}) outside catalog bounds")
-        self.keen_pairs: tuple[tuple[int, int], ...] = tuple(sorted({(u, v) for u, v, _ in self.triples}))
-        items_by_user = defaultdict(set)
-        acts_by_pair = defaultdict(set)
-        for u, v, z in self.triples:
-            items_by_user[u].add(v)
-            acts_by_pair[(u, v)].add(z)
-        self._pos_items: dict[int, frozenset[int]] = {u: frozenset(s) for u, s in items_by_user.items()}
-        self._pos_acts: dict[tuple[int, int], frozenset[int]] = {p: frozenset(s) for p, s in acts_by_pair.items()}
+        raw = list(triples)
+        arr = np.array(raw) if raw else np.empty((0, 3), dtype=np.int64)
+        limits = (catalog.n_users, catalog.n_items, catalog.n_activities)
+        if arr.dtype.kind not in "biu" or ((arr < 0) | (arr >= limits)).any():
+            raise _invalid_triple(raw, limits)
+        arr = arr.astype(np.int64, copy=False)
+        keys = _distinct(np.sort((arr[:, 0] * limits[1] + arr[:, 1]) * limits[2] + arr[:, 2]))
+        self.n_duplicates = len(raw) - keys.size
+        pair_keys, z = np.divmod(keys, limits[2])
+        u, v = np.divmod(pair_keys, limits[1])
+        for col in (u, v, z):
+            col.flags.writeable = False
+        self.columns: tuple[np.ndarray, np.ndarray, np.ndarray] = (u, v, z)
+        self.triples: tuple[tuple[int, int, int], ...] = tuple(zip(u.tolist(), v.tolist(), z.tolist()))
+        pair_u, pair_v = np.divmod(_distinct(pair_keys), limits[1])
+        self.keen_pairs: tuple[tuple[int, int], ...] = tuple(zip(pair_u.tolist(), pair_v.tolist()))
         self.timestamps: dict[tuple[int, int, int], int] = dict(timestamps or {})
 
     @property
@@ -119,6 +152,14 @@ class InteractionStore:
     def n_pairs(self) -> int:
         return len(self.keen_pairs)
 
+    @cached_property
+    def _pos_items(self) -> dict[int, frozenset[int]]:
+        return {u: frozenset(v for _, v in pairs) for u, pairs in groupby(self.keen_pairs, itemgetter(0))}
+
+    @cached_property
+    def _pos_acts(self) -> dict[tuple[int, int], frozenset[int]]:
+        return {pair: frozenset(t[2] for t in group) for pair, group in groupby(self.triples, itemgetter(0, 1))}
+
     def positive_items(self, u: int) -> frozenset[int]:
         return self._pos_items.get(u, frozenset())
 
@@ -126,16 +167,13 @@ class InteractionStore:
         return self._pos_acts.get((u, v), frozenset())
 
     def users_with_interactions(self) -> list[int]:
-        return sorted(self._pos_items)
+        return _distinct(self.columns[0]).tolist()  # the user column is sorted
 
     def items_with_interactions(self) -> list[int]:
-        return sorted({v for _, v, _ in self.triples})
+        return np.unique(self.columns[1]).tolist()
 
     def triples_by_user(self) -> dict[int, list[tuple[int, int, int]]]:
-        grouped = defaultdict(list)
-        for t in self.triples:
-            grouped[t[0]].append(t)
-        return dict(grouped)
+        return {u: list(group) for u, group in groupby(self.triples, itemgetter(0))}
 
 
 @dataclass(frozen=True)
@@ -208,33 +246,29 @@ def filter_active_users(store: InteractionStore, min_activities: int) -> Interac
 
     Users below the threshold are dropped with all their triples; items
     left without any triple are dropped too.  Activity types stay as
-    declared.  Raw-id relationships survive the renumbering.
+    declared.  Raw-id relationships survive the renumbering, and each
+    kept triple keeps its timestamp.
     """
     if min_activities < 1:
         raise ValueError("min_activities must be >= 1")
     old = store.catalog
-    counts = defaultdict(int)
-    for u, _, _ in store.triples:
-        counts[u] += 1
-    kept_users = sorted(u for u, c in counts.items() if c >= min_activities)
-    kept = set(kept_users)
-    kept_triples = [t for t in store.triples if t[0] in kept]
-    if not kept_triples:
+    u, v, z = store.columns
+    keep_user = np.bincount(u, minlength=old.n_users) >= min_activities
+    rows = keep_user[u]
+    if not rows.any():
         raise EmptyDatasetError(f"no user has >= {min_activities} activities")
-    kept_items = sorted({v for _, v, _ in kept_triples})
-    user_map = {u: i for i, u in enumerate(kept_users)}
-    item_map = {v: i for i, v in enumerate(kept_items)}
+    keep_item = np.zeros(old.n_items, dtype=bool)
+    keep_item[v[rows]] = True
+    # new id = rank among the kept ids, so the renumbering keeps the triples' order
+    user_map, item_map = np.cumsum(keep_user) - 1, np.cumsum(keep_item) - 1
     catalog = Catalog(
-        [old.users[u] for u in kept_users],
-        [old.items[v] for v in kept_items],
+        [old.users[i] for i in np.flatnonzero(keep_user).tolist()],
+        [old.items[i] for i in np.flatnonzero(keep_item).tolist()],
         old.activities,
     )
-    remapped = [(user_map[u], item_map[v], z) for u, v, z in kept_triples]
-    timestamps = {
-        (user_map[u], item_map[v], z): ts
-        for (u, v, z), ts in store.timestamps.items()
-        if u in user_map and v in item_map
-    }
+    remapped = list(zip(user_map[u[rows]].tolist(), item_map[v[rows]].tolist(), z[rows].tolist()))
+    ts = store.timestamps
+    timestamps = {new: ts[t] for t, new in zip(compress(store.triples, rows.tolist()), remapped) if t in ts}
     return InteractionStore(catalog, remapped, timestamps)
 
 

@@ -61,21 +61,27 @@ def part_gradient(
     is that of combine_gradients over the two assembled inputs, in
     context, positive, negative-only order.
     """
-    (pidx, pval), (nidx, nval) = pos, neg
-    w_pos, w_neg = -weight * pval, weight * nval
-    g_pos = w_pos[:, None] * (s_ctx + s_pos) - (w_pos * pval)[:, None] * params.factors[pidx]
-    g_neg = w_neg[:, None] * (s_ctx + s_neg) - (w_neg * nval)[:, None] * params.factors[nidx]
-    g_pos, g_neg = np.column_stack((w_pos, g_pos)), np.column_stack((w_neg, g_neg))
+    (cidx, cval), (pidx, pval), (nidx, nval) = context, pos, neg
+    shared = np.zeros(nidx.size, dtype=bool)
     if pidx.size and nidx.size:
         loc = np.searchsorted(pidx, nidx)
         shared = pidx[np.minimum(loc, pidx.size - 1)] == nidx
-        if shared.any():
-            g_pos[loc[shared]] += g_neg[shared]
-            own = ~shared
-            nidx, g_neg = nidx[own], g_neg[own]
-    cidx, cval = context
-    g_ctx = np.column_stack((np.zeros(cidx.size), weight * cval[:, None] * (s_neg - s_pos)))
-    return FMGradient(w0=0.0, indices=np.concatenate([cidx, pidx, nidx]), rows=np.concatenate([g_ctx, g_pos, g_neg]))
+    own = ~shared
+    c, p = cidx.size, cidx.size + pidx.size
+    rows = np.empty((p + int(own.sum()), params.k + 1))
+    rows[:c, 0] = 0.0
+    rows[:c, 1:] = weight * cval[:, None] * (s_neg - s_pos)
+    w_pos, w_neg = -weight * pval, weight * nval
+    rows[c:p, 0] = w_pos
+    rows[c:p, 1:] = w_pos[:, None] * (s_ctx + s_pos) - (w_pos * pval)[:, None] * params.factors[pidx]
+    g_neg = w_neg[:, None] * (s_ctx + s_neg) - (w_neg * nval)[:, None] * params.factors[nidx]
+    rows[p:, 0] = w_neg[own]
+    rows[p:, 1:] = g_neg[own]
+    if shared.any():
+        at = c + loc[shared]
+        rows[at, 0] += w_neg[shared]
+        rows[at, 1:] += g_neg[shared]
+    return FMGradient(w0=0.0, indices=np.concatenate([cidx, pidx, nidx[own]]), rows=rows)
 
 
 def _block_stats(

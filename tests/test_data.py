@@ -1,5 +1,6 @@
 """Ingestion, deduplication, user filtering, and per-user splitting."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from keenact.data import (
     Catalog,
+    DatasetError,
     EmptyDatasetError,
     InteractionStore,
     ParseError,
@@ -211,6 +213,108 @@ class TestStore:
         catalog = Catalog(["a"], ["x"], ["fork"])
         with pytest.raises(ValueError):
             InteractionStore(catalog, [(0, 1, 0)])
+
+    @pytest.mark.parametrize("bad", [(0, 1.5, 0), (0, "1", 0), (None, 0, 0), (0, 1.0, 0)])
+    def test_non_integer_ids_rejected(self, bad):
+        """A non-integer id is named, not truncated or stored as given."""
+        catalog = Catalog(["a", "b"], ["x", "y"], ["fork"])
+        with pytest.raises(DatasetError, match=re.escape(f"triple {bad}")):
+            InteractionStore(catalog, [(0, 0, 0), bad, (1, 1, 0)])
+
+    def test_empty_store(self):
+        store = InteractionStore(Catalog(["a"], ["x"], ["fork"]), [])
+        assert (store.triples, store.keen_pairs, store.n_duplicates) == ((), (), 0)
+        assert store.users_with_interactions() == store.items_with_interactions() == []
+        assert [c.shape for c in store.columns] == [(0,), (0,), (0,)]
+
+
+@st.composite
+def catalogs_and_triples(draw, margin=0):
+    """A small catalog and a triple list over it, ids up to ``margin`` outside its bounds.
+
+    Short id ranges make duplicates and users or items without triples
+    common; one-activity catalogs are included.
+    """
+    n_users, n_items, n_acts = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    catalog = Catalog(
+        [f"u{i}" for i in range(n_users)], [f"i{j}" for j in range(n_items)], [f"a{z}" for z in range(n_acts)]
+    )
+    ids = [st.integers(-margin, n - 1 + margin) for n in (n_users, n_items, n_acts)]
+    return catalog, draw(st.lists(st.tuples(*ids), max_size=40))
+
+
+def all_python_ints(values) -> bool:
+    return all(type(x) is int for x in values)
+
+
+class TestStoreProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(catalogs_and_triples())
+    def test_matches_a_set_reference(self, case):
+        catalog, triples = case
+        store = InteractionStore(catalog, triples)
+        distinct = sorted(set(triples))
+        pos_items, pos_acts = {}, {}
+        for u, v, z in distinct:
+            pos_items.setdefault(u, set()).add(v)
+            pos_acts.setdefault((u, v), set()).add(z)
+        assert store.triples == tuple(distinct)
+        assert store.keen_pairs == tuple(sorted(pos_acts))
+        assert store.n_duplicates == len(triples) - len(distinct)
+        assert store.users_with_interactions() == sorted(pos_items)
+        assert store.items_with_interactions() == sorted({v for _, v, _ in distinct})
+        for u in range(catalog.n_users):
+            assert store.positive_items(u) == pos_items.get(u, set())
+            assert all_python_ints(store.positive_items(u))
+            for v in range(catalog.n_items):
+                assert store.positive_activities(u, v) == pos_acts.get((u, v), set())
+                assert all_python_ints(store.positive_activities(u, v))
+        assert all_python_ints(x for t in store.triples + store.keen_pairs for x in t)
+        assert all_python_ints(store.users_with_interactions() + store.items_with_interactions())
+        assert list(zip(*(c.tolist() for c in store.columns))) == distinct
+        assert all(c.dtype == np.int64 and not c.flags.writeable for c in store.columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(catalogs_and_triples(margin=2))
+    def test_smallest_out_of_bounds_triple_is_named(self, case):
+        catalog, triples = case
+        limits = (catalog.n_users, catalog.n_items, catalog.n_activities)
+        outside = sorted(t for t in triples if not all(0 <= x < n for x, n in zip(t, limits)))
+        if not outside:
+            InteractionStore(catalog, triples)
+            return
+        with pytest.raises(DatasetError, match=re.escape(f"triple {outside[0]} outside catalog bounds")):
+            InteractionStore(catalog, triples)
+
+    @settings(max_examples=300, deadline=None)
+    @given(catalogs_and_triples(), st.integers(1, 4))
+    def test_filter_matches_a_count_reference(self, case, min_activities):
+        """Kept users, items, triples and timestamps, compared in raw ids."""
+        catalog, triples = case
+        timestamps = {t: 100 * i for i, t in enumerate(triples)}
+        store = InteractionStore(catalog, triples, timestamps)
+        counts = {}
+        for u, _, _ in set(triples):
+            counts[u] = counts.get(u, 0) + 1
+        kept = sorted(u for u, c in counts.items() if c >= min_activities)
+        if not kept:
+            with pytest.raises(EmptyDatasetError):
+                filter_active_users(store, min_activities)
+            return
+        out = filter_active_users(store, min_activities)
+        kept_triples = {t for t in triples if t[0] in kept}
+        assert out.catalog.users == tuple(catalog.users[u] for u in kept)
+        assert out.catalog.items == tuple(catalog.items[v] for v in sorted({v for _, v, _ in kept_triples}))
+        assert out.catalog.activities == catalog.activities
+        def raw(t):
+            return catalog.users[t[0]], catalog.items[t[1]], catalog.activities[t[2]]
+
+        assert raw_view(out.catalog, out)[1:] == (
+            {raw(t) for t in kept_triples},
+            {raw(t): timestamps[t] for t in kept_triples},
+        )
+        assert out.n_duplicates == 0
+        assert all_python_ints(x for t in (*out.triples, *out.timestamps) for x in t)
 
 
 class TestFilterActiveUsers:
