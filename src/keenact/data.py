@@ -6,8 +6,9 @@ no header line:
     user_id<TAB>item_id<TAB>activity<TAB>unix_timestamp
 
 Raw string ids are mapped to dense integer ids (contiguous from 0, in
-first-seen order).  Item-level "keen" pairs are always derived from the
-activity triples, so a triple (u, v, z) implies the pair (u, v).
+first-seen order).  A store is its sorted (u, v, z) columns plus a
+timestamp column; item-level "keen" pairs and every other view are
+derived from them, so a triple (u, v, z) implies the pair (u, v).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, groupby
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
@@ -86,13 +87,6 @@ class Catalog:
         return cls(d["users"], d["items"], d["activities"])
 
 
-def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted array (``np.unique`` without its sort)."""
-    first = np.ones(sorted_keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return sorted_keys[first]
-
-
 def _invalid_triple(raw, limits) -> DatasetError:
     """The error for a triple list that fails the vectorised checks.
 
@@ -107,50 +101,67 @@ def _invalid_triple(raw, limits) -> DatasetError:
 
 
 class InteractionStore:
-    """Deduplicated activity triples plus the derived item-level pairs.
+    """Deduplicated activity triples and their timestamps, stored as columns.
 
-    Construction is one sort over encoded keys: each triple becomes
-    ``(u * n_items + v) * n_activities + z``, whose order is the
-    lexicographic order of the triples.  Dropping equal neighbours from
-    the sorted keys dedups the triples, and from ``key // n_activities``
-    (sorted with them) the keen pairs.  ``triples`` and ``keen_pairs``
-    are sorted tuples of Python ints; ``columns`` holds the triples as
-    read-only int64 ``(u, v, z)`` arrays.  The positive-item and
-    positive-activity maps are built on first use.
+    ``columns`` holds the distinct triples as read-only int64 ``(u, v, z)``
+    arrays in lexicographic order, and ``times`` an aligned read-only
+    int64 timestamp array (0 for a store built without timestamps).
+    Construction is one stable sort of the keys
+    ``(u * n_items + v) * n_activities + z``, ordered as the triples,
+    keeping each key's first row: a repeated triple keeps the timestamp
+    of its first input row.  ``triples``, ``keen_pairs``, ``timestamps``
+    and the positive maps are views of the columns, built on first use.
 
-    Construction is the only mutation point; instances are safe for
-    concurrent reads afterwards.  A concurrent first use may build a
-    positive map more than once; every build is equal, so each reader
-    gets the same sets.
+    Instances are read-only after construction; a concurrent first use
+    may build a view twice, with equal results.
     """
 
-    def __init__(self, catalog: Catalog, triples, timestamps: dict | None = None):
+    def __init__(self, catalog: Catalog, triples, timestamps=None):
         self.catalog = catalog
-        raw = list(triples)
-        arr = np.array(raw) if raw else np.empty((0, 3), dtype=np.int64)
+        arr = np.array(triples) if len(triples) else np.empty((0, 3), dtype=np.int64)
         limits = (catalog.n_users, catalog.n_items, catalog.n_activities)
         if arr.dtype.kind not in "biu" or ((arr < 0) | (arr >= limits)).any():
-            raise _invalid_triple(raw, limits)
+            raise _invalid_triple(triples, limits)
+        try:
+            times = np.zeros(len(arr), dtype=np.int64) if timestamps is None else np.array(timestamps, dtype=np.int64)
+        except OverflowError:
+            raise DatasetError("a timestamp is outside the int64 range") from None
+        if times.shape != (len(arr),):
+            raise DatasetError(f"{times.size} timestamps for {len(arr)} triples")
         arr = arr.astype(np.int64, copy=False)
-        keys = _distinct(np.sort((arr[:, 0] * limits[1] + arr[:, 1]) * limits[2] + arr[:, 2]))
-        self.n_duplicates = len(raw) - keys.size
+        keys = (arr[:, 0] * limits[1] + arr[:, 1]) * limits[2] + arr[:, 2]
+        keys, rows = np.unique(keys, return_index=True)  # first rows, in key order
+        self.n_duplicates = len(arr) - rows.size
         pair_keys, z = np.divmod(keys, limits[2])
         u, v = np.divmod(pair_keys, limits[1])
-        for col in (u, v, z):
+        self.times = times[rows]
+        for col in (u, v, z, self.times):
             col.flags.writeable = False
         self.columns: tuple[np.ndarray, np.ndarray, np.ndarray] = (u, v, z)
-        self.triples: tuple[tuple[int, int, int], ...] = tuple(zip(u.tolist(), v.tolist(), z.tolist()))
-        pair_u, pair_v = np.divmod(_distinct(pair_keys), limits[1])
-        self.keen_pairs: tuple[tuple[int, int], ...] = tuple(zip(pair_u.tolist(), pair_v.tolist()))
-        self.timestamps: dict[tuple[int, int, int], int] = dict(timestamps or {})
 
     @property
     def n_triples(self) -> int:
-        return len(self.triples)
+        return self.times.size
 
     @property
     def n_pairs(self) -> int:
-        return len(self.keen_pairs)
+        return self._pair_rows.size
+
+    @cached_property
+    def _pair_rows(self) -> np.ndarray:
+        return np.unique(self.columns[0] * self.catalog.n_items + self.columns[1], return_index=True)[1]
+
+    @cached_property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(*(c.tolist() for c in self.columns)))
+
+    @cached_property
+    def keen_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*(c[self._pair_rows].tolist() for c in self.columns[:2])))
+
+    @cached_property
+    def timestamps(self) -> dict[tuple[int, int, int], int]:
+        return dict(zip(self.triples, self.times.tolist()))
 
     @cached_property
     def _pos_items(self) -> dict[int, frozenset[int]]:
@@ -167,13 +178,19 @@ class InteractionStore:
         return self._pos_acts.get((u, v), frozenset())
 
     def users_with_interactions(self) -> list[int]:
-        return _distinct(self.columns[0]).tolist()  # the user column is sorted
+        return list(self.user_rows())
 
     def items_with_interactions(self) -> list[int]:
         return np.unique(self.columns[1]).tolist()
 
+    def user_rows(self) -> dict[int, slice]:
+        """Each user's rows of ``columns``, in ascending user order."""
+        users, starts = np.unique(self.columns[0], return_index=True)
+        bounds = [*starts.tolist(), self.n_triples]  # the user column is sorted
+        return {u: slice(a, b) for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
+
     def triples_by_user(self) -> dict[int, list[tuple[int, int, int]]]:
-        return {u: list(group) for u, group in groupby(self.triples, itemgetter(0))}
+        return {u: list(self.triples[rows]) for u, rows in self.user_rows().items()}
 
 
 @dataclass(frozen=True)
@@ -208,17 +225,17 @@ def ingest(path, activities: tuple[str, ...] | None = None) -> tuple[Catalog, In
 
     ``activities`` declares the legal activity names; when None they are
     inferred from the file.  Dense ids are assigned in first-seen order.
-    Duplicate rows collapse to one triple (the count is recorded on the
-    store); the keen pairs are the projection of the triples onto
-    (user, item).
+    Duplicate rows collapse to one triple that keeps the timestamp of its
+    first row (the count is recorded on the store); the keen pairs are
+    the projection of the triples onto (user, item).
     """
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     declared = None if activities is None else {name: i for i, name in enumerate(activities)}
     activity_ids: dict[str, int] = dict(declared or {})
 
-    triples: list[tuple[int, int, int]] = []
-    timestamps: dict[tuple[int, int, int], int] = {}
+    ids: list[int] = []
+    times: list[int] = []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -226,19 +243,15 @@ def ingest(path, activities: tuple[str, ...] | None = None) -> tuple[Catalog, In
             user, item, activity, ts = _parse_line(line, lineno)
             if declared is not None and activity not in declared:
                 raise SchemaError(f"line {lineno}: activity {activity!r} not in declared set {sorted(declared)}")
-            u = users.setdefault(user, len(users))
-            v = items.setdefault(item, len(items))
-            z = activity_ids.setdefault(activity, len(activity_ids))
-            t = (u, v, z)
-            triples.append(t)
-            if t not in timestamps:
-                timestamps[t] = ts
+            ids.append(users.setdefault(user, len(users)))
+            ids.append(items.setdefault(item, len(items)))
+            ids.append(activity_ids.setdefault(activity, len(activity_ids)))
+            times.append(ts)
 
-    if not triples:
+    if not times:
         raise EmptyDatasetError(f"empty dataset: no interactions in {path}")
     catalog = Catalog(list(users), list(items), list(activity_ids))
-    store = InteractionStore(catalog, triples, timestamps)
-    return catalog, store
+    return catalog, InteractionStore(catalog, np.array(ids, dtype=np.int64).reshape(-1, 3), times)
 
 
 def filter_active_users(store: InteractionStore, min_activities: int) -> InteractionStore:
@@ -266,34 +279,29 @@ def filter_active_users(store: InteractionStore, min_activities: int) -> Interac
         [old.items[i] for i in np.flatnonzero(keep_item).tolist()],
         old.activities,
     )
-    remapped = list(zip(user_map[u[rows]].tolist(), item_map[v[rows]].tolist(), z[rows].tolist()))
-    ts = store.timestamps
-    timestamps = {new: ts[t] for t, new in zip(compress(store.triples, rows.tolist()), remapped) if t in ts}
-    return InteractionStore(catalog, remapped, timestamps)
+    remapped = np.column_stack((user_map[u[rows]], item_map[v[rows]], z[rows]))
+    return InteractionStore(catalog, remapped, store.times[rows])
 
 
 def split_per_user(store: InteractionStore, fraction: float, seed: int) -> SplitPair:
     """Split each user's triples into train/test with a seeded shuffle.
 
     ceil(fraction * n_u) triples go to train, so every user keeps at
-    least one training triple.  Both sides share the source catalog and
-    derive their own keen pairs.
+    least one training triple.  Each user, in ascending id order, draws
+    one ``permutation(n_u)`` over their sorted triples.  Both sides share
+    the source catalog and keep each triple's timestamp.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must be in (0, 1)")
     rng = np.random.Generator(np.random.PCG64(seed))
-    train_triples: list[tuple[int, int, int]] = []
-    test_triples: list[tuple[int, int, int]] = []
-    grouped = store.triples_by_user()
-    for u in sorted(grouped):
-        user_triples = grouped[u]
-        order = rng.permutation(len(user_triples))
-        n_train = math.ceil(fraction * len(user_triples))
-        for rank, idx in enumerate(order):
-            (train_triples if rank < n_train else test_triples).append(user_triples[idx])
-    ts = store.timestamps
-    train = InteractionStore(store.catalog, train_triples, {t: ts[t] for t in train_triples if t in ts})
-    test = InteractionStore(store.catalog, test_triples, {t: ts[t] for t in test_triples if t in ts})
+    in_train = np.zeros(store.n_triples, dtype=bool)
+    for rows in store.user_rows().values():
+        n_u = rows.stop - rows.start
+        in_train[rows.start + rng.permutation(n_u)[: math.ceil(fraction * n_u)]] = True
+    train, test = (
+        InteractionStore(store.catalog, np.column_stack([c[side] for c in store.columns]), store.times[side])
+        for side in (in_train, ~in_train)
+    )
     return SplitPair(train=train, test=test, seed=seed, fraction=fraction)
 
 
@@ -305,9 +313,7 @@ def write_interaction_log(store: InteractionStore, path) -> None:
     """
     catalog = store.catalog
     with open(path, "w", encoding="utf-8") as fh:
-        for t in store.triples:
-            u, v, z = t
-            ts = store.timestamps.get(t, 0)
+        for u, v, z, ts in zip(*(c.tolist() for c in (*store.columns, store.times))):
             fh.write(f"{catalog.users[u]}\t{catalog.items[v]}\t{catalog.activities[z]}\t{ts}\n")
 
 

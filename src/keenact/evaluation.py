@@ -93,7 +93,8 @@ class FlatPairSpace:
 
 def _flat_by_user(store: InteractionStore, space: FlatPairSpace) -> dict[int, frozenset]:
     """Flat pair ids of each user's triples."""
-    return {u: frozenset(space.flatten(v, z) for _, v, z in rows) for u, rows in store.triples_by_user().items()}
+    flat = (store.columns[1] * space.n_activities + store.columns[2]).tolist()
+    return {u: frozenset(flat[rows]) for u, rows in store.user_rows().items()}
 
 
 def average_precision_at_k(ranked, relevant, k: int | None = None) -> float:
@@ -169,7 +170,8 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     rng = np.random.Generator(np.random.PCG64(config.seed))
     spaces = flat_candidate_spaces(store, layout, user_feats, item_feats)
     pairs = FlatPairSpace(catalog.n_items, catalog.n_activities)
-    examples = [(u, pairs.flatten(v, z)) for u, v, z in store.triples]
+    u, v, z = store.columns
+    examples = list(zip(u.tolist(), (v * pairs.n_activities + z).tolist()))
 
     def step(u: int, flat: int):
         # the flat space is dominated by item coordinates, so the

@@ -100,18 +100,9 @@ def co_participation_features(train) -> FeatureMatrix:
     if train.n_triples == 0:
         raise ValueError("empty training store")
     catalog = train.catalog
-    pair_ids: dict[tuple[int, int], int] = {}
-    rows, cols = [], []
-    for u, v, z in train.triples:
-        key = (v, z)
-        j = pair_ids.setdefault(key, len(pair_ids))
-        rows.append(u)
-        cols.append(j)
-    incidence = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
-        shape=(catalog.n_users, len(pair_ids)),
-        dtype=np.float64,
-    )
+    u, v, z = train.columns
+    pairs, cols = np.unique(v * catalog.n_activities + z, return_inverse=True)
+    incidence = sparse.csr_matrix((np.ones(u.size), (u, cols)), shape=(catalog.n_users, pairs.size))
     co = (incidence @ incidence.T).tocsr()
     co.setdiag(0.0)
     co.eliminate_zeros()

@@ -128,8 +128,6 @@ def _model_from_payload(payload: dict) -> TrainedModel:
     _check_shape("thresholds.trained", thresholds.item_trained, (keen_layout.n_items,))
     _check_shape("thresholds.activity", thresholds.activity_thresholds, (act_layout.n_activities,))
     seen_items = frozenset(int(v) for v in payload["seen_items"])
-    if seen_items and not (min(seen_items) >= 0 and max(seen_items) < keen_layout.n_items):
-        raise SnapshotError(f"seen_items outside [0, {keen_layout.n_items})")
     return TrainedModel(
         keen=keen,
         act=act,

@@ -71,7 +71,6 @@ def generate_two_stage(
     propensity = rng.beta(PROPENSITY_SHAPE, PROPENSITY_SHAPE, size=(n_users, n_activities))
 
     triples: list[tuple[int, int, int]] = []
-    timestamps: dict[tuple[int, int, int], int] = {}
     base_ts = 1_600_000_000
     for u in range(n_users):
         logits = AFFINITY_GAIN * affinity[u]
@@ -85,9 +84,7 @@ def generate_two_stage(
             if not mask.any():
                 mask[int(np.argmax(propensity[u]))] = True
             for z in np.flatnonzero(mask):
-                triple = (u, int(v), int(z))
-                triples.append(triple)
-                timestamps[triple] = base_ts + len(triples)
+                triples.append((u, int(v), int(z)))
 
     digits_u = max(4, len(str(n_users - 1)))
     digits_i = max(4, len(str(n_items - 1)))
@@ -96,4 +93,4 @@ def generate_two_stage(
         items=[f"i{n:0{digits_i}d}" for n in range(n_items)],
         activities=[f"a{z}" for z in range(n_activities)],
     )
-    return catalog, InteractionStore(catalog, triples, timestamps)
+    return catalog, InteractionStore(catalog, triples, range(base_ts + 1, base_ts + 1 + len(triples)))

@@ -208,6 +208,8 @@ class TrainedModel:
             raise ValueError("keen layout does not match keen parameter dim")
         if self.act_layout.dim != self.act.dim:
             raise ValueError("act layout does not match act parameter dim")
+        if self.seen_items != frozenset(np.flatnonzero(self.thresholds.item_trained).tolist()):
+            raise ValueError("seen_items differs from the items the cutoffs were trained on")
 
     @property
     def n_users(self) -> int:

@@ -106,6 +106,11 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest(log)
 
+    def test_timestamp_outside_int64_is_a_data_error(self, tmp_path):
+        log = write_log(tmp_path / "log.tsv", [("a", "x", "fork", 2**63 - 1), ("b", "x", "fork", 2**63)])
+        with pytest.raises(DatasetError, match="int64"):
+            ingest(log)
+
     def test_header_line_is_a_record(self, tmp_path):
         """A log has no header: a column-name line fails to parse at line 1."""
         log = write_log(tmp_path / "log.tsv", [("user", "item", "activity", "timestamp"), ("a", "x", "fork", 1)])
@@ -221,6 +226,31 @@ class TestStore:
         with pytest.raises(DatasetError, match=re.escape(f"triple {bad}")):
             InteractionStore(catalog, [(0, 0, 0), bad, (1, 1, 0)])
 
+    @pytest.mark.parametrize("n_times", [0, 2, 4])
+    def test_timestamps_must_align_with_triples(self, n_times):
+        catalog = Catalog(["a", "b"], ["x", "y"], ["fork"])
+        with pytest.raises(DatasetError, match=f"{n_times} timestamps for 3 triples"):
+            InteractionStore(catalog, [(0, 0, 0), (0, 1, 0), (1, 1, 0)], list(range(n_times)))
+
+    def test_pipeline_builds_no_tuple_view(self, tmp_path):
+        """Ingest, filter, split, write and the feature and evaluation readers use the columns only."""
+        from keenact.evaluation import FlatPairSpace, _flat_by_user, train_baseline
+        from keenact.features import co_participation_features, empty_features
+        from keenact.training import TrainConfig
+
+        rows = [(f"u{i % 7}", f"i{(3 * i) % 11}", ("fork", "watch")[i % 2], i) for i in range(90)]
+        _, raw = ingest(write_log(tmp_path / "log.tsv", rows + rows[:9]))
+        store = filter_active_users(raw, 3)
+        split = split_per_user(store, 0.7, seed=0)
+        write_interaction_log(store, tmp_path / "out.tsv")
+        write_interaction_log(split.test, tmp_path / "test.tsv")
+        feats = co_participation_features(split.train)
+        _flat_by_user(split.test, FlatPairSpace(store.catalog.n_items, store.catalog.n_activities))
+        items = empty_features(store.catalog.n_items, "item")
+        train_baseline(split.train, feats, items, TrainConfig(epochs=1), kind="bpr")
+        for s in (raw, store, split.train, split.test):
+            assert not {"triples", "keen_pairs", "timestamps"} & set(vars(s))
+
     def test_empty_store(self):
         store = InteractionStore(Catalog(["a"], ["x"], ["fork"]), [])
         assert (store.triples, store.keen_pairs, store.n_duplicates) == ((), (), 0)
@@ -249,11 +279,15 @@ def all_python_ints(values) -> bool:
 
 class TestStoreProperty:
     @settings(max_examples=300, deadline=None)
-    @given(catalogs_and_triples())
-    def test_matches_a_set_reference(self, case):
+    @given(catalogs_and_triples(), st.lists(st.integers(-(2**62), 2**62), min_size=40, max_size=40))
+    def test_matches_a_set_reference(self, case, times):
         catalog, triples = case
-        store = InteractionStore(catalog, triples)
+        times = times[: len(triples)]
+        store = InteractionStore(catalog, triples, times)
         distinct = sorted(set(triples))
+        first = {}
+        for t, ts in zip(triples, times):
+            first.setdefault(t, ts)
         pos_items, pos_acts = {}, {}
         for u, v, z in distinct:
             pos_items.setdefault(u, set()).add(v)
@@ -272,7 +306,10 @@ class TestStoreProperty:
         assert all_python_ints(x for t in store.triples + store.keen_pairs for x in t)
         assert all_python_ints(store.users_with_interactions() + store.items_with_interactions())
         assert list(zip(*(c.tolist() for c in store.columns))) == distinct
-        assert all(c.dtype == np.int64 and not c.flags.writeable for c in store.columns)
+        assert all(c.dtype == np.int64 and not c.flags.writeable for c in (*store.columns, store.times))
+        assert store.timestamps == first
+        assert store.times.tolist() == [first[t] for t in distinct]
+        assert all_python_ints(x for t, ts in store.timestamps.items() for x in (*t, ts))
 
     @settings(max_examples=300, deadline=None)
     @given(catalogs_and_triples(margin=2))
@@ -289,10 +326,13 @@ class TestStoreProperty:
     @settings(max_examples=300, deadline=None)
     @given(catalogs_and_triples(), st.integers(1, 4))
     def test_filter_matches_a_count_reference(self, case, min_activities):
-        """Kept users, items, triples and timestamps, compared in raw ids."""
+        """Kept users, items, triples and first timestamps, compared in raw ids."""
         catalog, triples = case
-        timestamps = {t: 100 * i for i, t in enumerate(triples)}
+        timestamps = [100 * i for i in range(len(triples))]
         store = InteractionStore(catalog, triples, timestamps)
+        first = {}
+        for t, ts in zip(triples, timestamps):
+            first.setdefault(t, ts)
         counts = {}
         for u, _, _ in set(triples):
             counts[u] = counts.get(u, 0) + 1
@@ -311,7 +351,7 @@ class TestStoreProperty:
 
         assert raw_view(out.catalog, out)[1:] == (
             {raw(t) for t in kept_triples},
-            {raw(t): timestamps[t] for t in kept_triples},
+            {raw(t): first[t] for t in kept_triples},
         )
         assert out.n_duplicates == 0
         assert all_python_ints(x for t in (*out.triples, *out.timestamps) for x in t)
@@ -403,6 +443,23 @@ class TestSplit:
         assert a.train.triples == b.train.triples
         assert a.test.triples == b.test.triples
         assert a.train.triples != c.train.triples
+
+    def test_pinned_split(self):
+        """The per-user shuffle draws as it always has: one permutation per user, in id order."""
+        split = split_per_user(self._uniform_store(4, 9), 0.8, seed=11)
+        held_out = ((0, 0, 0), (1, 4, 0), (2, 0, 0), (3, 7, 0))
+        assert split.test.triples == held_out
+        assert split.train.triples == tuple((u, j, 0) for u in range(4) for j in range(9) if (u, j, 0) not in held_out)
+
+    def test_both_sides_keep_timestamps(self):
+        rng = np.random.default_rng(4)
+        catalog = Catalog([f"u{i}" for i in range(5)], [f"i{j}" for j in range(8)], ["fork", "watch"])
+        triples = np.column_stack([rng.integers(0, n, 60) for n in (5, 8, 2)])
+        store = InteractionStore(catalog, triples, rng.integers(-(2**40), 2**40, 60))
+        split = split_per_user(store, fraction=0.6, seed=2)
+        assert split.test.n_triples > 0
+        for side in (split.train, split.test):
+            assert side.timestamps == {t: store.timestamps[t] for t in side.triples}
 
     def test_fraction_bounds(self):
         store = self._uniform_store(1, 4)

@@ -220,6 +220,7 @@ class TestContract:
             put(lambda t: t[:-1], "thresholds", "trained"),
             put(lambda s: s + [10_000], "seen_items"),
             put(lambda s: [-1] + s, "seen_items"),
+            put(lambda s: s[1:], "seen_items"),
             put(lambda c: {**c, "lr": -1.0}, "config"),
         ],
         ids=[
@@ -227,7 +228,7 @@ class TestContract:
             "thresholds-not-object", "params-not-object", "seen-not-list", "fallback-null",
             "unknown-layout-field", "short-w", "w-not-vector", "short-factors", "narrow-factors",
             "w-as-rows", "long-item-thresholds", "short-activity-thresholds", "short-trained-mask",
-            "seen-item-too-large", "seen-item-negative", "bad-config",
+            "seen-item-too-large", "seen-item-negative", "seen-disagrees-with-trained", "bad-config",
         ],
     )
     def test_rejected_with_snapshot_error(self, tmp_path, edit):
