@@ -156,8 +156,20 @@ class InteractionStore:
         return tuple(zip(*(c.tolist() for c in self.columns)))
 
     @cached_property
+    def pair_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (u, v) pairs as two int64 columns, in ``keen_pairs`` order."""
+        return self.columns[0][self._pair_rows], self.columns[1][self._pair_rows]
+
+    @cached_property
+    def pair_ids(self) -> np.ndarray:
+        """Each triple's index in ``keen_pairs``, aligned with ``columns``."""
+        starts = np.zeros(self.n_triples, dtype=np.int64)
+        starts[self._pair_rows] = 1
+        return np.cumsum(starts) - 1
+
+    @cached_property
     def keen_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*(c[self._pair_rows].tolist() for c in self.columns[:2])))
+        return tuple(zip(*(c.tolist() for c in self.pair_columns)))
 
     @cached_property
     def timestamps(self) -> dict[tuple[int, int, int], int]:

@@ -7,7 +7,7 @@ variants cannot pad precision with pairs already observed.
 
 Single-model baselines treat each (item, activity) pair as one pseudo
 item in a flat space and train one scorer over it with the two-stage
-scorers' own sampled pairwise step, either with a single-negative
+scorers' own batched pairwise step, either with a single-negative
 logistic update or with the rank-weighted one.
 """
 
@@ -28,7 +28,7 @@ from keenact.features import (
     co_participation_features,
     empty_features,
     item_part,
-    join_parts,
+    join_tables,
     l2_normalize_rows,
     pad_parts,
     user_part,
@@ -40,14 +40,14 @@ from keenact.training import (
     NumericalError,
     TrainConfig,
     TrainedModel,
-    pairwise_step,
+    batch_step,
+    grouped_positions,
     run_phase,
     train,
-    user_spaces,
 )
 from keenact.recommend import accepted_pairs, act_stage, keen_stage
 
-# Not called here since the baselines train through pairwise_step and the
+# Not called here since the baselines train through batch_step and the
 # rankers score through the stage helpers; the traced benchmark
 # (perfbench/layers.py) still wraps these names on this module, so they
 # stay importable from it.
@@ -139,21 +139,22 @@ class BaselineModel:
     report: list[tuple[int, str, str, float]]
 
 
-def flat_candidate_spaces(store, layout: FeatureLayout, user_feats, item_feats) -> dict[int, CandidateSpace]:
-    """Each user's flat pairwise space: the user part against training items x activities.
+def flat_candidate_space(store, layout: FeatureLayout, user_feats, item_feats) -> CandidateSpace:
+    """The flat pairwise space: each user's part against training items x activities.
 
     One part table, with a row per flat pair id, serves every user.
     """
     pairs = FlatPairSpace(layout.n_items, layout.n_activities)
     train_items = np.array(store.items_with_interactions(), dtype=np.int64)
     universe = (train_items[:, None] * pairs.n_activities + np.arange(pairs.n_activities)).ravel()
-    table = pad_parts(
-        join_parts(item_part(v, layout, item_feats), activity_part(z, layout))
-        for v in range(pairs.n_items)
-        for z in range(pairs.n_activities)
-    )
-    contexts = [user_part(u, layout, user_feats) for u in range(layout.n_users)]
-    return user_spaces(contexts, table, universe, _flat_by_user(store, pairs))
+    items = pad_parts(item_part(v, layout, item_feats) for v in range(pairs.n_items))
+    activities = pad_parts(activity_part(z, layout) for z in range(pairs.n_activities))
+    item_of, activity_of = np.divmod(np.arange(pairs.size), pairs.n_activities)
+    table = join_tables((items, item_of), (activities, activity_of))
+    contexts = pad_parts(user_part(u, layout, user_feats) for u in range(layout.n_users))
+    u, v, z = store.columns
+    positives = grouped_positions(universe, v * pairs.n_activities + z, u, layout.n_users)
+    return CandidateSpace(contexts, table, universe, positives)
 
 
 def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str) -> BaselineModel:
@@ -168,19 +169,18 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     params = init_params(layout.dim, config.k, seed=config.seed + 3)
     state = AdamState.for_params(params, **config.adam_kwargs())
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    spaces = flat_candidate_spaces(store, layout, user_feats, item_feats)
-    pairs = FlatPairSpace(catalog.n_items, catalog.n_activities)
+    space = flat_candidate_space(store, layout, user_feats, item_feats)
     u, v, z = store.columns
-    examples = list(zip(u.tolist(), (v * pairs.n_activities + z).tolist()))
+    flat = v * catalog.n_activities + z
 
-    def step(u: int, flat: int):
+    def step(rows: np.ndarray):
         # the flat space is dominated by item coordinates, so the
         # item-stage decay is the comparable setting for the baselines
-        return pairwise_step(params, state, config.lambda_keen, spaces[u], flat, rng, config, bpr=kind == "bpr")
+        return batch_step(params, state, config.lambda_keen, space, u[rows], flat[rows], rng, config, bpr=kind == "bpr")
 
     report: list[tuple[int, str, str, float]] = []
     for epoch in range(config.epochs):
-        run_phase(epoch, f"fm_{kind}", examples, step, params, rng, report)
+        run_phase(epoch, f"fm_{kind}", store.n_triples, step, params, rng, report, config.batch_size)
     scorer = Scorer(params, layout, user_feats, item_feats, seen_items=frozenset(store.items_with_interactions()))
     # finite parameters near the float limit can still overflow the
     # scores, and no phase 2 runs here to catch it in a cross-entropy

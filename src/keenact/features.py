@@ -298,9 +298,9 @@ def join_parts(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.nd
 def pad_parts(parts) -> tuple[np.ndarray, np.ndarray]:
     """Stack parts into one padded (indices, values) pair, one row per part.
 
-    Padding is index 0 with value 0, which adds nothing to a part's base
-    or factor sum; stored values are never 0, so a row's nonzero entries
-    are its part.
+    Padding is index 0 with value 0, at the end of each row, which adds
+    nothing to a part's base or factor sum; stored values are never 0, so
+    a row's nonzero entries are its part.
     """
     parts = list(parts)
     width = max([1] + [p[0].size for p in parts])
@@ -310,6 +310,16 @@ def pad_parts(parts) -> tuple[np.ndarray, np.ndarray]:
         indices[row, : idx.size] = idx
         values[row, : val.size] = val
     return indices, values
+
+
+def join_tables(*selections: tuple[tuple[np.ndarray, np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Join rows of padded tables of disjoint blocks: for (table, rows)
+    selections of equal length, row r holds each table's row rows[r], in
+    selection order, with all padding at the row's end."""
+    idx = np.hstack([table[0][rows] for table, rows in selections])
+    val = np.hstack([table[1][rows] for table, rows in selections])
+    order = np.argsort(val == 0.0, axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(val, order, axis=1)
 
 
 def _merge_parts(parts, dim: int) -> SparseVector:

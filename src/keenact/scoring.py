@@ -9,7 +9,7 @@ with base_p folding the linear term and the within-part pairwise term.
 This lets one user be scored against every item (or every item-activity
 pair) with a few matrix products instead of per-pair loops.  Equality
 with fm_score on assembled inputs is covered by tests, and so is the
-equality of part_gradient with fm_gradient/combine_gradients.
+equality of part_gradient, summed per row, with fm_gradient/combine_gradients.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from keenact.features import FeatureLayout, FeatureMatrix
-from keenact.fm import FMGradient, FMParameters
+from keenact.fm import FMParameters
 
 
 def part_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[float, np.ndarray]:
@@ -49,39 +49,37 @@ def part_gradient(
     s_ctx: np.ndarray,
     s_pos: np.ndarray,
     s_neg: np.ndarray,
-    weight: float,
-) -> FMGradient:
-    """Gradient of weight * (score(context + neg) - score(context + pos)).
+    weight: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient of weight[r] * (score(context[r] + neg[r]) - score(context[r] + pos[r])) for every row r.
 
-    Parts are (indices, values) with factor sums ``s_*`` from part_stats;
-    the context is disjoint from both candidates, whose indices are sorted
-    and may overlap.  Context rows get a zero linear term and
-    weight * x * (S_neg - S_pos); candidate rows get the FM gradient
-    against S_ctx + S_candidate, a shared row summed once.  The index set
-    is that of combine_gradients over the two assembled inputs, in
-    context, positive, negative-only order.
+    Parts are padded (indices, values) tables with one row each, with
+    factor sums ``s_*`` (one row each) from table_stats; a row's context
+    is disjoint from both its candidates, which may overlap.  Context
+    entries get a zero linear term and weight * x * (S_neg - S_pos);
+    candidate entries get the FM gradient against S_ctx + S_candidate.
+    Returns (indices, owners, rows) over the stored (nonzero-valued)
+    entries in row order, each row's in context, positive, negative
+    order: ``owners`` is the row an entry belongs to, and an index that
+    both candidates of a row hold appears twice, to be summed.
     """
     (cidx, cval), (pidx, pval), (nidx, nval) = context, pos, neg
-    shared = np.zeros(nidx.size, dtype=bool)
-    if pidx.size and nidx.size:
-        loc = np.searchsorted(pidx, nidx)
-        shared = pidx[np.minimum(loc, pidx.size - 1)] == nidx
-    own = ~shared
-    c, p = cidx.size, cidx.size + pidx.size
-    rows = np.empty((p + int(own.sum()), params.k + 1))
-    rows[:c, 0] = 0.0
-    rows[:c, 1:] = weight * cval[:, None] * (s_neg - s_pos)
-    w_pos, w_neg = -weight * pval, weight * nval
-    rows[c:p, 0] = w_pos
-    rows[c:p, 1:] = w_pos[:, None] * (s_ctx + s_pos) - (w_pos * pval)[:, None] * params.factors[pidx]
-    g_neg = w_neg[:, None] * (s_ctx + s_neg) - (w_neg * nval)[:, None] * params.factors[nidx]
-    rows[p:, 0] = w_neg[own]
-    rows[p:, 1:] = g_neg[own]
-    if shared.any():
-        at = c + loc[shared]
-        rows[at, 0] += w_neg[shared]
-        rows[at, 1:] += g_neg[shared]
-    return FMGradient(w0=0.0, indices=np.concatenate([cidx, pidx, nidx[own]]), rows=rows)
+    w = np.asarray(weight)[:, None]
+    g_ctx = np.empty(cidx.shape + (params.k + 1,))
+    g_ctx[..., 0] = 0.0
+    g_ctx[..., 1:] = (w * cval)[..., None] * (s_neg - s_pos)[:, None, :]
+    w_pos, w_neg = -w * pval, w * nval
+    g_pos = np.empty(pidx.shape + (params.k + 1,))
+    g_pos[..., 0] = w_pos
+    g_pos[..., 1:] = w_pos[..., None] * (s_ctx + s_pos)[:, None, :] - (w_pos * pval)[..., None] * params.factors[pidx]
+    g_neg = np.empty(nidx.shape + (params.k + 1,))
+    g_neg[..., 0] = w_neg
+    g_neg[..., 1:] = w_neg[..., None] * (s_ctx + s_neg)[:, None, :] - (w_neg * nval)[..., None] * params.factors[nidx]
+    indices = np.concatenate((cidx, pidx, nidx), axis=1).ravel()
+    stored = np.concatenate((cval, pval, nval), axis=1).ravel() != 0.0  # padding carries value 0
+    owners = np.repeat(np.arange(len(cidx)), stored.size // len(cidx))
+    rows = np.concatenate((g_ctx, g_pos, g_neg), axis=1).reshape(stored.size, -1)
+    return indices[stored], owners[stored], rows[stored]
 
 
 def _block_stats(

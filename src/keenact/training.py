@@ -1,12 +1,15 @@
 """Two-phase learning: WARP rank learning, then decision-threshold fitting.
 
 Phase 1 walks the item-level pairs and the activity-level triples once
-per epoch; for each positive it draws up to ``max_neg_samples``
-negatives as one array, scores them together, and applies one sparse
-Adam update for the first that violates the margin, weighted by the
-harmonic transform of the estimated rank.  Phase 2 freezes both scorers and fits
-per-item / per-activity decision thresholds with a cross-entropy loss.
-``pairwise_step`` is that sampled update; the flat baselines in
+per epoch in a seeded order, in batches of ``batch_size`` examples.  A
+batch is one step with the parameters frozen: each example draws up to
+``max_neg_samples`` negatives, all examples are scored together, and
+each takes the first negative that violates the margin, weighted by the
+harmonic transform of the estimated rank.  Their gradients are summed
+into one sparse Adam update, so Adam's step count counts batches; one
+example per batch is per-example SGD.  Phase 2 freezes both scorers and
+fits per-item / per-activity decision thresholds with a cross-entropy
+loss.  ``batch_step`` is that sampled update; the flat baselines in
 ``evaluation`` run it too.
 """
 
@@ -24,24 +27,26 @@ from keenact.features import (
     FeatureMatrix,
     activity_part,
     item_part,
-    join_parts,
+    join_tables,
     pad_parts,
     user_part,
 )
 from keenact.fm import (
     AdamState,
+    FMGradient,
     FMParameters,
     adam_moves,
     adam_update,
     init_params,
 )
-from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
+from keenact.scoring import Scorer, part_gradient, table_stats
 
-# Not called here since the step computes its update from block parts;
-# the traced benchmark (perfbench/layers.py) still wraps these names on
-# this module, so they stay importable from it.
+# Not called here since the step computes its update from padded part
+# tables; the traced benchmark (perfbench/layers.py) still wraps these
+# names on this module, so they stay importable from it.
 from keenact.features import assemble_act_input, assemble_keen_input  # noqa: F401
 from keenact.fm import combine_gradients, fm_gradient  # noqa: F401
+from keenact.scoring import part_stats  # noqa: F401
 
 logger = logging.getLogger("keenact.training")
 
@@ -71,10 +76,12 @@ class TrainConfig:
     sampled negative items.  Full enumeration leans on the majority
     class and pushes item cutoffs up; the subsampled default keeps the
     cutoffs permissive enough that stage one rarely drops a user's
-    top-ranked items.
+    top-ranked items.  ``batch_size`` is the number of examples per
+    phase-1 step; 1 is per-example SGD.
     """
 
     epochs: int = 10
+    batch_size: int = 16
     max_neg_samples: int = 20
     k: int = 16
     lr: float = 0.01
@@ -94,8 +101,11 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(f.default, float) and value != "full" and not math.isfinite(float(value)):
                 raise ConfigError(f.name, f"{f.name} must be finite, got {value!r}")
+            if type(f.default) is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+                raise ConfigError(f.name, f"{f.name} must be an integer, got {value!r}")
         checks = [
             ("epochs", self.epochs >= 1, "must be >= 1"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("max_neg_samples", self.max_neg_samples >= 1, "must be >= 1"),
             ("k", self.k >= 1, "must be >= 1"),
             ("threshold_epochs", self.threshold_epochs >= 1, "must be >= 1"),
@@ -280,48 +290,47 @@ def cross_entropy_grad_threshold(score, threshold, y):
 
 @dataclass
 class StepResult:
-    """Outcome of one sampled pairwise step: whether an update fired and its cost."""
+    """Outcome of one batched pairwise step, summed over its rows.
 
-    updated: bool
+    ``updated`` counts the rows that took an update, ``draws`` and
+    ``loss`` are summed over the rows, and ``skipped`` counts the rows
+    with no negative to draw.
+    """
+
+    updated: int
     draws: int
     loss: float = 0.0
-    skipped: bool = False
+    skipped: int = 0
 
 
 @dataclass
 class CandidateSpace:
-    """What one sampled pairwise step ranks a positive against.
+    """What one stage's pairwise steps rank a positive against.
 
-    ``context`` is the (indices, values) part shared by every candidate
-    of the step; ``table`` is the padded (indices, values) pair of
-    ``pad_parts`` with one row per candidate id.  Negatives are drawn
-    from the sorted ``universe`` minus ``positives``, the sorted
-    positions of the positive candidates in it.
+    ``contexts`` is a padded (indices, values) table with one row per
+    context id (a user, or a keen pair for the act stage): the part shared
+    by every candidate of a step, padding last.  ``table`` is the padded
+    table with one row per candidate id.  Negatives for context c are
+    drawn from the sorted ``universe`` minus ``positives[c]``, the sorted
+    positions of c's positive candidates in it.
     """
 
-    context: tuple[np.ndarray, np.ndarray]
+    contexts: tuple[np.ndarray, np.ndarray]
     table: tuple[np.ndarray, np.ndarray]
     universe: np.ndarray
-    positives: np.ndarray
+    positives: list[np.ndarray]
+    context_widths: np.ndarray = field(init=False, repr=False)
 
-    def part(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate c's own part: its table row without the padding."""
-        idx, val = self.table[0][c], self.table[1][c]
-        keep = val != 0.0
-        return idx[keep], val[keep]
-
-
-def universe_positions(universe: np.ndarray, ids) -> np.ndarray:
-    """Sorted positions in the sorted ``universe`` of candidate ``ids``, all in it."""
-    return np.searchsorted(universe, np.fromiter(sorted(ids), dtype=np.int64, count=len(ids)))
+    def __post_init__(self):
+        # a batch gathers only the columns its widest context fills
+        self.context_widths = np.maximum((self.contexts[1] != 0.0).sum(axis=1), 1)
 
 
-def user_spaces(contexts, table, universe: np.ndarray, positives_by_user: dict) -> dict[int, CandidateSpace]:
-    """Per user u of ``positives_by_user``: context ``contexts[u]`` against the shared table and universe."""
-    return {
-        u: CandidateSpace(contexts[u], table, universe, universe_positions(universe, ids))
-        for u, ids in positives_by_user.items()
-    }
+def grouped_positions(universe: np.ndarray, ids: np.ndarray, groups: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """Positions in the sorted ``universe`` of ``ids``, split by their sorted ``groups`` into one array per group id."""
+    positions = np.searchsorted(universe, ids)
+    bounds = np.searchsorted(groups, np.arange(n_groups + 1)).tolist()
+    return [positions[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def draw_negatives(rng: np.random.Generator, n_universe: int, positives: np.ndarray, cap: int) -> np.ndarray:
@@ -355,74 +364,132 @@ def _logistic(diff: float) -> tuple[float, float]:
     return e / (1.0 + e), math.log1p(e)
 
 
-def pairwise_step(
+def _sum_rows(indices: np.ndarray, owners: np.ndarray, rows: np.ndarray, params: FMParameters, lam: float) -> FMGradient:
+    """Sum gradient ``rows`` that share a parameter index, plus ``lam`` times
+    that parameter row once per distinct ``owners`` entry touching it.
+
+    ``owners`` (the batch row of each gradient row) is non-decreasing, so
+    one stable sort by index keeps each index's rows in batch order.
+    """
+    order = np.argsort(indices, kind="stable")
+    indices, owners = indices[order], owners[order]
+    first = np.ones(indices.size, dtype=bool)
+    first[1:] = indices[1:] != indices[:-1]
+    starts = np.flatnonzero(first)
+    new_owner = first.copy()
+    new_owner[1:] |= owners[1:] != owners[:-1]
+    summed = np.add.reduceat(rows[order], starts, axis=0)
+    if lam:
+        touched = np.add.reduceat(new_owner, starts).astype(np.float64)
+        summed = summed + (lam * touched)[:, None] * params.table[indices[starts]]
+    return FMGradient(w0=0.0, indices=indices[starts], rows=summed)
+
+
+def batch_step(
     params: FMParameters,
     state: AdamState,
     lam: float,
     space: CandidateSpace,
-    positive: int,
+    contexts: np.ndarray,
+    positives: np.ndarray,
     rng: np.random.Generator,
     config: TrainConfig,
     bpr: bool = False,
 ) -> StepResult:
-    """One sampled pairwise update of ``params`` for ``positive``.
+    """One sampled pairwise update of ``params`` over a batch of examples.
 
-    WARP draws up to ``max_neg_samples`` distinct negatives as one
-    array, scores them with one gather from the part table, and updates
-    on the first that violates the margin, weighted by phi of the
-    estimated rank (WSABIE); ``draws`` is that violator's 1-based
-    position, or the number drawn when none violates.  BPR draws one
-    negative and always updates, weighted by sigmoid(-(s_pos - s_neg)).
-    ``lam`` is the L2 decay on the touched rows.  The scores leave out
-    w0, which cancels in every difference taken.
+    Row r ranks candidate ``positives[r]`` for context ``contexts[r]``.
+    The parameters stay frozen within the batch.  Each row draws up to
+    ``max_neg_samples`` distinct negatives with ``draw_negatives``, in row
+    order; a row whose context has no negative is skipped without a draw.
+    Every row's context is scored with one ``table_stats`` call and every
+    row's positive and negatives with one more, as one gather from the
+    part table.  WARP updates a row on its first margin violator, found
+    with one ``argmax``, weighted by phi of the estimated rank (WSABIE);
+    its ``draws`` is that violator's 1-based position, or the number
+    drawn when none violates.  BPR draws one negative and always updates,
+    weighted by sigmoid(-(s_pos - s_neg)).  The updated rows' gradients
+    are built as one block, with the L2 decay ``lam`` on each row's
+    touched parameters, summed per parameter row, and applied as one Adam
+    update, so Adam's ``t`` counts batches with an update.  The scores
+    leave out w0, which cancels in every difference taken.  With one row
+    per batch this is per-example SGD.
     """
-    total_neg = space.universe.size - space.positives.size
-    if total_neg <= 0:
-        return StepResult(updated=False, draws=0, skipped=True)
-    cap = 1 if bpr else min(config.max_neg_samples, total_neg)
-    negatives = space.universe[draw_negatives(rng, space.universe.size, space.positives, cap)]
-    candidates = np.concatenate(([positive], negatives))
-    cbase, s_ctx = part_stats(params, *space.context)
-    base, s = table_stats(params, space.table[0][candidates], space.table[1][candidates])
-    scores = cbase + base + s @ s_ctx
-    # BPR updates on its single negative; WARP on the first margin violator
-    j = 0
-    if not bpr:
-        violates = scores[0] < config.margin + scores[1:]
-        j = int(violates.argmax())
-        if not violates[j]:
-            return StepResult(updated=False, draws=cap)
-    draws = j + 1
-    s_pos, s_neg = float(scores[0]), float(scores[draws])
+    n_universe = space.universe.size
+    width = 1 if bpr else config.max_neg_samples
+    candidates = np.empty((len(contexts), 1 + width), dtype=np.int64)
+    candidates[:, 0] = positives
+    drawn = np.zeros(len(contexts), dtype=np.int64)
+    total_neg = np.zeros(len(contexts), dtype=np.int64)
+    for r, c in enumerate(contexts.tolist()):
+        taken = space.positives[c]
+        total = n_universe - taken.size
+        if total > 0:
+            cap = 1 if bpr else min(width, total)
+            candidates[r, 1 : 1 + cap] = space.universe[draw_negatives(rng, n_universe, taken, cap)]
+            drawn[r], total_neg[r] = cap, total
+    live = drawn > 0
+    skipped = len(contexts) - int(live.sum())
+    if not live.any():
+        return StepResult(updated=0, draws=0, skipped=skipped)
+    contexts, drawn, total_neg = contexts[live], drawn[live], total_neg[live]
+    drawn_negative = np.arange(1, int(drawn.max()) + 1) <= drawn[:, None]
+    candidates = candidates[live, : 1 + drawn_negative.shape[1]]
+    candidates[:, 1:] = np.where(drawn_negative, candidates[:, 1:], candidates[:, :1])
+
+    n, n_cand = candidates.shape
+    width = int(space.context_widths[contexts].max())
+    cidx, cval = space.contexts[0][contexts, :width], space.contexts[1][contexts, :width]
+    tidx, tval = space.table[0][candidates], space.table[1][candidates]
+    cbase, s_ctx = table_stats(params, cidx, cval)
+    base, s = table_stats(params, tidx.reshape(n * n_cand, -1), tval.reshape(n * n_cand, -1))
+    s = s.reshape(n, n_cand, -1)
+    scores = cbase[:, None] + base.reshape(n, n_cand) + (s @ s_ctx[:, :, None])[:, :, 0]
+
+    rows = np.arange(n)
     if bpr:
-        weight, loss = _logistic(s_neg - s_pos)
+        col = np.ones(n, dtype=np.int64)
+        draws = col
+        diff = scores[:, 1] - scores[:, 0]
+        weight, losses = sigmoid(diff), np.logaddexp(0.0, diff)
     else:
-        weight = phi(estimate_rank(total_neg, draws))
-        loss = weight * (config.margin - s_pos + s_neg)
-    c = int(negatives[j])
-    grad = part_gradient(params, space.context, space.part(positive), space.part(c), s_ctx, s[0], s[draws], weight)
-    if lam:
-        grad.rows = grad.rows + lam * params.table[grad.indices]
-    adam_update(params, state, grad)
-    return StepResult(updated=True, draws=draws, loss=loss)
+        violates = (scores[:, :1] < config.margin + scores[:, 1:]) & drawn_negative
+        first = violates.argmax(axis=1)
+        hit = violates[rows, first]
+        draws = np.where(hit, first + 1, drawn)
+        rows, col = rows[hit], first[hit] + 1
+        weight = np.array([phi(estimate_rank(t, d)) for t, d in zip(total_neg[rows].tolist(), col.tolist())])
+        losses = weight * (config.margin - scores[rows, 0] + scores[rows, col])
+    result = StepResult(updated=rows.size, draws=int(draws.sum()), loss=float(losses.sum()), skipped=skipped)
+    if not rows.size:
+        return result
+
+    gradient = part_gradient(
+        params, (cidx[rows], cval[rows]), (tidx[rows, 0], tval[rows, 0]), (tidx[rows, col], tval[rows, col]),
+        s_ctx[rows], s[rows, 0], s[rows, col], weight,
+    )
+    adam_update(params, state, _sum_rows(*gradient, params, lam))
+    return result
 
 
-def run_phase(epoch: int, phase: str, examples, step, params: FMParameters, rng, report: list) -> None:
-    """One epoch of ``step`` over ``examples`` in a fresh random order.
+def run_phase(epoch: int, phase: str, n_examples: int, step, params: FMParameters, rng, report: list, batch_size: int) -> None:
+    """One epoch of ``step`` over ``n_examples`` examples in a fresh random order.
 
-    Appends mean loss, draws and violation rate rows to ``report``;
-    raises NumericalError on a non-finite loss sum or ``params``.
+    The order is cut into batches of ``batch_size`` example indices, and
+    ``step`` takes one batch at a time.  Appends mean loss, draws and
+    violation rate rows, per example, to ``report``; raises
+    NumericalError on a non-finite loss sum or ``params``.
     """
-    order = rng.permutation(len(examples))
+    order = rng.permutation(n_examples)
     losses = 0.0
     draws = 0
     updates = 0
-    for i in order:
-        result = step(*examples[i])
+    for start in range(0, n_examples, batch_size):
+        result = step(order[start : start + batch_size])
         draws += result.draws
         losses += result.loss
-        updates += int(result.updated)
-    n = max(len(examples), 1)
+        updates += result.updated
+    n = max(n_examples, 1)
     report.append((epoch, phase, "warp_loss", float(losses) / n))
     report.append((epoch, phase, "mean_draws", draws / n))
     report.append((epoch, phase, "violation_rate", updates / n))
@@ -507,44 +574,50 @@ class Trainer:
         self.item_universe = np.array(store.items_with_interactions(), dtype=np.int64)
         self.activity_universe = np.arange(catalog.n_activities, dtype=np.int64)
         # user and item blocks sit at the same offsets in both layouts, so
-        # one part per user and per item serves keen and act
-        self.user_parts = [user_part(u, self.act_layout, user_feats) for u in range(catalog.n_users)]
-        self.item_parts = [item_part(v, self.act_layout, item_feats) for v in range(catalog.n_items)]
-        self.item_table = pad_parts(self.item_parts)
-        self.activity_table = pad_parts(activity_part(z, self.act_layout) for z in self.activity_universe)
-        positive_items = {u: store.positive_items(u) for u in store.users_with_interactions()}
-        self.keen_spaces = user_spaces(self.user_parts, self.item_table, self.item_universe, positive_items)
-        self.activity_positives = {
-            (u, v): universe_positions(self.activity_universe, store.positive_activities(u, v))
-            for u, v in store.keen_pairs
-        }
+        # one part table per side serves keen and act
+        user_table = pad_parts(user_part(u, self.act_layout, user_feats) for u in range(catalog.n_users))
+        item_table = pad_parts(item_part(v, self.act_layout, item_feats) for v in range(catalog.n_items))
+        activity_table = pad_parts(activity_part(z, self.act_layout) for z in self.activity_universe)
+        # keen examples are the keen pairs; act examples are the triples,
+        # each with the index of its keen pair as its context
+        self.pair_users, self.pair_items = store.pair_columns
+        self.triple_pairs = store.pair_ids
+        self.keen_space = CandidateSpace(
+            user_table, item_table, self.item_universe,
+            grouped_positions(self.item_universe, self.pair_items, self.pair_users, catalog.n_users),
+        )
+        self.act_space = CandidateSpace(
+            join_tables((user_table, self.pair_users), (item_table, self.pair_items)),
+            activity_table, self.activity_universe,
+            grouped_positions(self.activity_universe, store.columns[2], self.triple_pairs, self.pair_users.size),
+        )
+        for user in store.users_with_interactions():
+            if self.keen_space.positives[user].size == self.item_universe.size:
+                logger.warning("user %d is positive on every training item; its keen steps are skipped", user)
         self.report: list[tuple[int, str, str, float]] = []
 
     # -- phase 1: rank learning ------------------------------------------
 
-    def warp_step_keen(self, u: int, v: int) -> StepResult:
-        """One WARP step for a positive item pair; no-op without violation."""
-        space = self.keen_spaces[u]
-        result = pairwise_step(self.keen, self.keen_state, self.config.lambda_keen, space, v, self.rng, self.config)
-        if result.skipped:
-            logger.warning("user %d is positive on every training item; keen step skipped", u)
-        return result
-
-    def warp_step_act(self, u: int, v: int, z: int) -> StepResult:
-        """One WARP step for a positive activity; negatives drawn from Z."""
-        space = CandidateSpace(
-            context=join_parts(self.user_parts[u], self.item_parts[v]),
-            table=self.activity_table,
-            universe=self.activity_universe,
-            positives=self.activity_positives[u, v],
+    def warp_step_keen(self, rows: np.ndarray) -> StepResult:
+        """One batched WARP step over the keen pairs ``rows``; negatives are training items."""
+        return batch_step(
+            self.keen, self.keen_state, self.config.lambda_keen, self.keen_space,
+            self.pair_users[rows], self.pair_items[rows], self.rng, self.config,
         )
-        return pairwise_step(self.act, self.act_state, self.config.lambda_act, space, z, self.rng, self.config)
+
+    def warp_step_act(self, rows: np.ndarray) -> StepResult:
+        """One batched WARP step over the triples ``rows``; negatives are activities."""
+        return batch_step(
+            self.act, self.act_state, self.config.lambda_act, self.act_space,
+            self.triple_pairs[rows], self.store.columns[2][rows], self.rng, self.config,
+        )
 
     def run_rank_learning(self) -> None:
         """Phase 1: keen steps over the pairs, then act steps over the triples."""
+        batch = self.config.batch_size
         for epoch in range(self.config.epochs):
-            run_phase(epoch, "keen_rank", self.store.keen_pairs, self.warp_step_keen, self.keen, self.rng, self.report)
-            run_phase(epoch, "act_rank", self.store.triples, self.warp_step_act, self.act, self.rng, self.report)
+            run_phase(epoch, "keen_rank", self.pair_users.size, self.warp_step_keen, self.keen, self.rng, self.report, batch)
+            run_phase(epoch, "act_rank", self.store.n_triples, self.warp_step_act, self.act, self.rng, self.report, batch)
 
     # -- phase 2: threshold learning ---------------------------------------
 
@@ -552,7 +625,7 @@ class Trainer:
         """Items a user contributes to threshold fitting and their 0/1 labels:
         all training items, or positives plus a sampled negative subset when
         the ratio is finite."""
-        positives = self.keen_spaces[u].positives
+        positives = self.keen_space.positives[u]
         negative = np.ones(self.item_universe.size, dtype=bool)
         negative[positives] = False
         ratio = self.config.threshold_negative_ratio
@@ -589,8 +662,7 @@ class Trainer:
         scorer = Scorer(self.act, self.act_layout, self.user_feats, self.item_feats)
         pairs, all_z = self.store.keen_pairs, self.activity_universe
         labels = np.zeros((len(pairs), all_z.size))
-        for row, pair in enumerate(pairs):
-            labels[row, self.activity_positives[pair]] = 1.0
+        labels[self.triple_pairs, self.store.columns[2]] = 1.0
         return fit_thresholds(
             [scorer.score_activities(u, v) for u, v in pairs], list(labels), [all_z] * len(pairs), all_z.size,
             self.config.threshold_epochs, **self.config.adam_kwargs(),

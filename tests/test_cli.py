@@ -140,6 +140,22 @@ class TestTrain:
         assert main(["train", "--log", str(log), "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "learning_rate_typo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "2.5"])
+    def test_bad_batch_size_exits_2(self, corpus, tmp_path, capsys, value):
+        log, _ = corpus
+        bad = tmp_path / "bad.conf"
+        bad.write_text(f"epochs = 2\nbatch_size = {value}\n", encoding="utf-8")
+        assert main(["train", "--log", str(log), "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert "batch_size" in capsys.readouterr().err
+
+    def test_default_batch_size_runs_are_byte_identical(self, corpus, tmp_path):
+        """The same seed at the default batch size: identical model.json and report.tsv."""
+        log, config = corpus
+        first, second = run_train(tmp_path, log, config, "a"), run_train(tmp_path, log, config, "b")
+        assert json.loads((first / "model.json").read_text(encoding="utf-8"))["config"]["batch_size"] == 16
+        for name in ("model.json", "report.tsv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
     def test_out_of_range_config_value(self, corpus, tmp_path, capsys):
         log, _ = corpus
         bad = tmp_path / "bad.conf"

@@ -294,6 +294,8 @@ class TestStoreProperty:
             pos_acts.setdefault((u, v), set()).add(z)
         assert store.triples == tuple(distinct)
         assert store.keen_pairs == tuple(sorted(pos_acts))
+        assert list(zip(*(c.tolist() for c in store.pair_columns))) == sorted(pos_acts)
+        assert [store.keen_pairs[p] for p in store.pair_ids.tolist()] == [t[:2] for t in distinct]
         assert store.n_duplicates == len(triples) - len(distinct)
         assert store.users_with_interactions() == sorted(pos_items)
         assert store.items_with_interactions() == sorted({v for _, v, _ in distinct})

@@ -35,14 +35,17 @@ def test_instrument_installs_and_uninstalls():
             store,
             empty_features(catalog.n_users, "user"),
             empty_features(catalog.n_items, "item"),
-            TrainConfig(epochs=1, k=2, threshold_epochs=1),
+            TrainConfig(epochs=1, k=2, threshold_epochs=1, batch_size=4),
         )
     finally:
         rec.uninstall()
     assert (training.Trainer.warp_step_keen, training.Trainer.warp_step_act, training.part_stats) == originals
     totals = rec.totals()
-    assert totals["training.keen_rank"]["calls"] == store.n_pairs
-    assert totals["training.act_rank"]["calls"] == store.n_triples
+    # one span per batch of 4 examples; the hooks sum draws and updated rows over a batch
+    assert totals["training.keen_rank"]["calls"] == -(-store.n_pairs // 4)
+    assert totals["training.act_rank"]["calls"] == -(-store.n_triples // 4)
     assert rec.counters["training.keen_draws"] > 0
-    # fm.updates counts one fm.adam span per applied update
-    assert totals["fm.adam"]["calls"] == rec.counters["training.keen_updates"] + rec.counters["training.act_updates"]
+    # fm.updates counts one fm.adam span per batch with at least one updated row
+    updates = rec.counters["training.keen_updates"] + rec.counters["training.act_updates"]
+    assert 0 < totals["fm.adam"]["calls"] <= updates
+    assert totals["fm.adam"]["calls"] <= totals["training.keen_rank"]["calls"] + totals["training.act_rank"]["calls"]

@@ -13,8 +13,8 @@ from keenact.features import (
     co_participation_features,
     empty_features,
 )
-from keenact.features import activity_part, item_part, join_parts, user_part
-from keenact.fm import combine_gradients, fm_gradient, fm_score, init_params
+from keenact.features import activity_part, item_part, join_parts, pad_parts, user_part
+from keenact.fm import FMGradient, combine_gradients, fm_gradient, fm_score, init_params
 from keenact.scoring import Scorer, part_gradient, part_stats
 
 
@@ -71,21 +71,25 @@ class TestPartStats:
         np.testing.assert_array_equal(s, np.zeros(2))
 
 
-def assert_part_gradient_matches_oracle(params, context, pos, neg, x_pos, x_neg, weight):
-    _, s_ctx = part_stats(params, *context)
-    _, s_pos = part_stats(params, *pos)
-    _, s_neg = part_stats(params, *neg)
-    got = part_gradient(params, context, pos, neg, s_ctx, s_pos, s_neg, weight)
-    want = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
-    order = np.argsort(got.indices)
-    np.testing.assert_array_equal(got.indices[order], want.indices)
-    assert got.w0 == want.w0
-    np.testing.assert_allclose(got.w[order], want.w, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got.factors[order], want.factors, rtol=0, atol=1e-12)
+def assert_part_gradient_matches_oracle(params, cases):
+    """One part_gradient call over every (context, pos, neg, x_pos, x_neg, weight)
+    case as a padded batch; each row's entries, summed per index, equal the
+    combined fm_gradient of its assembled pair."""
+    context, pos, neg = (pad_parts(case[i] for case in cases) for i in range(3))
+    s_ctx, s_pos, s_neg = (np.array([part_stats(params, *case[i])[1] for case in cases]) for i in range(3))
+    weight = np.array([case[5] for case in cases])
+    indices, owners, rows = part_gradient(params, context, pos, neg, s_ctx, s_pos, s_neg, weight)
+    assert np.all(np.diff(owners) >= 0)
+    for r, (_, _, _, x_pos, x_neg, w) in enumerate(cases):
+        got = combine_gradients([FMGradient(0.0, indices[owners == r], rows[owners == r])])
+        want = combine_gradients([fm_gradient(params, x_pos, -w), fm_gradient(params, x_neg, w)])
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.factors, want.factors, rtol=0, atol=1e-12)
 
 
 class TestPartGradient:
-    """part_gradient equals the combined fm_gradient of the assembled pair."""
+    """part_gradient, summed per row, equals the combined fm_gradient of each assembled pair."""
 
     @pytest.mark.parametrize("id_onehots", [True, False])
     @pytest.mark.parametrize("dense_items", [False, True])
@@ -97,32 +101,38 @@ class TestPartGradient:
             itf = FeatureMatrix(sparse.csr_matrix(rows), "item")
         rng = np.random.default_rng(17)
         n_items, n_acts = catalog.n_items, catalog.n_activities
+        keen, act, flat = [], [], []
         for _ in range(30):
             u = int(rng.integers(catalog.n_users))
             v, v2 = (int(x) for x in rng.choice(n_items, size=2, replace=False))
             z, z2 = (int(x) for x in rng.choice(n_acts, size=2, replace=False))
             weight = float(rng.uniform(0.1, 3.0))
             # keen: user context, item candidates
-            assert_part_gradient_matches_oracle(
-                keen_p, user_part(u, keen_l, uf), item_part(v, keen_l, itf), item_part(v2, keen_l, itf),
+            keen.append((
+                user_part(u, keen_l, uf), item_part(v, keen_l, itf), item_part(v2, keen_l, itf),
                 assemble_keen_input(u, v, keen_l, uf, itf), assemble_keen_input(u, v2, keen_l, uf, itf), weight,
-            )
+            ))
             # act: user + item context, activity candidates
-            assert_part_gradient_matches_oracle(
-                act_p, join_parts(user_part(u, act_l, uf), item_part(v, act_l, itf)),
+            act.append((
+                join_parts(user_part(u, act_l, uf), item_part(v, act_l, itf)),
                 activity_part(z, act_l), activity_part(z2, act_l),
                 assemble_act_input(u, v, z, act_l, uf, itf), assemble_act_input(u, v, z2, act_l, uf, itf), weight,
-            )
+            ))
             # flat: user context, (item, activity) candidates sharing an item,
             # sharing an activity, or sharing neither
             for pv, pz, nv, nz in ((v, z, v, z2), (v, z, v2, z), (v, z, v2, z2)):
-                assert_part_gradient_matches_oracle(
-                    act_p, user_part(u, act_l, uf),
+                flat.append((
+                    user_part(u, act_l, uf),
                     join_parts(item_part(pv, act_l, itf), activity_part(pz, act_l)),
                     join_parts(item_part(nv, act_l, itf), activity_part(nz, act_l)),
                     assemble_act_input(u, pv, pz, act_l, uf, itf), assemble_act_input(u, nv, nz, act_l, uf, itf),
                     weight,
-                )
+                ))
+        assert_part_gradient_matches_oracle(keen_p, keen)
+        assert_part_gradient_matches_oracle(act_p, act)
+        assert_part_gradient_matches_oracle(act_p, flat)
+        # a batch of one row
+        assert_part_gradient_matches_oracle(act_p, flat[:1])
 
 
 class TestScorerEquality:

@@ -238,6 +238,21 @@ class TestContract:
         with pytest.raises(SnapshotError):
             load_model(path)
 
+    def test_config_without_batch_size_loads_with_the_default(self, tmp_path):
+        """Snapshots written before the key existed still load."""
+        path, payload = saved_payload(tmp_path)
+        del payload["config"]["batch_size"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert load_model(path).config.batch_size == TrainConfig().batch_size
+
+    @pytest.mark.parametrize("value", [0, 2.5])
+    def test_bad_batch_size_rejected(self, tmp_path, value):
+        path, payload = saved_payload(tmp_path)
+        payload["config"]["batch_size"] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SnapshotError):
+            load_model(path)
+
     def test_recommend_exits_2_on_missing_key(self, tmp_path, capsys):
         from keenact.cli import main
 

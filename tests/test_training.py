@@ -13,7 +13,7 @@ from scipy import sparse
 from keenact import training
 
 from keenact.data import Catalog, InteractionStore
-from keenact.evaluation import flat_candidate_spaces, train_baseline
+from keenact.evaluation import flat_candidate_space, train_baseline
 from keenact.features import (
     FeatureLayout,
     FeatureMatrix,
@@ -24,21 +24,31 @@ from keenact.features import (
     empty_features,
     l2_normalize_rows,
 )
-from keenact.fm import AdamState, adam_moves, adam_update, combine_gradients, fm_gradient, fm_score, init_params
-from keenact.scoring import Scorer, part_gradient
+from keenact.fm import (
+    AdamState,
+    FMGradient,
+    adam_moves,
+    adam_update,
+    combine_gradients,
+    fm_gradient,
+    fm_score,
+    init_params,
+)
+from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
 from keenact.synth import generate_two_stage
 from keenact.training import (
     ConfigError,
     TrainConfig,
     Trainer,
+    batch_step,
     config_from_mapping,
     cross_entropy,
     cross_entropy_grad_threshold,
     draw_negatives,
     estimate_rank,
     fit_thresholds,
-    pairwise_step,
     parse_config,
+    run_phase,
     phi,
     sigmoid,
     train,
@@ -211,6 +221,22 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config_from_mapping({key: value})
         assert err.value.key == key
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "1e3", "many"])
+    def test_batch_size_must_be_a_positive_integer(self, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({"batch_size": value})
+        assert err.value.key == "batch_size"
+
+    @pytest.mark.parametrize("value", [0, 2.5, 16.0, True])
+    def test_int_keys_reject_non_integers_passed_directly(self, value):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(batch_size=value)
+        assert err.value.key == "batch_size"
+
+    def test_batch_size_defaults_to_16_and_parses(self):
+        assert TrainConfig().batch_size == 16
+        assert config_from_mapping({"batch_size": " 1 "}).batch_size == 1
 
     def test_range_edges_accepted(self):
         cfg = config_from_mapping({"beta1": "0", "beta2": "0.9999", "lambda_keen": "0", "lambda_act": "0"})
@@ -409,21 +435,27 @@ def small_store(seed=0, n_users=6, n_items=10, n_acts=2, density=40):
     return store, user_feats, item_feats
 
 
+def one(i):
+    """A batch of the single example ``i``."""
+    return np.array([i])
+
+
 class TestWarpSteps:
     def test_keen_skips_user_with_no_negatives(self, caplog):
-        """A user positive on every training item cannot produce a violation."""
+        """A user positive on every training item cannot produce a violation; one warning per user, per run."""
         catalog = Catalog(["a"], ["x", "y"], ["fork"])
         store = InteractionStore(catalog, [(0, 0, 0), (0, 1, 0)])
-        trainer = Trainer(
-            store, empty_features(1, "user"), empty_features(2, "item"), TrainConfig(seed=0)
-        )
-        w_before = trainer.keen.w.copy()
+        config = TrainConfig(seed=0, epochs=3, threshold_epochs=1)
         with caplog.at_level(logging.WARNING, logger="keenact.training"):
-            result = trainer.warp_step_keen(0, 0)
-        assert result.skipped
-        assert not result.updated
+            trainer = Trainer(store, empty_features(1, "user"), empty_features(2, "item"), config)
+            w_before = trainer.keen.w.copy()
+            result = trainer.warp_step_keen(np.arange(2))
+            trainer.run_rank_learning()
+        assert (result.skipped, result.updated, result.draws) == (2, 0, 0)
         np.testing.assert_array_equal(trainer.keen.w, w_before)
-        assert any("skipped" in r.message for r in caplog.records)
+        skipped = [r for r in caplog.records if r.name == "keenact.training" and "skipped" in r.message]
+        assert len(skipped) == 1
+        assert "user 0" in skipped[0].getMessage()
 
     def test_act_skips_fully_active_pair(self):
         """Both activity types observed on the pair leaves nothing to rank."""
@@ -432,8 +464,11 @@ class TestWarpSteps:
         trainer = Trainer(
             store, empty_features(2, "user"), empty_features(2, "item"), TrainConfig(seed=0)
         )
-        result = trainer.warp_step_act(0, 0, 0)
-        assert result.skipped
+        assert trainer.warp_step_act(one(0)).skipped == 1
+        # the third triple's pair has a negative; the batch skips only the first two
+        result = trainer.warp_step_act(np.arange(3))
+        assert result.skipped == 2
+        assert result.draws == 1
 
     def test_no_violation_leaves_parameters_unchanged(self):
         store, uf, itf = small_store(seed=3)
@@ -443,19 +478,20 @@ class TestWarpSteps:
         trainer.keen.w[trainer.keen_layout.item_id_offset + v] = 100.0
         w_before = trainer.keen.w.copy()
         f_before = trainer.keen.factors.copy()
-        result = trainer.warp_step_keen(u, v)
+        result = trainer.warp_step_keen(one(0))
         assert not result.updated
         assert result.draws == min(
             TrainConfig().max_neg_samples,
             len(trainer.item_universe) - len(store.positive_items(u)),
         )
+        assert trainer.keen_state.t == 0
         np.testing.assert_array_equal(trainer.keen.w, w_before)
         np.testing.assert_array_equal(trainer.keen.factors, f_before)
 
     def test_every_accepted_update_descends_its_own_hinge(self, monkeypatch):
-        """A plain 1e-3 step along each gradient a training step applies lowers that pair's hinge."""
+        """A plain 1e-3 step along each row's gradient in a training batch lowers that row's hinge."""
         store, uf, itf = small_store(seed=5, density=60)
-        config = TrainConfig(seed=1, epochs=2)
+        config = TrainConfig(seed=1, epochs=2, batch_size=4)
         hinges = record_hinge_descent(monkeypatch, config.margin)
         train(store, uf, itf, config)
         assert hinges and all(after < before for before, after in hinges)
@@ -466,7 +502,7 @@ class TestWarpSteps:
         config = TrainConfig(seed=2)
         trainer = Trainer(store, uf, itf, config)
         hinges = record_hinge_descent(monkeypatch, config.margin)
-        updates = sum(trainer.warp_step_keen(u, v).updated for u, v in store.keen_pairs)
+        updates = sum(trainer.warp_step_keen(one(i)).updated for i in range(store.n_pairs))
         assert updates > 0
         assert len(hinges) == updates
         for before, after in hinges:
@@ -474,25 +510,28 @@ class TestWarpSteps:
 
 
 def record_hinge_descent(monkeypatch, margin, step=1e-3):
-    """Wrap training.part_gradient; for each gradient applied, record the pair's hinge before and after a plain step."""
+    """Wrap training.part_gradient; for each row of each gradient applied, record
+    the row's hinge before and after a plain step along that row's gradient."""
     hinges = []
 
-    def assembled(dim, context, part):
-        idx, val = np.concatenate([context[0], part[0]]), np.concatenate([context[1], part[1]])
-        order = np.argsort(idx)
-        return SparseVector(idx[order], val[order], dim)
+    def assembled(dim, context, part, r):
+        idx, val = np.concatenate([context[0][r], part[0][r]]), np.concatenate([context[1][r], part[1][r]])
+        keep = val != 0.0
+        order = np.argsort(idx[keep])
+        return SparseVector(idx[keep][order], val[keep][order], dim)
 
     def checked_part_gradient(params, context, pos, neg, *rest):
-        grad = part_gradient(params, context, pos, neg, *rest)
-        x_pos, x_neg = assembled(params.dim, context, pos), assembled(params.dim, context, neg)
-        trial = params.copy()
-        trial.w0 -= step * grad.w0
-        trial.w[grad.indices] -= step * grad.w
-        trial.factors[grad.indices] -= step * grad.factors
-        before = margin - fm_score(params, x_pos) + fm_score(params, x_neg)
-        after = margin - fm_score(trial, x_pos) + fm_score(trial, x_neg)
-        hinges.append((before, after))
-        return grad
+        indices, owners, rows = part_gradient(params, context, pos, neg, *rest)
+        for r in range(len(context[0])):
+            grad = combine_gradients([FMGradient(0.0, indices[owners == r], rows[owners == r])])
+            x_pos, x_neg = assembled(params.dim, context, pos, r), assembled(params.dim, context, neg, r)
+            trial = params.copy()
+            trial.w[grad.indices] -= step * grad.w
+            trial.factors[grad.indices] -= step * grad.factors
+            before = margin - fm_score(params, x_pos) + fm_score(params, x_neg)
+            after = margin - fm_score(trial, x_pos) + fm_score(trial, x_neg)
+            hinges.append((before, after))
+        return indices, owners, rows
 
     monkeypatch.setattr(training, "part_gradient", checked_part_gradient)
     return hinges
@@ -558,7 +597,7 @@ class TestStepMatchesReference:
                 else:
                     universe, positives, positive = ref.activity_universe, store.positive_activities(u, v), examples[i][2]
                     assemble = lambda c: assemble_act_input(u, v, c, ref.act_layout, uf, itf)
-                got = step(*examples[i])
+                got = step(one(i))
                 want = reference_warp_step(
                     ref.rng, config, getattr(ref, stage), getattr(ref, f"{stage}_state"), lam,
                     universe, positives, assemble, positive,
@@ -620,7 +659,7 @@ class TestSparseStepMatchesReference:
             np.testing.assert_array_equal(order, ref.rng.permutation(store.n_pairs))
             for i in order:
                 u, v = store.keen_pairs[i]
-                got = new.warp_step_keen(u, v)
+                got = new.warp_step_keen(one(i))
                 want = reference_sparse_warp_step(
                     ref.rng, config, ref.keen, ref.keen_state, config.lambda_keen, ref.item_universe,
                     store.positive_items(u), lambda c: assemble_keen_input(u, c, ref.keen_layout, uf, itf), v,
@@ -634,7 +673,7 @@ class TestSparseStepMatchesReference:
     def test_fm_warp_epoch(self):
         """The flat space against the written-out step, and train_baseline against both."""
         catalog, store, uf, itf = sparse_corpus()
-        config = TrainConfig(seed=5, k=4, epochs=1)
+        config = TrainConfig(seed=5, k=4, epochs=1, batch_size=1)
         layout = FeatureLayout.for_act(catalog, uf, itf)
         params = init_params(layout.dim, config.k, seed=config.seed + 3)
         ref_params = params.copy()
@@ -642,7 +681,7 @@ class TestSparseStepMatchesReference:
         ref_state = AdamState.for_params(ref_params, **config.adam_kwargs())
         rng = np.random.Generator(np.random.PCG64(config.seed))
         ref_rng = np.random.Generator(np.random.PCG64(config.seed))
-        spaces = flat_candidate_spaces(store, layout, uf, itf)
+        space = flat_candidate_space(store, layout, uf, itf)
         n_acts = catalog.n_activities
         universe = [v * n_acts + z for v in store.items_with_interactions() for z in range(n_acts)]
         flat = {u: frozenset(v * n_acts + z for _, v, z in rows) for u, rows in store.triples_by_user().items()}
@@ -651,7 +690,7 @@ class TestSparseStepMatchesReference:
         updates = 0
         for i in order:
             u, v, z = store.triples[i]
-            got = pairwise_step(params, state, config.lambda_keen, spaces[u], v * n_acts + z, rng, config)
+            got = batch_step(params, state, config.lambda_keen, space, one(u), one(v * n_acts + z), rng, config)
             want = reference_sparse_warp_step(
                 ref_rng, config, ref_params, ref_state, config.lambda_keen, universe, flat[u],
                 lambda f: assemble_act_input(u, f // n_acts, f % n_acts, layout, uf, itf), v * n_acts + z,
@@ -661,6 +700,244 @@ class TestSparseStepMatchesReference:
             assert_params_close(params, ref_params)
         assert updates > 0
         assert_params_close(train_baseline(store, uf, itf, config, kind="warp").params, ref_params)
+
+
+def unpadded(table, row):
+    """Row ``row`` of a padded (indices, values) part table without its padding."""
+    idx, val = table[0][row], table[1][row]
+    keep = val != 0.0
+    return idx[keep], val[keep]
+
+
+def assembled_input(dim, *parts):
+    idx, val = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    order = np.argsort(idx)
+    return SparseVector(idx[order], val[order], dim)
+
+
+def pairwise_step(params, state, lam, space, context, positive, rng, config, bpr=False, update=adam_update):
+    """The per-example sampled update that one-row batches must reproduce.
+
+    The context is scored with part_stats on its unpadded part and the
+    candidates with one table_stats gather; the gradient is the combined
+    fm_gradient of the assembled pair plus the decay on its rows, passed
+    to ``update`` (one Adam step).  Returns (updated, draws, loss).
+    """
+    positives = space.positives[context]
+    total_neg = space.universe.size - positives.size
+    if total_neg <= 0:
+        return False, 0, 0.0
+    cap = 1 if bpr else min(config.max_neg_samples, total_neg)
+    negatives = space.universe[draw_negatives(rng, space.universe.size, positives, cap)]
+    candidates = np.concatenate(([positive], negatives))
+    ctx = unpadded(space.contexts, context)
+    cbase, s_ctx = part_stats(params, *ctx)
+    base, s = table_stats(params, space.table[0][candidates], space.table[1][candidates])
+    scores = cbase + base + s @ s_ctx
+    j = 0
+    if not bpr:
+        violates = scores[0] < config.margin + scores[1:]
+        j = int(violates.argmax())
+        if not violates[j]:
+            return False, cap, 0.0
+    draws = j + 1
+    s_pos, s_neg = float(scores[0]), float(scores[draws])
+    if bpr:
+        weight, loss = 1.0 / (1.0 + math.exp(s_pos - s_neg)), math.log1p(math.exp(s_neg - s_pos))
+    else:
+        weight = phi(estimate_rank(total_neg, draws))
+        loss = weight * (config.margin - s_pos + s_neg)
+    x_pos = assembled_input(params.dim, ctx, unpadded(space.table, positive))
+    x_neg = assembled_input(params.dim, ctx, unpadded(space.table, int(negatives[j])))
+    grad = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
+    grad.rows = grad.rows + lam * params.table[grad.indices]
+    update(params, state, grad)
+    return True, draws, loss
+
+
+def assert_params_within(a, b, atol):
+    np.testing.assert_allclose(a.table, b.table, rtol=0, atol=atol)
+    assert a.w0 == b.w0
+
+
+class FlatStage:
+    """The flat baseline's parameters, optimizer, space and examples, as train_baseline builds them."""
+
+    def __init__(self, store, uf, itf, config):
+        catalog = store.catalog
+        layout = FeatureLayout.for_act(catalog, uf, itf)
+        self.params = init_params(layout.dim, config.k, seed=config.seed + 3)
+        self.state = AdamState.for_params(self.params, **config.adam_kwargs())
+        self.rng = np.random.Generator(np.random.PCG64(config.seed))
+        self.space = flat_candidate_space(store, layout, uf, itf)
+        u, v, z = store.columns
+        self.contexts, self.positives = u, v * catalog.n_activities + z
+
+
+def stage_views(trainer_or_flat, stage):
+    """(params, state, lam, space, contexts, positives, batched step) of one stage."""
+    t, cfg = trainer_or_flat, trainer_or_flat.config
+    if stage == "keen":
+        return t.keen, t.keen_state, cfg.lambda_keen, t.keen_space, t.pair_users, t.pair_items, t.warp_step_keen
+    if stage == "act":
+        z = t.store.columns[2]
+        return t.act, t.act_state, cfg.lambda_act, t.act_space, t.triple_pairs, z, t.warp_step_act
+    bpr = stage == "fm_bpr"
+
+    def step(rows):
+        return batch_step(t.params, t.state, cfg.lambda_keen, t.space, t.contexts[rows], t.positives[rows], t.rng, cfg, bpr=bpr)
+
+    return t.params, t.state, cfg.lambda_keen, t.space, t.contexts, t.positives, step
+
+
+def make_stage(store, uf, itf, config, stage):
+    if stage in ("keen", "act"):
+        return Trainer(store, uf, itf, config)
+    flat = FlatStage(store, uf, itf, config)
+    flat.config = config
+    return flat
+
+
+class TestBatchOfOneMatchesPairwiseStep:
+    @pytest.mark.parametrize("stage", ["keen", "act", "fm_bpr", "fm_warp"])
+    def test_two_epochs(self, stage):
+        """batch_size 1: the same (updated, draws) per row as pairwise_step, parameters within 1e-12."""
+        catalog, store = generate_two_stage(14, 30, 3, seed=2, items_per_user=(3, 9))
+        uf = l2_normalize_rows(co_participation_features(store))
+        rows = np.random.default_rng(4).random((catalog.n_items, 5))
+        itf = FeatureMatrix(sparse.csr_matrix(rows * (rows < 0.6)), "item")
+        config = TrainConfig(seed=3, k=4, batch_size=1)
+        new, ref = make_stage(store, uf, itf, config, stage), make_stage(store, uf, itf, config, stage)
+        params, *_, step = stage_views(new, stage)
+        ref_params, ref_state, lam, space, contexts, positives, _ = stage_views(ref, stage)
+        outcomes = set()
+        for _ in range(2):
+            order = new.rng.permutation(len(contexts))
+            np.testing.assert_array_equal(order, ref.rng.permutation(len(contexts)))
+            for i in order:
+                got = step(one(i))
+                want = pairwise_step(
+                    ref_params, ref_state, lam, space, int(contexts[i]), int(positives[i]), ref.rng, config,
+                    bpr=stage == "fm_bpr",
+                )
+                assert (bool(got.updated), got.draws) == want[:2]
+                np.testing.assert_allclose(got.loss, want[2], rtol=1e-12, atol=0)
+                outcomes.add(bool(got.updated))
+        assert True in outcomes
+        assert_params_within(params, ref_params, 1e-12)
+
+    def test_report_rows_match_per_example_run(self):
+        """batch_size 1: warp_loss, mean_draws and violation_rate are the per-example means of pairwise_step."""
+        store, uf, itf = small_store(seed=13, n_items=14, density=60)
+        config = TrainConfig(seed=8, epochs=2, batch_size=1)
+        trainer, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
+        trainer.run_rank_learning()
+        want = []
+        for epoch in range(config.epochs):
+            for stage, phase in (("keen", "keen_rank"), ("act", "act_rank")):
+                params, state, lam, space, contexts, positives, _ = stage_views(ref, stage)
+                totals = [0.0, 0, 0]
+                for i in ref.rng.permutation(len(contexts)):
+                    updated, draws, loss = pairwise_step(params, state, lam, space, int(contexts[i]), int(positives[i]), ref.rng, config)
+                    totals = [totals[0] + loss, totals[1] + draws, totals[2] + int(updated)]
+                n = len(contexts)
+                want += [(epoch, phase, "warp_loss", totals[0] / n), (epoch, phase, "mean_draws", totals[1] / n),
+                         (epoch, phase, "violation_rate", totals[2] / n)]
+        assert [row[:3] for row in trainer.report] == [row[:3] for row in want]
+        for got, expected in zip(trainer.report, want):
+            if got[2] == "warp_loss":
+                assert got[3] == pytest.approx(expected[3], rel=1e-12, abs=0)
+            else:
+                assert got[3] == expected[3]
+
+
+def frozen_batch_reference(params, state, lam, space, contexts, positives, rng, config, bpr=False):
+    """One batch written out: every row's pairwise_step against a frozen copy of
+    the parameters, each row's gradient (with its decay) kept, and their sum
+    applied as one Adam step.  Returns (updated, draws, skipped) per row."""
+    frozen = params.copy()
+    grads, outcomes = [], []
+    for c, p in zip(contexts.tolist(), positives.tolist()):
+        skipped = space.universe.size == space.positives[c].size
+        updated, draws, _ = pairwise_step(
+            frozen, state, lam, space, c, p, rng, config, bpr=bpr, update=lambda _p, _s, grad: grads.append(grad)
+        )
+        outcomes.append((updated, draws, skipped))
+    if grads:
+        adam_update(params, state, combine_gradients(grads))
+    return outcomes
+
+
+class TestFrozenBatch:
+    """Batches of several rows against the frozen-parameter reference, with their edge cases."""
+
+    @staticmethod
+    def edge_store():
+        """Rows that skip (an all-positive keen user, fully active act pairs) and
+        fewer negatives than max_neg_samples (nine training items, three activities)."""
+        catalog = Catalog([f"u{i}" for i in range(6)], [f"i{j}" for j in range(10)], ["a", "b", "c"])
+        rng = np.random.default_rng(21)
+        triples = {(0, v, int(z)) for v in range(9) for z in rng.integers(0, 3, 2)}  # every training item
+        triples |= {(1, 2, z) for z in range(3)} | {(1, 5, z) for z in range(3)}  # fully active pairs
+        triples |= {(int(u), int(v), int(z)) for u, v, z in zip(rng.integers(1, 6, 50), rng.integers(0, 9, 50), rng.integers(0, 3, 50))}
+        store = InteractionStore(catalog, sorted(triples))
+        return store, l2_normalize_rows(co_participation_features(store)), empty_features(10, "item")
+
+    @pytest.mark.parametrize("stage", ["keen", "act", "fm_bpr", "fm_warp"])
+    @pytest.mark.parametrize("batch_size", [7, 1000])
+    def test_epochs_of_batches(self, stage, batch_size):
+        """Summed outcomes per batch and parameters within 1e-12 over 3 epochs,
+        including a last partial batch (n % 7 != 0) and a batch larger than the epoch."""
+        store, uf, itf = self.edge_store()
+        config = TrainConfig(seed=4, k=3, batch_size=batch_size, max_neg_samples=20)
+        new, ref = make_stage(store, uf, itf, config, stage), make_stage(store, uf, itf, config, stage)
+        params, *_, step = stage_views(new, stage)
+        ref_params, ref_state, lam, space, contexts, positives, _ = stage_views(ref, stage)
+        n = len(contexts)
+        assert n % 7 != 0 and n < 1000
+        seen = {"skipped": 0, "partial": 0, "updated": 0}
+        for _ in range(3):
+            order = new.rng.permutation(n)
+            np.testing.assert_array_equal(order, ref.rng.permutation(n))
+            for start in range(0, n, batch_size):
+                rows = order[start : start + batch_size]
+                got = step(rows)
+                want = frozen_batch_reference(
+                    ref_params, ref_state, lam, space, contexts[rows], positives[rows], ref.rng, config,
+                    bpr=stage == "fm_bpr",
+                )
+                assert got.updated == sum(u for u, _, _ in want)
+                assert got.draws == sum(d for _, d, _ in want)
+                assert got.skipped == sum(s for _, _, s in want)
+                assert_params_within(params, ref_params, 1e-12)
+                seen["skipped"] += got.skipped
+                seen["partial"] += rows.size < batch_size
+                seen["updated"] += got.updated
+        assert seen["partial"] == 3 and seen["updated"] > 0
+        assert (seen["skipped"] > 0) == (stage in ("keen", "act"))
+
+
+class TestRunPhase:
+    @pytest.mark.parametrize("n, batch_size, sizes", [(11, 4, [4, 4, 3]), (5, 16, [5]), (3, 1, [1, 1, 1])])
+    def test_batches_cover_the_seeded_order(self, n, batch_size, sizes):
+        rng = np.random.Generator(np.random.PCG64(0))
+        want = np.random.Generator(np.random.PCG64(0)).permutation(n)
+        batches = []
+
+        def step(rows):
+            batches.append(rows)
+            return training.StepResult(updated=rows.size - 1, draws=2 * rows.size, loss=float(rows.size))
+
+        report = []
+        run_phase(0, "keen_rank", n, step, init_params(2, 1, seed=0), rng, report, batch_size)
+        assert [b.size for b in batches] == sizes
+        np.testing.assert_array_equal(np.concatenate(batches), want)
+        # report rows are means per example, not per batch
+        assert report == [
+            (0, "keen_rank", "warp_loss", 1.0),
+            (0, "keen_rank", "mean_draws", 2.0),
+            (0, "keen_rank", "violation_rate", (n - len(sizes)) / n),
+        ]
 
 
 positions_and_cap = st.integers(1, 120).flatmap(
@@ -707,21 +984,24 @@ class TestDrawNegatives:
 
 
 class TestStepCost:
-    def test_one_part_stats_call_per_step(self, monkeypatch):
-        """Only the context goes through part_stats; candidates come from the part table."""
+    def test_two_table_stats_calls_per_batch(self, monkeypatch):
+        """A batch scores its contexts with one table_stats call and its candidates with one more; no part_stats."""
         _, store, uf, itf = sparse_corpus()
         trainer = Trainer(store, uf, itf, TrainConfig(seed=3, k=4))
-        calls = []
-        original = training.part_stats
-        monkeypatch.setattr(training, "part_stats", lambda *a: calls.append(1) or original(*a))
-        steps = 0
-        for u, v, z in store.triples[:60]:
-            for step, example in ((trainer.warp_step_keen, (u, v)), (trainer.warp_step_act, (u, v, z))):
-                before = len(calls)
-                result = step(*example)
-                assert len(calls) - before == (0 if result.skipped else 1)
-                steps += not result.skipped
-        assert steps > 60
+        calls = {"table_stats": 0, "part_stats": 0}
+        for name in calls:
+            original = getattr(training, name)
+            monkeypatch.setattr(training, name, lambda *a, _f=original, _n=name: calls.__setitem__(_n, calls[_n] + 1) or _f(*a))
+        batches = 0
+        for start in range(0, 60, 16):
+            rows = np.arange(start, min(start + 16, 60))
+            for step in (trainer.warp_step_keen, trainer.warp_step_act):
+                before = calls["table_stats"]
+                result = step(rows)
+                assert calls["table_stats"] - before == (0 if result.skipped == rows.size else 2)
+                batches += result.skipped < rows.size
+        assert batches == 8
+        assert calls["part_stats"] == 0
 
 
 def list_threshold_groups(trainer, rng):
@@ -904,27 +1184,38 @@ def exact_warp_loss(params, layout, user_feats, item_feats, store, universe, mar
     return total
 
 
+def exact_loss_drops(batch_size, epochs):
+    """Seeds out of 5 on which rank learning lowers the true-rank loss of a tiny instance."""
+    decreased = 0
+    for seed in range(5):
+        catalog, store = generate_two_stage(
+            n_users=5, n_items=8, n_activities=2, seed=seed, items_per_user=(2, 5)
+        )
+        uf = l2_normalize_rows(co_participation_features(store))
+        itf = empty_features(catalog.n_items, "item")
+        config = TrainConfig(seed=seed, epochs=epochs, lambda_keen=0.001, batch_size=batch_size)
+        trainer = Trainer(store, uf, itf, config)
+        before = exact_warp_loss(
+            trainer.keen, trainer.keen_layout, uf, itf, store, trainer.item_universe, config.margin
+        )
+        trainer.run_rank_learning()
+        after = exact_warp_loss(
+            trainer.keen, trainer.keen_layout, uf, itf, store, trainer.item_universe, config.margin
+        )
+        decreased += int(after < before)
+    return decreased
+
+
 class TestExactLoss:
     def test_full_warp_loss_decreases_on_tiny_instances(self):
-        """True-rank loss drops from init to trained on >= 4 of 5 seeds."""
-        decreased = 0
-        for seed in range(5):
-            catalog, store = generate_two_stage(
-                n_users=5, n_items=8, n_activities=2, seed=seed, items_per_user=(2, 5)
-            )
-            uf = l2_normalize_rows(co_participation_features(store))
-            itf = empty_features(catalog.n_items, "item")
-            config = TrainConfig(seed=seed, epochs=8, lambda_keen=0.001)
-            trainer = Trainer(store, uf, itf, config)
-            before = exact_warp_loss(
-                trainer.keen, trainer.keen_layout, uf, itf, store, trainer.item_universe, config.margin
-            )
-            trainer.run_rank_learning()
-            after = exact_warp_loss(
-                trainer.keen, trainer.keen_layout, uf, itf, store, trainer.item_universe, config.margin
-            )
-            decreased += int(after < before)
-        assert decreased >= 4
+        """Per-example SGD: true-rank loss drops from init to trained on >= 4 of 5 seeds."""
+        assert exact_loss_drops(batch_size=1, epochs=8) >= 4
+
+    def test_full_warp_loss_decreases_at_the_default_batch_size(self):
+        """The same at the default batch size, given 40 epochs: an instance has at
+        most 20 pairs, so an epoch is one or two Adam steps of size lr, and 8 of
+        them cannot cross the margin of 1."""
+        assert exact_loss_drops(batch_size=TrainConfig.batch_size, epochs=40) >= 4
 
 
 class TestReportFile:
