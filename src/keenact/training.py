@@ -2,15 +2,16 @@
 
 Phase 1 walks the item-level pairs and the activity-level triples once
 per epoch in a seeded order, in batches of ``batch_size`` examples.  A
-batch is one step with the parameters frozen: each example draws up to
-``max_neg_samples`` negatives, all examples are scored together, and
-each takes the first negative that violates the margin, weighted by the
-harmonic transform of the estimated rank.  Their gradients are summed
-into one sparse Adam update, so Adam's step count counts batches; one
-example per batch is per-example SGD.  Phase 2 freezes both scorers and
-fits per-item / per-activity decision thresholds with a cross-entropy
-loss.  ``batch_step`` is that sampled update; the flat baselines in
-``evaluation`` run it too.
+batch is one step with the parameters frozen: one ``sample_negatives``
+call draws up to ``max_neg_samples`` distinct negatives for every
+example, all examples are scored together, and each takes the first
+negative that violates the margin, weighted by the harmonic transform
+of the estimated rank.  Their gradients are summed into one sparse Adam
+update, so Adam's step count counts batches; one example per batch is
+per-example SGD.  No part of a step loops over its examples in Python.
+Phase 2 freezes both scorers and fits per-item / per-activity decision
+thresholds with a cross-entropy loss.  ``batch_step`` is that sampled
+update; the flat baselines in ``evaluation`` run it too.
 """
 
 from __future__ import annotations
@@ -254,11 +255,23 @@ def phi(n: int) -> float:
     return _HARMONIC[n]
 
 
+def harmonic_numbers(n: int) -> np.ndarray:
+    """phi(0) .. phi(n) as an array, from phi's own table."""
+    phi(n)
+    return np.array(_HARMONIC[: n + 1])
+
+
 def estimate_rank(total_negatives: int, draws_to_violation: int) -> int:
     """Sampled rank estimate floor((total - 1) / draws), clamped to >= 1."""
     if total_negatives < 1 or draws_to_violation < 1:
         raise ValueError("counts must be >= 1")
     return max(1, (total_negatives - 1) // draws_to_violation)
+
+
+def warp_weights(total_negatives: np.ndarray, draws: np.ndarray, harmonic: np.ndarray) -> np.ndarray:
+    """phi(estimate_rank(t, d)) elementwise for counts >= 1, looked up in
+    ``harmonic = harmonic_numbers(n)`` with n >= max(t) - 1."""
+    return harmonic[np.maximum(1, (total_negatives - 1) // draws)]
 
 
 def sigmoid(x):
@@ -313,6 +326,13 @@ class CandidateSpace:
     table with one row per candidate id.  Negatives for context c are
     drawn from the sorted ``universe`` minus ``positives[c]``, the sorted
     positions of c's positive candidates in it.
+
+    The derived arrays serve ``sample_negatives``: ``n_negatives[c]``
+    counts c's negatives, and ``rank_keys`` holds, per context c in order,
+    ``c * (|universe| + 1) + positives[c][j] - j``, with c's run starting
+    at ``key_starts[c]``.  The r-th negative of c (0-based, in universe
+    order) sits at position r plus the number of c's keys at or below
+    ``c * (|universe| + 1) + r``.  ``harmonic`` is phi(0) .. phi(|universe|).
     """
 
     contexts: tuple[np.ndarray, np.ndarray]
@@ -320,10 +340,22 @@ class CandidateSpace:
     universe: np.ndarray
     positives: list[np.ndarray]
     context_widths: np.ndarray = field(init=False, repr=False)
+    n_negatives: np.ndarray = field(init=False, repr=False)
+    rank_keys: np.ndarray = field(init=False, repr=False)
+    key_starts: np.ndarray = field(init=False, repr=False)
+    harmonic: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # a batch gathers only the columns its widest context fills
         self.context_widths = np.maximum((self.contexts[1] != 0.0).sum(axis=1), 1)
+        sizes = np.array([p.size for p in self.positives], dtype=np.int64)
+        self.n_negatives = self.universe.size - sizes
+        self.key_starts = np.concatenate(([0], np.cumsum(sizes)))
+        owners = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        flat = np.concatenate([np.zeros(0, dtype=np.int64), *self.positives])
+        within = np.arange(flat.size) - self.key_starts[owners]
+        self.rank_keys = owners * (self.universe.size + 1) + flat - within
+        self.harmonic = harmonic_numbers(self.universe.size)
 
 
 def grouped_positions(universe: np.ndarray, ids: np.ndarray, groups: np.ndarray, n_groups: int) -> list[np.ndarray]:
@@ -333,26 +365,50 @@ def grouped_positions(universe: np.ndarray, ids: np.ndarray, groups: np.ndarray,
     return [positions[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def draw_negatives(rng: np.random.Generator, n_universe: int, positives: np.ndarray, cap: int) -> np.ndarray:
-    """Positions of ``cap`` distinct negatives, uniform without replacement.
+def sample_negatives(
+    rng: np.random.Generator, space: CandidateSpace, contexts: np.ndarray, cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct negatives for a batch of ``contexts``, uniform without replacement.
 
-    ``positives`` are the sorted positive positions among ``n_universe``
-    candidates, and ``cap`` is at most the number of negatives.  With few
-    negatives (2 * cap >= total) the draw permutes the negatives in
-    universe order; otherwise it is one draw of cap + |positives|
-    distinct positions with the positives dropped.  Either way the result
-    is the first ``cap`` of a uniform permutation of the negatives, and
-    memory is O(cap + |positives|).
+    Returns ``(positions, counts, total_neg)``: row r of the padded
+    ``positions`` block starts with ``counts[r] = min(cap, total_neg[r])``
+    distinct universe positions of negatives of ``contexts[r]``, the first
+    ``counts[r]`` of a uniform random permutation of its negatives; the
+    rest of the row is -1 padding.  A row with no negative gets 0 and takes
+    no draw.  Negatives are drawn as ranks in universe order.  Dense rows
+    (2 * cap >= total) sort random keys over their ranks.  Sparse rows
+    draw 2 * cap ranks with replacement, drop repeats, and keep the
+    distinct ranks with the ``cap`` smallest random keys, in key order;
+    a row left with fewer than ``cap`` distinct ranks is redrawn whole.
+    Both are symmetric in the ranks, so every ordered ``cap``-tuple is
+    equally likely; sparse rows cost O(cap), not O(|universe|).  One
+    ``searchsorted`` over ``space.rank_keys`` maps ranks to positions.
     """
-    total_neg = n_universe - positives.size
-    if 2 * cap >= total_neg:
-        ranks = rng.permutation(total_neg)[:cap]
-        # the r-th negative comes after every positive with at most r negatives before it
-        return ranks + np.searchsorted(positives - np.arange(positives.size), ranks, side="right")
-    drawn = rng.choice(n_universe, cap + positives.size, replace=False)
-    if positives.size:
-        drawn = drawn[positives[np.minimum(np.searchsorted(positives, drawn), positives.size - 1)] != drawn]
-    return drawn[:cap]
+    total_neg = space.n_negatives[contexts]
+    counts = np.minimum(cap, total_neg)
+    ranks = np.zeros((contexts.size, int(counts.max(initial=0))), dtype=np.int64)
+    sparse = 2 * cap < total_neg
+    dense = np.flatnonzero(~sparse & (total_neg > 0))
+    if dense.size:
+        top = total_neg[dense]
+        keys = rng.random((dense.size, int(top.max())))
+        keys[np.arange(keys.shape[1]) >= top[:, None]] = np.inf
+        width = min(ranks.shape[1], keys.shape[1])
+        ranks[dense, :width] = np.argsort(keys, axis=1)[:, :width]
+    todo = np.flatnonzero(sparse)
+    while todo.size:
+        drawn = np.sort(rng.integers(0, total_neg[todo, None], size=(todo.size, 2 * cap)), axis=1)
+        repeat = drawn[:, 1:] == drawn[:, :-1]
+        keys = rng.random(drawn.shape)
+        keys[:, 1:][repeat] = np.inf
+        # a short row's ranks are overwritten when it is redrawn
+        ranks[todo] = drawn[np.arange(todo.size)[:, None], np.argsort(keys, axis=1)[:, :cap]]
+        todo = todo[repeat.sum(axis=1) > cap]  # fewer than cap distinct of 2 * cap
+    probe = contexts[:, None] * (space.universe.size + 1) + ranks
+    positions = ranks + np.searchsorted(space.rank_keys, probe, side="right") - space.key_starts[contexts, None]
+    if counts.min(initial=ranks.shape[1]) < ranks.shape[1]:
+        positions[np.arange(ranks.shape[1]) >= counts[:, None]] = -1
+    return positions, counts, total_neg
 
 
 def _logistic(diff: float) -> tuple[float, float]:
@@ -399,13 +455,14 @@ def batch_step(
     """One sampled pairwise update of ``params`` over a batch of examples.
 
     Row r ranks candidate ``positives[r]`` for context ``contexts[r]``.
-    The parameters stay frozen within the batch.  Each row draws up to
-    ``max_neg_samples`` distinct negatives with ``draw_negatives``, in row
-    order; a row whose context has no negative is skipped without a draw.
-    Every row's context is scored with one ``table_stats`` call and every
-    row's positive and negatives with one more, as one gather from the
-    part table.  WARP updates a row on its first margin violator, found
-    with one ``argmax``, weighted by phi of the estimated rank (WSABIE);
+    The parameters stay frozen within the batch.  One ``sample_negatives``
+    call draws up to ``max_neg_samples`` distinct negatives for every row
+    at once; a row whose context has no negative is skipped without a
+    draw.  Every row's context is scored with one ``table_stats`` call
+    and every row's positive and negatives with one more, as one gather
+    from the part table.  WARP updates a row on its first margin
+    violator, found with one ``argmax``, weighted by phi of the estimated
+    rank (WSABIE), looked up for all rows in the space's harmonic table;
     its ``draws`` is that violator's 1-based position, or the number
     drawn when none violates.  BPR draws one negative and always updates,
     weighted by sigmoid(-(s_pos - s_neg)).  The updated rows' gradients
@@ -415,27 +472,16 @@ def batch_step(
     leave out w0, which cancels in every difference taken.  With one row
     per batch this is per-example SGD.
     """
-    n_universe = space.universe.size
-    width = 1 if bpr else config.max_neg_samples
-    candidates = np.empty((len(contexts), 1 + width), dtype=np.int64)
-    candidates[:, 0] = positives
-    drawn = np.zeros(len(contexts), dtype=np.int64)
-    total_neg = np.zeros(len(contexts), dtype=np.int64)
-    for r, c in enumerate(contexts.tolist()):
-        taken = space.positives[c]
-        total = n_universe - taken.size
-        if total > 0:
-            cap = 1 if bpr else min(width, total)
-            candidates[r, 1 : 1 + cap] = space.universe[draw_negatives(rng, n_universe, taken, cap)]
-            drawn[r], total_neg[r] = cap, total
+    drawn_at, drawn, total_neg = sample_negatives(rng, space, contexts, 1 if bpr else config.max_neg_samples)
     live = drawn > 0
     skipped = len(contexts) - int(live.sum())
     if not live.any():
         return StepResult(updated=0, draws=0, skipped=skipped)
-    contexts, drawn, total_neg = contexts[live], drawn[live], total_neg[live]
-    drawn_negative = np.arange(1, int(drawn.max()) + 1) <= drawn[:, None]
-    candidates = candidates[live, : 1 + drawn_negative.shape[1]]
-    candidates[:, 1:] = np.where(drawn_negative, candidates[:, 1:], candidates[:, :1])
+    contexts, drawn, total_neg, drawn_at = contexts[live], drawn[live], total_neg[live], drawn_at[live]
+    positives = positives[live, None]
+    drawn_negative = drawn_at >= 0
+    negatives = np.where(drawn_negative, space.universe[drawn_at], positives)
+    candidates = np.concatenate((positives, negatives), axis=1)
 
     n, n_cand = candidates.shape
     width = int(space.context_widths[contexts].max())
@@ -458,7 +504,7 @@ def batch_step(
         hit = violates[rows, first]
         draws = np.where(hit, first + 1, drawn)
         rows, col = rows[hit], first[hit] + 1
-        weight = np.array([phi(estimate_rank(t, d)) for t, d in zip(total_neg[rows].tolist(), col.tolist())])
+        weight = warp_weights(total_neg[rows], col, space.harmonic)
         losses = weight * (config.margin - scores[rows, 0] + scores[rows, col])
     result = StepResult(updated=rows.size, draws=int(draws.sum()), loss=float(losses.sum()), skipped=skipped)
     if not rows.size:

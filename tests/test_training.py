@@ -1,6 +1,7 @@
 """Rank learning, threshold fitting, config parsing, and training invariants."""
 
 import dataclasses
+import itertools
 import logging
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import sparse, stats
 
 from keenact import training
 
@@ -37,6 +38,7 @@ from keenact.fm import (
 from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
 from keenact.synth import generate_two_stage
 from keenact.training import (
+    CandidateSpace,
     ConfigError,
     TrainConfig,
     Trainer,
@@ -44,14 +46,16 @@ from keenact.training import (
     config_from_mapping,
     cross_entropy,
     cross_entropy_grad_threshold,
-    draw_negatives,
     estimate_rank,
     fit_thresholds,
+    harmonic_numbers,
     parse_config,
     run_phase,
     phi,
+    sample_negatives,
     sigmoid,
     train,
+    warp_weights,
     write_training_report,
 )
 
@@ -93,6 +97,15 @@ class TestEstimateRank:
             estimate_rank(0, 1)
         with pytest.raises(ValueError):
             estimate_rank(5, 0)
+
+
+class TestWarpWeights:
+    def test_equals_phi_of_the_estimated_rank(self):
+        """The array lookup equals phi(estimate_rank(t, d)) exactly for t in 1..500, d in 1..20."""
+        t, d = np.meshgrid(np.arange(1, 501), np.arange(1, 21), indexing="ij")
+        got = warp_weights(t, d, harmonic_numbers(500))
+        want = [[phi(estimate_rank(int(a), int(b))) for a, b in zip(ta, da)] for ta, da in zip(t, d)]
+        assert got.tolist() == want
 
 
 class TestCrossEntropy:
@@ -538,19 +551,22 @@ def record_hinge_descent(monkeypatch, margin, step=1e-3):
 
 
 def reference_negatives(rng, universe, positives, cap):
-    """The WARP sampler written out: a shuffled list when negatives are few, else rejection draws."""
-    total_neg = len(universe) - len(positives)
+    """One row's WARP sampler written out over the negatives in universe order:
+    with few negatives (2 * cap >= total) the first cap of them sorted by one
+    random key each; else 2 * cap ranks drawn with replacement, sorted, each
+    with a random key, repeats dropped and the cap distinct ranks of smallest
+    key kept in key order, redrawing while fewer than cap are distinct."""
+    candidates = [int(c) for c in universe if c not in positives]
+    total_neg = len(candidates)
     if cap * 2 >= total_neg:
-        candidates = [int(c) for c in universe if c not in positives]
-        for i in rng.permutation(len(candidates))[:cap]:
-            yield candidates[i]
-        return
-    drawn = set()
-    while len(drawn) < cap:
-        c = int(universe[rng.integers(len(universe))])
-        if c not in positives and c not in drawn:
-            drawn.add(c)
-            yield c
+        keys = rng.random(total_neg).tolist()
+        return [candidates[i] for i in sorted(range(total_neg), key=keys.__getitem__)[:cap]]
+    while True:
+        ranks = sorted(rng.integers(0, total_neg, size=2 * cap).tolist())
+        keys = rng.random(2 * cap).tolist()
+        distinct = [(key, r) for i, (key, r) in enumerate(zip(keys, ranks)) if i == 0 or r != ranks[i - 1]]
+        if len(distinct) >= cap:
+            return [candidates[r] for _, r in sorted(distinct)[:cap]]
 
 
 def reference_warp_step(rng, config, params, state, lam, universe, positives, assemble, positive):
@@ -612,24 +628,12 @@ class TestStepMatchesReference:
 
 
 def reference_sparse_warp_step(rng, config, params, state, lam, universe, positives, assemble, positive):
-    """WARP for 2 * cap < total negatives, written out: one rng.choice draw of
-    cap + |positives| distinct positions, positives dropped, the first cap
-    kept, then a walk over fm_score on assembled inputs."""
+    """WARP for 2 * cap < total negatives, written out: reference_negatives'
+    with-replacement draw, then a walk over fm_score on assembled inputs."""
     total_neg = len(universe) - len(positives)
     cap = min(config.max_neg_samples, total_neg)
     assert 2 * cap < total_neg
-    drawn = rng.choice(len(universe), cap + len(positives), replace=False)
-    negatives = [int(universe[i]) for i in drawn if int(universe[i]) not in positives][:cap]
-    x_pos = assemble(positive)
-    for draws, c in enumerate(negatives, start=1):
-        x_neg = assemble(c)
-        if fm_score(params, x_pos) < config.margin + fm_score(params, x_neg):
-            weight = phi(estimate_rank(total_neg, draws))
-            grad = combine_gradients([fm_gradient(params, x_pos, -weight), fm_gradient(params, x_neg, weight)])
-            grad.rows = grad.rows + lam * params.table[grad.indices]
-            adam_update(params, state, grad)
-            return True, draws
-    return False, len(negatives)
+    return reference_warp_step(rng, config, params, state, lam, universe, positives, assemble, positive)
 
 
 def assert_params_close(a, b):
@@ -715,20 +719,22 @@ def assembled_input(dim, *parts):
     return SparseVector(idx[order], val[order], dim)
 
 
-def pairwise_step(params, state, lam, space, context, positive, rng, config, bpr=False, update=adam_update):
+def pairwise_step(params, state, lam, space, context, positive, rng, config, bpr=False, update=adam_update, negatives=None):
     """The per-example sampled update that one-row batches must reproduce.
 
-    The context is scored with part_stats on its unpadded part and the
-    candidates with one table_stats gather; the gradient is the combined
-    fm_gradient of the assembled pair plus the decay on its rows, passed
-    to ``update`` (one Adam step).  Returns (updated, draws, loss).
+    Without ``negatives`` it draws them with one one-row sample_negatives
+    call.  The context is scored with part_stats on its unpadded part and
+    the candidates with one table_stats gather; the gradient is the
+    combined fm_gradient of the assembled pair plus the decay on its rows,
+    passed to ``update`` (one Adam step).  Returns (updated, draws, loss).
     """
-    positives = space.positives[context]
-    total_neg = space.universe.size - positives.size
+    if negatives is None:
+        at, counts, _ = sample_negatives(rng, space, np.array([context]), 1 if bpr else config.max_neg_samples)
+        negatives = space.universe[at[0, : counts[0]]]
+    total_neg = space.universe.size - space.positives[context].size
     if total_neg <= 0:
         return False, 0, 0.0
-    cap = 1 if bpr else min(config.max_neg_samples, total_neg)
-    negatives = space.universe[draw_negatives(rng, space.universe.size, positives, cap)]
+    cap = negatives.size
     candidates = np.concatenate(([positive], negatives))
     ctx = unpadded(space.contexts, context)
     cbase, s_ctx = part_stats(params, *ctx)
@@ -852,15 +858,18 @@ class TestBatchOfOneMatchesPairwiseStep:
 
 
 def frozen_batch_reference(params, state, lam, space, contexts, positives, rng, config, bpr=False):
-    """One batch written out: every row's pairwise_step against a frozen copy of
-    the parameters, each row's gradient (with its decay) kept, and their sum
+    """One batch written out: the batch's negatives from one sample_negatives
+    call, every row's pairwise_step on its own against a frozen copy of the
+    parameters, each row's gradient (with its decay) kept, and their sum
     applied as one Adam step.  Returns (updated, draws, skipped) per row."""
     frozen = params.copy()
     grads, outcomes = [], []
-    for c, p in zip(contexts.tolist(), positives.tolist()):
+    at, counts, _ = sample_negatives(rng, space, contexts, 1 if bpr else config.max_neg_samples)
+    for c, p, row, n in zip(contexts.tolist(), positives.tolist(), at, counts.tolist()):
         skipped = space.universe.size == space.positives[c].size
         updated, draws, _ = pairwise_step(
-            frozen, state, lam, space, c, p, rng, config, bpr=bpr, update=lambda _p, _s, grad: grads.append(grad)
+            frozen, state, lam, space, c, p, rng, config, bpr=bpr,
+            update=lambda _p, _s, grad: grads.append(grad), negatives=space.universe[row[:n]],
         )
         outcomes.append((updated, draws, skipped))
     if grads:
@@ -940,47 +949,87 @@ class TestRunPhase:
         ]
 
 
-positions_and_cap = st.integers(1, 120).flatmap(
+def sampling_space(n_universe, positive_sets):
+    """A CandidateSpace for sampling only: one context per positive set over
+    a sorted universe of spaced-out ids, with empty part tables."""
+    n = len(positive_sets)
+    empty = (np.zeros((n, 1), dtype=np.int64), np.zeros((n, 1)))
+    positives = [np.array(sorted(p), dtype=np.int64) for p in positive_sets]
+    return CandidateSpace(empty, empty, 3 * np.arange(n_universe, dtype=np.int64) + 1, positives)
+
+
+batches_to_sample = st.integers(1, 60).flatmap(
     lambda n: st.tuples(
         st.just(n),
-        st.sets(st.integers(0, n - 1), max_size=n - 1),
+        st.lists(st.sets(st.integers(0, n - 1), max_size=n), min_size=1, max_size=6),
         st.integers(1, n + 3),
         st.integers(0, 2**32 - 1),
     )
+).flatmap(
+    # then a batch of context ids, repeats allowed
+    lambda case: st.tuples(st.just(case), st.lists(st.integers(0, len(case[1]) - 1), min_size=1, max_size=12))
 )
 
 
-class TestDrawNegatives:
+class CountingRng:
+    """Forwards ``random`` and ``integers`` to a generator and counts the ``integers`` calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.integer_calls = 0
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestSampleNegatives:
     @settings(max_examples=300, deadline=None)
-    @given(positions_and_cap)
-    def test_distinct_negatives_up_to_cap(self, case):
-        n_universe, positives, cap, seed = case
-        positions = np.array(sorted(positives), dtype=np.int64)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        drawn = draw_negatives(rng, n_universe, positions, cap)
-        total_neg = n_universe - len(positives)
-        assert len(drawn) == min(cap, total_neg)
-        assert len(set(drawn.tolist())) == len(drawn)
-        assert all(0 <= c < n_universe and c not in positives for c in drawn.tolist())
+    @given(batches_to_sample)
+    def test_each_row_gets_min_cap_total_distinct_negatives(self, case):
+        """Every row: exactly min(cap, total) distinct positions, inside the universe, none positive; 0 without negatives."""
+        (n_universe, positive_sets, cap, seed), rows = case
+        space = sampling_space(n_universe, positive_sets)
+        contexts = np.array(rows, dtype=np.int64)
+        at, counts, total_neg = sample_negatives(np.random.Generator(np.random.PCG64(seed)), space, contexts, cap)
+        assert at.shape == (contexts.size, counts.max())
+        for c, row, n, total in zip(rows, at.tolist(), counts.tolist(), total_neg.tolist()):
+            assert total == n_universe - len(positive_sets[c])
+            assert n == min(cap, total)
+            drawn = row[:n]
+            assert row[n:] == [-1] * (len(row) - n)
+            assert len(set(drawn)) == n
+            assert all(0 <= x < n_universe and x not in positive_sets[c] for x in drawn)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 199), max_size=30))
-    def test_sparse_branch_keeps_a_uniform_draw_in_order(self, seed, positives):
-        """With 2 * cap < total, the result is the choice draw with positives removed."""
-        positions = np.array(sorted(positives), dtype=np.int64)
-        drawn = draw_negatives(np.random.Generator(np.random.PCG64(seed)), 200, positions, 20)
-        want = np.random.Generator(np.random.PCG64(seed)).choice(200, 20 + len(positives), replace=False)
-        np.testing.assert_array_equal(drawn, [c for c in want if c not in positives][:20])
+    @pytest.mark.parametrize("cap", [3, 2], ids=["dense", "sparse"])
+    def test_ordered_tuples_are_uniform(self, cap):
+        """Five negatives among seven: every ordered cap-tuple equally likely (chi-square, seeded).
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 29), max_size=25))
-    def test_dense_branch_permutes_negatives_in_universe_order(self, seed, positives):
-        """With 2 * cap >= total, the result indexes the negatives in universe order."""
-        positions = np.array(sorted(positives), dtype=np.int64)
-        drawn = draw_negatives(np.random.Generator(np.random.PCG64(seed)), 30, positions, 20)
-        negatives = [c for c in range(30) if c not in positives]
-        order = np.random.Generator(np.random.PCG64(seed)).permutation(len(negatives))[:20]
-        np.testing.assert_array_equal(drawn, [negatives[i] for i in order])
+        cap 3 is dense (2 * 3 >= 5); cap 2 is sparse and mixes in a second
+        context with four negatives, which is dense at cap 2."""
+        space = sampling_space(7, [{1, 4}, {0, 3, 6}])
+        negatives = [0, 2, 3, 5, 6]
+        tuples = {t: i for i, t in enumerate(itertools.permutations(negatives, cap))}
+        rng = np.random.Generator(np.random.PCG64(11))
+        contexts = np.tile([0, 1], 500 * len(tuples))
+        at, counts, _ = sample_negatives(rng, space, contexts, cap)
+        assert (counts[contexts == 0] == cap).all()
+        observed = np.bincount([tuples[tuple(row)] for row in at[contexts == 0, :cap].tolist()], minlength=len(tuples))
+        assert stats.chisquare(observed).pvalue > 1e-3
+
+    def test_sparse_rows_short_of_cap_are_redrawn(self):
+        """Four draws with replacement from five negatives sometimes give one distinct rank; those rows redraw whole."""
+        space = sampling_space(7, [{1, 4}])
+        rng = CountingRng(5)
+        contexts = np.zeros(2000, dtype=np.int64)
+        at, counts, _ = sample_negatives(rng, space, contexts, 2)
+        assert rng.integer_calls > 1
+        assert (counts == 2).all()
+        assert (at[:, 0] != at[:, 1]).all()
+        assert set(np.unique(at).tolist()) == {0, 2, 3, 5, 6}
 
 
 class TestStepCost:
