@@ -41,9 +41,9 @@ from keenact.training import (
     TrainConfig,
     TrainedModel,
     batch_step,
-    grouped_positions,
     run_phase,
     train,
+    trained_item_mask,
 )
 from keenact.recommend import accepted_pairs, act_stage, keen_stage
 
@@ -139,22 +139,21 @@ class BaselineModel:
     report: list[tuple[int, str, str, float]]
 
 
-def flat_candidate_space(store, layout: FeatureLayout, user_feats, item_feats) -> CandidateSpace:
-    """The flat pairwise space: each user's part against training items x activities.
+def flat_candidate_space(store, layout: FeatureLayout, user_feats, item_feats, item_trained: np.ndarray) -> CandidateSpace:
+    """The flat pairwise space: each user's part against the items
+    ``item_trained`` marks x activities.
 
     One part table, with a row per flat pair id, serves every user.
     """
     pairs = FlatPairSpace(layout.n_items, layout.n_activities)
-    train_items = np.array(store.items_with_interactions(), dtype=np.int64)
-    universe = (train_items[:, None] * pairs.n_activities + np.arange(pairs.n_activities)).ravel()
+    universe = (np.flatnonzero(item_trained)[:, None] * pairs.n_activities + np.arange(pairs.n_activities)).ravel()
     items = pad_parts(item_part(v, layout, item_feats) for v in range(pairs.n_items))
     activities = pad_parts(activity_part(z, layout) for z in range(pairs.n_activities))
     item_of, activity_of = np.divmod(np.arange(pairs.size), pairs.n_activities)
     table = join_tables((items, item_of), (activities, activity_of))
     contexts = pad_parts(user_part(u, layout, user_feats) for u in range(layout.n_users))
     u, v, z = store.columns
-    positives = grouped_positions(universe, v * pairs.n_activities + z, u, layout.n_users)
-    return CandidateSpace(contexts, table, universe, positives)
+    return CandidateSpace(contexts, table, universe, u, v * pairs.n_activities + z)
 
 
 def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str) -> BaselineModel:
@@ -169,7 +168,8 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     params = init_params(layout.dim, config.k, seed=config.seed + 3)
     state = AdamState.for_params(params, **config.adam_kwargs())
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    space = flat_candidate_space(store, layout, user_feats, item_feats)
+    item_trained = trained_item_mask(store)
+    space = flat_candidate_space(store, layout, user_feats, item_feats, item_trained)
     u, v, z = store.columns
     flat = v * catalog.n_activities + z
 
@@ -181,7 +181,7 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     report: list[tuple[int, str, str, float]] = []
     for epoch in range(config.epochs):
         run_phase(epoch, f"fm_{kind}", store.n_triples, step, params, rng, report, config.batch_size)
-    scorer = Scorer(params, layout, user_feats, item_feats, seen_items=frozenset(store.items_with_interactions()))
+    scorer = Scorer(params, layout, user_feats, item_feats, item_trained)
     # finite parameters near the float limit can still overflow the
     # scores, and no phase 2 runs here to catch it in a cross-entropy
     if not scorer.all_finite():

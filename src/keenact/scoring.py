@@ -92,8 +92,9 @@ def _block_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (base, S) over all entities of one side.
 
-    ``onehot_offset`` None disables the id block; ``onehot_mask`` zeroes
-    it per entity (cold items).
+    ``onehot_offset`` None disables the id block; ``onehot_mask``, a
+    boolean mask over the entities, keeps it only where set (cold items
+    lose it).
     """
     k = params.k
     d = feats.dim
@@ -126,9 +127,9 @@ def _rows(items) -> slice | np.ndarray:
 class Scorer:
     """Read-only batch scorer for one trained FM over one layout.
 
-    ``seen_items`` restricts which items keep their id one-hot; items
-    outside it are scored cold (side features only).  None means every
-    item was observed in training.
+    ``item_trained`` is a boolean mask over the items: the items it marks
+    keep their id one-hot, and the rest are scored cold (side features
+    only).  None means every item was observed in training.
     """
 
     def __init__(
@@ -137,7 +138,7 @@ class Scorer:
         layout: FeatureLayout,
         user_feats: FeatureMatrix,
         item_feats: FeatureMatrix,
-        seen_items=None,
+        item_trained: np.ndarray | None = None,
     ):
         if layout.dim != params.dim:
             raise ValueError(f"layout dim {layout.dim} != parameter dim {params.dim}")
@@ -147,14 +148,9 @@ class Scorer:
         self._user_base, self._user_s = _block_stats(
             params, user_oh, layout.n_users, layout.user_feat_offset, user_feats
         )
-        mask = None
-        if seen_items is not None:
-            mask = np.zeros(layout.n_items)
-            seen = np.asarray(sorted(seen_items), dtype=np.int64)
-            mask[seen] = 1.0
         item_oh = layout.item_id_offset if layout.use_item_ids else None
         self._item_base, self._item_s = _block_stats(
-            params, item_oh, layout.n_items, layout.item_feat_offset, item_feats, onehot_mask=mask
+            params, item_oh, layout.n_items, layout.item_feat_offset, item_feats, onehot_mask=item_trained
         )
         # the activity block is the layout's last; the keen layout has none
         activities = slice(layout.activity_offset, layout.dim)

@@ -145,7 +145,8 @@ def _model_from_payload(payload: dict) -> TrainedModel:
 
 def save_model(model: TrainedModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
+        # dumps runs the C encoder; dump would stream through the pure-Python one
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -235,30 +235,27 @@ class TrainedModel:
         return self.act_layout.n_activities
 
     def scorers(self) -> tuple[Scorer, Scorer]:
-        """Cached (keen, act) batch scorers; cold items score feature-only."""
+        """The (keen, act) batch scorers: the pair phase 2 scored with, or for a
+        loaded model a pair built on first use; items outside the cutoff
+        table's trained mask score feature-only."""
         if self._scorers is None:
-            keen = Scorer(self.keen, self.keen_layout, self.user_feats, self.item_feats, seen_items=self.seen_items)
-            act = Scorer(self.act, self.act_layout, self.user_feats, self.item_feats, seen_items=self.seen_items)
-            self._scorers = (keen, act)
+            self._scorers = tuple(
+                Scorer(params, layout, self.user_feats, self.item_feats, self.thresholds.item_trained)
+                for params, layout in ((self.keen, self.keen_layout), (self.act, self.act_layout))
+            )
         return self._scorers
 
 
-_HARMONIC = [0.0]
+def harmonic_numbers(n: int) -> np.ndarray:
+    """H_0 .. H_n as an array, H_m = sum_{i=1..m} 1/i summed in order."""
+    return np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n + 1))))
 
 
 def phi(n: int) -> float:
     """Harmonic number H_n = sum_{i=1..n} 1/i; phi(0) = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_HARMONIC) <= n:
-        _HARMONIC.append(_HARMONIC[-1] + 1.0 / len(_HARMONIC))
-    return _HARMONIC[n]
-
-
-def harmonic_numbers(n: int) -> np.ndarray:
-    """phi(0) .. phi(n) as an array, from phi's own table."""
-    phi(n)
-    return np.array(_HARMONIC[: n + 1])
+    return float(harmonic_numbers(n)[n])
 
 
 def estimate_rank(total_negatives: int, draws_to_violation: int) -> int:
@@ -324,45 +321,49 @@ class CandidateSpace:
     context id (a user, or a keen pair for the act stage): the part shared
     by every candidate of a step, padding last.  ``table`` is the padded
     table with one row per candidate id.  Negatives for context c are
-    drawn from the sorted ``universe`` minus ``positives[c]``, the sorted
-    positions of c's positive candidates in it.
+    drawn from the sorted ``universe`` minus c's positives.  The positives
+    are two aligned columns, ``positive_contexts`` and ``positive_ids``,
+    sorted by (context, id) without repeats; every id is in ``universe``.
 
-    The derived arrays serve ``sample_negatives``: ``n_negatives[c]``
-    counts c's negatives, and ``rank_keys`` holds, per context c in order,
-    ``c * (|universe| + 1) + positives[c][j] - j``, with c's run starting
-    at ``key_starts[c]``.  The r-th negative of c (0-based, in universe
-    order) sits at position r plus the number of c's keys at or below
-    ``c * (|universe| + 1) + r``.  ``harmonic`` is phi(0) .. phi(|universe|).
+    The derived arrays serve ``sample_negatives``: ``positions`` holds each
+    positive's position in ``universe``, c's run of them starting at
+    ``key_starts[c]``; ``n_negatives[c]`` counts c's negatives; and
+    ``rank_keys`` holds, per positive, ``c * (|universe| + 1) +
+    positions[j] - (j - key_starts[c])``.  The r-th negative of c
+    (0-based, in universe order) sits at position r plus the number of
+    c's keys at or below ``c * (|universe| + 1) + r``.  ``harmonic`` is
+    phi(0) .. phi(|universe|).
     """
 
     contexts: tuple[np.ndarray, np.ndarray]
     table: tuple[np.ndarray, np.ndarray]
     universe: np.ndarray
-    positives: list[np.ndarray]
+    positive_contexts: np.ndarray
+    positive_ids: np.ndarray
     context_widths: np.ndarray = field(init=False, repr=False)
+    positions: np.ndarray = field(init=False, repr=False)
+    key_starts: np.ndarray = field(init=False, repr=False)
     n_negatives: np.ndarray = field(init=False, repr=False)
     rank_keys: np.ndarray = field(init=False, repr=False)
-    key_starts: np.ndarray = field(init=False, repr=False)
     harmonic: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # a batch gathers only the columns its widest context fills
         self.context_widths = np.maximum((self.contexts[1] != 0.0).sum(axis=1), 1)
-        sizes = np.array([p.size for p in self.positives], dtype=np.int64)
-        self.n_negatives = self.universe.size - sizes
-        self.key_starts = np.concatenate(([0], np.cumsum(sizes)))
-        owners = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-        flat = np.concatenate([np.zeros(0, dtype=np.int64), *self.positives])
-        within = np.arange(flat.size) - self.key_starts[owners]
-        self.rank_keys = owners * (self.universe.size + 1) + flat - within
+        self.positions = np.searchsorted(self.universe, self.positive_ids)
+        self.key_starts = np.searchsorted(self.positive_contexts, np.arange(len(self.contexts[0]) + 1))
+        self.n_negatives = self.universe.size - np.diff(self.key_starts)
+        within = np.arange(self.positions.size) - self.key_starts[self.positive_contexts]
+        self.rank_keys = self.positive_contexts * (self.universe.size + 1) + self.positions - within
         self.harmonic = harmonic_numbers(self.universe.size)
 
 
-def grouped_positions(universe: np.ndarray, ids: np.ndarray, groups: np.ndarray, n_groups: int) -> list[np.ndarray]:
-    """Positions in the sorted ``universe`` of ``ids``, split by their sorted ``groups`` into one array per group id."""
-    positions = np.searchsorted(universe, ids)
-    bounds = np.searchsorted(groups, np.arange(n_groups + 1)).tolist()
-    return [positions[a:b] for a, b in zip(bounds, bounds[1:])]
+def trained_item_mask(store: InteractionStore) -> np.ndarray:
+    """Which catalog items the store holds an interaction on: the items a
+    model ranks against, fits cutoffs for and scores with their one-hot."""
+    trained = np.zeros(store.catalog.n_items, dtype=bool)
+    trained[store.columns[1]] = True
+    return trained
 
 
 def sample_negatives(
@@ -617,7 +618,8 @@ class Trainer:
         self.keen_state = AdamState.for_params(self.keen, **config.adam_kwargs())
         self.act_state = AdamState.for_params(self.act, **config.adam_kwargs())
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
-        self.item_universe = np.array(store.items_with_interactions(), dtype=np.int64)
+        self.item_trained = trained_item_mask(store)
+        self.item_universe = np.flatnonzero(self.item_trained)
         self.activity_universe = np.arange(catalog.n_activities, dtype=np.int64)
         # user and item blocks sit at the same offsets in both layouts, so
         # one part table per side serves keen and act
@@ -628,19 +630,15 @@ class Trainer:
         # each with the index of its keen pair as its context
         self.pair_users, self.pair_items = store.pair_columns
         self.triple_pairs = store.pair_ids
-        self.keen_space = CandidateSpace(
-            user_table, item_table, self.item_universe,
-            grouped_positions(self.item_universe, self.pair_items, self.pair_users, catalog.n_users),
-        )
+        self.keen_space = CandidateSpace(user_table, item_table, self.item_universe, self.pair_users, self.pair_items)
         self.act_space = CandidateSpace(
             join_tables((user_table, self.pair_users), (item_table, self.pair_items)),
-            activity_table, self.activity_universe,
-            grouped_positions(self.activity_universe, store.columns[2], self.triple_pairs, self.pair_users.size),
+            activity_table, self.activity_universe, self.triple_pairs, store.columns[2],
         )
-        for user in store.users_with_interactions():
-            if self.keen_space.positives[user].size == self.item_universe.size:
-                logger.warning("user %d is positive on every training item; its keen steps are skipped", user)
+        for user in np.flatnonzero(self.keen_space.n_negatives == 0):
+            logger.warning("user %d is positive on every training item; its keen steps are skipped", user)
         self.report: list[tuple[int, str, str, float]] = []
+        self.scorers: tuple[Scorer, Scorer] | None = None
 
     # -- phase 1: rank learning ------------------------------------------
 
@@ -671,7 +669,8 @@ class Trainer:
         """Items a user contributes to threshold fitting and their 0/1 labels:
         all training items, or positives plus a sampled negative subset when
         the ratio is finite."""
-        positives = self.keen_space.positives[u]
+        space = self.keen_space
+        positives = space.positions[space.key_starts[u] : space.key_starts[u + 1]]
         negative = np.ones(self.item_universe.size, dtype=bool)
         negative[positives] = False
         ratio = self.config.threshold_negative_ratio
@@ -687,25 +686,17 @@ class Trainer:
         labels[: positives.size] = 1.0
         return items, labels
 
-    def learn_thresholds_keen(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        """Fit per-item cutoffs on frozen keen scores.
-
-        Returns (thresholds over the catalog, trained mask, CE trace).
-        """
-        scorer = Scorer(self.keen, self.keen_layout, self.user_feats, self.item_feats)
+    def learn_thresholds_keen(self, scorer: Scorer) -> tuple[np.ndarray, list[float]]:
+        """Fit per-item cutoffs on the frozen keen ``scorer``; returns (cutoffs over the catalog, CE trace)."""
         users = self.store.users_with_interactions()
         items, labels = zip(*(self._threshold_enum_items(u) for u in users))
-        trained = np.zeros(self.store.catalog.n_items, dtype=bool)
-        trained[np.concatenate(items)] = True
-        delta, trace = fit_thresholds(
-            [scorer.score_items(u, enum) for u, enum in zip(users, items)], labels, items, trained.size,
+        return fit_thresholds(
+            [scorer.score_items(u, enum) for u, enum in zip(users, items)], labels, items, self.item_trained.size,
             self.config.threshold_epochs, **self.config.adam_kwargs(),
         )
-        return delta, trained, trace
 
-    def learn_thresholds_act(self) -> tuple[np.ndarray, list[float]]:
-        """Fit per-activity cutoffs on frozen act scores over positive pairs."""
-        scorer = Scorer(self.act, self.act_layout, self.user_feats, self.item_feats)
+    def learn_thresholds_act(self, scorer: Scorer) -> tuple[np.ndarray, list[float]]:
+        """Fit per-activity cutoffs on the frozen act ``scorer`` over positive pairs."""
         pairs, all_z = self.store.keen_pairs, self.activity_universe
         labels = np.zeros((len(pairs), all_z.size))
         labels[self.triple_pairs, self.store.columns[2]] = 1.0
@@ -715,20 +706,24 @@ class Trainer:
         )
 
     def run_threshold_learning(self) -> ThresholdTable:
-        item_delta, trained, keen_trace = self.learn_thresholds_keen()
-        act_delta, act_trace = self.learn_thresholds_act()
+        """Phase 2: build the frozen (keen, act) scorers once, kept as ``scorers``, and fit both cutoff tables."""
+        self.scorers = tuple(
+            Scorer(params, layout, self.user_feats, self.item_feats, self.item_trained)
+            for params, layout in ((self.keen, self.keen_layout), (self.act, self.act_layout))
+        )
+        item_delta, keen_trace = self.learn_thresholds_keen(self.scorers[0])
+        act_delta, act_trace = self.learn_thresholds_act(self.scorers[1])
         fits = (("keen_threshold", keen_trace, item_delta), ("act_threshold", act_trace, act_delta))
         for phase, trace, delta in fits:
             for epoch, ce in enumerate(trace):
                 self.report.append((epoch, phase, "mean_ce", ce))
             if not (all(map(math.isfinite, trace)) and np.isfinite(delta).all()):
                 raise NumericalError(len(trace) - 1, f"non-finite {phase} cross-entropy or cutoff")
-        fallback = float(item_delta[trained].mean()) if trained.any() else 0.0
         return ThresholdTable(
             item_thresholds=item_delta,
             activity_thresholds=act_delta,
-            global_item_fallback=fallback,
-            item_trained=trained,
+            global_item_fallback=float(item_delta[self.item_trained].mean()),
+            item_trained=self.item_trained,
         )
 
     def finish(self, thresholds: ThresholdTable) -> TrainedModel:
@@ -740,10 +735,11 @@ class Trainer:
             act_layout=self.act_layout,
             user_feats=self.user_feats,
             item_feats=self.item_feats,
-            seen_items=frozenset(int(v) for v in self.item_universe),
+            seen_items=frozenset(self.item_universe.tolist()),
             report=self.report,
             config=self.config,
             catalog=self.store.catalog,
+            _scorers=self.scorers,
         )
 
 

@@ -169,7 +169,7 @@ class TestScorerEquality:
     def test_pair_matrix_item_subset(self):
         """Rows asked for by id equal the same rows of the full matrix, cold items included."""
         catalog, _, uf, itf, _, al, _, ap = random_setup(13)
-        scorer = Scorer(ap, al, uf, itf, seen_items=frozenset(range(0, catalog.n_items, 2)))
+        scorer = Scorer(ap, al, uf, itf, item_trained=np.arange(catalog.n_items) % 2 == 0)
         subset = np.array([4, 0, 7, 4, 3], dtype=np.int64)
         for u in range(catalog.n_users):
             full = scorer.score_pair_matrix(u)
@@ -194,20 +194,20 @@ class TestScorerEquality:
 
 class TestColdItems:
     def test_unseen_items_scored_without_identity(self):
-        """Items outside seen_items score as if their one-hot were absent."""
+        """Items outside the item_trained mask score as if their one-hot were absent."""
         catalog, _, uf, itf, kl, _, kp, _ = random_setup(21)
-        seen = frozenset(range(0, catalog.n_items, 2))
-        scorer = Scorer(kp, kl, uf, itf, seen_items=seen)
+        trained = np.arange(catalog.n_items) % 2 == 0
+        scorer = Scorer(kp, kl, uf, itf, item_trained=trained)
         for u in range(catalog.n_users):
             batch = scorer.score_items(u)
             for v in range(catalog.n_items):
-                x = assemble_keen_input(u, v, kl, uf, itf, cold_item=v not in seen)
+                x = assemble_keen_input(u, v, kl, uf, itf, cold_item=not trained[v])
                 np.testing.assert_allclose(batch[v], fm_score(kp, x), atol=1e-10)
 
     def test_cold_and_warm_differ_for_trained_identity(self):
         catalog, _, uf, itf, kl, _, kp, _ = random_setup(22)
         warm = Scorer(kp, kl, uf, itf).score_items(0)
-        cold = Scorer(kp, kl, uf, itf, seen_items=frozenset()).score_items(0)
+        cold = Scorer(kp, kl, uf, itf, item_trained=np.zeros(catalog.n_items, dtype=bool)).score_items(0)
         assert not np.allclose(warm, cold)
 
 

@@ -36,6 +36,7 @@ from keenact.fm import (
     init_params,
 )
 from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
+from keenact.snapshot import model_from_dict, model_to_dict
 from keenact.synth import generate_two_stage
 from keenact.training import (
     CandidateSpace,
@@ -55,6 +56,7 @@ from keenact.training import (
     sample_negatives,
     sigmoid,
     train,
+    trained_item_mask,
     warp_weights,
     write_training_report,
 )
@@ -73,6 +75,15 @@ class TestPhi:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             phi(-1)
+
+    def test_table_and_phi_equal_a_sequential_loop(self):
+        """harmonic_numbers and phi equal H_n summed one term at a time in Python floats, bit for bit."""
+        want = [0.0]
+        for i in range(1, 5001):
+            want.append(want[-1] + 1.0 / i)
+        assert harmonic_numbers(5000).tolist() == want
+        assert [harmonic_numbers(n).tolist() for n in (0, 1, 7)] == [want[:1], want[:2], want[:8]]
+        assert [phi(n) for n in range(0, 5001, 37)] == want[::37]
 
 
 class TestEstimateRank:
@@ -685,7 +696,7 @@ class TestSparseStepMatchesReference:
         ref_state = AdamState.for_params(ref_params, **config.adam_kwargs())
         rng = np.random.Generator(np.random.PCG64(config.seed))
         ref_rng = np.random.Generator(np.random.PCG64(config.seed))
-        space = flat_candidate_space(store, layout, uf, itf)
+        space = flat_candidate_space(store, layout, uf, itf, trained_item_mask(store))
         n_acts = catalog.n_activities
         universe = [v * n_acts + z for v in store.items_with_interactions() for z in range(n_acts)]
         flat = {u: frozenset(v * n_acts + z for _, v, z in rows) for u, rows in store.triples_by_user().items()}
@@ -731,7 +742,7 @@ def pairwise_step(params, state, lam, space, context, positive, rng, config, bpr
     if negatives is None:
         at, counts, _ = sample_negatives(rng, space, np.array([context]), 1 if bpr else config.max_neg_samples)
         negatives = space.universe[at[0, : counts[0]]]
-    total_neg = space.universe.size - space.positives[context].size
+    total_neg = space.universe.size - np.count_nonzero(space.positive_contexts == context)
     if total_neg <= 0:
         return False, 0, 0.0
     cap = negatives.size
@@ -775,7 +786,7 @@ class FlatStage:
         self.params = init_params(layout.dim, config.k, seed=config.seed + 3)
         self.state = AdamState.for_params(self.params, **config.adam_kwargs())
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
-        self.space = flat_candidate_space(store, layout, uf, itf)
+        self.space = flat_candidate_space(store, layout, uf, itf, trained_item_mask(store))
         u, v, z = store.columns
         self.contexts, self.positives = u, v * catalog.n_activities + z
 
@@ -866,7 +877,7 @@ def frozen_batch_reference(params, state, lam, space, contexts, positives, rng, 
     grads, outcomes = [], []
     at, counts, _ = sample_negatives(rng, space, contexts, 1 if bpr else config.max_neg_samples)
     for c, p, row, n in zip(contexts.tolist(), positives.tolist(), at, counts.tolist()):
-        skipped = space.universe.size == space.positives[c].size
+        skipped = space.universe.size == np.count_nonzero(space.positive_contexts == c)
         updated, draws, _ = pairwise_step(
             frozen, state, lam, space, c, p, rng, config, bpr=bpr,
             update=lambda _p, _s, grad: grads.append(grad), negatives=space.universe[row[:n]],
@@ -950,12 +961,69 @@ class TestRunPhase:
 
 
 def sampling_space(n_universe, positive_sets):
-    """A CandidateSpace for sampling only: one context per positive set over
-    a sorted universe of spaced-out ids, with empty part tables."""
+    """A CandidateSpace for sampling only: one context per set of positive
+    positions over a sorted universe of spaced-out ids, with empty part tables."""
     n = len(positive_sets)
     empty = (np.zeros((n, 1), dtype=np.int64), np.zeros((n, 1)))
-    positives = [np.array(sorted(p), dtype=np.int64) for p in positive_sets]
-    return CandidateSpace(empty, empty, 3 * np.arange(n_universe, dtype=np.int64) + 1, positives)
+    contexts = np.array([c for c, p in enumerate(positive_sets) for _ in p], dtype=np.int64)
+    positions = np.array([r for p in positive_sets for r in sorted(p)], dtype=np.int64)
+    return CandidateSpace(empty, empty, 3 * np.arange(n_universe, dtype=np.int64) + 1, contexts, 3 * positions + 1)
+
+
+def list_space(universe, positive_lists):
+    """The derived arrays of a space written out from one array of sorted
+    universe positions per context: (n_negatives, key_starts, rank_keys)."""
+    sizes = np.array([p.size for p in positive_lists], dtype=np.int64)
+    key_starts = np.concatenate(([0], np.cumsum(sizes)))
+    owners = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *positive_lists])
+    within = np.arange(flat.size) - key_starts[owners]
+    return universe.size - sizes, key_starts, owners * (universe.size + 1) + flat - within
+
+
+@st.composite
+def space_stores(draw):
+    """Stores with a user who has no triple and, when drawn, a user positive
+    on every item, so a keen context and some act contexts are all-positive."""
+    n_users, n_items, n_acts = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1), st.integers(0, n_acts - 1))
+    triples = draw(st.sets(triple, min_size=1, max_size=30))
+    if draw(st.booleans()):
+        triples |= {(0, v, z) for v in range(n_items) for z in range(n_acts)}
+    users, items, acts = [f"u{i}" for i in range(n_users + 1)], [f"i{j}" for j in range(n_items)], [f"a{z}" for z in range(n_acts)]
+    catalog = Catalog(users, items, acts)
+    return InteractionStore(catalog, sorted(triples))
+
+
+class TestCandidateSpace:
+    @settings(max_examples=60, deadline=None)
+    @given(space_stores())
+    def test_columns_match_per_context_lists(self, store):
+        """Keen, act and flat spaces from positive columns derive what the per-context position lists gave."""
+        catalog = store.catalog
+        uf, itf = empty_features(catalog.n_users, "user"), empty_features(catalog.n_items, "item")
+        trainer = Trainer(store, uf, itf, TrainConfig(k=2))
+        items = store.items_with_interactions()
+        flat_ids = [v * catalog.n_activities + z for v in items for z in range(catalog.n_activities)]
+        layout = FeatureLayout.for_act(catalog, uf, itf)
+        flat_space = flat_candidate_space(store, layout, uf, itf, trained_item_mask(store))
+        by_user = store.triples_by_user()
+        cases = [
+            (trainer.keen_space, items, [store.positive_items(u) for u in range(catalog.n_users)]),
+            (trainer.act_space, list(range(catalog.n_activities)), [store.positive_activities(*p) for p in store.keen_pairs]),
+            (flat_space, flat_ids, [
+                {v * catalog.n_activities + z for _, v, z in by_user.get(u, ())} for u in range(catalog.n_users)
+            ]),
+        ]
+        for space, universe, positive_sets in cases:
+            assert space.universe.tolist() == universe
+            lists = [np.array(sorted(universe.index(c) for c in p), dtype=np.int64) for p in positive_sets]
+            n_negatives, key_starts, rank_keys = list_space(space.universe, lists)
+            for c, positions in enumerate(lists):
+                np.testing.assert_array_equal(space.positions[space.key_starts[c] : space.key_starts[c + 1]], positions)
+            np.testing.assert_array_equal(space.n_negatives, n_negatives)
+            np.testing.assert_array_equal(space.key_starts, key_starts)
+            np.testing.assert_array_equal(space.rank_keys, rank_keys)
 
 
 batches_to_sample = st.integers(1, 60).flatmap(
@@ -1115,7 +1183,52 @@ class TestThresholdSampling:
         # a finite ratio samples the negatives of at least one user
         assert (ratio == "full") != any(len(items) < len(trainer.item_universe) for items, _ in keen)
 
+class TestTrainedItems:
+    @pytest.mark.parametrize("ratio", [5.0, "full", 0.1])
+    def test_mask_is_the_items_phase_two_fits(self, ratio):
+        """The cutoff table's trained mask marks exactly the items with a training
+        interaction, and phase 2 enumerates each of them for some user."""
+        store, uf, itf = small_store(seed=31, n_users=8, n_items=40, density=40)
+        config = TrainConfig(seed=2, epochs=1, threshold_negative_ratio=ratio, threshold_epochs=2)
+        trainer = Trainer(store, uf, itf, config)
+        trainer.run_rank_learning()
+        enumerated = []
+        enum_items = trainer._threshold_enum_items
+        trainer._threshold_enum_items = lambda u: enumerated.append(enum_items(u)) or enumerated[-1]
+        model = trainer.finish(trainer.run_threshold_learning())
+        want = np.zeros(store.catalog.n_items, dtype=bool)
+        want[store.items_with_interactions()] = True
+        assert not want.all()  # some items are cold
+        fitted = np.zeros_like(want)
+        fitted[np.concatenate([items for items, _ in enumerated])] = True
+        np.testing.assert_array_equal(model.thresholds.item_trained, want)
+        np.testing.assert_array_equal(fitted, want)
+        assert model.seen_items == frozenset(store.items_with_interactions())
+        # a finite ratio samples the negatives of at least one user
+        assert (ratio == "full") != any(len(items) < want.sum() for items, _ in enumerated)
+
+
 class TestTrain:
+    def test_model_keeps_the_scorers_phase_two_used(self, monkeypatch):
+        """train() builds one Scorer pair: phase 2 scores with it, the model returns it,
+        and a snapshot round trip of the model scores identically."""
+        store, uf, itf = small_store(seed=37, n_items=14, density=50)
+        used, builds = [], []
+        for name in ("learn_thresholds_keen", "learn_thresholds_act"):
+            learn = getattr(Trainer, name)
+            monkeypatch.setattr(Trainer, name, lambda self, scorer, _f=learn: used.append(scorer) or _f(self, scorer))
+        build = Scorer.__init__
+        monkeypatch.setattr(Scorer, "__init__", lambda self, *a, **k: builds.append(self) or build(self, *a, **k))
+        model = train(store, uf, itf, TrainConfig(seed=3, epochs=2))
+        pair = model.scorers()
+        assert len(used) == 2 and pair[0] is used[0] and pair[1] is used[1]
+        assert builds == used
+        back = model_from_dict(model_to_dict(model))
+        for u in range(model.n_users):
+            for ours, theirs in zip(pair, back.scorers()):
+                np.testing.assert_array_equal(theirs.score_items(u), ours.score_items(u))
+            np.testing.assert_array_equal(back.scorers()[1].score_pair_matrix(u), pair[1].score_pair_matrix(u))
+
     def test_bitwise_determinism(self):
         store, uf, itf = small_store(seed=11, density=50)
         config = TrainConfig(seed=4, epochs=3)
