@@ -37,6 +37,7 @@ from keenact.fm import AdamState, init_params
 from keenact.scoring import Scorer
 from keenact.training import (
     CandidateSpace,
+    NegativeBlock,
     NumericalError,
     TrainConfig,
     TrainedModel,
@@ -170,17 +171,17 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     rng = np.random.Generator(np.random.PCG64(config.seed))
     item_trained = trained_item_mask(store)
     space = flat_candidate_space(store, layout, user_feats, item_feats, item_trained)
-    u, v, z = store.columns
-    flat = v * catalog.n_activities + z
+    bpr = kind == "bpr"
 
-    def step(rows: np.ndarray):
+    def step(batch: NegativeBlock):
         # the flat space is dominated by item coordinates, so the
         # item-stage decay is the comparable setting for the baselines
-        return batch_step(params, state, config.lambda_keen, space, u[rows], flat[rows], rng, config, bpr=kind == "bpr")
+        return batch_step(params, state, config.lambda_keen, space, batch, config, bpr=bpr)
 
     report: list[tuple[int, str, str, float]] = []
+    cap = 1 if bpr else config.max_neg_samples
     for epoch in range(config.epochs):
-        run_phase(epoch, f"fm_{kind}", store.n_triples, step, params, rng, report, config.batch_size)
+        run_phase(epoch, f"fm_{kind}", space, cap, step, params, rng, report, config.batch_size)
     scorer = Scorer(params, layout, user_feats, item_feats, item_trained)
     # finite parameters near the float limit can still overflow the
     # scores, and no phase 2 runs here to catch it in a cross-entropy

@@ -1,12 +1,15 @@
 """Two-phase learning: WARP rank learning, then decision-threshold fitting.
 
 Phase 1 walks the item-level pairs and the activity-level triples once
-per epoch in a seeded order, in batches of ``batch_size`` examples.  A
-batch is one step with the parameters frozen: one ``sample_negatives``
-call draws up to ``max_neg_samples`` distinct negatives for every
-example, all examples are scored together, and each takes the first
-negative that violates the margin, weighted by the harmonic transform
-of the estimated rank.  Their gradients are summed into one sparse Adam
+per epoch in a seeded order, in batches of ``batch_size`` examples.
+WARP's negatives do not depend on the parameters, so one
+``sample_negatives`` call per stage and epoch draws up to
+``max_neg_samples`` distinct negatives for every example, and each
+batch takes a slice of that block; the draws therefore do not depend on
+``batch_size``.  A batch is one step with the parameters frozen: all its
+examples are scored together, and each takes the first negative that
+violates the margin, weighted by the harmonic transform of the
+estimated rank.  Their gradients are summed into one sparse Adam
 update, so Adam's step count counts batches; one example per batch is
 per-example SGD.  No part of a step loops over its examples in Python.
 Phase 2 freezes both scorers and fits per-item / per-activity decision
@@ -324,6 +327,7 @@ class CandidateSpace:
     drawn from the sorted ``universe`` minus c's positives.  The positives
     are two aligned columns, ``positive_contexts`` and ``positive_ids``,
     sorted by (context, id) without repeats; every id is in ``universe``.
+    Each positive is one training example of the stage.
 
     The derived arrays serve ``sample_negatives``: ``positions`` holds each
     positive's position in ``universe``, c's run of them starting at
@@ -412,6 +416,39 @@ def sample_negatives(
     return positions, counts, total_neg
 
 
+@dataclass
+class NegativeBlock:
+    """Examples with their drawn negatives, one row each.
+
+    Row r ranks ``candidates[r, 0]``, a positive of context
+    ``contexts[r]``, against its ``counts[r]`` drawn negatives in
+    ``candidates[r, 1:]``, where ``drawn[r]`` is set; the rest of the row
+    repeats the positive as padding.  ``total_neg[r]`` counts the
+    context's negatives.  Slicing the block slices every array, as views.
+    """
+
+    contexts: np.ndarray
+    candidates: np.ndarray
+    drawn: np.ndarray
+    counts: np.ndarray
+    total_neg: np.ndarray
+
+    def __getitem__(self, rows) -> NegativeBlock:
+        return NegativeBlock(
+            self.contexts[rows], self.candidates[rows], self.drawn[rows], self.counts[rows], self.total_neg[rows]
+        )
+
+
+def draw_block(rng: np.random.Generator, space: CandidateSpace, examples: np.ndarray, cap: int) -> NegativeBlock:
+    """The ``examples`` (indices into the space's positive columns), in their
+    order, with up to ``cap`` negatives each from one ``sample_negatives`` call."""
+    contexts, positives = space.positive_contexts[examples], space.positive_ids[examples, None]
+    at, counts, total_neg = sample_negatives(rng, space, contexts, cap)
+    drawn = at >= 0
+    candidates = np.concatenate((positives, np.where(drawn, space.universe[at], positives)), axis=1)
+    return NegativeBlock(contexts, candidates, drawn, counts, total_neg)
+
+
 def _logistic(diff: float) -> tuple[float, float]:
     """(sigmoid(diff), log(1 + exp(diff))) of one float, both overflow-free."""
     if diff >= 0.0:
@@ -447,42 +484,37 @@ def batch_step(
     state: AdamState,
     lam: float,
     space: CandidateSpace,
-    contexts: np.ndarray,
-    positives: np.ndarray,
-    rng: np.random.Generator,
+    batch: NegativeBlock,
     config: TrainConfig,
     bpr: bool = False,
 ) -> StepResult:
     """One sampled pairwise update of ``params`` over a batch of examples.
 
-    Row r ranks candidate ``positives[r]`` for context ``contexts[r]``.
-    The parameters stay frozen within the batch.  One ``sample_negatives``
-    call draws up to ``max_neg_samples`` distinct negatives for every row
-    at once; a row whose context has no negative is skipped without a
-    draw.  Every row's context is scored with one ``table_stats`` call
-    and every row's positive and negatives with one more, as one gather
-    from the part table.  WARP updates a row on its first margin
-    violator, found with one ``argmax``, weighted by phi of the estimated
-    rank (WSABIE), looked up for all rows in the space's harmonic table;
-    its ``draws`` is that violator's 1-based position, or the number
-    drawn when none violates.  BPR draws one negative and always updates,
-    weighted by sigmoid(-(s_pos - s_neg)).  The updated rows' gradients
-    are built as one block, with the L2 decay ``lam`` on each row's
-    touched parameters, summed per parameter row, and applied as one Adam
-    update, so Adam's ``t`` counts batches with an update.  The scores
-    leave out w0, which cancels in every difference taken.  With one row
-    per batch this is per-example SGD.
+    ``batch`` holds the rows' candidates, drawn beforehand (``run_phase``
+    draws a whole epoch's with one ``draw_block`` call); the step only
+    does the work that reads the parameters, which stay frozen within the
+    batch.  A row whose context has no negative is skipped.  Every row's
+    context is scored with one ``table_stats`` call and every row's
+    positive and negatives with one more, as one gather from the part
+    table.  WARP updates a row on its first margin violator, found with
+    one ``argmax``, weighted by phi of the estimated rank (WSABIE), looked
+    up for all rows in the space's harmonic table; its ``draws`` is that
+    violator's 1-based position, or the number drawn when none violates.
+    BPR takes a block drawn with ``cap`` 1 and always updates, weighted by
+    sigmoid(-(s_pos - s_neg)).  The updated rows' gradients are built as
+    one block, with the L2 decay ``lam`` on each row's touched parameters,
+    summed per parameter row, and applied as one Adam update, so Adam's
+    ``t`` counts batches with an update.  The scores leave out w0, which
+    cancels in every difference taken.  With one row per batch this is
+    per-example SGD.
     """
-    drawn_at, drawn, total_neg = sample_negatives(rng, space, contexts, 1 if bpr else config.max_neg_samples)
-    live = drawn > 0
-    skipped = len(contexts) - int(live.sum())
-    if not live.any():
+    live = batch.counts > 0
+    skipped = live.size - int(live.sum())
+    if skipped == live.size:
         return StepResult(updated=0, draws=0, skipped=skipped)
-    contexts, drawn, total_neg, drawn_at = contexts[live], drawn[live], total_neg[live], drawn_at[live]
-    positives = positives[live, None]
-    drawn_negative = drawn_at >= 0
-    negatives = np.where(drawn_negative, space.universe[drawn_at], positives)
-    candidates = np.concatenate((positives, negatives), axis=1)
+    if skipped:
+        batch = batch[live]
+    contexts, candidates, drawn = batch.contexts, batch.candidates, batch.drawn
 
     n, n_cand = candidates.shape
     width = int(space.context_widths[contexts].max())
@@ -500,12 +532,12 @@ def batch_step(
         diff = scores[:, 1] - scores[:, 0]
         weight, losses = sigmoid(diff), np.logaddexp(0.0, diff)
     else:
-        violates = (scores[:, :1] < config.margin + scores[:, 1:]) & drawn_negative
+        violates = (scores[:, :1] < config.margin + scores[:, 1:]) & drawn
         first = violates.argmax(axis=1)
         hit = violates[rows, first]
-        draws = np.where(hit, first + 1, drawn)
+        draws = np.where(hit, first + 1, batch.counts)
         rows, col = rows[hit], first[hit] + 1
-        weight = warp_weights(total_neg[rows], col, space.harmonic)
+        weight = warp_weights(batch.total_neg[rows], col, space.harmonic)
         losses = weight * (config.margin - scores[rows, 0] + scores[rows, col])
     result = StepResult(updated=rows.size, draws=int(draws.sum()), loss=float(losses.sum()), skipped=skipped)
     if not rows.size:
@@ -519,20 +551,25 @@ def batch_step(
     return result
 
 
-def run_phase(epoch: int, phase: str, n_examples: int, step, params: FMParameters, rng, report: list, batch_size: int) -> None:
-    """One epoch of ``step`` over ``n_examples`` examples in a fresh random order.
+def run_phase(
+    epoch: int, phase: str, space: CandidateSpace, cap: int, step, params: FMParameters, rng, report: list, batch_size: int
+) -> None:
+    """One epoch of ``step`` over the space's examples (its positives) in a fresh random order.
 
-    The order is cut into batches of ``batch_size`` example indices, and
-    ``step`` takes one batch at a time.  Appends mean loss, draws and
-    violation rate rows, per example, to ``report``; raises
-    NumericalError on a non-finite loss sum or ``params``.
+    One ``draw_block`` call draws up to ``cap`` negatives for every
+    example of the epoch, in that order, and ``step`` takes the block one
+    slice of ``batch_size`` rows at a time, so the RNG's use does not
+    depend on ``batch_size``.  Appends mean loss, draws and violation
+    rate rows, per example, to ``report``; raises NumericalError on a
+    non-finite loss sum or ``params``.
     """
-    order = rng.permutation(n_examples)
+    n_examples = space.positive_ids.size
+    block = draw_block(rng, space, rng.permutation(n_examples), cap)
     losses = 0.0
     draws = 0
     updates = 0
     for start in range(0, n_examples, batch_size):
-        result = step(order[start : start + batch_size])
+        result = step(block[start : start + batch_size])
         draws += result.draws
         losses += result.loss
         updates += result.updated
@@ -628,12 +665,11 @@ class Trainer:
         activity_table = pad_parts(activity_part(z, self.act_layout) for z in self.activity_universe)
         # keen examples are the keen pairs; act examples are the triples,
         # each with the index of its keen pair as its context
-        self.pair_users, self.pair_items = store.pair_columns
-        self.triple_pairs = store.pair_ids
-        self.keen_space = CandidateSpace(user_table, item_table, self.item_universe, self.pair_users, self.pair_items)
+        pair_users, pair_items = store.pair_columns
+        self.keen_space = CandidateSpace(user_table, item_table, self.item_universe, pair_users, pair_items)
         self.act_space = CandidateSpace(
-            join_tables((user_table, self.pair_users), (item_table, self.pair_items)),
-            activity_table, self.activity_universe, self.triple_pairs, store.columns[2],
+            join_tables((user_table, pair_users), (item_table, pair_items)),
+            activity_table, self.activity_universe, store.pair_ids, store.columns[2],
         )
         for user in np.flatnonzero(self.keen_space.n_negatives == 0):
             logger.warning("user %d is positive on every training item; its keen steps are skipped", user)
@@ -642,26 +678,20 @@ class Trainer:
 
     # -- phase 1: rank learning ------------------------------------------
 
-    def warp_step_keen(self, rows: np.ndarray) -> StepResult:
-        """One batched WARP step over the keen pairs ``rows``; negatives are training items."""
-        return batch_step(
-            self.keen, self.keen_state, self.config.lambda_keen, self.keen_space,
-            self.pair_users[rows], self.pair_items[rows], self.rng, self.config,
-        )
+    def warp_step_keen(self, batch: NegativeBlock) -> StepResult:
+        """One batched WARP step over a block of keen pairs; negatives are training items."""
+        return batch_step(self.keen, self.keen_state, self.config.lambda_keen, self.keen_space, batch, self.config)
 
-    def warp_step_act(self, rows: np.ndarray) -> StepResult:
-        """One batched WARP step over the triples ``rows``; negatives are activities."""
-        return batch_step(
-            self.act, self.act_state, self.config.lambda_act, self.act_space,
-            self.triple_pairs[rows], self.store.columns[2][rows], self.rng, self.config,
-        )
+    def warp_step_act(self, batch: NegativeBlock) -> StepResult:
+        """One batched WARP step over a block of triples; negatives are activities."""
+        return batch_step(self.act, self.act_state, self.config.lambda_act, self.act_space, batch, self.config)
 
     def run_rank_learning(self) -> None:
         """Phase 1: keen steps over the pairs, then act steps over the triples."""
-        batch = self.config.batch_size
+        cap, batch = self.config.max_neg_samples, self.config.batch_size
         for epoch in range(self.config.epochs):
-            run_phase(epoch, "keen_rank", self.pair_users.size, self.warp_step_keen, self.keen, self.rng, self.report, batch)
-            run_phase(epoch, "act_rank", self.store.n_triples, self.warp_step_act, self.act, self.rng, self.report, batch)
+            run_phase(epoch, "keen_rank", self.keen_space, cap, self.warp_step_keen, self.keen, self.rng, self.report, batch)
+            run_phase(epoch, "act_rank", self.act_space, cap, self.warp_step_act, self.act, self.rng, self.report, batch)
 
     # -- phase 2: threshold learning ---------------------------------------
 
@@ -696,12 +726,19 @@ class Trainer:
         )
 
     def learn_thresholds_act(self, scorer: Scorer) -> tuple[np.ndarray, list[float]]:
-        """Fit per-activity cutoffs on the frozen act ``scorer`` over positive pairs."""
-        pairs, all_z = self.store.keen_pairs, self.activity_universe
-        labels = np.zeros((len(pairs), all_z.size))
-        labels[self.triple_pairs, self.store.columns[2]] = 1.0
+        """Fit per-activity cutoffs on the frozen act ``scorer`` over positive pairs.
+
+        The pairs are the keen space's positives, sorted by user, so one
+        ``score_pair_matrix`` gather per user scores all of that user's pairs.
+        """
+        keen, act, all_z = self.keen_space, self.act_space, self.activity_universe
+        starts = keen.key_starts.tolist()
+        users = np.flatnonzero(np.diff(keen.key_starts)).tolist()
+        scores = np.concatenate([scorer.score_pair_matrix(u, keen.positive_ids[starts[u] : starts[u + 1]]) for u in users])
+        labels = np.zeros(scores.shape)
+        labels[act.positive_contexts, act.positive_ids] = 1.0
         return fit_thresholds(
-            [scorer.score_activities(u, v) for u, v in pairs], list(labels), [all_z] * len(pairs), all_z.size,
+            list(scores), list(labels), [all_z] * len(scores), all_z.size,
             self.config.threshold_epochs, **self.config.adam_kwargs(),
         )
 

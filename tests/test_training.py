@@ -47,6 +47,7 @@ from keenact.training import (
     config_from_mapping,
     cross_entropy,
     cross_entropy_grad_threshold,
+    draw_block,
     estimate_rank,
     fit_thresholds,
     harmonic_numbers,
@@ -464,6 +465,12 @@ def one(i):
     return np.array([i])
 
 
+def step_rows(trainer, stage, rows):
+    """Draw the negatives of examples ``rows`` of ``stage``, then take one batched step over them."""
+    block = draw_block(trainer.rng, getattr(trainer, f"{stage}_space"), np.asarray(rows), trainer.config.max_neg_samples)
+    return getattr(trainer, f"warp_step_{stage}")(block)
+
+
 class TestWarpSteps:
     def test_keen_skips_user_with_no_negatives(self, caplog):
         """A user positive on every training item cannot produce a violation; one warning per user, per run."""
@@ -473,7 +480,7 @@ class TestWarpSteps:
         with caplog.at_level(logging.WARNING, logger="keenact.training"):
             trainer = Trainer(store, empty_features(1, "user"), empty_features(2, "item"), config)
             w_before = trainer.keen.w.copy()
-            result = trainer.warp_step_keen(np.arange(2))
+            result = step_rows(trainer, "keen", np.arange(2))
             trainer.run_rank_learning()
         assert (result.skipped, result.updated, result.draws) == (2, 0, 0)
         np.testing.assert_array_equal(trainer.keen.w, w_before)
@@ -488,9 +495,9 @@ class TestWarpSteps:
         trainer = Trainer(
             store, empty_features(2, "user"), empty_features(2, "item"), TrainConfig(seed=0)
         )
-        assert trainer.warp_step_act(one(0)).skipped == 1
+        assert step_rows(trainer, "act", one(0)).skipped == 1
         # the third triple's pair has a negative; the batch skips only the first two
-        result = trainer.warp_step_act(np.arange(3))
+        result = step_rows(trainer, "act", np.arange(3))
         assert result.skipped == 2
         assert result.draws == 1
 
@@ -502,7 +509,7 @@ class TestWarpSteps:
         trainer.keen.w[trainer.keen_layout.item_id_offset + v] = 100.0
         w_before = trainer.keen.w.copy()
         f_before = trainer.keen.factors.copy()
-        result = trainer.warp_step_keen(one(0))
+        result = step_rows(trainer, "keen", one(0))
         assert not result.updated
         assert result.draws == min(
             TrainConfig().max_neg_samples,
@@ -526,7 +533,7 @@ class TestWarpSteps:
         config = TrainConfig(seed=2)
         trainer = Trainer(store, uf, itf, config)
         hinges = record_hinge_descent(monkeypatch, config.margin)
-        updates = sum(trainer.warp_step_keen(one(i)).updated for i in range(store.n_pairs))
+        updates = sum(step_rows(trainer, "keen", one(i)).updated for i in range(store.n_pairs))
         assert updates > 0
         assert len(hinges) == updates
         for before, after in hinges:
@@ -561,33 +568,54 @@ def record_hinge_descent(monkeypatch, margin, step=1e-3):
     return hinges
 
 
-def reference_negatives(rng, universe, positives, cap):
-    """One row's WARP sampler written out over the negatives in universe order:
-    with few negatives (2 * cap >= total) the first cap of them sorted by one
-    random key each; else 2 * cap ranks drawn with replacement, sorted, each
-    with a random key, repeats dropped and the cap distinct ranks of smallest
-    key kept in key order, redrawing while fewer than cap are distinct."""
-    candidates = [int(c) for c in universe if c not in positives]
-    total_neg = len(candidates)
-    if cap * 2 >= total_neg:
-        keys = rng.random(total_neg).tolist()
-        return [candidates[i] for i in sorted(range(total_neg), key=keys.__getitem__)[:cap]]
-    while True:
-        ranks = sorted(rng.integers(0, total_neg, size=2 * cap).tolist())
-        keys = rng.random(2 * cap).tolist()
-        distinct = [(key, r) for i, (key, r) in enumerate(zip(keys, ranks)) if i == 0 or r != ranks[i - 1]]
-        if len(distinct) >= cap:
-            return [candidates[r] for _, r in sorted(distinct)[:cap]]
+def reference_negatives(rng, universe, positive_sets, cap):
+    """One epoch's WARP draws written out row by row, over each row's
+    negatives in universe order; ``positive_sets`` holds each row's
+    context's positives, in epoch order.
+
+    Rows with negatives but at most 2 * cap of them are dense.  They share
+    one rng.random block with a row per dense row, as wide as the most
+    negatives; each keeps the first cap of its negatives sorted by its
+    first total keys.  The other rows are sparse and go in rounds: one
+    rng.integers block of 2 * cap ranks per row, drawn with replacement,
+    then one rng.random block of keys; each row sorts its ranks, drops
+    repeats and keeps the cap distinct ranks of smallest key in key
+    order, and a row left with fewer than cap goes to the next round.
+    Returns each row's negatives as a list."""
+    negatives = [[int(c) for c in universe if c not in positives] for positives in positive_sets]
+    totals = [len(n) for n in negatives]
+    drawn = [[] for _ in negatives]
+    dense = [r for r, t in enumerate(totals) if 0 < t <= 2 * cap]
+    if dense:
+        keys = rng.random((len(dense), max(totals[r] for r in dense))).tolist()
+        for r, row_keys in zip(dense, keys):
+            by_key = sorted(range(totals[r]), key=row_keys.__getitem__)
+            drawn[r] = [negatives[r][i] for i in by_key[:cap]]
+    todo = [r for r, t in enumerate(totals) if t > 2 * cap]
+    while todo:
+        ranks = rng.integers(0, np.array([[totals[r]] for r in todo]), size=(len(todo), 2 * cap)).tolist()
+        keys = rng.random((len(todo), 2 * cap)).tolist()
+        short = []
+        for r, row_ranks, row_keys in zip(todo, ranks, keys):
+            row_ranks = sorted(row_ranks)
+            distinct = [(key, x) for i, (key, x) in enumerate(zip(row_keys, row_ranks)) if i == 0 or x != row_ranks[i - 1]]
+            if len(distinct) < cap:
+                short.append(r)
+            else:
+                drawn[r] = [negatives[r][x] for _, x in sorted(distinct)[:cap]]
+        todo = short
+    return drawn
 
 
-def reference_warp_step(rng, config, params, state, lam, universe, positives, assemble, positive):
-    """WARP on assembled inputs with fm_score, fm_gradient and combine_gradients."""
+def reference_warp_step(config, params, state, lam, universe, positives, assemble, positive, negatives):
+    """WARP on assembled inputs with fm_score, fm_gradient and combine_gradients,
+    walking the row's drawn ``negatives`` in order."""
     total_neg = len(universe) - len(positives)
     if total_neg <= 0:
         return False, 0
     x_pos = assemble(positive)
     draws = 0
-    for c in reference_negatives(rng, universe, positives, min(config.max_neg_samples, total_neg)):
+    for c in negatives:
         draws += 1
         x_neg = assemble(c)
         if fm_score(params, x_pos) < config.margin + fm_score(params, x_neg):
@@ -599,6 +627,27 @@ def reference_warp_step(rng, config, params, state, lam, universe, positives, as
     return False, draws
 
 
+def run_checked_epoch(space, cap, step, params, rng, batch_size, order, check):
+    """One run_phase epoch of ``step`` over ``space``, where ``order`` is the
+    caller's copy of the epoch's permutation.  Each batch's block must hold
+    the next ``batch_size`` examples of ``order``; after its step,
+    ``check(start, rows, got)`` gets the batch's offset in the epoch, its
+    example indices and the step's result."""
+    starts = iter(range(0, order.size, batch_size))
+
+    def checked(batch):
+        start = next(starts)
+        rows = order[start : start + batch_size]
+        np.testing.assert_array_equal(batch.contexts, space.positive_contexts[rows])
+        np.testing.assert_array_equal(batch.candidates[:, 0], space.positive_ids[rows])
+        got = step(batch)
+        check(start, rows, got)
+        return got
+
+    run_phase(0, "checked", space, cap, checked, params, rng, [], batch_size)
+    assert next(starts, None) is None
+
+
 class TestStepMatchesReference:
     def test_one_epoch_of_each_stage(self):
         """Same seed: same draws and updates per step, parameters within 1e-9."""
@@ -608,43 +657,46 @@ class TestStepMatchesReference:
         itf = FeatureMatrix(sparse.csr_matrix(rows * (rows < 0.6)), "item")
         config = TrainConfig(seed=6, k=4)
         new, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
-        stages = [
-            (store.keen_pairs, new.warp_step_keen, "keen", config.lambda_keen),
-            (store.triples, new.warp_step_act, "act", config.lambda_act),
-        ]
         updates = 0
-        for examples, step, stage, lam in stages:
-            order = new.rng.permutation(len(examples))
-            np.testing.assert_array_equal(order, ref.rng.permutation(len(examples)))
-            for i in order:
-                u, v = examples[i][:2]
+        for examples, stage, lam in [(store.keen_pairs, "keen", config.lambda_keen), (store.triples, "act", config.lambda_act)]:
+            if stage == "keen":
+                universe = ref.item_universe
+                positive_sets = [store.positive_items(u) for u, _ in examples]
+            else:
+                universe = ref.activity_universe
+                positive_sets = [store.positive_activities(u, v) for u, v, _ in examples]
+            order = ref.rng.permutation(len(examples))
+            negatives = reference_negatives(ref.rng, universe, [positive_sets[i] for i in order], config.max_neg_samples)
+
+            def check(start, rows, got):
+                nonlocal updates
+                u, v = examples[rows[0]][:2]
                 if stage == "keen":
-                    universe, positives, positive = ref.item_universe, store.positive_items(u), v
+                    positive = v
                     assemble = lambda c: assemble_keen_input(u, c, ref.keen_layout, uf, itf)
                 else:
-                    universe, positives, positive = ref.activity_universe, store.positive_activities(u, v), examples[i][2]
+                    positive = examples[rows[0]][2]
                     assemble = lambda c: assemble_act_input(u, v, c, ref.act_layout, uf, itf)
-                got = step(one(i))
                 want = reference_warp_step(
-                    ref.rng, config, getattr(ref, stage), getattr(ref, f"{stage}_state"), lam,
-                    universe, positives, assemble, positive,
+                    config, getattr(ref, stage), getattr(ref, f"{stage}_state"), lam,
+                    universe, positive_sets[rows[0]], assemble, positive, negatives[start],
                 )
                 assert (got.updated, got.draws) == want
                 updates += int(got.updated)
-                a, b = getattr(new, stage), getattr(ref, stage)
-                np.testing.assert_allclose(a.w0, b.w0, rtol=0, atol=1e-9)
-                np.testing.assert_allclose(a.w, b.w, rtol=0, atol=1e-9)
-                np.testing.assert_allclose(a.factors, b.factors, rtol=0, atol=1e-9)
+                assert_params_close(getattr(new, stage), getattr(ref, stage))
+
+            space, step = getattr(new, f"{stage}_space"), getattr(new, f"warp_step_{stage}")
+            run_checked_epoch(space, config.max_neg_samples, step, getattr(new, stage), new.rng, 1, order, check)
         assert updates > 0
 
 
-def reference_sparse_warp_step(rng, config, params, state, lam, universe, positives, assemble, positive):
-    """WARP for 2 * cap < total negatives, written out: reference_negatives'
-    with-replacement draw, then a walk over fm_score on assembled inputs."""
+def reference_sparse_warp_step(config, params, state, lam, universe, positives, assemble, positive, negatives):
+    """WARP for 2 * cap < total negatives, written out: a walk over fm_score on
+    assembled inputs, along the row's drawn negatives."""
     total_neg = len(universe) - len(positives)
     cap = min(config.max_neg_samples, total_neg)
     assert 2 * cap < total_neg
-    return reference_warp_step(rng, config, params, state, lam, universe, positives, assemble, positive)
+    return reference_warp_step(config, params, state, lam, universe, positives, assemble, positive, negatives)
 
 
 def assert_params_close(a, b):
@@ -670,18 +722,21 @@ class TestSparseStepMatchesReference:
         new, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
         outcomes = set()
         for _ in range(3):
-            order = new.rng.permutation(store.n_pairs)
-            np.testing.assert_array_equal(order, ref.rng.permutation(store.n_pairs))
-            for i in order:
-                u, v = store.keen_pairs[i]
-                got = new.warp_step_keen(one(i))
+            order = ref.rng.permutation(store.n_pairs)
+            positive_sets = [store.positive_items(store.keen_pairs[i][0]) for i in order]
+            negatives = reference_negatives(ref.rng, ref.item_universe, positive_sets, config.max_neg_samples)
+
+            def check(start, rows, got):
+                u, v = store.keen_pairs[rows[0]]
                 want = reference_sparse_warp_step(
-                    ref.rng, config, ref.keen, ref.keen_state, config.lambda_keen, ref.item_universe,
-                    store.positive_items(u), lambda c: assemble_keen_input(u, c, ref.keen_layout, uf, itf), v,
+                    config, ref.keen, ref.keen_state, config.lambda_keen, ref.item_universe, positive_sets[start],
+                    lambda c: assemble_keen_input(u, c, ref.keen_layout, uf, itf), v, negatives[start],
                 )
                 assert (got.updated, got.draws) == want
                 outcomes.add((got.updated, got.draws > 1))
                 assert_params_close(new.keen, ref.keen)
+
+            run_checked_epoch(new.keen_space, config.max_neg_samples, new.warp_step_keen, new.keen, new.rng, 1, order, check)
         # updates on the first draw and on later ones, and steps without a violator
         assert outcomes == {(True, False), (True, True), (False, True)}
 
@@ -700,19 +755,23 @@ class TestSparseStepMatchesReference:
         n_acts = catalog.n_activities
         universe = [v * n_acts + z for v in store.items_with_interactions() for z in range(n_acts)]
         flat = {u: frozenset(v * n_acts + z for _, v, z in rows) for u, rows in store.triples_by_user().items()}
-        order = rng.permutation(store.n_triples)
-        np.testing.assert_array_equal(order, ref_rng.permutation(store.n_triples))
+        order = ref_rng.permutation(store.n_triples)
+        negatives = reference_negatives(ref_rng, universe, [flat[store.triples[i][0]] for i in order], config.max_neg_samples)
         updates = 0
-        for i in order:
-            u, v, z = store.triples[i]
-            got = batch_step(params, state, config.lambda_keen, space, one(u), one(v * n_acts + z), rng, config)
+
+        def check(start, rows, got):
+            nonlocal updates
+            u, v, z = store.triples[rows[0]]
             want = reference_sparse_warp_step(
-                ref_rng, config, ref_params, ref_state, config.lambda_keen, universe, flat[u],
-                lambda f: assemble_act_input(u, f // n_acts, f % n_acts, layout, uf, itf), v * n_acts + z,
+                config, ref_params, ref_state, config.lambda_keen, universe, flat[u],
+                lambda f: assemble_act_input(u, f // n_acts, f % n_acts, layout, uf, itf), v * n_acts + z, negatives[start],
             )
             assert (got.updated, got.draws) == want
             updates += int(got.updated)
             assert_params_close(params, ref_params)
+
+        step = lambda batch: batch_step(params, state, config.lambda_keen, space, batch, config)
+        run_checked_epoch(space, config.max_neg_samples, step, params, rng, 1, order, check)
         assert updates > 0
         assert_params_close(train_baseline(store, uf, itf, config, kind="warp").params, ref_params)
 
@@ -730,18 +789,15 @@ def assembled_input(dim, *parts):
     return SparseVector(idx[order], val[order], dim)
 
 
-def pairwise_step(params, state, lam, space, context, positive, rng, config, bpr=False, update=adam_update, negatives=None):
-    """The per-example sampled update that one-row batches must reproduce.
+def pairwise_step(params, state, lam, space, context, positive, negatives, config, bpr=False, update=adam_update):
+    """The per-example sampled update that one-row batches must reproduce,
+    over the row's drawn ``negatives`` (universe ids, in draw order).
 
-    Without ``negatives`` it draws them with one one-row sample_negatives
-    call.  The context is scored with part_stats on its unpadded part and
-    the candidates with one table_stats gather; the gradient is the
-    combined fm_gradient of the assembled pair plus the decay on its rows,
-    passed to ``update`` (one Adam step).  Returns (updated, draws, loss).
+    The context is scored with part_stats on its unpadded part and the
+    candidates with one table_stats gather; the gradient is the combined
+    fm_gradient of the assembled pair plus the decay on its rows, passed
+    to ``update`` (one Adam step).  Returns (updated, draws, loss).
     """
-    if negatives is None:
-        at, counts, _ = sample_negatives(rng, space, np.array([context]), 1 if bpr else config.max_neg_samples)
-        negatives = space.universe[at[0, : counts[0]]]
     total_neg = space.universe.size - np.count_nonzero(space.positive_contexts == context)
     if total_neg <= 0:
         return False, 0, 0.0
@@ -772,47 +828,49 @@ def pairwise_step(params, state, lam, space, context, positive, rng, config, bpr
     return True, draws, loss
 
 
+def epoch_negatives(rng, space, order, cap):
+    """Each row's drawn negatives (universe ids) for an epoch in ``order``,
+    from one sample_negatives call over the epoch's contexts."""
+    at, counts, _ = sample_negatives(rng, space, space.positive_contexts[order], cap)
+    return [space.universe[row[:n]] for row, n in zip(at, counts.tolist())]
+
+
 def assert_params_within(a, b, atol):
     np.testing.assert_allclose(a.table, b.table, rtol=0, atol=atol)
     assert a.w0 == b.w0
 
 
 class FlatStage:
-    """The flat baseline's parameters, optimizer, space and examples, as train_baseline builds them."""
+    """The flat baseline's parameters, optimizer and space, as train_baseline builds them."""
 
     def __init__(self, store, uf, itf, config):
-        catalog = store.catalog
-        layout = FeatureLayout.for_act(catalog, uf, itf)
+        layout = FeatureLayout.for_act(store.catalog, uf, itf)
+        self.config = config
         self.params = init_params(layout.dim, config.k, seed=config.seed + 3)
         self.state = AdamState.for_params(self.params, **config.adam_kwargs())
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         self.space = flat_candidate_space(store, layout, uf, itf, trained_item_mask(store))
-        u, v, z = store.columns
-        self.contexts, self.positives = u, v * catalog.n_activities + z
 
 
-def stage_views(trainer_or_flat, stage):
-    """(params, state, lam, space, contexts, positives, batched step) of one stage."""
-    t, cfg = trainer_or_flat, trainer_or_flat.config
-    if stage == "keen":
-        return t.keen, t.keen_state, cfg.lambda_keen, t.keen_space, t.pair_users, t.pair_items, t.warp_step_keen
-    if stage == "act":
-        z = t.store.columns[2]
-        return t.act, t.act_state, cfg.lambda_act, t.act_space, t.triple_pairs, z, t.warp_step_act
+def stage_views(t, stage):
+    """(params, state, lam, space, cap, batched step) of one stage of a Trainer or FlatStage."""
+    cfg = t.config
+    if stage in ("keen", "act"):
+        lam = cfg.lambda_keen if stage == "keen" else cfg.lambda_act
+        params, state, space = getattr(t, stage), getattr(t, f"{stage}_state"), getattr(t, f"{stage}_space")
+        return params, state, lam, space, cfg.max_neg_samples, getattr(t, f"warp_step_{stage}")
     bpr = stage == "fm_bpr"
 
-    def step(rows):
-        return batch_step(t.params, t.state, cfg.lambda_keen, t.space, t.contexts[rows], t.positives[rows], t.rng, cfg, bpr=bpr)
+    def step(batch):
+        return batch_step(t.params, t.state, cfg.lambda_keen, t.space, batch, cfg, bpr=bpr)
 
-    return t.params, t.state, cfg.lambda_keen, t.space, t.contexts, t.positives, step
+    return t.params, t.state, cfg.lambda_keen, t.space, 1 if bpr else cfg.max_neg_samples, step
 
 
 def make_stage(store, uf, itf, config, stage):
     if stage in ("keen", "act"):
         return Trainer(store, uf, itf, config)
-    flat = FlatStage(store, uf, itf, config)
-    flat.config = config
-    return flat
+    return FlatStage(store, uf, itf, config)
 
 
 class TestBatchOfOneMatchesPairwiseStep:
@@ -826,20 +884,23 @@ class TestBatchOfOneMatchesPairwiseStep:
         config = TrainConfig(seed=3, k=4, batch_size=1)
         new, ref = make_stage(store, uf, itf, config, stage), make_stage(store, uf, itf, config, stage)
         params, *_, step = stage_views(new, stage)
-        ref_params, ref_state, lam, space, contexts, positives, _ = stage_views(ref, stage)
+        ref_params, ref_state, lam, space, cap, _ = stage_views(ref, stage)
         outcomes = set()
         for _ in range(2):
-            order = new.rng.permutation(len(contexts))
-            np.testing.assert_array_equal(order, ref.rng.permutation(len(contexts)))
-            for i in order:
-                got = step(one(i))
+            order = ref.rng.permutation(space.positive_ids.size)
+            negatives = epoch_negatives(ref.rng, space, order, cap)
+
+            def check(start, rows, got):
+                i = rows[0]
                 want = pairwise_step(
-                    ref_params, ref_state, lam, space, int(contexts[i]), int(positives[i]), ref.rng, config,
-                    bpr=stage == "fm_bpr",
+                    ref_params, ref_state, lam, space, int(space.positive_contexts[i]), int(space.positive_ids[i]),
+                    negatives[start], config, bpr=stage == "fm_bpr",
                 )
                 assert (bool(got.updated), got.draws) == want[:2]
                 np.testing.assert_allclose(got.loss, want[2], rtol=1e-12, atol=0)
                 outcomes.add(bool(got.updated))
+
+            run_checked_epoch(space, cap, step, params, new.rng, 1, order, check)
         assert True in outcomes
         assert_params_within(params, ref_params, 1e-12)
 
@@ -852,12 +913,15 @@ class TestBatchOfOneMatchesPairwiseStep:
         want = []
         for epoch in range(config.epochs):
             for stage, phase in (("keen", "keen_rank"), ("act", "act_rank")):
-                params, state, lam, space, contexts, positives, _ = stage_views(ref, stage)
+                params, state, lam, space, cap, _ = stage_views(ref, stage)
+                n = space.positive_ids.size
+                order = ref.rng.permutation(n)
                 totals = [0.0, 0, 0]
-                for i in ref.rng.permutation(len(contexts)):
-                    updated, draws, loss = pairwise_step(params, state, lam, space, int(contexts[i]), int(positives[i]), ref.rng, config)
+                for i, negatives in zip(order, epoch_negatives(ref.rng, space, order, cap)):
+                    updated, draws, loss = pairwise_step(
+                        params, state, lam, space, int(space.positive_contexts[i]), int(space.positive_ids[i]), negatives, config,
+                    )
                     totals = [totals[0] + loss, totals[1] + draws, totals[2] + int(updated)]
-                n = len(contexts)
                 want += [(epoch, phase, "warp_loss", totals[0] / n), (epoch, phase, "mean_draws", totals[1] / n),
                          (epoch, phase, "violation_rate", totals[2] / n)]
         assert [row[:3] for row in trainer.report] == [row[:3] for row in want]
@@ -868,19 +932,18 @@ class TestBatchOfOneMatchesPairwiseStep:
                 assert got[3] == expected[3]
 
 
-def frozen_batch_reference(params, state, lam, space, contexts, positives, rng, config, bpr=False):
-    """One batch written out: the batch's negatives from one sample_negatives
-    call, every row's pairwise_step on its own against a frozen copy of the
-    parameters, each row's gradient (with its decay) kept, and their sum
+def frozen_batch_reference(params, state, lam, space, contexts, positives, negatives, config, bpr=False):
+    """One batch written out: every row's pairwise_step on its own, over its
+    drawn ``negatives`` from the epoch block, against a frozen copy of the
+    parameters; each row's gradient (with its decay) is kept, and their sum
     applied as one Adam step.  Returns (updated, draws, skipped) per row."""
     frozen = params.copy()
     grads, outcomes = [], []
-    at, counts, _ = sample_negatives(rng, space, contexts, 1 if bpr else config.max_neg_samples)
-    for c, p, row, n in zip(contexts.tolist(), positives.tolist(), at, counts.tolist()):
+    for c, p, row_negatives in zip(contexts.tolist(), positives.tolist(), negatives):
         skipped = space.universe.size == np.count_nonzero(space.positive_contexts == c)
         updated, draws, _ = pairwise_step(
-            frozen, state, lam, space, c, p, rng, config, bpr=bpr,
-            update=lambda _p, _s, grad: grads.append(grad), negatives=space.universe[row[:n]],
+            frozen, state, lam, space, c, p, row_negatives, config, bpr=bpr,
+            update=lambda _p, _s, grad: grads.append(grad),
         )
         outcomes.append((updated, draws, skipped))
     if grads:
@@ -912,19 +975,18 @@ class TestFrozenBatch:
         config = TrainConfig(seed=4, k=3, batch_size=batch_size, max_neg_samples=20)
         new, ref = make_stage(store, uf, itf, config, stage), make_stage(store, uf, itf, config, stage)
         params, *_, step = stage_views(new, stage)
-        ref_params, ref_state, lam, space, contexts, positives, _ = stage_views(ref, stage)
-        n = len(contexts)
+        ref_params, ref_state, lam, space, cap, _ = stage_views(ref, stage)
+        n = space.positive_ids.size
         assert n % 7 != 0 and n < 1000
         seen = {"skipped": 0, "partial": 0, "updated": 0}
         for _ in range(3):
-            order = new.rng.permutation(n)
-            np.testing.assert_array_equal(order, ref.rng.permutation(n))
-            for start in range(0, n, batch_size):
-                rows = order[start : start + batch_size]
-                got = step(rows)
+            order = ref.rng.permutation(n)
+            negatives = epoch_negatives(ref.rng, space, order, cap)
+
+            def check(start, rows, got):
                 want = frozen_batch_reference(
-                    ref_params, ref_state, lam, space, contexts[rows], positives[rows], ref.rng, config,
-                    bpr=stage == "fm_bpr",
+                    ref_params, ref_state, lam, space, space.positive_contexts[rows], space.positive_ids[rows],
+                    negatives[start : start + rows.size], config, bpr=stage == "fm_bpr",
                 )
                 assert got.updated == sum(u for u, _, _ in want)
                 assert got.draws == sum(d for _, d, _ in want)
@@ -933,6 +995,8 @@ class TestFrozenBatch:
                 seen["skipped"] += got.skipped
                 seen["partial"] += rows.size < batch_size
                 seen["updated"] += got.updated
+
+            run_checked_epoch(space, cap, step, params, new.rng, batch_size, order, check)
         assert seen["partial"] == 3 and seen["updated"] > 0
         assert (seen["skipped"] > 0) == (stage in ("keen", "act"))
 
@@ -940,24 +1004,52 @@ class TestFrozenBatch:
 class TestRunPhase:
     @pytest.mark.parametrize("n, batch_size, sizes", [(11, 4, [4, 4, 3]), (5, 16, [5]), (3, 1, [1, 1, 1])])
     def test_batches_cover_the_seeded_order(self, n, batch_size, sizes):
+        """The batches cut the seeded order, last partial batch included, and view one block drawn for the epoch."""
+        space = sampling_space(12, [set(range(c, n, 4)) for c in range(4)])
+        assert space.positive_ids.size == n
         rng = np.random.Generator(np.random.PCG64(0))
-        want = np.random.Generator(np.random.PCG64(0)).permutation(n)
+        want_rng = np.random.Generator(np.random.PCG64(0))
+        order = want_rng.permutation(n)
+        want = draw_block(want_rng, space, order, 3)
         batches = []
 
-        def step(rows):
-            batches.append(rows)
-            return training.StepResult(updated=rows.size - 1, draws=2 * rows.size, loss=float(rows.size))
+        def step(batch):
+            batches.append(batch)
+            return training.StepResult(updated=batch.contexts.size - 1, draws=2 * batch.contexts.size, loss=float(batch.contexts.size))
 
         report = []
-        run_phase(0, "keen_rank", n, step, init_params(2, 1, seed=0), rng, report, batch_size)
-        assert [b.size for b in batches] == sizes
-        np.testing.assert_array_equal(np.concatenate(batches), want)
+        run_phase(0, "keen_rank", space, 3, step, init_params(2, 1, seed=0), rng, report, batch_size)
+        assert [b.contexts.size for b in batches] == sizes
+        for name in ("contexts", "candidates", "drawn", "counts", "total_neg"):
+            parts = [getattr(b, name) for b in batches]
+            np.testing.assert_array_equal(np.concatenate(parts), getattr(want, name))
+            assert all(p.base is not None and p.base is parts[0].base for p in parts)
+        np.testing.assert_array_equal(want.contexts, space.positive_contexts[order])
         # report rows are means per example, not per batch
         assert report == [
             (0, "keen_rank", "warp_loss", 1.0),
             (0, "keen_rank", "mean_draws", 2.0),
             (0, "keen_rank", "violation_rate", (n - len(sizes)) / n),
         ]
+
+    def test_an_epoch_with_every_row_skipped(self):
+        """No example has a negative: a zero-width block, no update and zero report rows."""
+        catalog = Catalog(["a"], ["x", "y", "w"], ["fork"])
+        store = InteractionStore(catalog, [(0, 0, 0), (0, 1, 0), (0, 2, 0)])
+        trainer = Trainer(store, empty_features(1, "user"), empty_features(3, "item"), TrainConfig(seed=0, batch_size=2))
+        before = trainer.keen.table.copy()
+        blocks, report = [], []
+
+        def step(batch):
+            blocks.append(batch)
+            return trainer.warp_step_keen(batch)
+
+        run_phase(0, "keen_rank", trainer.keen_space, 20, step, trainer.keen, trainer.rng, report, 2)
+        assert [b.candidates.shape for b in blocks] == [(2, 1), (1, 1)]
+        assert all(b.counts.sum() == 0 for b in blocks)
+        assert [value for *_, value in report] == [0.0, 0.0, 0.0]
+        np.testing.assert_array_equal(trainer.keen.table, before)
+        assert trainer.keen_state.t == 0
 
 
 def sampling_space(n_universe, positive_sets):
@@ -1102,23 +1194,87 @@ class TestSampleNegatives:
 
 class TestStepCost:
     def test_two_table_stats_calls_per_batch(self, monkeypatch):
-        """A batch scores its contexts with one table_stats call and its candidates with one more; no part_stats."""
+        """A batch scores its contexts with one table_stats call and its candidates
+        with one more; it draws nothing and calls no part_stats."""
         _, store, uf, itf = sparse_corpus()
         trainer = Trainer(store, uf, itf, TrainConfig(seed=3, k=4))
-        calls = {"table_stats": 0, "part_stats": 0}
+        blocks = {stage: draw_block(trainer.rng, getattr(trainer, f"{stage}_space"), np.arange(60), 20) for stage in ("keen", "act")}
+        calls = {"table_stats": 0, "part_stats": 0, "sample_negatives": 0}
         for name in calls:
             original = getattr(training, name)
             monkeypatch.setattr(training, name, lambda *a, _f=original, _n=name: calls.__setitem__(_n, calls[_n] + 1) or _f(*a))
         batches = 0
         for start in range(0, 60, 16):
-            rows = np.arange(start, min(start + 16, 60))
-            for step in (trainer.warp_step_keen, trainer.warp_step_act):
+            for stage in ("keen", "act"):
                 before = calls["table_stats"]
-                result = step(rows)
-                assert calls["table_stats"] - before == (0 if result.skipped == rows.size else 2)
-                batches += result.skipped < rows.size
+                batch = blocks[stage][start : start + 16]
+                result = getattr(trainer, f"warp_step_{stage}")(batch)
+                assert calls["table_stats"] - before == (0 if result.skipped == batch.contexts.size else 2)
+                batches += result.skipped < batch.contexts.size
         assert batches == 8
-        assert calls["part_stats"] == 0
+        assert calls["part_stats"] == calls["sample_negatives"] == 0
+
+
+def record_draws(monkeypatch):
+    """Wrap training.sample_negatives; record each call's contexts, cap and returned block."""
+    calls = []
+    original = training.sample_negatives
+
+    def recorded(rng, space, contexts, cap):
+        out = original(rng, space, contexts, cap)
+        calls.append((contexts.copy(), cap, *(a.copy() for a in out)))
+        return out
+
+    monkeypatch.setattr(training, "sample_negatives", recorded)
+    return calls
+
+
+class TestEpochDraws:
+    """Phase 1 draws each stage's negatives once per epoch, whatever the batch size."""
+
+    @pytest.mark.parametrize("kind", [None, "bpr", "warp"], ids=["keen2act", "fm_bpr", "fm_warp"])
+    def test_one_draw_per_stage_and_epoch(self, monkeypatch, kind):
+        store, uf, itf = small_store(seed=17, n_items=14, density=60)
+        config = TrainConfig(seed=5, epochs=3, batch_size=4)
+        calls = record_draws(monkeypatch)
+        if kind is None:
+            train(store, uf, itf, config)
+            assert [c[0].size for c in calls] == [store.n_pairs, store.n_triples] * config.epochs
+        else:
+            train_baseline(store, uf, itf, config, kind)
+            assert [c[0].size for c in calls] == [store.n_triples] * config.epochs
+            assert {c[1] for c in calls} == {1 if kind == "bpr" else config.max_neg_samples}
+
+    def test_draws_do_not_depend_on_the_batch_size(self, monkeypatch):
+        """batch_size 1, 7 and 16: the same sampler calls (contexts, blocks) in every epoch
+        of train and both baselines, and the same items phase 2 samples."""
+        store, uf, itf = small_store(seed=19, n_items=30, density=120)
+        calls, enumerated = record_draws(monkeypatch), []
+        enum_items = Trainer._threshold_enum_items
+        monkeypatch.setattr(Trainer, "_threshold_enum_items", lambda self, u: enumerated.append(enum_items(self, u)) or enumerated[-1])
+        runs = []
+        for batch_size in (1, 7, 16):
+            config = TrainConfig(seed=6, epochs=2, batch_size=batch_size, threshold_negative_ratio=1.0)
+            train(store, uf, itf, config)
+            for kind in ("bpr", "warp"):
+                train_baseline(store, uf, itf, config, kind)
+            runs.append((calls[:], enumerated[:]))
+            calls.clear()
+            enumerated.clear()
+        (calls, enumerated), others = runs[0], runs[1:]
+        assert len(calls) == 2 * 2 + 2 + 2
+        # the positives sampled for phase 2 outnumber its negatives, so it draws
+        assert any(labels.sum() < labels.size for _, labels in enumerated)
+        for other_calls, other_enumerated in others:
+            assert len(other_calls) == len(calls)
+            for got, want in zip(other_calls, calls):
+                assert got[1] == want[1]
+                for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
+                    np.testing.assert_array_equal(a, b)
+            assert len(other_enumerated) == len(enumerated)
+            for (items, labels), (want_items, want_labels) in zip(other_enumerated, enumerated):
+                np.testing.assert_array_equal(items, want_items)
+                np.testing.assert_array_equal(labels, want_labels)
 
 
 def list_threshold_groups(trainer, rng):
@@ -1172,8 +1328,12 @@ class TestThresholdSampling:
             [labels for _, labels in keen], [items for items, _ in keen],
             store.catalog.n_items, config.threshold_epochs, **config.adam_kwargs(),
         )
+        # each user's pairs scored in one score_pair_matrix call, as phase 2 does:
+        # a one-row score_activities call can differ from it in the last bits
+        pairs_of = {u: [v for w, v in store.keen_pairs if w == u] for u in users}
+        act_scores = [row for u in users for row in act_scorer.score_pair_matrix(u, pairs_of[u])]
         want_act, _ = fit_thresholds(
-            [act_scorer.score_activities(u, v) for u, v in store.keen_pairs], act,
+            act_scores, act,
             [trainer.activity_universe] * len(act), store.catalog.n_activities,
             config.threshold_epochs, **config.adam_kwargs(),
         )
