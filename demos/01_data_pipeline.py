@@ -36,11 +36,16 @@ with tempfile.TemporaryDirectory(prefix="keenact-demo-") as tmp:
     print("activities:", list(catalog.activities))
     print("records kept:", store.n_triples, "| duplicates dropped:", store.n_duplicates)
 
-    # Triples are integer ids; the catalog maps back to the raw strings.
+    # The store is sorted integer-id columns: (user, item, activity) per
+    # triple and (user, item) per distinct pair. The catalog maps the ids
+    # back to the raw strings.
     u = catalog.user_index["ana"]
-    print("ana's items:", [catalog.items[v] for v in store.positive_items(u)])
+    pair_users, pair_items = store.pair_columns
+    print("ana's items:", [catalog.items[v] for v in pair_items[pair_users == u].tolist()])
     v = catalog.item_index["repo-a"]
-    print("ana's activities on repo-a:", [catalog.activities[z] for z in store.positive_activities(u, v)])
+    users, items, activities = store.columns
+    on_repo_a = (users == u) & (items == v)
+    print("ana's activities on repo-a:", [catalog.activities[z] for z in activities[on_repo_a].tolist()])
 
     # Dropping users with too few events re-densifies every id space, so
     # downstream one-hot blocks stay tight.

@@ -7,8 +7,8 @@ no header line:
 
 Raw string ids are mapped to dense integer ids (contiguous from 0, in
 first-seen order).  A store is its sorted (u, v, z) columns plus a
-timestamp column; item-level "keen" pairs and every other view are
-derived from them, so a triple (u, v, z) implies the pair (u, v).
+timestamp column; the distinct item-level (u, v) pairs are derived from
+them, so a triple (u, v, z) implies the pair (u, v).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -109,11 +107,11 @@ class InteractionStore:
     Construction is one stable sort of the keys
     ``(u * n_items + v) * n_activities + z``, ordered as the triples,
     keeping each key's first row: a repeated triple keeps the timestamp
-    of its first input row.  ``triples``, ``keen_pairs``, ``timestamps``
-    and the positive maps are views of the columns, built on first use.
+    of its first input row.  ``pair_columns`` and ``pair_ids`` are derived
+    from the columns on first use.
 
     Instances are read-only after construction; a concurrent first use
-    may build a view twice, with equal results.
+    may derive a column twice, with equal results.
     """
 
     def __init__(self, catalog: Catalog, triples, timestamps=None):
@@ -152,57 +150,22 @@ class InteractionStore:
         return np.unique(self.columns[0] * self.catalog.n_items + self.columns[1], return_index=True)[1]
 
     @cached_property
-    def triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(zip(*(c.tolist() for c in self.columns)))
-
-    @cached_property
     def pair_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct (u, v) pairs as two int64 columns, in ``keen_pairs`` order."""
+        """The distinct (u, v) pairs as two int64 columns, in lexicographic order."""
         return self.columns[0][self._pair_rows], self.columns[1][self._pair_rows]
 
     @cached_property
     def pair_ids(self) -> np.ndarray:
-        """Each triple's index in ``keen_pairs``, aligned with ``columns``."""
+        """Each triple's index in ``pair_columns``, aligned with ``columns``."""
         starts = np.zeros(self.n_triples, dtype=np.int64)
         starts[self._pair_rows] = 1
         return np.cumsum(starts) - 1
-
-    @cached_property
-    def keen_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*(c.tolist() for c in self.pair_columns)))
-
-    @cached_property
-    def timestamps(self) -> dict[tuple[int, int, int], int]:
-        return dict(zip(self.triples, self.times.tolist()))
-
-    @cached_property
-    def _pos_items(self) -> dict[int, frozenset[int]]:
-        return {u: frozenset(v for _, v in pairs) for u, pairs in groupby(self.keen_pairs, itemgetter(0))}
-
-    @cached_property
-    def _pos_acts(self) -> dict[tuple[int, int], frozenset[int]]:
-        return {pair: frozenset(t[2] for t in group) for pair, group in groupby(self.triples, itemgetter(0, 1))}
-
-    def positive_items(self, u: int) -> frozenset[int]:
-        return self._pos_items.get(u, frozenset())
-
-    def positive_activities(self, u: int, v: int) -> frozenset[int]:
-        return self._pos_acts.get((u, v), frozenset())
-
-    def users_with_interactions(self) -> list[int]:
-        return list(self.user_rows())
-
-    def items_with_interactions(self) -> list[int]:
-        return np.unique(self.columns[1]).tolist()
 
     def user_rows(self) -> dict[int, slice]:
         """Each user's rows of ``columns``, in ascending user order."""
         users, starts = np.unique(self.columns[0], return_index=True)
         bounds = [*starts.tolist(), self.n_triples]  # the user column is sorted
         return {u: slice(a, b) for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
-
-    def triples_by_user(self) -> dict[int, list[tuple[int, int, int]]]:
-        return {u: list(self.triples[rows]) for u, rows in self.user_rows().items()}
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,11 @@ from keenact.data import InteractionStore, split_per_user
 from keenact.features import (
     FeatureLayout,
     FeatureMatrix,
-    activity_part,
     co_participation_features,
     empty_features,
-    item_part,
     join_tables,
     l2_normalize_rows,
-    pad_parts,
-    user_part,
+    part_tables,
 )
 from keenact.fm import AdamState, init_params
 from keenact.scoring import Scorer
@@ -85,11 +82,6 @@ class FlatPairSpace:
         if not (0 <= v < self.n_items and 0 <= z < self.n_activities):
             raise ValueError(f"pair ({v}, {z}) outside space")
         return v * self.n_activities + z
-
-    def unflatten(self, f: int) -> tuple[int, int]:
-        if not 0 <= f < self.size:
-            raise ValueError(f"flat id {f} outside space")
-        return divmod(f, self.n_activities)
 
 
 def _flat_by_user(store: InteractionStore, space: FlatPairSpace) -> dict[int, frozenset]:
@@ -148,11 +140,9 @@ def flat_candidate_space(store, layout: FeatureLayout, user_feats, item_feats, i
     """
     pairs = FlatPairSpace(layout.n_items, layout.n_activities)
     universe = (np.flatnonzero(item_trained)[:, None] * pairs.n_activities + np.arange(pairs.n_activities)).ravel()
-    items = pad_parts(item_part(v, layout, item_feats) for v in range(pairs.n_items))
-    activities = pad_parts(activity_part(z, layout) for z in range(pairs.n_activities))
+    contexts, items, activities = part_tables(layout, user_feats, item_feats)
     item_of, activity_of = np.divmod(np.arange(pairs.size), pairs.n_activities)
     table = join_tables((items, item_of), (activities, activity_of))
-    contexts = pad_parts(user_part(u, layout, user_feats) for u in range(layout.n_users))
     u, v, z = store.columns
     return CandidateSpace(contexts, table, universe, u, v * pairs.n_activities + z)
 

@@ -42,13 +42,6 @@ class SparseVector:
             if np.any(val == 0.0):
                 raise ValueError("zeros must not be stored")
 
-    @classmethod
-    def from_entries(cls, entries, dim: int) -> "SparseVector":
-        entries = sorted((int(i), float(x)) for i, x in entries if x != 0.0)
-        idx = np.array([i for i, _ in entries], dtype=np.int64)
-        val = np.array([x for _, x in entries], dtype=np.float64)
-        return cls(idx, val, dim)
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
@@ -290,11 +283,6 @@ def activity_part(z: int, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray
     return np.array([layout.activity_offset + z], dtype=np.int64), np.array([1.0])
 
 
-def join_parts(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (indices, values) parts of disjoint blocks, unsorted."""
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
 def pad_parts(parts) -> tuple[np.ndarray, np.ndarray]:
     """Stack parts into one padded (indices, values) pair, one row per part.
 
@@ -312,6 +300,16 @@ def pad_parts(parts) -> tuple[np.ndarray, np.ndarray]:
     return indices, values
 
 
+def part_tables(layout: FeatureLayout, user_feats: FeatureMatrix, item_feats: FeatureMatrix):
+    """The padded (user, item, activity) part tables of ``layout``: row i of
+    each holds the entries of entity i, and every item keeps its one-hot."""
+    return (
+        pad_parts(user_part(u, layout, user_feats) for u in range(layout.n_users)),
+        pad_parts(item_part(v, layout, item_feats) for v in range(layout.n_items)),
+        pad_parts(activity_part(z, layout) for z in range(layout.n_activities)),
+    )
+
+
 def join_tables(*selections: tuple[tuple[np.ndarray, np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Join rows of padded tables of disjoint blocks: for (table, rows)
     selections of equal length, row r holds each table's row rows[r], in
@@ -323,7 +321,8 @@ def join_tables(*selections: tuple[tuple[np.ndarray, np.ndarray], np.ndarray]) -
 
 
 def _merge_parts(parts, dim: int) -> SparseVector:
-    idx, val = join_parts(*parts)
+    """One sorted vector from (indices, values) parts of disjoint blocks."""
+    idx, val = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
     order = np.argsort(idx, kind="stable")
     return SparseVector(idx[order], val[order], dim)
 

@@ -90,7 +90,7 @@ def _check_shape(name: str, array: np.ndarray, shape: tuple) -> None:
 
 def model_from_dict(payload: dict) -> TrainedModel:
     """Rebuild a model; a missing key, a wrong type or a size that does
-    not fit the stored layouts is a SnapshotError."""
+    not fit the stored layouts, catalog counts included, is a SnapshotError."""
     if payload.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} file")
     if payload.get("version") != FORMAT_VERSION:
@@ -128,6 +128,11 @@ def _model_from_payload(payload: dict) -> TrainedModel:
     _check_shape("thresholds.trained", thresholds.item_trained, (keen_layout.n_items,))
     _check_shape("thresholds.activity", thresholds.activity_thresholds, (act_layout.n_activities,))
     seen_items = frozenset(int(v) for v in payload["seen_items"])
+    catalog = Catalog.from_dict(payload["catalog"]) if payload.get("catalog") else None
+    expected = (keen_layout.n_users, keen_layout.n_items, act_layout.n_activities)
+    if catalog is not None and (catalog.n_users, catalog.n_items, catalog.n_activities) != expected:
+        counts = (catalog.n_users, catalog.n_items, catalog.n_activities)
+        raise SnapshotError(f"catalog lists {counts} (users, items, activities); the layouts expect {expected}")
     return TrainedModel(
         keen=keen,
         act=act,
@@ -139,7 +144,7 @@ def _model_from_payload(payload: dict) -> TrainedModel:
         seen_items=seen_items,
         report=[(int(e), str(p), str(m), float(v)) for e, p, m, v in payload["report"]],
         config=config,
-        catalog=Catalog.from_dict(payload["catalog"]) if payload.get("catalog") else None,
+        catalog=catalog,
     )
 
 

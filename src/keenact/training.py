@@ -26,15 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from keenact.data import InteractionStore
-from keenact.features import (
-    FeatureLayout,
-    FeatureMatrix,
-    activity_part,
-    item_part,
-    join_tables,
-    pad_parts,
-    user_part,
-)
+from keenact.features import FeatureLayout, FeatureMatrix, join_tables, part_tables
 from keenact.fm import (
     AdamState,
     FMGradient,
@@ -200,6 +192,15 @@ class ThresholdTable:
         return np.where(self.item_trained, self.item_thresholds, self.global_item_fallback)
 
 
+def scorer_pair(model, item_trained: np.ndarray) -> tuple[Scorer, Scorer]:
+    """The (keen, act) batch scorers of a ``Trainer`` or ``TrainedModel``;
+    items outside ``item_trained`` score feature-only."""
+    return tuple(
+        Scorer(params, layout, model.user_feats, model.item_feats, item_trained)
+        for params, layout in ((model.keen, model.keen_layout), (model.act, model.act_layout))
+    )
+
+
 @dataclass
 class TrainedModel:
     """Both scorers, their layouts and features, and the threshold table."""
@@ -239,13 +240,9 @@ class TrainedModel:
 
     def scorers(self) -> tuple[Scorer, Scorer]:
         """The (keen, act) batch scorers: the pair phase 2 scored with, or for a
-        loaded model a pair built on first use; items outside the cutoff
-        table's trained mask score feature-only."""
+        loaded model a pair built on first use over the cutoff table's trained mask."""
         if self._scorers is None:
-            self._scorers = tuple(
-                Scorer(params, layout, self.user_feats, self.item_feats, self.thresholds.item_trained)
-                for params, layout in ((self.keen, self.keen_layout), (self.act, self.act_layout))
-            )
+            self._scorers = scorer_pair(self, self.thresholds.item_trained)
         return self._scorers
 
 
@@ -660,9 +657,7 @@ class Trainer:
         self.activity_universe = np.arange(catalog.n_activities, dtype=np.int64)
         # user and item blocks sit at the same offsets in both layouts, so
         # one part table per side serves keen and act
-        user_table = pad_parts(user_part(u, self.act_layout, user_feats) for u in range(catalog.n_users))
-        item_table = pad_parts(item_part(v, self.act_layout, item_feats) for v in range(catalog.n_items))
-        activity_table = pad_parts(activity_part(z, self.act_layout) for z in self.activity_universe)
+        user_table, item_table, activity_table = part_tables(self.act_layout, user_feats, item_feats)
         # keen examples are the keen pairs; act examples are the triples,
         # each with the index of its keen pair as its context
         pair_users, pair_items = store.pair_columns
@@ -718,7 +713,7 @@ class Trainer:
 
     def learn_thresholds_keen(self, scorer: Scorer) -> tuple[np.ndarray, list[float]]:
         """Fit per-item cutoffs on the frozen keen ``scorer``; returns (cutoffs over the catalog, CE trace)."""
-        users = self.store.users_with_interactions()
+        users = np.flatnonzero(np.diff(self.keen_space.key_starts)).tolist()
         items, labels = zip(*(self._threshold_enum_items(u) for u in users))
         return fit_thresholds(
             [scorer.score_items(u, enum) for u, enum in zip(users, items)], labels, items, self.item_trained.size,
@@ -744,10 +739,7 @@ class Trainer:
 
     def run_threshold_learning(self) -> ThresholdTable:
         """Phase 2: build the frozen (keen, act) scorers once, kept as ``scorers``, and fit both cutoff tables."""
-        self.scorers = tuple(
-            Scorer(params, layout, self.user_feats, self.item_feats, self.item_trained)
-            for params, layout in ((self.keen, self.keen_layout), (self.act, self.act_layout))
-        )
+        self.scorers = scorer_pair(self, self.item_trained)
         item_delta, keen_trace = self.learn_thresholds_keen(self.scorers[0])
         act_delta, act_trace = self.learn_thresholds_act(self.scorers[1])
         fits = (("keen_threshold", keen_trace, item_delta), ("act_threshold", act_trace, act_delta))

@@ -23,6 +23,21 @@ from keenact.data import (
 )
 
 
+def triples_of(store):
+    """The store's triples as Python-int tuples, in column order."""
+    return tuple(zip(*(c.tolist() for c in store.columns)))
+
+
+def pairs_of(store):
+    """The store's distinct (u, v) pairs as Python-int tuples, in column order."""
+    return tuple(zip(*(c.tolist() for c in store.pair_columns)))
+
+
+def timestamps_of(store):
+    """Each triple's timestamp, keyed by the triple."""
+    return dict(zip(triples_of(store), store.times.tolist()))
+
+
 def write_log(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
@@ -51,8 +66,8 @@ class TestIngest:
     def test_single_row(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", [("u", "i", "fork", 1)])
         _, store = ingest(log)
-        assert store.keen_pairs == ((0, 0),)
-        assert store.triples == ((0, 0, 0),)
+        assert pairs_of(store) == ((0, 0),)
+        assert triples_of(store) == ((0, 0, 0),)
 
     def test_first_seen_order(self, tmp_path):
         log = write_log(
@@ -86,13 +101,13 @@ class TestIngest:
         log.write_bytes(b"a\tx\tfork\t1\r\nb\ty\twatch\t2\r\n")
         catalog, store = ingest(log)
         assert (catalog.users, catalog.items, catalog.activities) == (("a", "b"), ("x", "y"), ("fork", "watch"))
-        assert store.timestamps == {(0, 0, 0): 1, (1, 1, 1): 2}
+        assert timestamps_of(store) == {(0, 0, 0): 1, (1, 1, 1): 2}
 
     def test_extra_columns_are_ignored(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", [("a", "x", "fork", 1, "note"), ("b", "x", "watch", 2, "", "more")])
         catalog, store = ingest(log)
         assert (catalog.users, catalog.items, catalog.activities) == (("a", "b"), ("x",), ("fork", "watch"))
-        assert store.triples == ((0, 0, 0), (1, 0, 1))
+        assert triples_of(store) == ((0, 0, 0), (1, 0, 1))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", [("a", "x", "fork", 1), ("broken",)])
@@ -150,7 +165,7 @@ class TestIngest:
         out = tmp_path / "canonical.tsv"
         write_interaction_log(store, out)
         _, reread = ingest(out)
-        assert reread.triples == store.triples
+        assert triples_of(reread) == triples_of(store)
         assert reread.catalog.users == store.catalog.users
 
 
@@ -177,8 +192,8 @@ def raw_view(catalog, store):
 
     return (
         (set(catalog.users), set(catalog.items), set(catalog.activities)),
-        {raw(t) for t in store.triples},
-        {raw(t): ts for t, ts in store.timestamps.items()},
+        {raw(t) for t in triples_of(store)},
+        {raw(t): ts for t, ts in timestamps_of(store).items()},
     )
 
 
@@ -209,10 +224,11 @@ class TestStore:
     def test_positive_sets(self):
         catalog = Catalog(["a", "b"], ["x", "y", "z"], ["fork", "watch"])
         store = InteractionStore(catalog, [(0, 0, 0), (0, 0, 1), (0, 2, 0), (1, 1, 0)])
-        assert store.positive_items(0) == {0, 2}
-        assert store.positive_activities(0, 0) == {0, 1}
-        assert store.positive_activities(0, 1) == frozenset()
-        assert store.positive_items(1) == {1}
+        u, v, z = store.columns
+        assert {user: set(v[rows].tolist()) for user, rows in store.user_rows().items()} == {0: {0, 2}, 1: {1}}
+        assert z[(u == 0) & (v == 0)].tolist() == [0, 1]
+        assert z[(u == 0) & (v == 1)].tolist() == []
+        assert pairs_of(store) == ((0, 0), (0, 2), (1, 1))
 
     def test_triples_sorted_and_bounded(self):
         catalog = Catalog(["a"], ["x"], ["fork"])
@@ -248,13 +264,13 @@ class TestStore:
         _flat_by_user(split.test, FlatPairSpace(store.catalog.n_items, store.catalog.n_activities))
         items = empty_features(store.catalog.n_items, "item")
         train_baseline(split.train, feats, items, TrainConfig(epochs=1), kind="bpr")
+        columns = {"catalog", "columns", "times", "n_duplicates", "_pair_rows", "pair_columns", "pair_ids"}
         for s in (raw, store, split.train, split.test):
-            assert not {"triples", "keen_pairs", "timestamps"} & set(vars(s))
+            assert set(vars(s)) <= columns
 
     def test_empty_store(self):
         store = InteractionStore(Catalog(["a"], ["x"], ["fork"]), [])
-        assert (store.triples, store.keen_pairs, store.n_duplicates) == ((), (), 0)
-        assert store.users_with_interactions() == store.items_with_interactions() == []
+        assert (triples_of(store), pairs_of(store), store.n_duplicates, store.user_rows()) == ((), (), 0, {})
         assert [c.shape for c in store.columns] == [(0,), (0,), (0,)]
 
 
@@ -292,26 +308,25 @@ class TestStoreProperty:
         for u, v, z in distinct:
             pos_items.setdefault(u, set()).add(v)
             pos_acts.setdefault((u, v), set()).add(z)
-        assert store.triples == tuple(distinct)
-        assert store.keen_pairs == tuple(sorted(pos_acts))
-        assert list(zip(*(c.tolist() for c in store.pair_columns))) == sorted(pos_acts)
-        assert [store.keen_pairs[p] for p in store.pair_ids.tolist()] == [t[:2] for t in distinct]
+        pairs = pairs_of(store)
+        assert pairs == tuple(sorted(pos_acts))
+        assert [pairs[p] for p in store.pair_ids.tolist()] == [t[:2] for t in distinct]
+        assert store.n_pairs == len(pos_acts)
         assert store.n_duplicates == len(triples) - len(distinct)
-        assert store.users_with_interactions() == sorted(pos_items)
-        assert store.items_with_interactions() == sorted({v for _, v, _ in distinct})
-        for u in range(catalog.n_users):
-            assert store.positive_items(u) == pos_items.get(u, set())
-            assert all_python_ints(store.positive_items(u))
-            for v in range(catalog.n_items):
-                assert store.positive_activities(u, v) == pos_acts.get((u, v), set())
-                assert all_python_ints(store.positive_activities(u, v))
-        assert all_python_ints(x for t in store.triples + store.keen_pairs for x in t)
-        assert all_python_ints(store.users_with_interactions() + store.items_with_interactions())
+        rows = store.user_rows()
+        assert list(rows) == sorted(pos_items)
+        assert all_python_ints(rows)
+        u_col, v_col, z_col = store.columns
+        assert {u: set(v_col[r].tolist()) for u, r in rows.items()} == pos_items
+        acts = {}
+        for p, z in zip(store.pair_ids.tolist(), z_col.tolist()):
+            acts.setdefault(pairs[p], set()).add(z)
+        assert acts == pos_acts
         assert list(zip(*(c.tolist() for c in store.columns))) == distinct
         assert all(c.dtype == np.int64 and not c.flags.writeable for c in (*store.columns, store.times))
-        assert store.timestamps == first
+        assert all(c.dtype == np.int64 for c in (*store.pair_columns, store.pair_ids))
+        assert timestamps_of(store) == first
         assert store.times.tolist() == [first[t] for t in distinct]
-        assert all_python_ints(x for t, ts in store.timestamps.items() for x in (*t, ts))
 
     @settings(max_examples=300, deadline=None)
     @given(catalogs_and_triples(margin=2))
@@ -356,7 +371,7 @@ class TestStoreProperty:
             {raw(t): first[t] for t in kept_triples},
         )
         assert out.n_duplicates == 0
-        assert all_python_ints(x for t in (*out.triples, *out.timestamps) for x in t)
+        assert all(c.dtype == np.int64 for c in (*out.columns, out.times))
 
 
 class TestFilterActiveUsers:
@@ -389,7 +404,7 @@ class TestFilterActiveUsers:
         kept = filter_active_users(store, 2)
         assert kept.catalog.users == ("a",)
         assert kept.catalog.items == ("x", "z")
-        assert kept.triples == ((0, 0, 0), (0, 1, 0))
+        assert triples_of(kept) == ((0, 0, 0), (0, 1, 0))
 
     def test_all_users_removed(self):
         store = self._store({"u0": 2})
@@ -430,28 +445,27 @@ class TestSplit:
         }
         store = InteractionStore(catalog, sorted(triples))
         split = split_per_user(store, fraction=0.7, seed=5)
-        train = set(split.train.triples)
-        test = set(split.test.triples)
-        assert train | test == set(store.triples)
+        train = set(triples_of(split.train))
+        test = set(triples_of(split.test))
+        assert train | test == set(triples_of(store))
         assert train & test == set()
-        for u in store.users_with_interactions():
-            assert split.train.positive_items(u)
+        assert split.train.user_rows().keys() == store.user_rows().keys()
 
     def test_deterministic_per_seed(self):
         store = self._uniform_store(4, 9)
         a = split_per_user(store, fraction=0.8, seed=11)
         b = split_per_user(store, fraction=0.8, seed=11)
         c = split_per_user(store, fraction=0.8, seed=12)
-        assert a.train.triples == b.train.triples
-        assert a.test.triples == b.test.triples
-        assert a.train.triples != c.train.triples
+        assert triples_of(a.train) == triples_of(b.train)
+        assert triples_of(a.test) == triples_of(b.test)
+        assert triples_of(a.train) != triples_of(c.train)
 
     def test_pinned_split(self):
         """The per-user shuffle draws as it always has: one permutation per user, in id order."""
         split = split_per_user(self._uniform_store(4, 9), 0.8, seed=11)
         held_out = ((0, 0, 0), (1, 4, 0), (2, 0, 0), (3, 7, 0))
-        assert split.test.triples == held_out
-        assert split.train.triples == tuple((u, j, 0) for u in range(4) for j in range(9) if (u, j, 0) not in held_out)
+        assert triples_of(split.test) == held_out
+        assert triples_of(split.train) == tuple((u, j, 0) for u in range(4) for j in range(9) if (u, j, 0) not in held_out)
 
     def test_both_sides_keep_timestamps(self):
         rng = np.random.default_rng(4)
@@ -461,7 +475,8 @@ class TestSplit:
         split = split_per_user(store, fraction=0.6, seed=2)
         assert split.test.n_triples > 0
         for side in (split.train, split.test):
-            assert side.timestamps == {t: store.timestamps[t] for t in side.triples}
+            stamps = timestamps_of(store)
+            assert timestamps_of(side) == {t: stamps[t] for t in triples_of(side)}
 
     def test_fraction_bounds(self):
         store = self._uniform_store(1, 4)

@@ -121,7 +121,7 @@ class TestFlatPairSpace:
         for v in range(7):
             for z in range(3):
                 f = space.flatten(v, z)
-                assert space.unflatten(f) == (v, z)
+                assert divmod(f, space.n_activities) == (v, z)
                 seen.add(f)
         assert seen == set(range(21))
 
@@ -131,8 +131,6 @@ class TestFlatPairSpace:
             space.flatten(2, 0)
         with pytest.raises(ValueError):
             space.flatten(0, -1)
-        with pytest.raises(ValueError):
-            space.unflatten(4)
 
 
 def small_corpus(seed=5, n_users=10, n_items=14):
@@ -194,9 +192,10 @@ class TestBaselines:
         cfg = dataclasses.replace(FAST, epochs=10)
         baseline = train_baseline(store, uf, itf, cfg, kind="warp")
         space = FlatPairSpace(catalog.n_items, catalog.n_activities)
+        _, items, activities = store.columns
         positives = {
-            u: {space.flatten(v, z) for (_, v, z) in rows}
-            for u, rows in store.triples_by_user().items()
+            u: {space.flatten(v, z) for v, z in zip(items[rows].tolist(), activities[rows].tolist())}
+            for u, rows in store.user_rows().items()
         }
         rng = np.random.default_rng(0)
         trained_ap, random_ap = [], []
@@ -231,7 +230,8 @@ class TestRankers:
 
     def test_keen2act_matches_recommendations(self):
         """Equal to filtering recommend()'s entries one by one, for every user."""
-        positives = {u: {(v, z) for _, v, z in rows} for u, rows in self.store.triples_by_user().items()}
+        _, items, activities = self.store.columns
+        positives = {u: set(zip(items[rows].tolist(), activities[rows].tolist())) for u, rows in self.store.user_rows().items()}
         for u in range(self.catalog.n_users):
             flat = [self.space.flatten(e.item, e.activity) for e in recommend(self.model, u).entries]
             held_in = frozenset(self.space.flatten(v, z) for v, z in positives.get(u, ()))
@@ -246,8 +246,8 @@ class TestRankers:
             ranked = rank_keen_only(self.model, self.space, u, frozenset())
             selected = select_items(self.model, u)
             assert len(ranked) == len(selected) * self.space.n_activities
-            items_in_order = [self.space.unflatten(f)[0] for f in ranked]
-            acts_in_order = [self.space.unflatten(f)[1] for f in ranked]
+            items_in_order = [f // self.space.n_activities for f in ranked]
+            acts_in_order = [f % self.space.n_activities for f in ranked]
             assert set(items_in_order) == set(int(v) for v in selected)
             # items by keen score descending, exact ties by ascending id
             keen = self.model.scorers()[0].score_items(u)
@@ -272,7 +272,7 @@ class TestRankers:
                 if scores[v, z] >= cutoffs[z]
             }
             assert set(ranked) == expected
-            vals = [scores[self.space.unflatten(f)] for f in ranked]
+            vals = [scores[divmod(f, self.space.n_activities)] for f in ranked]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 

@@ -18,11 +18,6 @@ from keenact.features import (
 
 
 class TestSparseVector:
-    def test_from_entries_sorts_and_drops_zeros(self):
-        x = SparseVector.from_entries([(4, 2.0), (1, 0.0), (2, -1.0)], dim=5)
-        assert x.to_entries() == [(2, -1.0), (4, 2.0)]
-        assert x.nnz == 2
-
     def test_rejects_unsorted_or_duplicate_indices(self):
         with pytest.raises(ValueError):
             SparseVector(np.array([2, 1]), np.array([1.0, 1.0]), 3)

@@ -40,12 +40,18 @@ def random_params(rng, dim, k):
     )
 
 
+def sparse_vector(entries, dim):
+    """A SparseVector from nonzero (index, value) entries in any order."""
+    idx, val = zip(*sorted(entries)) if entries else ((), ())
+    return SparseVector(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64), dim)
+
+
 def random_input(rng, dim, max_nnz=8):
     nnz = int(rng.integers(0, min(dim, max_nnz) + 1))
     idx = rng.choice(dim, size=nnz, replace=False)
     vals = rng.normal(size=nnz)
     vals[vals == 0.0] = 1.0
-    return SparseVector.from_entries(zip(idx, vals), dim)
+    return sparse_vector(list(zip(idx, vals)), dim)
 
 
 class TestScore:
@@ -58,17 +64,17 @@ class TestScore:
             w=np.array([0.2, 0.0, -0.1]),
             factors=np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]]),
         )
-        x = SparseVector.from_entries([(0, 1.0), (2, 2.0)], dim=3)
+        x = sparse_vector([(0, 1.0), (2, 2.0)], dim=3)
         np.testing.assert_allclose(fm_score(params, x), 1.1, rtol=0, atol=1e-12)
 
     def test_empty_input_is_bias(self):
         params = random_params(np.random.default_rng(0), dim=4, k=3)
-        x = SparseVector.from_entries([], dim=4)
+        x = sparse_vector([], dim=4)
         assert fm_score(params, x) == params.w0
 
     def test_dimension_mismatch_rejected(self):
         params = random_params(np.random.default_rng(1), dim=4, k=2)
-        x = SparseVector.from_entries([(0, 1.0)], dim=5)
+        x = sparse_vector([(0, 1.0)], dim=5)
         with pytest.raises(ValueError):
             fm_score(params, x)
 
@@ -170,7 +176,7 @@ class TestGradient:
         """With one active coordinate there is no pair, so d/dv must vanish."""
         rng = np.random.default_rng(8)
         params = random_params(rng, dim=6, k=4)
-        x = SparseVector.from_entries([(2, 1.7)], dim=6)
+        x = sparse_vector([(2, 1.7)], dim=6)
         grad = fm_gradient(params, x, upstream=1.0)
         np.testing.assert_allclose(grad.factors, np.zeros((1, 4)), atol=1e-15)
         np.testing.assert_allclose(grad.w, [1.7])
@@ -183,12 +189,12 @@ class TestCombine:
         k = 2
         g1 = fm_gradient(
             FMParameters(0.0, np.zeros(5), np.ones((5, k))),
-            SparseVector.from_entries([(1, 1.0), (3, 2.0)], 5),
+            sparse_vector([(1, 1.0), (3, 2.0)], 5),
             upstream=1.0,
         )
         g2 = fm_gradient(
             FMParameters(0.0, np.zeros(5), np.ones((5, k))),
-            SparseVector.from_entries([(3, 1.0), (4, 1.0)], 5),
+            sparse_vector([(3, 1.0), (4, 1.0)], 5),
             upstream=-1.0,
         )
         combined = combine_gradients([g1, g2])
@@ -264,7 +270,7 @@ class TestTable:
         state = AdamState.for_params(params)
         assert state.m.shape == state.v.shape == params.table.shape
         touched = [1, 4]
-        adam_update(params, state, fm_gradient(params, SparseVector.from_entries([(1, 2.0), (4, -1.0)], 6), 1.0))
+        adam_update(params, state, fm_gradient(params, sparse_vector([(1, 2.0), (4, -1.0)], 6), 1.0))
         assert np.all(params.w[touched] != before.w[touched])
         assert np.all(params.factors[touched] != before.factors[touched])
 
@@ -281,7 +287,7 @@ class TestTable:
         rng = np.random.default_rng(23)
         params = random_params(rng, dim=5, k=2)
         w0 = params.w0
-        grad = fm_gradient(params, SparseVector.from_entries([(2, 1.0)], 5), upstream=1.0)
+        grad = fm_gradient(params, sparse_vector([(2, 1.0)], 5), upstream=1.0)
         assert grad.w0 != 0.0
         adam_update(params, AdamState.for_params(params), grad)
         assert params.w0 == w0
@@ -295,7 +301,7 @@ class TestAdam:
         params = random_params(rng, dim=6, k=2)
         before = params.copy()
         state = AdamState.for_params(params)
-        grad = fm_gradient(params, SparseVector.from_entries([(1, 2.0)], 6), upstream=0.0)
+        grad = fm_gradient(params, sparse_vector([(1, 2.0)], 6), upstream=0.0)
         adam_update(params, state, grad)
         assert params.w0 == before.w0
         np.testing.assert_array_equal(params.w, before.w)
@@ -307,7 +313,7 @@ class TestAdam:
         params = random_params(rng, dim=5, k=2)
         before = params.copy()
         state = AdamState.for_params(params, alpha=0.01)
-        x = SparseVector.from_entries([(0, 1.0), (3, -2.0)], 5)
+        x = sparse_vector([(0, 1.0), (3, -2.0)], 5)
         grad = fm_gradient(params, x, upstream=1.0)
         adam_update(params, state, grad)
         moved = params.w[grad.indices] - before.w[grad.indices]
@@ -319,7 +325,7 @@ class TestAdam:
         params = random_params(rng, dim=8, k=2)
         before = params.copy()
         state = AdamState.for_params(params)
-        x = SparseVector.from_entries([(2, 1.0), (5, 1.0)], 8)
+        x = sparse_vector([(2, 1.0), (5, 1.0)], 8)
         adam_update(params, state, fm_gradient(params, x, upstream=1.0))
         untouched = [0, 1, 3, 4, 6, 7]
         np.testing.assert_array_equal(params.w[untouched], before.w[untouched])
@@ -330,7 +336,7 @@ class TestAdam:
         rng = np.random.default_rng(16)
         params = random_params(rng, dim=4, k=2)
         state = AdamState.for_params(params, alpha=0.05)
-        x = SparseVector.from_entries([(0, 1.0), (2, 1.5)], 4)
+        x = sparse_vector([(0, 1.0), (2, 1.5)], 4)
         target = 3.0
         first = 0.5 * (fm_score(params, x) - target) ** 2
         for _ in range(200):

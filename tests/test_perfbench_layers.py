@@ -1,8 +1,10 @@
-"""The traced benchmark's wrappers still install on the current package.
+"""The benchmark's imports and wrappers still resolve on the current package.
 
-``perfbench/layers.py`` wraps keenact functions and methods by name; a
-refactor that drops or renames one of them breaks ``perfbench/run.py
---trace 1`` with an ``AttributeError``.  This test catches that here.
+``perfbench/layers.py`` wraps keenact functions and methods by name, and
+``perfbench/workloads.py`` imports keenact names and calls some of their
+methods; a refactor that drops or renames one of them breaks
+``perfbench/run.py`` with an ``ImportError`` or ``AttributeError``.
+These tests catch that here.
 """
 
 import importlib.util
@@ -49,3 +51,10 @@ def test_instrument_installs_and_uninstalls():
     updates = rec.counters["training.keen_updates"] + rec.counters["training.act_updates"]
     assert 0 < totals["fm.adam"]["calls"] <= updates
     assert totals["fm.adam"]["calls"] <= totals["training.keen_rank"]["calls"] + totals["training.act_rank"]["calls"]
+
+
+def test_workloads_names_resolve():
+    """Loading imports every keenact name the workloads use; these methods are looked up at run time."""
+    workloads = load("workloads")
+    assert callable(workloads.FlatPairSpace.flatten)
+    assert callable(workloads.RecommendationList.is_ordered)

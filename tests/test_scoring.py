@@ -13,9 +13,14 @@ from keenact.features import (
     co_participation_features,
     empty_features,
 )
-from keenact.features import activity_part, item_part, join_parts, pad_parts, user_part
+from keenact.features import activity_part, item_part, pad_parts, user_part
 from keenact.fm import FMGradient, combine_gradients, fm_gradient, fm_score, init_params
 from keenact.scoring import Scorer, part_gradient, part_stats
+
+
+def join_parts(*parts):
+    """Concatenate (indices, values) parts of disjoint blocks, unsorted."""
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def random_setup(seed, n_users=6, n_items=9, n_acts=3, d_item=4, id_onehots=True):

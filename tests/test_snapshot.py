@@ -222,6 +222,10 @@ class TestContract:
             put(lambda s: [-1] + s, "seen_items"),
             put(lambda s: s[1:], "seen_items"),
             put(lambda c: {**c, "lr": -1.0}, "config"),
+            put(lambda u: u[:-1], "catalog", "users"),
+            put(lambda u: u + ["extra"], "catalog", "users"),
+            put(lambda i: i[:-1], "catalog", "items"),
+            put(lambda a: a[:-1], "catalog", "activities"),
         ],
         ids=[
             "missing-keen", "missing-item-thresholds", "missing-factors", "missing-layout-field",
@@ -229,6 +233,7 @@ class TestContract:
             "unknown-layout-field", "short-w", "w-not-vector", "short-factors", "narrow-factors",
             "w-as-rows", "long-item-thresholds", "short-activity-thresholds", "short-trained-mask",
             "seen-item-too-large", "seen-item-negative", "seen-disagrees-with-trained", "bad-config",
+            "catalog-user-short", "catalog-user-extra", "catalog-item-short", "catalog-activity-short",
         ],
     )
     def test_rejected_with_snapshot_error(self, tmp_path, edit):
@@ -261,3 +266,13 @@ class TestContract:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["recommend", "--model", str(path), "--all-users"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_recommend_exits_2_on_short_item_list(self, tmp_path, capsys):
+        """A catalog that names fewer items than the layouts is a data error, not an IndexError."""
+        from keenact.cli import main
+
+        path, payload = saved_payload(tmp_path)
+        payload["catalog"]["items"].pop()
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["recommend", "--model", str(path), "--all-users"]) == 2
+        assert "catalog lists" in capsys.readouterr().err

@@ -6,18 +6,22 @@ import pytest
 from keenact.synth import generate_two_stage
 
 
+def triples(store):
+    return list(zip(*(c.tolist() for c in store.columns)))
+
+
 class TestGenerate:
     def test_deterministic_per_seed(self):
         a_cat, a_store = generate_two_stage(15, 25, 3, seed=4, items_per_user=(3, 8))
         b_cat, b_store = generate_two_stage(15, 25, 3, seed=4, items_per_user=(3, 8))
         assert a_cat.users == b_cat.users
-        assert a_store.triples == b_store.triples
-        assert a_store.timestamps == b_store.timestamps
+        assert triples(a_store) == triples(b_store)
+        assert a_store.times.tolist() == b_store.times.tolist()
 
     def test_seed_changes_output(self):
         _, a = generate_two_stage(15, 25, 3, seed=4, items_per_user=(3, 8))
         _, b = generate_two_stage(15, 25, 3, seed=5, items_per_user=(3, 8))
-        assert a.triples != b.triples
+        assert triples(a) != triples(b)
 
     def test_catalog_shape_and_id_format(self):
         catalog, _ = generate_two_stage(12, 30, 2, seed=0)
@@ -35,25 +39,25 @@ class TestGenerate:
 
     def test_every_user_has_an_item(self):
         _, store = generate_two_stage(40, 60, 2, seed=8)
-        users = {u for (u, _, _) in store.triples}
+        users = set(store.columns[0].tolist())
         assert users == set(range(40))
 
     def test_every_pair_has_an_activity(self):
-        """keen_pairs is exactly the set of pairs seen in triples."""
+        """The pair columns hold exactly the pairs seen in triples."""
         _, store = generate_two_stage(20, 30, 3, seed=2)
-        from_triples = {(u, v) for (u, v, _) in store.triples}
-        assert set(store.keen_pairs) == from_triples
+        from_triples = {(u, v) for (u, v, _) in triples(store)}
+        assert set(zip(*(c.tolist() for c in store.pair_columns))) == from_triples
 
     def test_adoption_counts_track_requested_band(self):
         _, store = generate_two_stage(60, 200, 2, seed=3, items_per_user=(10, 30))
-        counts = [len(store.positive_items(u)) for u in range(60)]
+        counts = np.bincount(store.pair_columns[0], minlength=60)
         # binomial noise around a per-user target drawn inside the band
         assert 8 <= np.mean(counts) <= 34
         assert min(counts) >= 1
 
     def test_both_activities_occur(self):
         _, store = generate_two_stage(30, 40, 2, seed=6)
-        acts = {z for (_, _, z) in store.triples}
+        acts = set(store.columns[2].tolist())
         assert acts == {0, 1}
 
     def test_activity_propensities_are_user_specific(self):
@@ -61,7 +65,7 @@ class TestGenerate:
         _, store = generate_two_stage(50, 80, 2, seed=7)
         shares = []
         for u in range(50):
-            pairs = [(v, z) for (uu, v, z) in store.triples if uu == u]
+            pairs = [(v, z) for (uu, v, z) in triples(store) if uu == u]
             items = {v for v, _ in pairs}
             both = sum(1 for v in items if {(v, 0), (v, 1)} <= set(pairs))
             shares.append(both / len(items))
@@ -84,5 +88,5 @@ class TestGenerate:
 
     def test_timestamps_cover_triples(self):
         _, store = generate_two_stage(10, 15, 2, seed=1, items_per_user=(2, 5))
-        assert set(store.timestamps) == set(store.triples)
-        assert len(set(store.timestamps.values())) == len(store.triples)
+        assert store.times.shape == (store.n_triples,)
+        assert len(set(store.times.tolist())) == store.n_triples

@@ -460,6 +460,32 @@ def small_store(seed=0, n_users=6, n_items=10, n_acts=2, density=40):
     return store, user_feats, item_feats
 
 
+def triples_of(store):
+    """The store's triples as Python-int tuples, in column order."""
+    return list(zip(*(c.tolist() for c in store.columns)))
+
+
+def pairs_of(store):
+    """The store's distinct (u, v) pairs as Python-int tuples, in column order."""
+    return list(zip(*(c.tolist() for c in store.pair_columns)))
+
+
+def positive_items(store):
+    """Each catalog user's positive items; empty for a user without triples."""
+    out = {u: set() for u in range(store.catalog.n_users)}
+    for u, v in pairs_of(store):
+        out[u].add(v)
+    return out
+
+
+def positive_activities(store):
+    """Each (u, v) pair's positive activities."""
+    out = {}
+    for u, v, z in triples_of(store):
+        out.setdefault((u, v), set()).add(z)
+    return out
+
+
 def one(i):
     """A batch of the single example ``i``."""
     return np.array([i])
@@ -504,7 +530,7 @@ class TestWarpSteps:
     def test_no_violation_leaves_parameters_unchanged(self):
         store, uf, itf = small_store(seed=3)
         trainer = Trainer(store, uf, itf, TrainConfig(seed=0))
-        u, v = store.keen_pairs[0]
+        u, v = pairs_of(store)[0]
         # make the positive unbeatable so no sampled negative violates
         trainer.keen.w[trainer.keen_layout.item_id_offset + v] = 100.0
         w_before = trainer.keen.w.copy()
@@ -513,7 +539,7 @@ class TestWarpSteps:
         assert not result.updated
         assert result.draws == min(
             TrainConfig().max_neg_samples,
-            len(trainer.item_universe) - len(store.positive_items(u)),
+            len(trainer.item_universe) - len(positive_items(store)[u]),
         )
         assert trainer.keen_state.t == 0
         np.testing.assert_array_equal(trainer.keen.w, w_before)
@@ -658,13 +684,14 @@ class TestStepMatchesReference:
         config = TrainConfig(seed=6, k=4)
         new, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
         updates = 0
-        for examples, stage, lam in [(store.keen_pairs, "keen", config.lambda_keen), (store.triples, "act", config.lambda_act)]:
+        pos_items, pos_acts = positive_items(store), positive_activities(store)
+        for examples, stage, lam in [(pairs_of(store), "keen", config.lambda_keen), (triples_of(store), "act", config.lambda_act)]:
             if stage == "keen":
                 universe = ref.item_universe
-                positive_sets = [store.positive_items(u) for u, _ in examples]
+                positive_sets = [pos_items[u] for u, _ in examples]
             else:
                 universe = ref.activity_universe
-                positive_sets = [store.positive_activities(u, v) for u, v, _ in examples]
+                positive_sets = [pos_acts[u, v] for u, v, _ in examples]
             order = ref.rng.permutation(len(examples))
             negatives = reference_negatives(ref.rng, universe, [positive_sets[i] for i in order], config.max_neg_samples)
 
@@ -721,13 +748,14 @@ class TestSparseStepMatchesReference:
         config = TrainConfig(seed=2, k=4, lr=0.05)
         new, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
         outcomes = set()
+        pairs, pos_items = pairs_of(store), positive_items(store)
         for _ in range(3):
             order = ref.rng.permutation(store.n_pairs)
-            positive_sets = [store.positive_items(store.keen_pairs[i][0]) for i in order]
+            positive_sets = [pos_items[pairs[i][0]] for i in order]
             negatives = reference_negatives(ref.rng, ref.item_universe, positive_sets, config.max_neg_samples)
 
             def check(start, rows, got):
-                u, v = store.keen_pairs[rows[0]]
+                u, v = pairs[rows[0]]
                 want = reference_sparse_warp_step(
                     config, ref.keen, ref.keen_state, config.lambda_keen, ref.item_universe, positive_sets[start],
                     lambda c: assemble_keen_input(u, c, ref.keen_layout, uf, itf), v, negatives[start],
@@ -753,15 +781,18 @@ class TestSparseStepMatchesReference:
         ref_rng = np.random.Generator(np.random.PCG64(config.seed))
         space = flat_candidate_space(store, layout, uf, itf, trained_item_mask(store))
         n_acts = catalog.n_activities
-        universe = [v * n_acts + z for v in store.items_with_interactions() for z in range(n_acts)]
-        flat = {u: frozenset(v * n_acts + z for _, v, z in rows) for u, rows in store.triples_by_user().items()}
+        universe = [v * n_acts + z for v in np.unique(store.columns[1]).tolist() for z in range(n_acts)]
+        triples = triples_of(store)
+        flat = {}
+        for u, v, z in triples:
+            flat.setdefault(u, set()).add(v * n_acts + z)
         order = ref_rng.permutation(store.n_triples)
-        negatives = reference_negatives(ref_rng, universe, [flat[store.triples[i][0]] for i in order], config.max_neg_samples)
+        negatives = reference_negatives(ref_rng, universe, [flat[triples[i][0]] for i in order], config.max_neg_samples)
         updates = 0
 
         def check(start, rows, got):
             nonlocal updates
-            u, v, z = store.triples[rows[0]]
+            u, v, z = triples[rows[0]]
             want = reference_sparse_warp_step(
                 config, ref_params, ref_state, config.lambda_keen, universe, flat[u],
                 lambda f: assemble_act_input(u, f // n_acts, f % n_acts, layout, uf, itf), v * n_acts + z, negatives[start],
@@ -1095,17 +1126,18 @@ class TestCandidateSpace:
         catalog = store.catalog
         uf, itf = empty_features(catalog.n_users, "user"), empty_features(catalog.n_items, "item")
         trainer = Trainer(store, uf, itf, TrainConfig(k=2))
-        items = store.items_with_interactions()
+        items = np.unique(store.columns[1]).tolist()
         flat_ids = [v * catalog.n_activities + z for v in items for z in range(catalog.n_activities)]
         layout = FeatureLayout.for_act(catalog, uf, itf)
         flat_space = flat_candidate_space(store, layout, uf, itf, trained_item_mask(store))
-        by_user = store.triples_by_user()
+        pos_items, pos_acts = positive_items(store), positive_activities(store)
+        flat_positives = {u: set() for u in range(catalog.n_users)}
+        for u, v, z in triples_of(store):
+            flat_positives[u].add(v * catalog.n_activities + z)
         cases = [
-            (trainer.keen_space, items, [store.positive_items(u) for u in range(catalog.n_users)]),
-            (trainer.act_space, list(range(catalog.n_activities)), [store.positive_activities(*p) for p in store.keen_pairs]),
-            (flat_space, flat_ids, [
-                {v * catalog.n_activities + z for _, v, z in by_user.get(u, ())} for u in range(catalog.n_users)
-            ]),
+            (trainer.keen_space, items, [pos_items[u] for u in range(catalog.n_users)]),
+            (trainer.act_space, list(range(catalog.n_activities)), [pos_acts[p] for p in pairs_of(store)]),
+            (flat_space, flat_ids, [flat_positives[u] for u in range(catalog.n_users)]),
         ]
         for space, universe, positive_sets in cases:
             assert space.universe.tolist() == universe
@@ -1282,8 +1314,9 @@ def list_threshold_groups(trainer, rng):
     store, universe = trainer.store, trainer.item_universe
     ratio = trainer.config.threshold_negative_ratio
     keen = []
-    for u in store.users_with_interactions():
-        pos_set = store.positive_items(u)
+    pos_items, pos_acts = positive_items(store), positive_activities(store)
+    for u in store.user_rows():
+        pos_set = pos_items[u]
         items = universe
         if ratio != "full":
             positives = sorted(pos_set)
@@ -1295,8 +1328,8 @@ def list_threshold_groups(trainer, rng):
             items = np.concatenate([np.array(positives, dtype=np.int64), negatives])
         keen.append((items, np.array([1.0 if v in pos_set else 0.0 for v in items])))
     act = [
-        np.array([1.0 if z in store.positive_activities(u, v) else 0.0 for z in trainer.activity_universe])
-        for u, v in store.keen_pairs
+        np.array([1.0 if z in pos_acts[u, v] else 0.0 for z in trainer.activity_universe])
+        for u, v in pairs_of(store)
     ]
     return keen, act
 
@@ -1314,7 +1347,7 @@ class TestThresholdSampling:
         keen, act = list_threshold_groups(trainer, rng)
         probe = Trainer(store, uf, itf, config)
         probe.rng.bit_generator.state = trainer.rng.bit_generator.state
-        for u, (items, labels) in zip(store.users_with_interactions(), keen):
+        for u, (items, labels) in zip(store.user_rows(), keen):
             got_items, got_labels = probe._threshold_enum_items(u)
             np.testing.assert_array_equal(got_items, items)
             np.testing.assert_array_equal(got_labels, labels)
@@ -1322,7 +1355,7 @@ class TestThresholdSampling:
             Scorer(m, layout, uf, itf)
             for m, layout in ((trainer.keen, trainer.keen_layout), (trainer.act, trainer.act_layout))
         )
-        users = store.users_with_interactions()
+        users = list(store.user_rows())
         want_keen, _ = fit_thresholds(
             [keen_scorer.score_items(u, items) for u, (items, _) in zip(users, keen)],
             [labels for _, labels in keen], [items for items, _ in keen],
@@ -1330,8 +1363,8 @@ class TestThresholdSampling:
         )
         # each user's pairs scored in one score_pair_matrix call, as phase 2 does:
         # a one-row score_activities call can differ from it in the last bits
-        pairs_of = {u: [v for w, v in store.keen_pairs if w == u] for u in users}
-        act_scores = [row for u in users for row in act_scorer.score_pair_matrix(u, pairs_of[u])]
+        user_items = {u: [v for w, v in pairs_of(store) if w == u] for u in users}
+        act_scores = [row for u in users for row in act_scorer.score_pair_matrix(u, user_items[u])]
         want_act, _ = fit_thresholds(
             act_scores, act,
             [trainer.activity_universe] * len(act), store.catalog.n_activities,
@@ -1357,13 +1390,13 @@ class TestTrainedItems:
         trainer._threshold_enum_items = lambda u: enumerated.append(enum_items(u)) or enumerated[-1]
         model = trainer.finish(trainer.run_threshold_learning())
         want = np.zeros(store.catalog.n_items, dtype=bool)
-        want[store.items_with_interactions()] = True
+        want[store.columns[1]] = True
         assert not want.all()  # some items are cold
         fitted = np.zeros_like(want)
         fitted[np.concatenate([items for items, _ in enumerated])] = True
         np.testing.assert_array_equal(model.thresholds.item_trained, want)
         np.testing.assert_array_equal(fitted, want)
-        assert model.seen_items == frozenset(store.items_with_interactions())
+        assert model.seen_items == frozenset(store.columns[1].tolist())
         # a finite ratio samples the negatives of at least one user
         assert (ratio == "full") != any(len(items) < want.sum() for items, _ in enumerated)
 
@@ -1470,8 +1503,9 @@ class TestTrain:
         model = train(store, uf, itf, TrainConfig(seed=1, epochs=30))
         keen_scorer, _ = model.scorers()
         scores, labels = [], []
+        pos_items = positive_items(store)
         for u in range(catalog.n_users):
-            pos = store.positive_items(u)
+            pos = pos_items[u]
             s = keen_scorer.score_items(u)
             for v in range(catalog.n_items):
                 scores.append(float(s[v]))
@@ -1490,8 +1524,9 @@ class TestTrain:
 def exact_warp_loss(params, layout, user_feats, item_feats, store, universe, margin):
     """Harmonic-weighted count of margin violations, fully enumerated."""
     total = 0.0
-    for u in store.users_with_interactions():
-        positives = store.positive_items(u)
+    pos_items = positive_items(store)
+    for u in store.user_rows():
+        positives = pos_items[u]
         for v in sorted(positives):
             x_pos = assemble_keen_input(u, v, layout, user_feats, item_feats)
             s_pos = fm_score(params, x_pos)
