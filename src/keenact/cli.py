@@ -36,7 +36,7 @@ from keenact.features import (
     read_tag_file,
     tfidf_item_features,
 )
-from keenact.recommend import recommend, recommendation_lines, write_recommendations
+from keenact.recommend import write_recommendations
 from keenact.snapshot import SnapshotError, load_model, save_model
 from keenact.synth import generate_two_stage
 from keenact.training import (
@@ -47,6 +47,10 @@ from keenact.training import (
     train,
     write_training_report,
 )
+
+# `recommend` no longer runs here; the traced benchmark (perfbench/layers.py)
+# still wraps it on this module, so it stays importable from it.
+from keenact.recommend import recommend  # noqa: F401
 
 logger = logging.getLogger("keenact.cli")
 
@@ -245,15 +249,17 @@ def cmd_recommend(args) -> int:
             users.append(idx)
         if not users:
             raise DatasetError("none of the requested user ids are in the model catalog")
-    recs = [recommend(model, u, k=args.k) for u in users]
-    for rec in recs:
-        if not rec.entries:
-            logger.warning("user %s: no pair clears the thresholds", catalog.users[rec.user])
+    # checked before --out is opened, so a usage error leaves the file as it was
+    if args.k is not None and args.k < 1:
+        raise ConfigError("k", f"--k must be >= 1, got {args.k}")
     if args.out:
-        write_recommendations(recs, args.out, catalog)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            empty = write_recommendations(model, users, fh, args.k)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.writelines(recommendation_lines(recs, catalog))
+        empty = write_recommendations(model, users, sys.stdout, args.k)
+    for u in empty:
+        logger.warning("user %s: no pair clears the thresholds", catalog.users[u])
     return 0
 
 

@@ -64,22 +64,27 @@ def keen_stage(model: TrainedModel, u: int, items: np.ndarray | None = None) -> 
 
     An item is accepted when its score is at least its cutoff; items
     unseen at training time score without their identity one-hot and
-    face the global fallback cutoff.
+    face the global fallback cutoff.  A subset is cut from the whole
+    catalog's scores: a product over fewer rows can round differently in
+    the last bit, and a score that ties its cutoff would then be decided
+    differently here than in ``accepted_pairs``.
     """
     keen_scorer, _ = model.scorers()
-    scores = keen_scorer.score_items(u, items)
-    cutoffs = model.thresholds.effective_item_thresholds()
-    return scores, scores >= (cutoffs if items is None else cutoffs[items])
+    scores = keen_scorer.score_items(u)
+    accepted = scores >= model.thresholds.effective_item_thresholds()
+    return (scores, accepted) if items is None else (scores[items], accepted[items])
 
 
 def act_stage(model: TrainedModel, u: int, items: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Act scores as an (items, activities) matrix and which pairs stage two accepts.
 
     A pair is accepted when its score is at least its activity's cutoff.
+    Like ``keen_stage``, a subset is cut from the whole catalog's scores.
     """
     _, act_scorer = model.scorers()
-    scores = act_scorer.score_pair_matrix(u, items)
-    return scores, scores >= model.thresholds.activity_thresholds
+    scores = act_scorer.score_pair_matrix(u)
+    accepted = scores >= model.thresholds.activity_thresholds
+    return (scores, accepted) if items is None else (scores[items], accepted[items])
 
 
 def select_items(model: TrainedModel, u: int, items: np.ndarray | None = None) -> np.ndarray:
@@ -142,15 +147,32 @@ def recommend(model: TrainedModel, u: int, k: int | None = None) -> Recommendati
     return RecommendationList(user=u, entries=list(map(Recommendation, *(c.tolist() for c in columns))))
 
 
-def recommendation_lines(recs: list[RecommendationList], catalog):
-    """One ``user_id<TAB>item_id<TAB>activity<TAB>keen_score<TAB>act_score<TAB>rank`` line per pair, newline included."""
-    for rec in recs:
-        user = catalog.users[rec.user]
-        for rank, (v, z, keen, act) in enumerate(rec.entries, start=1):
-            yield f"{user}\t{catalog.items[v]}\t{catalog.activities[z]}\t{keen!r}\t{act!r}\t{rank}\n"
+def recommendation_lines(user: str, columns: tuple[np.ndarray, ...], catalog) -> list[str]:
+    """One user's ``user_id<TAB>item_id<TAB>activity<TAB>keen_score<TAB>act_score<TAB>rank`` lines, newline included.
+
+    ``columns`` are the four arrays of ``accepted_pairs``; ``user`` is the
+    raw user id.
+    """
+    items, activities, keen, act = (c.tolist() for c in columns)
+    item_names, activity_names = catalog.items, catalog.activities
+    return [
+        f"{user}\t{item_names[v]}\t{activity_names[z]}\t{keen_score!r}\t{act_score!r}\t{rank}\n"
+        for rank, (v, z, keen_score, act_score) in enumerate(zip(items, activities, keen, act), start=1)
+    ]
 
 
-def write_recommendations(recs: list[RecommendationList], path, catalog) -> None:
-    """Write ``recommendation_lines`` to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(recommendation_lines(recs, catalog))
+def write_recommendations(model: TrainedModel, users, fh, k: int | None = None) -> list[int]:
+    """Write each user's list to the text stream ``fh``, one user at a time; return the users whose list is empty.
+
+    A user's lines are written before the next user is scored, so memory
+    holds one user's list, not every user's.
+    """
+    catalog = model.catalog
+    empty = []
+    for u in users:
+        columns = accepted_pairs(model, u, k)
+        if len(columns[0]):
+            fh.writelines(recommendation_lines(catalog.users[u], columns, catalog))
+        else:
+            empty.append(u)
+    return empty

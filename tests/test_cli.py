@@ -269,6 +269,15 @@ class TestRecommend:
         assert main(["recommend", "--model", "../relrun/model.json", "--user", "u0000", "--k", "1"]) == 0
         assert not any("stale" in r.message for r in caplog.records)
 
+    def test_bad_k_leaves_out_untouched(self, model_dir, tmp_path, capsys):
+        """A usage error exits 2 before --out is opened, so an existing file keeps its bytes."""
+        out = tmp_path / "recs.tsv"
+        out.write_bytes(b"kept\n")
+        assert main(["recommend", "--model", str(model_dir / "model.json"),
+                     "--all-users", "--k", "0", "--out", str(out)]) == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert out.read_bytes() == b"kept\n"
+
     def test_missing_model(self, tmp_path, capsys):
         assert main(["recommend", "--model", str(tmp_path / "no.json"), "--user", "u0"]) == 2
         assert "error:" in capsys.readouterr().err

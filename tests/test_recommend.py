@@ -1,10 +1,19 @@
 """Two-stage selection, the AND decision, and ranked-pair aggregation."""
 
+import contextlib
+import importlib
+import io
+import logging
+import os
+import sys
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keenact.cli import main
 from keenact.data import Catalog
 from keenact.features import FeatureLayout, empty_features
 from keenact.fm import FMParameters, init_params
@@ -12,6 +21,7 @@ from keenact.recommend import (
     Recommendation,
     RecommendationList,
     StageOrderError,
+    accepted_pairs,
     act_stage,
     decide,
     keen_stage,
@@ -21,7 +31,11 @@ from keenact.recommend import (
     select_items,
     write_recommendations,
 )
+from keenact.snapshot import save_model
 from keenact.training import ThresholdTable, TrainConfig, TrainedModel
+
+# the package's ``recommend`` attribute is the function, not this module
+recommend_module = importlib.import_module("keenact.recommend")
 
 
 def build_model(keen_scores, act_scores, item_cutoffs, act_cutoffs, n_users=1, fallback=0.0, cold=()):
@@ -67,7 +81,7 @@ def build_model(keen_scores, act_scores, item_cutoffs, act_cutoffs, n_users=1, f
         item_feats=itf,
         seen_items=frozenset(v for v in range(n_items) if v not in cold),
         report=[],
-        config=TrainConfig(),
+        config=TrainConfig(k=k),
         catalog=catalog,
     )
 
@@ -359,9 +373,9 @@ class TestDecisionPathProperties:
 class TestOutput:
     def test_written_lines(self, tmp_path):
         model = two_item_model()
-        recs = [recommend(model, 0)]
         path = tmp_path / "recs.tsv"
-        write_recommendations(recs, path, model.catalog)
+        with open(path, "w", encoding="utf-8") as fh:
+            assert write_recommendations(model, [0], fh) == []
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
         user, item, activity, keen_score, act_score, rank = lines[0].split("\t")
@@ -409,7 +423,11 @@ class TestListPath:
         expected = [
             line for rec in recs for line in reference_lines(model, rec.user, [(v, z) for v, z, _, _ in rec.entries])
         ]
-        assert list(recommendation_lines(recs, model.catalog)) == expected
+        catalog = model.catalog
+        got = [
+            line for u in range(2) for line in recommendation_lines(catalog.users[u], accepted_pairs(model, u), catalog)
+        ]
+        assert got == expected
         for rec in recs:
             for entry in rec.entries:
                 assert [type(x) for x in entry] == [int, int, float, float]
@@ -429,3 +447,206 @@ class TestListPath:
         assert entries[0].keen_score == 0.9 and entries[0] == (3, 1, 0.9, 0.5)
         with pytest.raises(AttributeError):
             entries[0].item = 2
+
+
+def random_model(n_users, n_items, n_acts, k, seed):
+    """Model with random weights and factors on every block, every item trained, cutoffs far below any score."""
+    rng = np.random.default_rng(seed)
+    catalog = Catalog(
+        [f"u{i}" for i in range(n_users)],
+        [f"i{j}" for j in range(n_items)],
+        [f"a{z}" for z in range(n_acts)],
+    )
+    uf = empty_features(n_users, "user")
+    itf = empty_features(n_items, "item")
+    keen_layout = FeatureLayout.for_keen(catalog, uf, itf)
+    act_layout = FeatureLayout.for_act(catalog, uf, itf)
+    keen = init_params(keen_layout.dim, k, seed=seed, scale=1.0)
+    act = init_params(act_layout.dim, k, seed=seed + 1, scale=1.0)
+    keen.w[:] = rng.normal(size=keen_layout.dim)
+    act.w[:] = rng.normal(size=act_layout.dim)
+    return TrainedModel(
+        keen=keen,
+        act=act,
+        thresholds=ThresholdTable(
+            item_thresholds=np.full(n_items, -1e9),
+            activity_thresholds=np.full(n_acts, -1e9),
+            global_item_fallback=-1e9,
+            item_trained=np.ones(n_items, dtype=bool),
+        ),
+        keen_layout=keen_layout,
+        act_layout=act_layout,
+        user_feats=uf,
+        item_feats=itf,
+        seen_items=frozenset(range(n_items)),
+        report=[],
+        config=TrainConfig(),
+        catalog=catalog,
+    )
+
+
+class TestTiedCutoffs:
+    """A cutoff equal to a score, to the last bit, is decided alike by every entry point.
+
+    A product over one item's row can round differently from the same
+    row inside the whole catalog's product.  The cutoffs below sit on
+    whichever of the two is larger, so an entry point that scored a
+    single item would disagree with the list on every item where they
+    differ.
+    """
+
+    @pytest.mark.parametrize("stage", ["keen", "act"])
+    def test_decide_agrees_with_the_list(self, stage):
+        n_items, n_acts = 120, 2
+        model = random_model(2, n_items, n_acts, k=16, seed=59)
+        keen_scorer, act_scorer = model.scorers()
+        u = 1
+        if stage == "keen":
+            full = keen_scorer.score_items(u)
+            single = np.array([keen_scorer.score_items(u, np.array([v]))[0] for v in range(n_items)])
+            assert (full != single).any(), "no score rounds differently; the test shows nothing"
+            model.thresholds.item_thresholds[:] = np.maximum(full, single)
+        else:
+            full = act_scorer.score_pair_matrix(u)
+            single = np.vstack([act_scorer.score_pair_matrix(u, np.array([v])) for v in range(n_items)])
+            differ = full != single
+            assert differ.any(axis=0).all(), "no score rounds differently; the test shows nothing"
+            for z in range(n_acts):
+                v = np.flatnonzero(differ[:, z])[0]
+                model.thresholds.activity_thresholds[z] = max(full[v, z], single[v, z])
+        listed = recommend(model, u).pairs()
+        accepted = {(v, z) for v in range(n_items) for z in range(n_acts) if decide(model, u, v, z)}
+        assert listed == accepted
+        assert {v for v, _ in listed} <= set(select_items(model, u, np.arange(n_items)).tolist())
+        for v in {v for v, _ in listed}:
+            assert set(select_activities(model, u, v).tolist()) == {z for w, z in listed if w == v}
+
+
+# -- serving: the CLI streams one user's list at a time -------------------------
+
+
+def list_then_write(model, users, k):
+    """The serving path the CLI streams in place of: every user's list first, then every line.
+
+    Returns the text it writes and the users whose list is empty.
+    """
+    recs = [recommend(model, u, k=k) for u in users]
+    catalog = model.catalog
+    lines = []
+    for rec in recs:
+        user = catalog.users[rec.user]
+        for rank, (v, z, keen, act) in enumerate(rec.entries, start=1):
+            lines.append(f"{user}\t{catalog.items[v]}\t{catalog.activities[z]}\t{keen!r}\t{act!r}\t{rank}\n")
+    return "".join(lines), [rec.user for rec in recs if not rec.entries]
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def run_main(argv):
+    """(exit code, stdout, keenact.cli log messages) of one ``main`` call."""
+    records, logger, out = _Records(), logging.getLogger("keenact.cli"), io.StringIO()
+    logger.addHandler(records)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([str(a) for a in argv])
+    finally:
+        logger.removeHandler(records)
+    return code, out.getvalue(), records.messages
+
+
+@st.composite
+def serving_cases(draw):
+    """(model, user selection, k): users differ, some lists are empty, ``--user`` lists hold unknown ids."""
+    n_users = draw(st.integers(1, 4))
+    n_items = draw(st.integers(1, 6))
+    n_acts = draw(st.integers(1, 3))
+    value = st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    keen = draw(st.lists(value, min_size=n_items, max_size=n_items))
+    act = np.reshape(draw(st.lists(value, min_size=n_items * n_acts, max_size=n_items * n_acts)), (n_items, n_acts))
+    item_cutoffs = draw(st.lists(value, min_size=n_items, max_size=n_items))
+    act_cutoffs = draw(st.lists(value, min_size=n_acts, max_size=n_acts))
+    model = build_model(keen, act, item_cutoffs, act_cutoffs, n_users=n_users)
+    # a user weight shifts every keen score of that user; -1e6 empties the list
+    offset = model.keen_layout.user_id_offset
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.5, -1.0, -1e6]), min_size=n_users, max_size=n_users))
+    model.keen.w[offset : offset + n_users] = shifts
+    k = draw(st.none() | st.integers(1, n_items * n_acts + 2))
+    if draw(st.booleans()):
+        selection = None
+    else:
+        raw = st.sampled_from(model.catalog.users + ("ghost", "u9"))
+        selection = draw(st.lists(raw, min_size=1, max_size=6))
+    return model, selection, k
+
+
+class TestStream:
+    @settings(max_examples=120, deadline=None)
+    @given(serving_cases())
+    def test_output_equals_the_list_then_write_oracle(self, case):
+        """Bytes to a file and to stdout, exit code and warnings equal the list-then-write path's."""
+        model, selection, k = case
+        known = [model.catalog.user_index[r] for r in selection or () if r in model.catalog.user_index]
+        users = list(range(model.n_users)) if selection is None else known
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_model(model, path)
+            argv = ["recommend", "--model", path]
+            argv += ["--all-users"] if selection is None else [a for r in selection for a in ("--user", r)]
+            argv += [] if k is None else ["--k", k]
+            unknown = [f"unknown user id {r!r}, skipping" for r in selection or () if r not in model.catalog.user_index]
+            recs_path = os.path.join(tmp, "recs.tsv")
+            code, stdout, messages = run_main(argv)
+            file_code, file_stdout, file_messages = run_main(argv + ["--out", recs_path])
+            if not users:
+                assert code == file_code == 2
+                assert not os.path.exists(recs_path)
+                return
+            text, empty = list_then_write(model, users, k)
+            expected = unknown + [f"user {model.catalog.users[u]}: no pair clears the thresholds" for u in empty]
+            assert code == file_code == 0
+            assert stdout == text
+            assert messages == file_messages == expected
+            assert file_stdout == f"wrote {recs_path}\n"
+            with open(recs_path, "rb") as fh:
+                assert fh.read() == text.encode("utf-8")
+
+    def test_one_user_is_scored_per_write(self, tmp_path, monkeypatch):
+        """Each user's lines are written before the next user is scored."""
+        model = build_model([1.0, 0.5, 2.0], np.ones((3, 2)), [0.0] * 3, [0.0, 0.0], n_users=5)
+        offset = model.keen_layout.user_id_offset
+        model.keen.w[offset : offset + 5] = [0.0, -1e6, 0.5, -1e6, 0.0]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        expected = []
+        for u in range(5):
+            expected.append(("score", u))
+            text, empty = list_then_write(model, [u], None)
+            if not empty:
+                expected.append(("write", text))
+        events = []
+        real = recommend_module.accepted_pairs
+
+        def counted(model, u, k=None):
+            events.append(("score", u))
+            return real(model, u, k)
+
+        class Sink:
+            def writelines(self, lines):
+                events.append(("write", "".join(lines)))
+
+            def write(self, text):
+                events.append(("write", text))
+
+        monkeypatch.setattr(recommend_module, "accepted_pairs", counted)
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["recommend", "--model", str(path), "--all-users"]) == 0
+        assert events == expected
+        # users 1 and 3 have empty lists, so they are scored but write nothing
+        assert sum(kind == "write" for kind, _ in events) == 3
