@@ -296,6 +296,11 @@ def evaluate_split(
 ) -> dict[str, dict[str, float]]:
     """Train on one split and return {variant: {metric: value}}.
 
+    Besides MAP at each k, a variant records ``eval_users`` and two wall
+    times: ``train_seconds`` (the three two-stage variants share one
+    model, so they repeat its training time) and ``rank_seconds``, the
+    variant's own ranking of the held-out users.
+
     User features are co-participation counts rebuilt from the training
     half only; item features default to none (identity one-hots carry
     the items) unless an item feature matrix is supplied.
@@ -330,9 +335,12 @@ def evaluate_split(
         else:
             trained = train_baseline(split.train, user_feats, item_feats, cfg, kind=variant.removeprefix("fm_"))
             rank, seconds = rank_baseline, time.perf_counter() - started
+        started = time.perf_counter()
         ranked = {u: rank(trained, space, u, exclude.get(u, empty)) for u in relevant}
+        rank_seconds = time.perf_counter() - started
         metrics = {_metric_name(k): map_at_k(ranked, relevant, k) for k in ks}
         metrics["train_seconds"] = seconds
+        metrics["rank_seconds"] = rank_seconds
         metrics["eval_users"] = float(len(relevant))
         out[variant] = metrics
     return out

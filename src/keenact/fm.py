@@ -156,9 +156,12 @@ def adam_moves(m, v, grad, t, alpha: float, beta1: float, beta2: float, eps: flo
     """Bias-corrected Adam (Kingma & Ba, 2015): the new moments and the step to subtract.
 
     ``t`` is the step count after this update, a scalar or one count per
-    coordinate; ``m``, ``v`` and ``grad`` may be floats or arrays.  The
+    coordinate; ``m``, ``v`` and ``grad`` are arrays in the program.  The
     root is ``** 0.5``: numpy takes it as ``sqrt`` on arrays, and on
     floats it keeps floats as floats (C ``pow``, within an ulp of sqrt).
+    The scalar cutoff fit in ``training`` writes this rule out in Python
+    floats, with the bias corrections from tables; the tests pin the two
+    together by running this function on floats as the fit's oracle.
     """
     m = beta1 * m + (1.0 - beta1) * grad
     v = beta2 * v + (1.0 - beta2) * grad * grad

@@ -33,11 +33,15 @@ def part_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[
 
 
 def table_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """part_stats for every row of a padded part table: (base per row, factor sums)."""
-    rows = params.table[idx]
-    vx = rows[:, :, 1:] * val[:, :, None]
-    s = vx.sum(axis=1)
-    base = (rows[:, :, 0] * val).sum(axis=1) + 0.5 * ((s * s).sum(axis=1) - (vx * vx).sum(axis=(1, 2)))
+    """part_stats for every row of a padded part table: (base per row, factor sums).
+
+    One sum of the scaled ``[w | v]`` rows gives the linear term and the
+    factor sums together.
+    """
+    scaled = params.table[idx] * val[:, :, None]
+    sums = scaled.sum(axis=1)
+    s, vx = sums[:, 1:], scaled[:, :, 1:]
+    base = sums[:, 0] + 0.5 * (np.einsum("ij,ij->i", s, s) - np.einsum("ijk,ijk->i", vx, vx))
     return base, s
 
 

@@ -314,7 +314,7 @@ class TestEvaluateSplit:
         result = evaluate_split(store, seed=0, config=FAST, variants=("keen2act", "fm_bpr"), ks=(5, None))
         assert set(result) == {"keen2act", "fm_bpr"}
         for metrics in result.values():
-            assert set(metrics) == {"map@5", "map@inf", "train_seconds", "eval_users"}
+            assert set(metrics) == {"map@5", "map@inf", "train_seconds", "rank_seconds", "eval_users"}
             assert 0.0 <= metrics["map@5"] <= 1.0
             assert metrics["eval_users"] >= 1
         again = evaluate_split(store, seed=0, config=FAST, variants=("keen2act", "fm_bpr"), ks=(5, None))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from keenact.data import Catalog, InteractionStore
@@ -15,7 +17,7 @@ from keenact.features import (
 )
 from keenact.features import activity_part, item_part, pad_parts, user_part
 from keenact.fm import FMGradient, combine_gradients, fm_gradient, fm_score, init_params
-from keenact.scoring import Scorer, part_gradient, part_stats
+from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
 
 
 def join_parts(*parts):
@@ -74,6 +76,44 @@ class TestPartStats:
         base, s = part_stats(params, np.empty(0, dtype=np.int64), np.empty(0))
         assert base == 0.0
         np.testing.assert_array_equal(s, np.zeros(2))
+
+
+class TestTableStats:
+    """table_stats on a padded table, row by row against part_stats on the unpadded part."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        widths=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+        k=st.integers(1, 6),
+        pad=st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_part_stats(self, seed, widths, k, pad):
+        """Rows of every width, all-padding ones included, with values other
+        than 1.  ``s`` equals the in-order sum of the row's scaled factor rows
+        exactly, and part_stats's within 1e-12 (its sum is one BLAS product,
+        which may fuse and reorder); ``base`` is within 1e-12."""
+        rng = np.random.default_rng(seed)
+        params = init_params(20, k, seed=seed % 1000, scale=0.5)
+        params.w[:] = rng.normal(size=20)
+        parts = []
+        for width in widths + [1]:
+            idx = np.sort(rng.choice(20, size=width, replace=False))
+            parts.append((idx, rng.choice([-1.0, 1.0], size=width) * rng.uniform(0.1, 3.0, size=width)))
+        idx, val = pad_parts(parts)
+        # extra padding columns beyond the widest row
+        idx = np.pad(idx, ((0, 0), (0, pad)))
+        val = np.pad(val, ((0, 0), (0, pad)))
+        base, s = table_stats(params, idx, val)
+        assert base.shape == (len(parts),) and s.shape == (len(parts), k)
+        for row, (part_idx, part_val) in enumerate(parts):
+            want_base, want_s = part_stats(params, part_idx, part_val)
+            in_order = np.zeros(k)
+            for i, x in zip(part_idx, part_val):
+                in_order = in_order + params.factors[i] * x
+            assert s[row].tolist() == in_order.tolist()
+            np.testing.assert_allclose(s[row], want_s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(base[row], want_base, rtol=0, atol=1e-12)
 
 
 def assert_part_gradient_matches_oracle(params, cases):

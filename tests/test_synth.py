@@ -1,5 +1,7 @@
 """Synthetic corpus generator: coverage, shapes, and reproducibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ class TestGenerate:
         assert a_cat.users == b_cat.users
         assert triples(a_store) == triples(b_store)
         assert a_store.times.tolist() == b_store.times.tolist()
+
+    def test_check6_corpus_is_pinned(self):
+        """The acceptance corpus keeps its columns: adoption is drawn through
+        training.sigmoid, so a change to it must leave these bytes alone."""
+        _, store = generate_two_stage(200, 500, 2, seed=0)
+        digest = hashlib.sha256(b"".join(col.tobytes() for col in store.columns)).hexdigest()
+        assert digest == "c2c85795e0b565ada16470a49d008623332edaa91b5cbf4316f08dd24c6acaf4"
 
     def test_seed_changes_output(self):
         _, a = generate_two_stage(15, 25, 3, seed=4, items_per_user=(3, 8))

@@ -120,6 +120,19 @@ class TestWarpWeights:
         assert got.tolist() == want
 
 
+def masked_sigmoid(x):
+    """Oracle: the logistic in two branches selected by boolean masks."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 class TestCrossEntropy:
     def test_ln2_at_zero(self):
         np.testing.assert_allclose(cross_entropy(0.0, 1.0), math.log(2.0))
@@ -153,6 +166,17 @@ class TestCrossEntropy:
     def test_sigmoid_symmetry(self):
         x = np.linspace(-20, 20, 41)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), np.ones_like(x), atol=1e-12)
+
+    def test_sigmoid_equals_the_masked_form_bitwise(self):
+        """Bit for bit the two-branch form with boolean masks, NaN signs included."""
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1000.0, -1000.0, 745.5, -745.5, 5e-324]
+        x = np.concatenate((special, np.random.default_rng(0).normal(scale=30.0, size=501)))
+        for arr in (x, x.reshape(2, -1)):
+            assert sigmoid(arr).view(np.int64).tolist() == masked_sigmoid(arr).view(np.int64).tolist()
+        for value in special:
+            got = sigmoid(value)
+            assert type(got) is float
+            assert np.float64(got).view(np.int64) == np.float64(masked_sigmoid(value)).view(np.int64)
 
 
 class TestConfig:
@@ -436,6 +460,171 @@ class TestFitThresholds:
         )
         assert correct / (20 * n_coords) >= 0.95
 
+
+
+def _logistic(diff):
+    """(sigmoid(diff), log(1 + exp(diff))) of one float, both overflow-free."""
+    if diff >= 0.0:
+        e = math.exp(-diff)
+        return 1.0 / (1.0 + e), diff + math.log1p(e)
+    e = math.exp(diff)
+    return e / (1.0 + e), math.log1p(e)
+
+
+def scalar_loop_fit(scores_by_group, labels_by_group, coords_by_group, n_coords, epochs,
+                    alpha=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Oracle: every cutoff's Adam recurrence in Python floats through
+    ``adam_moves``, cutoff after cutoff, CE sums added in coordinate order."""
+    delta = np.zeros(n_coords)
+    ce_sums = [0.0] * epochs
+    total = sum(len(s) for s in scores_by_group)
+    if total:
+        coords = np.concatenate(coords_by_group)
+        order = np.argsort(coords, kind="stable")
+        scores = np.concatenate(scores_by_group)[order].tolist()
+        labels = np.concatenate(labels_by_group)[order].tolist()
+        observed = list(zip(scores, labels))
+        start = 0
+        for c, end in enumerate(np.cumsum(np.bincount(coords, minlength=n_coords)).tolist()):
+            stream, start = observed[start:end], end
+            cutoff = m = v = 0.0
+            for epoch in range(epochs):
+                ce_sum = 0.0
+                for t, (score, label) in enumerate(stream, start=epoch * len(stream) + 1):
+                    x = score - cutoff
+                    prob, softplus = _logistic(x)
+                    ce_sum += softplus - label * x
+                    m, v, step = adam_moves(m, v, label - prob, t, alpha, beta1, beta2, eps)
+                    cutoff -= step
+                ce_sums[epoch] += ce_sum
+            delta[c] = cutoff
+    return delta, [ce_sum / max(total, 1) for ce_sum in ce_sums]
+
+
+def streams_to_groups(lengths, rng, extreme=False, single_label=None):
+    """Groups whose cutoff c occurs in the first lengths[c] groups, each group
+    in a shuffled coordinate order; scores of +-1000 when ``extreme``, and
+    every label ``single_label`` when it is set."""
+    scores, labels, coords = [], [], []
+    for g in range(int(max(lengths, default=0))):
+        chosen = rng.permutation(np.flatnonzero(np.asarray(lengths) > g))
+        if extreme:
+            scores.append(rng.choice([-1000.0, 1000.0], size=chosen.size))
+        else:
+            scores.append(rng.normal(size=chosen.size) * 3.0)
+        if single_label is None:
+            labels.append((rng.random(chosen.size) < 0.3).astype(np.float64))
+        else:
+            labels.append(np.full(chosen.size, single_label))
+        coords.append(chosen)
+    return scores, labels, coords
+
+
+@st.composite
+def stream_cases(draw):
+    """Stream lengths per cutoff (zero for unobserved ones) with their groups.
+
+    Shapes: ragged lengths, equal lengths, and either with one very long
+    stream; few cutoffs or many, so the cost rule meets all three splits."""
+    n_coords = draw(st.one_of(st.integers(1, 8), st.integers(60, 150)))
+    if draw(st.booleans()):
+        lengths = np.full(n_coords, draw(st.integers(1, 4)))
+    else:
+        lengths = np.array(draw(st.lists(st.integers(0, 3), min_size=n_coords, max_size=n_coords)))
+    if draw(st.booleans()):
+        lengths[draw(st.integers(0, n_coords - 1))] = draw(st.integers(60, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    single_label = draw(st.sampled_from([None, None, 0.0, 1.0]))
+    groups = streams_to_groups(lengths, rng, extreme=draw(st.booleans()), single_label=single_label)
+    return (*groups, n_coords + draw(st.integers(0, 2)), draw(st.sampled_from([3, 1, 0])))
+
+
+def assert_matches_scalar_oracle(scores, labels, coords, n_coords, epochs, **adam):
+    """The scalar regime equals the oracle exactly; the lockstep regime is
+    within 1e-12 on cutoffs and on the mean CE per epoch.  Returns the split."""
+    delta, trace = fit_thresholds(scores, labels, coords, n_coords, epochs, **adam)
+    want_delta, want_trace = scalar_loop_fit(scores, labels, coords, n_coords, epochs, **adam)
+    lengths = np.bincount(np.concatenate(coords).astype(np.int64), minlength=n_coords) if coords else np.zeros(n_coords, int)
+    scalar, lockstep = training.split_streams(lengths)
+    assert delta[scalar].tolist() == want_delta[scalar].tolist()
+    np.testing.assert_allclose(delta[lockstep], want_delta[lockstep], rtol=0, atol=1e-12)
+    assert delta[lengths == 0].tolist() == [0.0] * int((lengths == 0).sum())
+    assert len(trace) == epochs and all(type(ce) is float for ce in trace)
+    if lockstep.size:
+        np.testing.assert_allclose(trace, want_trace, rtol=0, atol=1e-12)
+    else:
+        assert trace == want_trace
+    return scalar, lockstep
+
+
+class TestTwoRegimes:
+    """fit_thresholds against the scalar loop it replaced."""
+
+    @given(stream_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_streams_match_the_scalar_loop(self, case):
+        assert_matches_scalar_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "lengths, n_scalar, n_lockstep",
+        [
+            ([575, 575], 2, 0),  # the act fit: two long streams
+            ([5] * 100, 0, 100),  # equal lengths, as with threshold_negative_ratio = full
+            ([500] + [3] * 100, 1, 100),  # one very long stream among short ones
+            ([0, 2, 0] + [2] * 70, 0, 71),  # unobserved cutoffs
+        ],
+    )
+    @pytest.mark.parametrize("adam", [{}, {"alpha": 0.05, "beta1": 0.5, "beta2": 0.9}])
+    def test_each_split_matches_the_scalar_loop(self, lengths, n_scalar, n_lockstep, adam):
+        for extreme, single_label in [(False, None), (True, None), (False, 1.0)]:
+            groups = streams_to_groups(lengths, np.random.default_rng(len(lengths)), extreme, single_label)
+            scalar, lockstep = assert_matches_scalar_oracle(*groups, len(lengths), 4, **adam)
+            assert (scalar.size, lockstep.size) == (n_scalar, n_lockstep)
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_few_epochs(self, epochs):
+        groups = streams_to_groups([300] + [1] * 90, np.random.default_rng(3))
+        assert_matches_scalar_oracle(*groups, 91, epochs)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.999, 0.99999])
+def test_bias_corrections_equal_the_powers(beta):
+    """The table stops computing powers once 1 - beta**t rounds to 1.0; it
+    equals the full list of powers."""
+    n = 60_000
+    assert training._bias_corrections(beta, n) == [1.0 - beta**t for t in range(1, n + 1)]
+    assert training._bias_corrections(beta, 0) == []
+
+
+class TestSplitStreams:
+    """The cost rule, as a function of stream lengths alone."""
+
+    def test_rule(self):
+        cost = training.LOCKSTEP_STEP_COST
+        # more than cost equal streams go lockstep, fewer stay scalar
+        assert training.split_streams(np.full(cost + 1, 7))[1].size == cost + 1
+        assert training.split_streams(np.full(cost - 1, 7))[0].size == cost - 1
+        scalar, lockstep = training.split_streams(np.array([0, 3, 900, 0, 3, 2] + [3] * 200))
+        assert scalar.tolist() == [2] and lockstep[:3].tolist() == [1, 4, 6]
+        assert 5 not in scalar and 0 not in lockstep and 3 not in lockstep
+        assert [a.size for a in training.split_streams(np.zeros(4, dtype=np.int64))] == [0, 0]
+
+    @pytest.mark.parametrize("n_pairs", [575, 3972, 15996])
+    def test_act_shape_is_all_scalar(self, n_pairs):
+        """Two activities, each observed on every keen pair."""
+        scalar, lockstep = training.split_streams(np.array([n_pairs, n_pairs]))
+        assert scalar.tolist() == [0, 1] and lockstep.size == 0
+
+    def test_800_user_keen_shape_is_mostly_lockstep(self):
+        """The keen streams of an 800-user, 2,000-item corpus at the default ratio."""
+        catalog, store = generate_two_stage(800, 2000, 2, seed=0)
+        trainer = Trainer(
+            store, empty_features(catalog.n_users, "user"), empty_features(catalog.n_items, "item"), TrainConfig()
+        )
+        users = np.flatnonzero(np.diff(trainer.keen_space.key_starts)).tolist()
+        items = np.concatenate([trainer._threshold_enum_items(u)[0] for u in users])
+        scalar, lockstep = training.split_streams(np.bincount(items, minlength=catalog.n_items))
+        assert lockstep.size > 1000 and scalar.size <= 0.01 * lockstep.size
 
 def small_store(seed=0, n_users=6, n_items=10, n_acts=2, density=40):
     rng = np.random.default_rng(seed)
