@@ -20,6 +20,7 @@ from keenact.data import (
     split_per_user,
 )
 from keenact.features import (
+    CSR,
     FeatureLayout,
     FeatureMatrix,
     SparseVector,
@@ -54,6 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
+    "CSR",
     "Catalog",
     "DatasetError",
     "EmptyDatasetError",

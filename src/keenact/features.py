@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from collections import defaultdict
 
 import numpy as np
-from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,116 @@ class SparseVector:
         return [(int(i), float(x)) for i, x in zip(self.indices, self.values)]
 
 
+def _shape(shape) -> tuple[int, int]:
+    if not (
+        isinstance(shape, (tuple, list))
+        and len(shape) == 2
+        and all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0 for n in shape)
+    ):
+        raise ValueError(f"shape {shape!r} is not two non-negative integers")
+    return int(shape[0]), int(shape[1])
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D integer array; an empty list counts as integers."""
+    array = np.asarray(values)
+    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be a list of integers")
+    return array if array.size else array.astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """Canonical compressed sparse rows in numpy arrays.
+
+    Row i holds the columns ``indices[indptr[i]:indptr[i + 1]]``, strictly
+    increasing, with the nonzero values ``data`` at the same positions.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        n_rows, n_cols = _shape(self.shape)
+        indptr = _integers(self.indptr, "indptr").astype(np.int64, copy=False)
+        indices = _integers(self.indices, "indices")
+        data = np.asarray(self.data, dtype=np.float64)
+        object.__setattr__(self, "shape", (n_rows, n_cols))
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "data", data)
+        if indptr.size != n_rows + 1 or data.shape != indices.shape:
+            raise ValueError("indptr needs one entry per row plus one, and data one per index")
+        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must rise from 0 to the number of entries")
+        if indices.size:
+            if indices.min() < 0 or indices.max() >= n_cols:
+                raise ValueError(f"column index outside [0, {n_cols})")
+            rising = np.diff(indices) > 0
+            row_starts = indptr[1:-1]
+            rising[row_starts[(row_starts > 0) & (row_starts < indices.size)] - 1] = True
+            if not rising.all():
+                raise ValueError("columns must be strictly increasing within a row")
+            if np.any(data == 0.0):
+                raise ValueError("zeros must not be stored")
+
+    @classmethod
+    def from_coo(cls, rows, cols, values, shape) -> "CSR":
+        """Entries (rows[i], cols[i], values[i]), in any order: duplicates are
+        summed in input order, and entries that are or sum to 0 are dropped."""
+        n_rows, n_cols = _shape(shape)
+        rows, cols = _integers(rows, "rows"), _integers(cols, "cols")
+        values = np.asarray(values, dtype=np.float64)
+        if not rows.shape == cols.shape == values.shape:
+            raise ValueError("rows, cols and values differ in length")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= n_rows or cols.max() >= n_cols):
+            raise ValueError(f"an index lies outside the shape {(n_rows, n_cols)}")
+        order = np.lexsort((cols, rows))  # stable: duplicates keep input order
+        rows, cols, values = rows[order], cols[order], values[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not first.all():
+            # bincount adds each entry's values in order, from 0
+            values = np.bincount(np.cumsum(first) - 1, weights=values)
+            rows, cols = rows[first], cols[first]
+        kept = values != 0.0
+        counts = np.bincount(rows[kept], minlength=n_rows)
+        return cls(np.concatenate(([0], np.cumsum(counts))), cols[kept], values[kept], (n_rows, n_cols))
+
+    @classmethod
+    def from_dense(cls, array) -> "CSR":
+        """The nonzero entries of a 2-D array."""
+        array = np.asarray(array, dtype=np.float64)
+        if array.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got {array.ndim}-D")
+        rows, cols = np.nonzero(array)
+        return cls.from_coo(rows, cols, array[rows, cols], array.shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry, in stored order."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.row_ids(), self.indices] = self.data
+        return dense
+
+
 class FeatureMatrix:
     """One sparse feature row per entity, all rows sharing one dimension."""
 
-    def __init__(self, matrix: sparse.csr_matrix, entity_kind: str):
+    def __init__(self, matrix: CSR, entity_kind: str):
         if entity_kind not in ("user", "item"):
             raise ValueError(f"unknown entity kind {entity_kind!r}")
-        m = sparse.csr_matrix(matrix, dtype=np.float64)
-        m.eliminate_zeros()
-        m.sort_indices()
-        self.matrix = m
+        if not isinstance(matrix, CSR):
+            raise TypeError(f"feature rows must be a CSR, not {type(matrix).__name__}")
+        self.matrix = matrix
         self.entity_kind = entity_kind
 
     @property
@@ -80,7 +179,11 @@ class FeatureMatrix:
 
 def empty_features(n_rows: int, entity_kind: str) -> FeatureMatrix:
     """Zero-width feature matrix for datasets without side information."""
-    return FeatureMatrix(sparse.csr_matrix((n_rows, 0), dtype=np.float64), entity_kind)
+    return FeatureMatrix(CSR(np.zeros(n_rows + 1, dtype=np.int64), [], [], (n_rows, 0)), entity_kind)
+
+
+# user pairs expanded at once by co_participation_features
+CO_PARTICIPATION_CHUNK = 1 << 15
 
 
 def co_participation_features(train) -> FeatureMatrix:
@@ -89,17 +192,51 @@ def co_participation_features(train) -> FeatureMatrix:
     Entry (u, u') is the number of (v, z) combinations both users acted
     on, i.e. co-forks plus co-watches and so on.  The diagonal is forced
     to zero.  Computed from the training split only.
+
+    Rows are counted a block of users at a time: each of a block's
+    entries expands into the users of its (v, z) column, and sorting the
+    block's (row, user) keys counts the pairs.  A block holds at most
+    ``CO_PARTICIPATION_CHUNK`` pairs, unless one user alone expands into
+    more, so time and memory follow the number of pairs, not the square
+    of the number of users.
     """
     if train.n_triples == 0:
         raise ValueError("empty training store")
     catalog = train.catalog
-    u, v, z = train.columns
-    pairs, cols = np.unique(v * catalog.n_activities + z, return_inverse=True)
-    incidence = sparse.csr_matrix((np.ones(u.size), (u, cols)), shape=(catalog.n_users, pairs.size))
-    co = (incidence @ incidence.T).tocsr()
-    co.setdiag(0.0)
-    co.eliminate_zeros()
-    return FeatureMatrix(co, "user")
+    n = catalog.n_users
+    u, v, z = train.columns  # sorted by user
+    _, col = np.unique(v * catalog.n_activities + z, return_inverse=True)
+    col_users = u[np.argsort(col, kind="stable")]
+    col_size = np.bincount(col)
+    col_start = np.cumsum(col_size) - col_size
+    width = col_size[col]
+    reach = np.concatenate(([0], np.cumsum(width)))  # pairs expanded before each entry
+    user_start = np.searchsorted(u, np.arange(n + 1))
+    user_reach = reach[user_start]
+    indices, data, row_nnz = [], [], []
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(user_reach, user_reach[lo] + CO_PARTICIPATION_CHUNK, side="right")) - 1)
+        e0, e1 = user_start[lo], user_start[hi]
+        at = np.repeat(col_start[col[e0:e1]] - (reach[e0:e1] - reach[e0]), width[e0:e1])
+        at += np.arange(at.size)
+        keys = np.repeat(u[e0:e1] * n, width[e0:e1])
+        keys += col_users[at]
+        del at
+        keys.sort()
+        first = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
+        counts = np.diff(np.append(first, keys.size))
+        row, user = np.divmod(keys[first], n)
+        del keys
+        off_diagonal = row != user
+        indices.append(user[off_diagonal].astype(np.int32))
+        data.append(counts[off_diagonal].astype(np.int32))
+        row_nnz.append(np.bincount(row[off_diagonal] - lo, minlength=hi - lo))
+        lo = hi
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz))))
+    indices = np.concatenate(indices)
+    data = np.concatenate(data, dtype=np.float64)
+    return FeatureMatrix(CSR(indptr, indices, data, (n, n)), "user")
 
 
 def l2_normalize_rows(feats: FeatureMatrix) -> FeatureMatrix:
@@ -108,12 +245,24 @@ def l2_normalize_rows(feats: FeatureMatrix) -> FeatureMatrix:
     Raw co-participation counts grow with corpus density and would
     dwarf the identity one-hots inside a scorer, so the training
     pipeline feeds them through this.
+
+    The arithmetic is a sparse library's: the squares that are not 0 are
+    summed per row by ``np.add.reduceat``, each value is multiplied by
+    its row's reciprocal norm, and products of 0 are dropped.
     """
-    m = feats.matrix.tocsr().astype(np.float64)
-    norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    m = feats.matrix
+    squares = m.data * m.data
+    nonzero = squares != 0.0
+    ptr = np.concatenate(([0], np.cumsum(nonzero)))[m.indptr]
+    filled = np.flatnonzero(np.diff(ptr))
+    norms = np.zeros(m.shape[0])
+    norms[filled] = np.add.reduceat(squares[nonzero], ptr[filled])
+    norms = np.sqrt(norms)
     norms[norms == 0.0] = 1.0
-    scaled = sparse.diags(1.0 / norms) @ m
-    return FeatureMatrix(scaled.tocsr(), feats.entity_kind)
+    scaled = (1.0 / norms)[m.row_ids()] * m.data
+    kept = scaled != 0.0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[m.indptr]
+    return FeatureMatrix(CSR(indptr, m.indices[kept], scaled[kept], m.shape), feats.entity_kind)
 
 
 def tfidf_item_features(tags: dict, catalog) -> FeatureMatrix:
@@ -149,8 +298,7 @@ def tfidf_item_features(tags: dict, catalog) -> FeatureMatrix:
             rows.append(v)
             cols.append(j)
             vals.append(x / norm)
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n_items, len(vocab)), dtype=np.float64)
-    return FeatureMatrix(mat, "item")
+    return FeatureMatrix(CSR.from_coo(rows, cols, vals, (n_items, len(vocab))), "item")
 
 
 def read_tag_file(path) -> dict[str, list[str]]:

@@ -15,9 +15,8 @@ equality of part_gradient, summed per row, with fm_gradient/combine_gradients.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
-from keenact.features import FeatureLayout, FeatureMatrix
+from keenact.features import CSR, FeatureLayout, FeatureMatrix
 from keenact.fm import FMParameters
 
 
@@ -86,6 +85,48 @@ def part_gradient(
     return indices[stored], owners[stored], rows[stored]
 
 
+# floats in one padded block of _row_products
+PRODUCT_BLOCK = 1 << 15
+
+
+def _row_products(mat: CSR, table: np.ndarray, col_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mat @ table, (mat * mat) @ col_weights), each row adding its
+    entries' products in stored order, from 0.
+
+    That order is a sparse library's, so the sums keep its bits; a
+    reduction that regroups them, as numpy's pairwise sum along the fast
+    axis of an array does, would not.  ``bincount`` adds in that order, and
+    so does ``np.add.reduce`` along any other axis, slice after slice.
+    For the table, rows of similar length, longest first, go up to
+    ``PRODUCT_BLOCK`` floats at a time into a (position, row, column)
+    block whose slice p + 1 holds each row's p-th product and is summed
+    over positions.  Every other slot gathers the product of an appended
+    0 entry and zero row, +0.0: a sum that starts from +0.0 is never -0.0,
+    so adding it changes nothing.
+    """
+    n_rows, width = mat.shape[0], table.shape[1]
+    sq = np.bincount(mat.row_ids(), (mat.data * mat.data) * col_weights[mat.indices], minlength=n_rows)
+    lengths = np.diff(mat.indptr)
+    order = np.argsort(-lengths, kind="stable")
+    data, cols = np.append(mat.data, 0.0), np.append(mat.indices, table.shape[0])
+    table = np.vstack((table, np.zeros(width)))
+    prod = np.zeros((n_rows, width))
+    start = 0
+    while start < n_rows and lengths[order[start]]:
+        longest = int(lengths[order[start]])
+        rows = order[start : start + max(1, PRODUCT_BLOCK // ((longest + 1) * width))]
+        counts = lengths[rows]
+        position = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        # the spare last row keeps axis 0 from being the fast axis
+        at = np.full((longest + 1, rows.size + 1), mat.nnz)
+        at[1 + position, np.repeat(np.arange(rows.size), counts)] = np.repeat(mat.indptr[rows], counts) + position
+        block = table[cols[at]]
+        block *= data[at][..., None]
+        prod[rows] = np.add.reduce(block, axis=0)[:-1]
+        start += rows.size
+    return prod, sq
+
+
 def _block_stats(
     params: FMParameters,
     onehot_offset: int | None,
@@ -106,12 +147,11 @@ def _block_stats(
     lin = np.zeros(n_entities)
     sumsq = np.zeros(n_entities)
     if d:
-        mat: sparse.csr_matrix = feats.matrix
         block = params.table[feat_offset : feat_offset + d]
-        prod = mat @ block
+        prod, sq = _row_products(feats.matrix, block, (block[:, 1:] ** 2).sum(axis=1))
         lin += prod[:, 0]
         s += prod[:, 1:]
-        sumsq += mat.power(2) @ (block[:, 1:] ** 2).sum(axis=1)
+        sumsq += sq
     if onehot_offset is not None:
         oh = params.factors[onehot_offset : onehot_offset + n_entities]
         w_oh = params.w[onehot_offset : onehot_offset + n_entities]

@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy import sparse
 
 from keenact.data import Catalog
-from keenact.features import FeatureLayout, FeatureMatrix
+from keenact.features import CSR, FeatureLayout, FeatureMatrix
 from keenact.fm import FMParameters
 from keenact.training import ThresholdTable, TrainConfig, TrainedModel
 
@@ -42,21 +41,19 @@ def _params_from_dict(payload: dict) -> FMParameters:
 
 
 def _feats_to_dict(feats: FeatureMatrix) -> dict:
-    coo = feats.matrix.tocoo()
+    m = feats.matrix
     return {
         "kind": feats.entity_kind,
-        "shape": [int(coo.shape[0]), int(coo.shape[1])],
-        "rows": coo.row.tolist(),
-        "cols": coo.col.tolist(),
-        "values": coo.data.tolist(),
+        "shape": list(m.shape),
+        "rows": m.row_ids().tolist(),
+        "cols": m.indices.tolist(),
+        "values": m.data.tolist(),
     }
 
 
 def _feats_from_dict(payload: dict) -> FeatureMatrix:
-    shape = tuple(payload["shape"])
-    matrix = sparse.csr_matrix(
-        (payload["values"], (payload["rows"], payload["cols"])), shape=shape, dtype=np.float64
-    )
+    """Entries in any order; duplicates are summed and zeros dropped."""
+    matrix = CSR.from_coo(payload["rows"], payload["cols"], payload["values"], payload["shape"])
     return FeatureMatrix(matrix, payload["kind"])
 
 

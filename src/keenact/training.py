@@ -365,6 +365,10 @@ def trained_item_mask(store: InteractionStore) -> np.ndarray:
     return trained
 
 
+# rows whose random keys sample_negatives sorts at once
+SORT_CHUNK = 1024
+
+
 def sample_negatives(
     rng: np.random.Generator, space: CandidateSpace, contexts: np.ndarray, cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,15 +401,23 @@ def sample_negatives(
         ranks[dense, :width] = np.argsort(keys, axis=1)[:, :width]
     todo = np.flatnonzero(sparse)
     while todo.size:
-        drawn = np.sort(rng.integers(0, total_neg[todo, None], size=(todo.size, 2 * cap)), axis=1)
+        drawn = rng.integers(0, total_neg[todo, None], size=(todo.size, 2 * cap))
+        drawn.sort(axis=1)
         repeat = drawn[:, 1:] == drawn[:, :-1]
         keys = rng.random(drawn.shape)
         keys[:, 1:][repeat] = np.inf
-        # a short row's ranks are overwritten when it is redrawn
-        ranks[todo] = drawn[np.arange(todo.size)[:, None], np.argsort(keys, axis=1)[:, :cap]]
-        todo = todo[repeat.sum(axis=1) > cap]  # fewer than cap distinct of 2 * cap
-    probe = contexts[:, None] * (space.universe.size + 1) + ranks
-    positions = ranks + np.searchsorted(space.rank_keys, probe, side="right") - space.key_starts[contexts, None]
+        short = repeat.sum(axis=1) > cap  # fewer than cap distinct of 2 * cap
+        del repeat
+        # a short row's ranks are overwritten when it is redrawn; rows go
+        # SORT_CHUNK at a time, so only a chunk's key order is held
+        for lo in range(0, todo.size, SORT_CHUNK):
+            part = slice(lo, lo + SORT_CHUNK)
+            ranks[todo[part]] = np.take_along_axis(drawn[part], np.argsort(keys[part], axis=1)[:, :cap], axis=1)
+        del drawn, keys
+        todo = todo[short]
+    positions = np.searchsorted(space.rank_keys, contexts[:, None] * (space.universe.size + 1) + ranks, side="right")
+    positions += ranks
+    positions -= space.key_starts[contexts, None]
     if counts.min(initial=ranks.shape[1]) < ranks.shape[1]:
         positions[np.arange(ranks.shape[1]) >= counts[:, None]] = -1
     return positions, counts, total_neg

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +285,27 @@ class TestRecommend:
         assert main(["recommend", "--model", str(tmp_path / "no.json"), "--user", "u0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("cols", lambda block: block["cols"][:-1] + [block["shape"][1]]),
+            ("rows", lambda block: [-1] + block["rows"][1:]),
+            ("values", lambda block: block["values"][:-1]),
+            ("rows", lambda block: [0.5] + block["rows"][1:]),
+            ("shape", lambda block: [block["shape"][0], -1]),
+        ],
+        ids=["outside-shape", "negative", "unequal-lengths", "non-integer", "bad-shape"],
+    )
+    def test_bad_feature_block_exits_2(self, model_dir, capsys, key, edit):
+        path = model_dir / "model.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        block = payload["user_feats"]
+        assert block["rows"], "the corpus gives users co-participation features"
+        block[key] = edit(block)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["recommend", "--model", str(path), "--all-users"]) == 2
+        assert "malformed snapshot" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_synthetic_table(self, corpus, tmp_path, capsys):
@@ -314,3 +338,50 @@ class TestEvaluate:
         log, config = corpus
         assert main(["evaluate", "--log", str(log), "--config", str(config), "--ks", "0"]) == 2
         assert "cutoff" in capsys.readouterr().err
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from keenact.cli import main
+out, config = sys.argv[1], sys.argv[2]
+log = out + "/clean/interactions.tsv"
+steps = [
+    ["synth", "--out", out + "/raw.tsv", "--users", "12", "--items", "30", "--items-per-user", "4,8", "--seed", "0"],
+    ["ingest", "--log", out + "/raw.tsv", "--min-activities", "2", "--out", out + "/clean"],
+    ["train", "--log", log, "--config", config, "--split", "0.8", "--seed", "0", "--out", out + "/model"],
+    ["recommend", "--model", out + "/model/model.json", "--all-users", "--k", "5", "--out", out + "/recs.tsv"],
+    ["evaluate", "--log", log, "--config", config, "--splits", "1", "--ks", "5", "--seed", "0", "--out", out + "/eval"],
+]
+for argv in steps:
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def run_python(code, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=600)
+
+
+class TestWithoutScipy:
+    """The program needs numpy only; scipy is the tests' oracle."""
+
+    def test_import_loads_no_scipy(self):
+        done = run_python(
+            "import sys, keenact, keenact.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        config = tmp_path / "fast.conf"
+        config.write_text(FAST_CONFIG, encoding="utf-8")
+        done = run_python(NO_SCIPY_RUN, str(tmp_path), str(config))
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "recs.tsv").read_text(encoding="utf-8")
+        assert (tmp_path / "eval" / "eval.tsv").exists()

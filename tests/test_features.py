@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+from keenact import features
 from keenact.data import Catalog, InteractionStore
 from keenact.features import (
+    CSR,
     FeatureLayout,
+    FeatureMatrix,
     SparseVector,
     assemble_act_input,
     assemble_keen_input,
@@ -15,6 +21,7 @@ from keenact.features import (
     read_tag_file,
     tfidf_item_features,
 )
+from keenact.synth import generate_two_stage
 
 
 class TestSparseVector:
@@ -33,6 +40,167 @@ class TestSparseVector:
     def test_rejects_stored_zero(self):
         with pytest.raises(ValueError):
             SparseVector(np.array([0]), np.array([0.0]), 2)
+
+
+# finite values whose squares cannot overflow; the smallest square to 0.0
+csr_values = st.floats(-1e100, 1e100, allow_nan=False, allow_subnormal=True)
+
+
+@st.composite
+def coo_entries(draw, max_rows=6, max_cols=6):
+    """(rows, cols, values, shape): up to 16 entries in any order, with
+    duplicates and explicit zeros; zero-row and zero-width shapes included.
+
+    At most 16 entries keep scipy's per-row index sort an insertion sort,
+    which adds duplicates in input order as CSR.from_coo does.
+    """
+    shape = (draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols)))
+    if 0 in shape:
+        return [], [], [], shape
+    cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    entries = draw(st.lists(st.tuples(cells, st.one_of(st.just(0.0), csr_values)), max_size=12))
+    if entries and draw(st.booleans()):
+        entries += draw(st.lists(st.sampled_from(entries), max_size=4))  # exact duplicates
+    entries = draw(st.permutations(entries))
+    rows = [r for (r, _), _ in entries]
+    cols = [c for (_, c), _ in entries]
+    return rows, cols, [x for _, x in entries], shape
+
+
+def scipy_csr(rows, cols, values, shape):
+    """scipy's canonical CSR of the entries, as FeatureMatrix built it."""
+    m = sparse.csr_matrix((values, (rows, cols)), shape=shape, dtype=np.float64)
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
+
+
+def as_scipy(m: CSR):
+    return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def assert_same_csr(ours: CSR, theirs):
+    theirs = sparse.csr_matrix(theirs)
+    theirs.sort_indices()
+    assert ours.shape == theirs.shape
+    np.testing.assert_array_equal(ours.indptr, theirs.indptr)
+    np.testing.assert_array_equal(ours.indices, theirs.indices)
+    np.testing.assert_array_equal(ours.data, theirs.data)
+
+
+class TestCSR:
+    @settings(max_examples=300, deadline=None)
+    @given(coo_entries())
+    def test_from_coo_equals_scipy(self, entries):
+        assert_same_csr(CSR.from_coo(*entries), scipy_csr(*entries))
+
+    @settings(max_examples=100, deadline=None)
+    @given(coo_entries())
+    def test_toarray_and_from_dense_round_trip(self, entries):
+        m = CSR.from_coo(*entries)
+        dense = m.toarray()
+        np.testing.assert_array_equal(dense, scipy_csr(*entries).toarray())
+        assert_same_csr(CSR.from_dense(dense), scipy_csr(*entries))
+        assert m.nnz == scipy_csr(*entries).nnz
+
+    def test_duplicates_sum_in_input_order(self):
+        m = CSR.from_coo([0, 0, 0], [1, 1, 1], [1e16, 1.0, 1.0], (1, 2))
+        assert m.data.tolist() == [(1e16 + 1.0) + 1.0]
+        assert CSR.from_coo([0, 0], [1, 1], [2.5, -2.5], (1, 2)).nnz == 0
+
+    @pytest.mark.parametrize(
+        "indptr, indices, data, shape",
+        [
+            ([0, 2], [1, 0], [1.0, 1.0], (1, 2)),  # unsorted
+            ([0, 2], [1, 1], [1.0, 1.0], (1, 2)),  # duplicate
+            ([0, 1], [0], [0.0], (1, 2)),  # stored zero
+            ([0, 1], [2], [1.0], (1, 2)),  # column outside the width
+            ([0, 1], [-1], [1.0], (1, 2)),  # negative column
+            ([0, 1, 0], [0], [1.0], (2, 2)),  # indptr falls
+            ([1, 1], [0], [1.0], (1, 2)),  # indptr does not start at 0
+            ([0, 1], [0], [1.0], (2, 2)),  # indptr too short
+            ([0, 2], [0], [1.0, 2.0], (1, 2)),  # data longer than indices
+            ([0, 1], [0.0], [1.0], (1, 2)),  # float column
+            ([0, 1], [0], [1.0], (1, -2)),  # negative width
+            ([0, 1], [0], [1.0], (1, 2, 1)),  # three dimensions
+            ([0, 1], [0], [1.0], (True, 2)),  # bool dimension
+        ],
+    )
+    def test_rejects_non_canonical(self, indptr, indices, data, shape):
+        with pytest.raises(ValueError):
+            CSR(np.array(indptr), np.array(indices), np.array(data), shape)
+
+    def test_a_row_may_start_below_the_last_column(self):
+        """A row boundary may fall between a larger and a smaller column."""
+        m = CSR(np.array([0, 2, 3, 3]), np.array([1, 3, 0]), np.array([1.0, 2.0, 3.0]), (3, 4))
+        assert m.toarray().tolist() == [[0, 1, 0, 2], [3, 0, 0, 0], [0, 0, 0, 0]]
+
+    def test_feature_matrix_needs_a_csr(self):
+        with pytest.raises(TypeError):
+            FeatureMatrix(sparse.csr_matrix(np.eye(2)), "user")
+
+
+def scipy_co_participation(store):
+    """The incidence product that co_participation_features computes."""
+    u, v, z = store.columns
+    _, cols = np.unique(v * store.catalog.n_activities + z, return_inverse=True)
+    incidence = sparse.csr_matrix((np.ones(u.size), (u, cols)), shape=(store.catalog.n_users, cols.max() + 1))
+    co = (incidence @ incidence.T).tocsr()
+    co.setdiag(0.0)
+    co.eliminate_zeros()
+    return co
+
+
+def scipy_l2_normalize(m):
+    """The row scaling that l2_normalize_rows computes, in scipy's arithmetic."""
+    norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    norms[norms == 0.0] = 1.0
+    return sparse.diags(1.0 / norms) @ m
+
+
+@st.composite
+def stores(draw):
+    """Small stores with users that act on nothing, the last ones included."""
+    n_users, n_items, n_acts = draw(st.integers(1, 9)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1), st.integers(0, n_acts - 1))
+    triples = draw(st.lists(triple, min_size=1, max_size=60))
+    catalog = Catalog([f"u{i}" for i in range(n_users)], [f"i{j}" for j in range(n_items)], [f"a{z}" for z in range(n_acts)])
+    return InteractionStore(catalog, triples)
+
+
+class TestAgainstScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(stores(), st.sampled_from([1, 5, 40, 1 << 16]))
+    def test_co_participation(self, store, chunk):
+        """Equal for every chunk size, down to one user or one pair at a time."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "CO_PARTICIPATION_CHUNK", chunk)
+            got = co_participation_features(store)
+        assert_same_csr(got.matrix, scipy_co_participation(store))
+
+    def test_co_participation_at_scale(self):
+        store = generate_two_stage(150, 300, 2, seed=4)[1]
+        assert_same_csr(co_participation_features(store).matrix, scipy_co_participation(store))
+
+    @settings(max_examples=300, deadline=None)
+    @given(coo_entries(max_rows=5, max_cols=30))
+    def test_l2_normalize(self, entries):
+        m = CSR.from_coo(*entries)
+        got = l2_normalize_rows(FeatureMatrix(m, "item"))
+        assert got.entity_kind == "item"
+        assert_same_csr(got.matrix, scipy_l2_normalize(as_scipy(m)))
+
+    def test_l2_normalize_long_rows(self):
+        """Rows long enough that the sum of squares is formed pairwise."""
+        rng = np.random.default_rng(8)
+        dense = rng.normal(size=(40, 300)) * (rng.random((40, 300)) < 0.7)
+        dense[rng.random((40, 300)) < 0.05] = 1e-170  # stored, but its square is 0.0
+        dense[3] = 0.0
+        m = CSR.from_dense(dense)
+        assert_same_csr(l2_normalize_rows(FeatureMatrix(m, "user")).matrix, scipy_l2_normalize(as_scipy(m)))
+        store = generate_two_stage(120, 300, 2, seed=2)[1]
+        co = co_participation_features(store)
+        assert_same_csr(l2_normalize_rows(co).matrix, scipy_l2_normalize(as_scipy(co.matrix)))
 
 
 def two_user_store():
@@ -83,11 +251,7 @@ class TestL2Normalize:
         np.testing.assert_allclose(norms, np.ones(2))
 
     def test_zero_rows_stay_zero(self):
-        from scipy import sparse
-
-        from keenact.features import FeatureMatrix
-
-        m = FeatureMatrix(sparse.csr_matrix(np.array([[3.0, 4.0], [0.0, 0.0]])), "user")
+        m = FeatureMatrix(CSR.from_dense(np.array([[3.0, 4.0], [0.0, 0.0]])), "user")
         scaled = l2_normalize_rows(m).matrix.toarray()
         np.testing.assert_allclose(scaled[0], [0.6, 0.8])
         np.testing.assert_array_equal(scaled[1], [0.0, 0.0])
@@ -189,15 +353,11 @@ class TestAssembly:
             catalog, [(0, 0, 0), (0, 0, 1), (3, 0, 0), (3, 1, 1), (1, 2, 0)]
         )
         user_feats = co_participation_features(store)
-        from scipy import sparse
-
-        from keenact.features import FeatureMatrix
-
         item_rows = np.zeros((4, 3))
         item_rows[0, 1] = 0.5
         item_rows[1, 0] = 1.0
         item_rows[1, 2] = 2.0
-        item_feats = FeatureMatrix(sparse.csr_matrix(item_rows), "item")
+        item_feats = FeatureMatrix(CSR.from_dense(item_rows), "item")
         return catalog, user_feats, item_feats
 
     def test_user_onehot_position(self):

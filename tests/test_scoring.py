@@ -8,16 +8,20 @@ from scipy import sparse
 
 from keenact.data import Catalog, InteractionStore
 from keenact.features import (
+    CSR,
     FeatureLayout,
     FeatureMatrix,
     assemble_act_input,
     assemble_keen_input,
     co_participation_features,
     empty_features,
+    l2_normalize_rows,
 )
 from keenact.features import activity_part, item_part, pad_parts, user_part
-from keenact.fm import FMGradient, combine_gradients, fm_gradient, fm_score, init_params
+from keenact.fm import FMGradient, FMParameters, combine_gradients, fm_gradient, fm_score, init_params
+from keenact import scoring
 from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
+from keenact.synth import generate_two_stage
 
 
 def join_parts(*parts):
@@ -45,7 +49,7 @@ def random_setup(seed, n_users=6, n_items=9, n_acts=3, d_item=4, id_onehots=True
     store = InteractionStore(catalog, triples)
     user_feats = co_participation_features(store)
     item_rows = rng.normal(size=(n_items, d_item)) * (rng.random((n_items, d_item)) < 0.4)
-    item_feats = FeatureMatrix(sparse.csr_matrix(item_rows), "item")
+    item_feats = FeatureMatrix(CSR.from_dense(item_rows), "item")
     keen_layout = FeatureLayout.for_keen(catalog, user_feats, item_feats, id_onehots)
     act_layout = FeatureLayout.for_act(catalog, user_feats, item_feats, id_onehots)
     keen_params = init_params(keen_layout.dim, 5, seed=seed + 1, scale=0.5)
@@ -143,7 +147,7 @@ class TestPartGradient:
         if dense_items:
             # every item row fills every column, so candidates share feature rows
             rows = np.random.default_rng(5).normal(size=(catalog.n_items, itf.dim))
-            itf = FeatureMatrix(sparse.csr_matrix(rows), "item")
+            itf = FeatureMatrix(CSR.from_dense(rows), "item")
         rng = np.random.default_rng(17)
         n_items, n_acts = catalog.n_items, catalog.n_activities
         keen, act, flat = [], [], []
@@ -235,6 +239,80 @@ class TestScorerEquality:
             for v in range(catalog.n_items):
                 x = assemble_keen_input(u, v, kl, uf, itf)
                 np.testing.assert_allclose(batch[v], fm_score(kp, x), atol=1e-10)
+
+
+def scipy_block_stats(params, onehot_offset, n_entities, feat_offset, feats, onehot_mask=None):
+    """_block_stats with the feature products formed by scipy's CSR kernels."""
+    k, d = params.k, feats.dim
+    s, lin, sumsq = np.zeros((n_entities, k)), np.zeros(n_entities), np.zeros(n_entities)
+    if d:
+        m = feats.matrix
+        mat = sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+        block = params.table[feat_offset : feat_offset + d]
+        prod = mat @ block
+        lin += prod[:, 0]
+        s += prod[:, 1:]
+        sumsq += mat.power(2) @ (block[:, 1:] ** 2).sum(axis=1)
+    if onehot_offset is not None:
+        oh = params.factors[onehot_offset : onehot_offset + n_entities]
+        w_oh = params.w[onehot_offset : onehot_offset + n_entities]
+        mask = np.ones(n_entities) if onehot_mask is None else onehot_mask
+        s += mask[:, None] * oh
+        lin += mask * w_oh
+        sumsq += mask * (oh * oh).sum(axis=1)
+    return lin + 0.5 * ((s * s).sum(axis=1) - sumsq), s
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def feature_blocks(draw):
+    """Feature rows (empty, trailing-empty and long rows, zero width or
+    none) and a parameter table whose feature block they index."""
+    n_rows, width = draw(st.integers(0, 8)), draw(st.integers(0, 40))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-3, 4, size=(n_rows, width))
+    dense *= rng.random((n_rows, width)) < density
+    if n_rows and draw(st.booleans()):
+        dense[-1] = 0.0
+    k = draw(st.integers(1, 5))
+    table = rng.normal(size=(n_rows + width, k + 1))
+    table[rng.random(table.shape) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    return CSR.from_dense(dense), FMParameters(0.0, table[:, 0], table[:, 1:])
+
+
+class TestBlockStatsAgainstScipy:
+    """The feature products keep the bits of scipy's CSR products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(feature_blocks(), st.booleans(), st.booleans())
+    def test_block_stats(self, block, onehots, masked):
+        rows, params = block
+        feats = FeatureMatrix(rows, "user")
+        n = rows.shape[0]
+        args = (params, 0 if onehots else None, n, n, feats)
+        mask = (np.arange(n) % 3 == 0).astype(float) if masked else None
+        for got, want in zip(scoring._block_stats(*args, onehot_mask=mask), scipy_block_stats(*args, onehot_mask=mask)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("width", [9, 1])
+    @pytest.mark.parametrize("n_rows", [400, 1])
+    def test_row_products_on_co_participation_rows(self, width, n_rows):
+        """Rows hundreds of entries long, as co-participation gives; one
+        row of one column is summed along the only axis numpy could pair."""
+        store = generate_two_stage(400, 1000, 2, seed=1)[1]
+        m = l2_normalize_rows(co_participation_features(store)).matrix
+        m = CSR(m.indptr[: n_rows + 1], m.indices[: m.indptr[n_rows]], m.data[: m.indptr[n_rows]], (n_rows, m.shape[1]))
+        table = np.random.default_rng(3).normal(size=(m.shape[1], width))
+        weights = (table[:, 1:] ** 2).sum(axis=1)
+        mat = sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+        prod, sq = scoring._row_products(m, table, weights)
+        assert_same_bits(prod, mat @ table)
+        assert_same_bits(sq, mat.power(2) @ weights)
 
 
 class TestColdItems:

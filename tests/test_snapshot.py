@@ -48,8 +48,12 @@ class TestRoundTrip:
         assert back.catalog.users == model.catalog.users
         assert back.catalog.items == model.catalog.items
         assert back.catalog.activities == model.catalog.activities
-        assert (back.user_feats.matrix != model.user_feats.matrix).nnz == 0
-        assert (back.item_feats.matrix != model.item_feats.matrix).nnz == 0
+        for back_feats, feats in ((back.user_feats, model.user_feats), (back.item_feats, model.item_feats)):
+            assert back_feats.entity_kind == feats.entity_kind
+            assert back_feats.matrix.shape == feats.matrix.shape
+            np.testing.assert_array_equal(back_feats.matrix.indptr, feats.matrix.indptr)
+            np.testing.assert_array_equal(back_feats.matrix.indices, feats.matrix.indices)
+            np.testing.assert_array_equal(back_feats.matrix.data, feats.matrix.data)
 
     def test_reloaded_model_recommends_identically(self, tmp_path):
         model = trained_model(seed=5)
@@ -226,6 +230,21 @@ class TestContract:
             put(lambda u: u + ["extra"], "catalog", "users"),
             put(lambda i: i[:-1], "catalog", "items"),
             put(lambda a: a[:-1], "catalog", "activities"),
+            put(lambda r: r[:-1] + [8], "user_feats", "rows"),
+            put(lambda c: c[:-1] + [8], "user_feats", "cols"),
+            put(lambda c: [-1] + c[1:], "user_feats", "cols"),
+            put(lambda r: [-1] + r[1:], "user_feats", "rows"),
+            put(lambda v: v[:-1], "user_feats", "values"),
+            put(lambda c: c + [0], "user_feats", "cols"),
+            put(lambda r: [r[0] + 0.5] + r[1:], "user_feats", "rows"),
+            put(lambda c: [float(c[0])] + c[1:], "user_feats", "cols"),
+            put(lambda c: ["0"] + c[1:], "user_feats", "cols"),
+            put(lambda v: ["x"] + v[1:], "user_feats", "values"),
+            put([8, -1], "user_feats", "shape"),
+            put([12.0, 0], "item_feats", "shape"),
+            put([12, 0, 1], "item_feats", "shape"),
+            put(12, "item_feats", "shape"),
+            put([True, 0], "item_feats", "shape"),
         ],
         ids=[
             "missing-keen", "missing-item-thresholds", "missing-factors", "missing-layout-field",
@@ -234,6 +253,10 @@ class TestContract:
             "w-as-rows", "long-item-thresholds", "short-activity-thresholds", "short-trained-mask",
             "seen-item-too-large", "seen-item-negative", "seen-disagrees-with-trained", "bad-config",
             "catalog-user-short", "catalog-user-extra", "catalog-item-short", "catalog-activity-short",
+            "feature-row-outside-shape", "feature-col-outside-shape", "feature-col-negative",
+            "feature-row-negative", "feature-values-short", "feature-cols-long", "feature-row-fraction",
+            "feature-col-float", "feature-col-string", "feature-value-string", "feature-shape-negative",
+            "feature-shape-float", "feature-shape-three", "feature-shape-scalar", "feature-shape-bool",
         ],
     )
     def test_rejected_with_snapshot_error(self, tmp_path, edit):
@@ -242,6 +265,21 @@ class TestContract:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SnapshotError):
             load_model(path)
+
+    def test_feature_entries_in_any_order_load_canonical(self, tmp_path):
+        """Feature entries are read as a COO list: duplicates are summed and zeros dropped."""
+        path, payload = saved_payload(tmp_path)
+        block = payload["user_feats"]
+        want = load_model(path).user_feats.matrix
+        entries = list(zip(block["rows"], block["cols"], block["values"]))
+        halves = [(r, c, v / 2) for r, c, v in entries]
+        extra = [(0, 1, 0.0), (2, 2, 0.0)]
+        block["rows"], block["cols"], block["values"] = (list(x) for x in zip(*reversed(halves + extra + halves)))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        got = load_model(path).user_feats.matrix
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
 
     def test_config_without_batch_size_loads_with_the_default(self, tmp_path):
         """Snapshots written before the key existed still load."""

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse, stats
+from scipy import stats
 
 from keenact import training
 
 from keenact.data import Catalog, InteractionStore
 from keenact.evaluation import flat_candidate_space, train_baseline
 from keenact.features import (
+    CSR,
     FeatureLayout,
     FeatureMatrix,
     SparseVector,
@@ -869,7 +870,7 @@ class TestStepMatchesReference:
         catalog, store = generate_two_stage(12, 30, 3, seed=4, items_per_user=(3, 8))
         uf = l2_normalize_rows(co_participation_features(store))
         rows = np.random.default_rng(9).random((catalog.n_items, 5))
-        itf = FeatureMatrix(sparse.csr_matrix(rows * (rows < 0.6)), "item")
+        itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.6)), "item")
         config = TrainConfig(seed=6, k=4)
         new, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
         updates = 0
@@ -926,7 +927,7 @@ def sparse_corpus():
     catalog, store = generate_two_stage(30, 60, 3, seed=8, items_per_user=(3, 8))
     uf = l2_normalize_rows(co_participation_features(store))
     rows = np.random.default_rng(3).random((catalog.n_items, 4))
-    itf = FeatureMatrix(sparse.csr_matrix(rows * (rows < 0.5)), "item")
+    itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.5)), "item")
     return catalog, store, uf, itf
 
 
@@ -1100,7 +1101,7 @@ class TestBatchOfOneMatchesPairwiseStep:
         catalog, store = generate_two_stage(14, 30, 3, seed=2, items_per_user=(3, 9))
         uf = l2_normalize_rows(co_participation_features(store))
         rows = np.random.default_rng(4).random((catalog.n_items, 5))
-        itf = FeatureMatrix(sparse.csr_matrix(rows * (rows < 0.6)), "item")
+        itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.6)), "item")
         config = TrainConfig(seed=3, k=4, batch_size=1)
         new, ref = make_stage(store, uf, itf, config, stage), make_stage(store, uf, itf, config, stage)
         params, *_, step = stage_views(new, stage)
