@@ -84,11 +84,18 @@ def write_manifest(path, config: TrainConfig, inputs: dict, artifacts: list) -> 
 
 
 def stale_inputs(manifest_path) -> list[str]:
-    """Labels of recorded inputs whose content changed or disappeared."""
+    """Labels of recorded inputs whose content changed or disappeared; a
+    manifest whose inputs are not {label: {"path", "sha256"}} is a ValueError."""
     with open(manifest_path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    inputs = payload.get("inputs", {}) if isinstance(payload, dict) else None
+    if not isinstance(inputs, dict):
+        raise ValueError("manifest inputs are not an object")
     stale = []
-    for label, entry in payload.get("inputs", {}).items():
+    for label, entry in inputs.items():
+        # a path that is not a string could name an open file descriptor
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str) and isinstance(entry.get("sha256"), str)):
+            raise ValueError(f"manifest input {label!r} is not a path and a sha256 string")
         try:
             fresh = _sha256(entry["path"])
         except OSError:
@@ -105,7 +112,7 @@ def _warn_if_stale(model_path) -> None:
         return
     try:
         stale = stale_inputs(manifest)
-    except (OSError, json.JSONDecodeError, KeyError):
+    except (OSError, ValueError, RecursionError):
         logger.warning("could not verify run manifest %s", manifest)
         return
     if stale:

@@ -1,5 +1,6 @@
 """End-to-end command flows through the argparse entry point."""
 
+import base64
 import json
 import os
 import subprocess
@@ -272,6 +273,28 @@ class TestRecommend:
         assert main(["recommend", "--model", "../relrun/model.json", "--user", "u0000", "--k", "1"]) == 0
         assert not any("stale" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[]", b'{"inputs": []}', b'{"inputs": {"log": "x"}}', b'{"inputs": {"log": {"path": 3, "sha256": "x"}}}',
+         b"\xff\xfe{}", b"[" * 100_000],
+        ids=["list", "inputs-list", "entry-string", "path-not-string", "not-utf8", "nested"],
+    )
+    def test_unreadable_manifest_only_warns(self, model_dir, capsys, caplog, content):
+        """The manifest only drives a warning, so recommend goes on without it."""
+        (model_dir / "manifest.json").write_bytes(content)
+        assert main(["recommend", "--model", str(model_dir / "model.json"),
+                     "--user", "u0000", "--k", "1"]) == 0
+        assert any("could not verify run manifest" in r.message for r in caplog.records)
+        assert "u0000" in capsys.readouterr().out
+
+    def test_version_1_snapshot_exits_2(self, model_dir, capsys):
+        path = model_dir / "model.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = 1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["recommend", "--model", str(path), "--all-users"]) == 2
+        assert "version 1" in capsys.readouterr().err
+
     def test_bad_k_leaves_out_untouched(self, model_dir, tmp_path, capsys):
         """A usage error exits 2 before --out is opened, so an existing file keeps its bytes."""
         out = tmp_path / "recs.tsv"
@@ -290,7 +313,7 @@ class TestRecommend:
         [
             ("cols", lambda block: block["cols"][:-1] + [block["shape"][1]]),
             ("rows", lambda block: [-1] + block["rows"][1:]),
-            ("values", lambda block: block["values"][:-1]),
+            ("values", lambda block: base64.b64encode(base64.b64decode(block["values"])[:-8]).decode("ascii")),
             ("rows", lambda block: [0.5] + block["rows"][1:]),
             ("shape", lambda block: [block["shape"][0], -1]),
         ],

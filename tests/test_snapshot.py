@@ -1,18 +1,20 @@
 """Snapshot files: exact round trips and strict format checks."""
 
+import base64
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keenact.data import Catalog
 from keenact.features import co_participation_features, empty_features, l2_normalize_rows
 from keenact.fm import FMParameters
 from keenact.recommend import recommend
-from keenact.snapshot import SnapshotError, load_model, save_model
+from keenact.snapshot import SnapshotError, decode_block, encode_block, load_model, save_model
 from keenact.synth import generate_two_stage
 from keenact.training import ThresholdTable, TrainConfig, train
 
@@ -131,6 +133,38 @@ class TestRoundTripProperty:
         assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
 
 
+# float64 bit patterns built by field: either sign; exponent 0 (zeros and
+# subnormals), 0x7FF (infinities, and NaNs with any payload), the ends of
+# the normal range or any; and a zero or any mantissa
+float_bits = st.builds(
+    lambda sign, exponent, mantissa: (sign << 63) | (exponent << 52) | mantissa,
+    st.integers(0, 1),
+    st.one_of(st.sampled_from([0, 1, 0x7FE, 0x7FF]), st.integers(0, 0x7FF)),
+    st.one_of(st.just(0), st.integers(1, 2**52 - 1)),
+)
+
+
+@st.composite
+def bit_arrays(draw):
+    shape = draw(st.one_of(st.tuples(st.integers(0, 6)), st.tuples(st.integers(0, 5), st.integers(1, 4))))
+    bits = draw(st.lists(float_bits, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(bits, dtype=np.uint64).reshape(shape).view(np.float64)
+
+
+class TestBlockCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(bit_arrays())
+    @example(np.zeros((0, 4)))
+    def test_round_trip_keeps_every_bit(self, array):
+        """NaN payloads, infinities, signed zeros, subnormals and empty shapes
+        come back bit for bit, as native writable arrays."""
+        back = decode_block(encode_block(array), array.shape, "block")
+        assert back.shape == array.shape
+        assert back.dtype == np.float64 and back.dtype.isnative
+        assert back.flags.writeable and back.flags.c_contiguous
+        np.testing.assert_array_equal(back.view(np.uint64), array.view(np.uint64))
+
+
 class TestFormatChecks:
     def test_wrong_format_name(self, tmp_path):
         path = tmp_path / "model.json"
@@ -147,6 +181,37 @@ class TestFormatChecks:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SnapshotError, match="version"):
             load_model(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        """Version 1 stored floats as JSON numbers; no reader for it remains."""
+        model = trained_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = 1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SnapshotError, match="version 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"a":' * 100_000, b"\xff\xfe{}"],
+        ids=["nested-lists", "nested-objects", "not-utf8"],
+    )
+    def test_unparseable_file_exits_2(self, tmp_path, capsys, text):
+        """Nesting past the parser's recursion limit and bytes that are not
+        UTF-8 are malformed snapshots, not crashes."""
+        from keenact.cli import main
+
+        path = tmp_path / "model.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(SnapshotError, match="malformed snapshot"):
+            load_model(path)
+        assert main(["recommend", "--model", str(path), "--all-users"]) == 2
+        assert "malformed snapshot" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "model.json"
@@ -198,6 +263,34 @@ def put(value, *keys):
     return edit
 
 
+def floats(text):
+    """The flat float64 array a block encodes."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
+def block(edit, *keys):
+    """put() for a float block: edit its flat array and store the result re-encoded."""
+    return put(lambda text: encode_block(edit(floats(text))), *keys)
+
+
+def factors(edit, stage):
+    """Edit a stage's factor block as its (dim, k) array."""
+    def apply(payload):
+        params = payload[stage]
+        params["factors"] = encode_block(edit(floats(params["factors"]).reshape(-1, payload["config"]["k"])))
+
+    return apply
+
+
+def w_as_rows(payload):
+    """Move each row's first factor into keen.w: the block lengths still add
+    up, but each one misses the shape its layout gives it."""
+    params = payload["keen"]
+    f = floats(params["factors"]).reshape(-1, payload["config"]["k"])
+    params["w"] = encode_block(np.column_stack((floats(params["w"]), f[:, 0])))
+    params["factors"] = encode_block(f[:, 1:])
+
+
 class TestContract:
     """A snapshot that does not fit its own layouts is a SnapshotError, not a crash."""
 
@@ -210,21 +303,16 @@ class TestContract:
             drop("keen_layout", "n_items"),
             put([], "thresholds"),
             put("abc", "keen"),
-            put(7, "seen_items"),
             put(None, "thresholds", "fallback"),
             put(lambda d: {**d, "colour": 1}, "keen_layout"),
-            put(lambda w: w[:-1], "keen", "w"),
+            block(lambda w: w[:-1], "keen", "w"),
             put(lambda w: [w], "act", "w"),
-            put(lambda f: f[:-1], "keen", "factors"),
-            put(lambda f: [row[:-1] for row in f], "act", "factors"),
-            put(lambda p: {**p, "w": [[w, f[0]] for w, f in zip(p["w"], p["factors"])],
-                           "factors": [f[1:] for f in p["factors"]]}, "keen"),
-            put(lambda t: t + [0.0], "thresholds", "item"),
-            put(lambda t: t[:-1], "thresholds", "activity"),
+            factors(lambda f: f[:-1], "keen"),
+            factors(lambda f: f[:, :-1], "act"),
+            w_as_rows,
+            block(lambda t: np.append(t, 0.0), "thresholds", "item"),
+            block(lambda t: t[:-1], "thresholds", "activity"),
             put(lambda t: t[:-1], "thresholds", "trained"),
-            put(lambda s: s + [10_000], "seen_items"),
-            put(lambda s: [-1] + s, "seen_items"),
-            put(lambda s: s[1:], "seen_items"),
             put(lambda c: {**c, "lr": -1.0}, "config"),
             put(lambda u: u[:-1], "catalog", "users"),
             put(lambda u: u + ["extra"], "catalog", "users"),
@@ -234,29 +322,37 @@ class TestContract:
             put(lambda c: c[:-1] + [8], "user_feats", "cols"),
             put(lambda c: [-1] + c[1:], "user_feats", "cols"),
             put(lambda r: [-1] + r[1:], "user_feats", "rows"),
-            put(lambda v: v[:-1], "user_feats", "values"),
+            block(lambda v: v[:-1], "user_feats", "values"),
             put(lambda c: c + [0], "user_feats", "cols"),
             put(lambda r: [r[0] + 0.5] + r[1:], "user_feats", "rows"),
             put(lambda c: [float(c[0])] + c[1:], "user_feats", "cols"),
             put(lambda c: ["0"] + c[1:], "user_feats", "cols"),
-            put(lambda v: ["x"] + v[1:], "user_feats", "values"),
+            put(lambda v: "!" + v[1:], "user_feats", "values"),
             put([8, -1], "user_feats", "shape"),
             put([12.0, 0], "item_feats", "shape"),
             put([12, 0, 1], "item_feats", "shape"),
             put(12, "item_feats", "shape"),
             put([True, 0], "item_feats", "shape"),
+            put(lambda f: floats(f).tolist(), "keen", "factors"),
+            put(None, "thresholds", "item"),
+            put(lambda w: base64.b64encode(base64.b64decode(w)[:-3]).decode("ascii"), "keen", "w"),
+            put(lambda t: t[:4] + "\n" + t[4:], "thresholds", "activity"),
+            put("\u00e9", "item_feats", "values"),
+            block(lambda v: np.append(v, 1.0), "user_feats", "values"),
         ],
         ids=[
             "missing-keen", "missing-item-thresholds", "missing-factors", "missing-layout-field",
-            "thresholds-not-object", "params-not-object", "seen-not-list", "fallback-null",
+            "thresholds-not-object", "params-not-object", "fallback-null",
             "unknown-layout-field", "short-w", "w-not-vector", "short-factors", "narrow-factors",
             "w-as-rows", "long-item-thresholds", "short-activity-thresholds", "short-trained-mask",
-            "seen-item-too-large", "seen-item-negative", "seen-disagrees-with-trained", "bad-config",
+            "bad-config",
             "catalog-user-short", "catalog-user-extra", "catalog-item-short", "catalog-activity-short",
             "feature-row-outside-shape", "feature-col-outside-shape", "feature-col-negative",
             "feature-row-negative", "feature-values-short", "feature-cols-long", "feature-row-fraction",
             "feature-col-float", "feature-col-string", "feature-value-string", "feature-shape-negative",
             "feature-shape-float", "feature-shape-three", "feature-shape-scalar", "feature-shape-bool",
+            "factors-as-number-list", "item-thresholds-null", "w-bytes-not-multiple-of-8",
+            "block-with-newline", "block-not-ascii", "feature-values-long",
         ],
     )
     def test_rejected_with_snapshot_error(self, tmp_path, edit):
@@ -271,10 +367,11 @@ class TestContract:
         path, payload = saved_payload(tmp_path)
         block = payload["user_feats"]
         want = load_model(path).user_feats.matrix
-        entries = list(zip(block["rows"], block["cols"], block["values"]))
+        entries = list(zip(block["rows"], block["cols"], floats(block["values"]).tolist()))
         halves = [(r, c, v / 2) for r, c, v in entries]
         extra = [(0, 1, 0.0), (2, 2, 0.0)]
-        block["rows"], block["cols"], block["values"] = (list(x) for x in zip(*reversed(halves + extra + halves)))
+        block["rows"], block["cols"], values = (list(x) for x in zip(*reversed(halves + extra + halves)))
+        block["values"] = encode_block(np.array(values))
         path.write_text(json.dumps(payload), encoding="utf-8")
         got = load_model(path).user_feats.matrix
         np.testing.assert_array_equal(got.indptr, want.indptr)
