@@ -49,51 +49,36 @@ class RecommendationList:
         return keys == sorted(keys)
 
 
-def _check_user(model: TrainedModel, u: int) -> None:
-    if not 0 <= u < model.n_users:
-        raise ValueError(f"unknown user index {u}")
-
-
 def _check_item(model: TrainedModel, v: int) -> None:
     if not 0 <= v < model.n_items:
         raise ValueError(f"unknown item index {v}")
 
 
-def keen_stage(model: TrainedModel, u: int, items: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Keen scores of ``items`` (default: every item) and which of them stage one accepts.
+def keen_stage(model: TrainedModel, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keen scores of every catalog item and which of them stage one accepts.
 
     An item is accepted when its score is at least its cutoff; items
     unseen at training time score without their identity one-hot and
-    face the global fallback cutoff.  A subset is cut from the whole
-    catalog's scores: a product over fewer rows can round differently in
-    the last bit, and a score that ties its cutoff would then be decided
-    differently here than in ``accepted_pairs``.
+    face the global fallback cutoff.  An unknown user is a ValueError.
     """
     keen_scorer, _ = model.scorers()
     scores = keen_scorer.score_items(u)
-    accepted = scores >= model.thresholds.effective_item_thresholds()
-    return (scores, accepted) if items is None else (scores[items], accepted[items])
+    return scores, scores >= model.thresholds.effective_item_thresholds()
 
 
-def act_stage(model: TrainedModel, u: int, items: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Act scores as an (items, activities) matrix and which pairs stage two accepts.
+def act_stage(model: TrainedModel, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Act scores as an (items, activities) matrix over the catalog and which pairs stage two accepts.
 
     A pair is accepted when its score is at least its activity's cutoff.
-    Like ``keen_stage``, a subset is cut from the whole catalog's scores.
     """
     _, act_scorer = model.scorers()
     scores = act_scorer.score_pair_matrix(u)
-    accepted = scores >= model.thresholds.activity_thresholds
-    return (scores, accepted) if items is None else (scores[items], accepted[items])
+    return scores, scores >= model.thresholds.activity_thresholds
 
 
-def select_items(model: TrainedModel, u: int, items: np.ndarray | None = None) -> np.ndarray:
-    """Items stage one accepts, in the order given (default: ascending ids)."""
-    _check_user(model, u)
-    if items is None:
-        return np.flatnonzero(keen_stage(model, u)[1])
-    items = np.asarray(items, dtype=np.int64)
-    return items[keen_stage(model, u, items)[1]]
+def select_items(model: TrainedModel, u: int) -> np.ndarray:
+    """Items stage one accepts, ascending ids."""
+    return np.flatnonzero(keen_stage(model, u)[1])
 
 
 def select_activities(model: TrainedModel, u: int, v: int) -> np.ndarray:
@@ -102,21 +87,18 @@ def select_activities(model: TrainedModel, u: int, v: int) -> np.ndarray:
     Stage two is only defined for items stage one selected; asking about
     any other item raises StageOrderError.
     """
-    _check_user(model, u)
     _check_item(model, v)
-    if not keen_stage(model, u, np.array([v]))[1][0]:
+    if not keen_stage(model, u)[1][v]:
         raise StageOrderError(f"item {v} was not selected for user {u}")
-    return np.flatnonzero(act_stage(model, u, np.array([v]))[1][0])
+    return np.flatnonzero(act_stage(model, u)[1][v])
 
 
 def decide(model: TrainedModel, u: int, v: int, z: int) -> bool:
     """True when both stages accept: keen(u, v) and act(u, v, z)."""
-    _check_user(model, u)
     _check_item(model, v)
     if not 0 <= z < model.n_activities:
         raise ValueError(f"unknown activity index {z}")
-    item = np.array([v])
-    return bool(keen_stage(model, u, item)[1][0] and act_stage(model, u, item)[1][0, z])
+    return bool(keen_stage(model, u)[1][v] and act_stage(model, u)[1][v, z])
 
 
 def accepted_pairs(model: TrainedModel, u: int, k: int | None = None) -> tuple[np.ndarray, ...]:
@@ -126,7 +108,6 @@ def accepted_pairs(model: TrainedModel, u: int, k: int | None = None) -> tuple[n
     score descending within an item, ascending ids breaking exact ties.
     ``k`` keeps the first k pairs; None keeps everything.
     """
-    _check_user(model, u)
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     keen, keen_ok = keen_stage(model, u)

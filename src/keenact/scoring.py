@@ -163,11 +163,6 @@ def _block_stats(
     return base, s
 
 
-def _rows(items) -> slice | np.ndarray:
-    """Row selector for per-item arrays: every row for None, else the given ids."""
-    return slice(None) if items is None else np.asarray(items, dtype=np.int64)
-
-
 class Scorer:
     """Read-only batch scorer for one trained FM over one layout.
 
@@ -211,27 +206,24 @@ class Scorer:
         if not (0 <= u < self.layout.n_users):
             raise ValueError(f"user id {u} outside [0, {self.layout.n_users})")
 
-    def score_items(self, u: int, items: np.ndarray | None = None) -> np.ndarray:
-        """K(u, v) for the given items (default: every catalog item)."""
+    def score_items(self, u: int) -> np.ndarray:
+        """K(u, v) for every catalog item v.  There is no subset form: a product's
+        last bit can depend on how many rows it covers."""
         self._check_user(u)
-        rows = _rows(items)
-        return self.params.w0 + self._user_base[u] + self._item_base[rows] + self._item_s[rows] @ self._user_s[u]
+        return self.params.w0 + self._user_base[u] + self._item_base + self._item_s @ self._user_s[u]
 
     def score_activities(self, u: int, v: int) -> np.ndarray:
         """A(u, v, z) for every activity z: row ``v`` of score_pair_matrix."""
-        return self._pair_matrix(u, slice(v, v + 1))[0]
+        if not 0 <= v < self.layout.n_items:
+            raise ValueError(f"item id {v} outside [0, {self.layout.n_items})")
+        return self.score_pair_matrix(u)[v]
 
-    def score_pair_matrix(self, u: int, items: np.ndarray | None = None) -> np.ndarray:
-        """A(u, v, z) as an (items, n_activities) matrix (default: every catalog item)."""
-        return self._pair_matrix(u, _rows(items))
-
-    def _pair_matrix(self, u: int, rows: slice | np.ndarray) -> np.ndarray:
-        """The act score of user ``u`` on the item rows ``rows`` selects, for every activity."""
+    def score_pair_matrix(self, u: int) -> np.ndarray:
+        """A(u, v, z) as an (n_items, n_activities) matrix over every catalog item."""
         self._check_user(u)
         if not self.layout.n_activities:
             raise ValueError("scorer layout has no activity block")
         us = self._user_s[u]
-        item_terms = self._item_base[rows] + self._item_s[rows] @ us
+        item_terms = self._item_base + self._item_s @ us
         act_terms = self._act_base + self._act_s @ us
-        cross = self._item_act_cross[rows]
-        return self.params.w0 + self._user_base[u] + item_terms[:, None] + act_terms[None, :] + cross
+        return self.params.w0 + self._user_base[u] + item_terms[:, None] + act_terms[None, :] + self._item_act_cross

@@ -6,7 +6,7 @@ config, the catalog and the report are plain JSON. A saved model
 therefore reloads bit-exactly, and two identical training runs produce
 byte-identical snapshot files. Loading checks each block's length
 against the shape that the stored layouts, ``config.k`` and the feature
-``rows`` give it.
+``rows`` give it, and that every stored number is finite.
 """
 
 from __future__ import annotations
@@ -52,6 +52,18 @@ def decode_block(text, shape: tuple, name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
+def _finite(value, name: str):
+    """``value``, a float array or a JSON number other than a bool, if all of it is finite; else a SnapshotError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.ndarray)) or not np.isfinite(value).all():
+        raise SnapshotError(f"malformed snapshot: {name} is not a finite number or block")
+    return value
+
+
+def _finite_block(text, shape: tuple, name: str) -> np.ndarray:
+    """decode_block for the blocks that must be finite; the codec itself carries any bits."""
+    return _finite(decode_block(text, shape, name), name)
+
+
 def _params_to_dict(params: FMParameters) -> dict:
     return {
         "w0": params.w0,
@@ -62,9 +74,9 @@ def _params_to_dict(params: FMParameters) -> dict:
 
 def _params_from_dict(payload: dict, name: str, dim: int, k: int) -> FMParameters:
     return FMParameters(
-        w0=float(payload["w0"]),
-        w=decode_block(payload["w"], (dim,), f"{name}.w"),
-        factors=decode_block(payload["factors"], (dim, k), f"{name}.factors"),
+        w0=float(_finite(payload["w0"], f"{name}.w0")),
+        w=_finite_block(payload["w"], (dim,), f"{name}.w"),
+        factors=_finite_block(payload["factors"], (dim, k), f"{name}.factors"),
     )
 
 
@@ -82,7 +94,7 @@ def _feats_to_dict(feats: FeatureMatrix) -> dict:
 def _feats_from_dict(payload: dict, name: str) -> FeatureMatrix:
     """Entries in any order; duplicates are summed and zeros dropped."""
     rows = payload["rows"]
-    values = decode_block(payload["values"], (len(rows),), f"{name}.values")
+    values = _finite_block(payload["values"], (len(rows),), f"{name}.values")
     matrix = CSR.from_coo(rows, payload["cols"], values, payload["shape"])
     return FeatureMatrix(matrix, payload["kind"])
 
@@ -144,11 +156,14 @@ def _model_from_payload(payload: dict) -> TrainedModel:
     _check_shape("user_feats", user_feats.matrix, (keen_layout.n_users, keen_layout.d_user))
     _check_shape("item_feats", item_feats.matrix, (keen_layout.n_items, keen_layout.d_item))
     cutoffs = payload["thresholds"]
+    trained = cutoffs["trained"]
+    if not isinstance(trained, list) or {type(b) for b in trained} - {int} or set(trained) - {0, 1}:
+        raise SnapshotError("malformed snapshot: thresholds.trained is not a list of 0s and 1s")
     thresholds = ThresholdTable(
-        item_thresholds=decode_block(cutoffs["item"], (keen_layout.n_items,), "thresholds.item"),
-        activity_thresholds=decode_block(cutoffs["activity"], (act_layout.n_activities,), "thresholds.activity"),
-        global_item_fallback=float(cutoffs["fallback"]),
-        item_trained=np.array(cutoffs["trained"], dtype=bool),
+        item_thresholds=_finite_block(cutoffs["item"], (keen_layout.n_items,), "thresholds.item"),
+        activity_thresholds=_finite_block(cutoffs["activity"], (act_layout.n_activities,), "thresholds.activity"),
+        global_item_fallback=float(_finite(cutoffs["fallback"], "thresholds.fallback")),
+        item_trained=np.array(trained, dtype=bool),
     )
     _check_shape("thresholds.trained", thresholds.item_trained, (keen_layout.n_items,))
     catalog = Catalog.from_dict(payload["catalog"]) if payload.get("catalog") else None

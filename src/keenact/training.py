@@ -62,6 +62,10 @@ class NumericalError(RuntimeError):
         self.epoch = epoch
 
 
+# what a key accepts, by its default's type; a bool is only ever a bool
+_KEY_TYPES = {bool: (bool, np.bool_), int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for both phases.
@@ -95,10 +99,13 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, float) and value != "full" and not math.isfinite(float(value)):
+            if f.name == "threshold_negative_ratio" and isinstance(value, str) and value == "full":
+                continue
+            kind = type(f.default)
+            if not isinstance(value, _KEY_TYPES[kind]) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigError(f.name, f"{f.name} takes {kind.__name__} values, got {value!r}")
+            if kind is float and not math.isfinite(value):
                 raise ConfigError(f.name, f"{f.name} must be finite, got {value!r}")
-            if type(f.default) is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-                raise ConfigError(f.name, f"{f.name} must be an integer, got {value!r}")
         checks = [
             ("epochs", self.epochs >= 1, "must be >= 1"),
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
@@ -114,7 +121,7 @@ class TrainConfig:
             ("margin", self.margin > 0, "must be > 0"),
         ]
         if self.threshold_negative_ratio != "full":
-            checks.append(("threshold_negative_ratio", float(self.threshold_negative_ratio) > 0, "must be 'full' or > 0"))
+            checks.append(("threshold_negative_ratio", self.threshold_negative_ratio > 0, "must be 'full' or > 0"))
         for key, ok, rule in checks:
             if not ok:
                 raise ConfigError(key, f"{key} {rule}, got {getattr(self, key)!r}")
@@ -816,20 +823,20 @@ class Trainer:
         users = np.flatnonzero(np.diff(self.keen_space.key_starts)).tolist()
         items, labels = zip(*(self._threshold_enum_items(u) for u in users))
         return fit_thresholds(
-            [scorer.score_items(u, enum) for u, enum in zip(users, items)], labels, items, self.item_trained.size,
+            [scorer.score_items(u)[enum] for u, enum in zip(users, items)], labels, items, self.item_trained.size,
             self.config.threshold_epochs, **self.config.adam_kwargs(),
         )
 
     def learn_thresholds_act(self, scorer: Scorer) -> tuple[np.ndarray, list[float]]:
         """Fit per-activity cutoffs on the frozen act ``scorer`` over positive pairs.
 
-        The pairs are the keen space's positives, sorted by user, so one
-        ``score_pair_matrix`` gather per user scores all of that user's pairs.
+        The pairs are the keen space's positives, sorted by user, so each
+        user's rows are cut from one ``score_pair_matrix`` call.
         """
         keen, act, all_z = self.keen_space, self.act_space, self.activity_universe
         starts = keen.key_starts.tolist()
         users = np.flatnonzero(np.diff(keen.key_starts)).tolist()
-        scores = np.concatenate([scorer.score_pair_matrix(u, keen.positive_ids[starts[u] : starts[u + 1]]) for u in users])
+        scores = np.concatenate([scorer.score_pair_matrix(u)[keen.positive_ids[starts[u] : starts[u + 1]]] for u in users])
         labels = np.zeros(scores.shape)
         labels[act.positive_contexts, act.positive_ids] = 1.0
         return fit_thresholds(

@@ -116,10 +116,6 @@ class TestSelectItems:
         expected = [v for v in range(5) if scores[v] >= cutoffs[v]]
         np.testing.assert_array_equal(select_items(model, 0), expected)
 
-    def test_candidate_subset(self):
-        model = two_item_model()
-        np.testing.assert_array_equal(select_items(model, 0, items=np.array([1])), [1])
-
     def test_unknown_user(self):
         model = two_item_model()
         with pytest.raises(ValueError):
@@ -139,7 +135,7 @@ class TestSelectItems:
         np.testing.assert_array_equal(selected, [0, 1])
         keen_scorer, _ = model.scorers()
         # the cold item's trained weight and cutoff are both ignored
-        assert keen_scorer.score_items(0, np.array([1]))[0] == 0.0
+        assert keen_scorer.score_items(0)[1] == 0.0
 
 
 class TestSelectActivities:
@@ -153,7 +149,7 @@ class TestSelectActivities:
         with pytest.raises(StageOrderError):
             select_activities(model, 0, 0)
         # stage two alone still accepts the pair
-        np.testing.assert_array_equal(np.flatnonzero(act_stage(model, 0, np.array([0]))[1][0]), [0])
+        np.testing.assert_array_equal(np.flatnonzero(act_stage(model, 0)[1][0]), [0])
 
     def test_empty_activity_set(self):
         model = build_model([1.0], [[-2.0, -3.0]], item_cutoffs=[0.0], act_cutoffs=[0.0, 0.0])
@@ -190,7 +186,7 @@ class TestDecide:
             selected = set(int(v) for v in select_items(model, 0))
             for v in range(n_items):
                 acts = (
-                    set(int(z) for z in np.flatnonzero(act_stage(model, 0, np.array([v]))[1][0]))
+                    set(int(z) for z in np.flatnonzero(act_stage(model, 0)[1][v]))
                     if v in selected
                     else set()
                 )
@@ -449,8 +445,9 @@ class TestListPath:
             entries[0].item = 2
 
 
-def random_model(n_users, n_items, n_acts, k, seed):
-    """Model with random weights and factors on every block, every item trained, cutoffs far below any score."""
+def random_model(n_users, n_items, n_acts, k, seed, cold=()):
+    """Model with random weights and factors on every block, the items outside ``cold`` trained,
+    cutoffs far below any score."""
     rng = np.random.default_rng(seed)
     catalog = Catalog(
         [f"u{i}" for i in range(n_users)],
@@ -472,17 +469,31 @@ def random_model(n_users, n_items, n_acts, k, seed):
             item_thresholds=np.full(n_items, -1e9),
             activity_thresholds=np.full(n_acts, -1e9),
             global_item_fallback=-1e9,
-            item_trained=np.ones(n_items, dtype=bool),
+            item_trained=np.array([v not in cold for v in range(n_items)]),
         ),
         keen_layout=keen_layout,
         act_layout=act_layout,
         user_feats=uf,
         item_feats=itf,
-        seen_items=frozenset(range(n_items)),
+        seen_items=frozenset(range(n_items)) - frozenset(cold),
         report=[],
         config=TrainConfig(),
         catalog=catalog,
     )
+
+
+def one_row_scores(scorer, u, v):
+    """User ``u``'s scores of item ``v`` as a product over that one row of the
+    scorer's cached terms: (keen score, act scores).  Its last bit can differ
+    from the whole catalog's product."""
+    us, bias, row = scorer._user_s[u], scorer.params.w0 + scorer._user_base[u], [v]
+    product = scorer._item_s[row] @ us
+    keen = bias + scorer._item_base[row] + product
+    if not scorer.layout.n_activities:
+        return keen[0], None
+    item_terms = scorer._item_base[row] + product
+    act_terms = scorer._act_base + scorer._act_s @ us
+    return keen[0], (bias + item_terms[:, None] + act_terms[None, :] + scorer._item_act_cross[row])[0]
 
 
 class TestTiedCutoffs:
@@ -492,7 +503,7 @@ class TestTiedCutoffs:
     row inside the whole catalog's product.  The cutoffs below sit on
     whichever of the two is larger, so an entry point that scored a
     single item would disagree with the list on every item where they
-    differ.
+    differ.  Every entry point scores the whole catalog, so none does.
     """
 
     @pytest.mark.parametrize("stage", ["keen", "act"])
@@ -503,12 +514,12 @@ class TestTiedCutoffs:
         u = 1
         if stage == "keen":
             full = keen_scorer.score_items(u)
-            single = np.array([keen_scorer.score_items(u, np.array([v]))[0] for v in range(n_items)])
+            single = np.array([one_row_scores(keen_scorer, u, v)[0] for v in range(n_items)])
             assert (full != single).any(), "no score rounds differently; the test shows nothing"
             model.thresholds.item_thresholds[:] = np.maximum(full, single)
         else:
             full = act_scorer.score_pair_matrix(u)
-            single = np.vstack([act_scorer.score_pair_matrix(u, np.array([v])) for v in range(n_items)])
+            single = np.vstack([one_row_scores(act_scorer, u, v)[1] for v in range(n_items)])
             differ = full != single
             assert differ.any(axis=0).all(), "no score rounds differently; the test shows nothing"
             for z in range(n_acts):
@@ -517,9 +528,56 @@ class TestTiedCutoffs:
         listed = recommend(model, u).pairs()
         accepted = {(v, z) for v in range(n_items) for z in range(n_acts) if decide(model, u, v, z)}
         assert listed == accepted
-        assert {v for v, _ in listed} <= set(select_items(model, u, np.arange(n_items)).tolist())
+        assert {v for v, _ in listed} <= set(select_items(model, u).tolist())
         for v in {v for v, _ in listed}:
             assert set(select_activities(model, u, v).tolist()) == {z for w, z in listed if w == v}
+
+
+@st.composite
+def tied_models(draw):
+    """A random_model whose cutoffs sit exactly on some of user ``u``'s whole-catalog
+    scores, and one float step above or below the rest: (model, u)."""
+    n_items, n_acts = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    cold = draw(st.frozensets(st.integers(0, n_items - 1), max_size=n_items - 1))
+    model = random_model(2, n_items, n_acts, k=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**16)), cold=cold)
+    u = draw(st.integers(0, 1))
+    keen_scorer, act_scorer = model.scorers()
+    keen, act = keen_scorer.score_items(u), act_scorer.score_pair_matrix(u)
+    steps = draw(st.lists(st.sampled_from([-np.inf, None, np.inf]), min_size=n_items, max_size=n_items))
+    steps[draw(st.sampled_from(sorted(set(range(n_items)) - cold)))] = None
+    model.thresholds.item_thresholds[:] = [s if d is None else np.nextafter(s, d) for s, d in zip(keen, steps)]
+    model.thresholds.global_item_fallback = float(keen[draw(st.sampled_from(sorted(cold)))]) if cold else 0.0
+    rows = draw(st.lists(st.integers(0, n_items - 1), min_size=n_acts, max_size=n_acts))
+    model.thresholds.activity_thresholds[:] = act[rows, np.arange(n_acts)]
+    return model, u
+
+
+class TestWholeCatalogAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_models())
+    def test_every_entry_point_matches_the_whole_catalog_call(self, case):
+        """decide, the selections, score_activities and accepted_pairs all decide as the
+        one whole-catalog call per stage does, scores that tie their cutoffs included."""
+        model, u = case
+        keen_scorer, act_scorer = model.scorers()
+        keen, act = keen_scorer.score_items(u), act_scorer.score_pair_matrix(u)
+        keen_ok = keen >= model.thresholds.effective_item_thresholds()
+        act_ok = act >= model.thresholds.activity_thresholds
+        n_items, n_acts = act.shape
+        assert (keen == model.thresholds.item_thresholds).any() and (act == model.thresholds.activity_thresholds).any()
+        np.testing.assert_array_equal(select_items(model, u), np.flatnonzero(keen_ok))
+        for v in range(n_items):
+            assert act_scorer.score_activities(u, v).tobytes() == act[v].tobytes()
+            if keen_ok[v]:
+                np.testing.assert_array_equal(select_activities(model, u, v), np.flatnonzero(act_ok[v]))
+            else:
+                with pytest.raises(StageOrderError):
+                    select_activities(model, u, v)
+            for z in range(n_acts):
+                assert decide(model, u, v, z) == bool(keen_ok[v] and act_ok[v, z])
+        items, acts, keen_col, act_col = accepted_pairs(model, u)
+        assert set(zip(items.tolist(), acts.tolist())) == set(zip(*np.nonzero(keen_ok[:, None] & act_ok)))
+        assert keen_col.tobytes() == keen[items].tobytes() and act_col.tobytes() == act[items, acts].tobytes()
 
 
 # -- serving: the CLI streams one user's list at a time -------------------------

@@ -215,21 +215,6 @@ class TestScorerEquality:
             for v in range(catalog.n_items):
                 np.testing.assert_allclose(matrix[v], scorer.score_activities(u, v), atol=1e-12)
 
-    def test_pair_matrix_item_subset(self):
-        """Rows asked for by id equal the same rows of the full matrix, cold items included."""
-        catalog, _, uf, itf, _, al, _, ap = random_setup(13)
-        scorer = Scorer(ap, al, uf, itf, item_trained=np.arange(catalog.n_items) % 2 == 0)
-        subset = np.array([4, 0, 7, 4, 3], dtype=np.int64)
-        for u in range(catalog.n_users):
-            full = scorer.score_pair_matrix(u)
-            np.testing.assert_allclose(scorer.score_pair_matrix(u, subset), full[subset], rtol=0, atol=1e-12)
-
-    def test_item_subset_selection(self):
-        catalog, _, uf, itf, kl, _, kp, _ = random_setup(12)
-        scorer = Scorer(kp, kl, uf, itf)
-        subset = np.array([4, 0, 7], dtype=np.int64)
-        np.testing.assert_allclose(scorer.score_items(2, subset), scorer.score_items(2)[subset])
-
     def test_without_id_onehots(self):
         """Feature-only layout still matches the per-input scorer."""
         catalog, _, uf, itf, kl, _, kp, _ = random_setup(5, id_onehots=False)
@@ -346,6 +331,14 @@ class TestValidation:
         scorer = Scorer(kp, kl, uf, itf)
         with pytest.raises(ValueError):
             scorer.score_items(catalog.n_users)
+
+    @pytest.mark.parametrize("v", [-1, 9])
+    def test_unknown_item_rejected(self, v):
+        """score_activities takes a catalog item id; a negative one does not wrap."""
+        catalog, _, uf, itf, _, al, _, ap = random_setup(2)
+        assert catalog.n_items == 9
+        with pytest.raises(ValueError):
+            Scorer(ap, al, uf, itf).score_activities(0, v)
 
     def test_keen_layout_has_no_activity_scores(self):
         catalog, _, uf, itf, kl, _, kp, _ = random_setup(3)

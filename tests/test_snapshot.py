@@ -339,6 +339,23 @@ class TestContract:
             put(lambda t: t[:4] + "\n" + t[4:], "thresholds", "activity"),
             put("\u00e9", "item_feats", "values"),
             block(lambda v: np.append(v, 1.0), "user_feats", "values"),
+            put(lambda t: [2] + t[1:], "thresholds", "trained"),
+            put(lambda t: ["x"] + t[1:], "thresholds", "trained"),
+            put(lambda t: [None] + t[1:], "thresholds", "trained"),
+            put(lambda t: [True] + t[1:], "thresholds", "trained"),
+            put(lambda t: [-1] + t[1:], "thresholds", "trained"),
+            put(lambda t: [0.5] + t[1:], "thresholds", "trained"),
+            put(math.nan, "thresholds", "fallback"),
+            put("0.25", "thresholds", "fallback"),
+            put(True, "thresholds", "fallback"),
+            put("1e3", "keen", "w0"),
+            put(math.inf, "keen", "w0"),
+            put(10**400, "act", "w0"),
+            block(lambda w: np.where(np.arange(w.size) == 1, np.nan, w), "keen", "w"),
+            block(lambda f: np.where(np.arange(f.size) == 0, np.inf, f), "act", "factors"),
+            block(lambda t: np.where(np.arange(t.size) == 0, -np.inf, t), "thresholds", "item"),
+            block(lambda t: np.where(np.arange(t.size) == 0, np.nan, t), "thresholds", "activity"),
+            block(lambda v: np.where(np.arange(v.size) == 0, np.inf, v), "user_feats", "values"),
         ],
         ids=[
             "missing-keen", "missing-item-thresholds", "missing-factors", "missing-layout-field",
@@ -353,6 +370,10 @@ class TestContract:
             "feature-shape-float", "feature-shape-three", "feature-shape-scalar", "feature-shape-bool",
             "factors-as-number-list", "item-thresholds-null", "w-bytes-not-multiple-of-8",
             "block-with-newline", "block-not-ascii", "feature-values-long",
+            "trained-mask-two", "trained-mask-string", "trained-mask-null", "trained-mask-bool",
+            "trained-mask-negative", "trained-mask-fraction",
+            "fallback-nan", "fallback-string", "fallback-bool", "w0-string", "w0-inf", "w0-overflows-float",
+            "w-nan", "factors-inf", "item-thresholds-minus-inf", "activity-thresholds-nan", "feature-values-inf",
         ],
     )
     def test_rejected_with_snapshot_error(self, tmp_path, edit):

@@ -13,7 +13,7 @@ from scipy import stats
 
 from keenact import training
 
-from keenact.data import Catalog, InteractionStore
+from keenact.data import Catalog, InteractionStore, split_per_user
 from keenact.evaluation import flat_candidate_space, train_baseline
 from keenact.features import (
     CSR,
@@ -283,6 +283,29 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             TrainConfig(batch_size=value)
         assert err.value.key == "batch_size"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("id_onehots", "no"),
+            ("id_onehots", 0),
+            ("lr", True),
+            ("threshold_negative_ratio", True),
+            ("threshold_negative_ratio", "abc"),
+            ("margin", "2"),
+            ("epochs", "3"),
+            ("lambda_act", None),
+        ],
+    )
+    def test_keys_reject_values_of_another_type_passed_directly(self, key, value):
+        """Each key takes its default's type: a bool is no number, a string no bool or number."""
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(**{key: value})
+        assert err.value.key == key
+
+    def test_numbers_of_any_numeric_type_accepted(self):
+        cfg = TrainConfig(lr=1, margin=np.float32(0.5), epochs=np.int64(2), id_onehots=np.bool_(False))
+        assert (cfg.lr, cfg.epochs) == (1, 2) and not cfg.id_onehots
 
     def test_batch_size_defaults_to_16_and_parses(self):
         assert TrainConfig().batch_size == 16
@@ -1547,14 +1570,13 @@ class TestThresholdSampling:
         )
         users = list(store.user_rows())
         want_keen, _ = fit_thresholds(
-            [keen_scorer.score_items(u, items) for u, (items, _) in zip(users, keen)],
+            [keen_scorer.score_items(u)[items] for u, (items, _) in zip(users, keen)],
             [labels for _, labels in keen], [items for items, _ in keen],
             store.catalog.n_items, config.threshold_epochs, **config.adam_kwargs(),
         )
-        # each user's pairs scored in one score_pair_matrix call, as phase 2 does:
-        # a one-row score_activities call can differ from it in the last bits
+        # each user's pairs cut from one whole-catalog score_pair_matrix call, as phase 2 does
         user_items = {u: [v for w, v in pairs_of(store) if w == u] for u in users}
-        act_scores = [row for u in users for row in act_scorer.score_pair_matrix(u, user_items[u])]
+        act_scores = [row for u in users for row in act_scorer.score_pair_matrix(u)[user_items[u]]]
         want_act, _ = fit_thresholds(
             act_scores, act,
             [trainer.activity_universe] * len(act), store.catalog.n_activities,
@@ -1565,6 +1587,38 @@ class TestThresholdSampling:
         np.testing.assert_array_equal(table.activity_thresholds, want_act)
         # a finite ratio samples the negatives of at least one user
         assert (ratio == "full") != any(len(items) < len(trainer.item_universe) for items, _ in keen)
+
+
+class TestFitScoresAreServingScores:
+    def test_cutoffs_are_fitted_on_whole_catalog_scores(self, monkeypatch):
+        """Every score phase 2 fits a cutoff on is, to the last bit, the score that
+        serving compares with that cutoff: the same entry of ``score_items(u)`` or
+        ``score_pair_matrix(u)``.  A product over a subset of rows can round
+        differently; on this corpus some keen and act scores would."""
+        catalog, store = generate_two_stage(30, 250, 2, seed=1, items_per_user=(20, 20))
+        train_store = split_per_user(store, fraction=0.8, seed=1).train
+        uf = l2_normalize_rows(co_participation_features(train_store))
+        itf = empty_features(catalog.n_items, "item")
+        trainer = Trainer(train_store, uf, itf, TrainConfig(epochs=2))
+        trainer.run_rank_learning()
+        fed = []
+        fit = training.fit_thresholds
+        monkeypatch.setattr(training, "fit_thresholds", lambda *args, **kw: fed.append(args[:3]) or fit(*args, **kw))
+        trainer.run_threshold_learning()
+        (keen_scores, _, keen_items), (act_scores, _, act_items) = fed
+        keen_scorer, act_scorer = trainer.scorers
+        pair_users, pair_items = train_store.pair_columns
+        users = np.unique(pair_users)
+        assert len(keen_scores) == users.size and len(act_scores) == pair_users.size
+
+        def bits(scores):
+            return np.ascontiguousarray(scores, dtype=np.float64).view(np.uint64)
+
+        for u, scores, items in zip(users, keen_scores, keen_items):
+            np.testing.assert_array_equal(bits(scores), bits(keen_scorer.score_items(u)[items]))
+        for u, v, scores, activities in zip(pair_users, pair_items, act_scores, act_items):
+            np.testing.assert_array_equal(bits(scores), bits(act_scorer.score_pair_matrix(u)[v, activities]))
+
 
 class TestTrainedItems:
     @pytest.mark.parametrize("ratio", [5.0, "full", 0.1])
