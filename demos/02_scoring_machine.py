@@ -45,8 +45,8 @@ print("w moved by:", params.w - before)
 # In the package the inputs are never written out by hand; a layout
 # assembles them from id one-hots and optional side features.
 catalog = Catalog(["ana", "ben"], ["repo-a", "repo-b", "repo-c"], ["fork", "watch"])
-uf = empty_features(2, "user")
-itf = empty_features(3, "item")
+uf = empty_features(2)
+itf = empty_features(3)
 layout = FeatureLayout.for_act(catalog, uf, itf)
 print("input blocks:", layout.blocks())
 

@@ -16,7 +16,7 @@ catalog, store = generate_two_stage(40, 80, 2, seed=11, items_per_user=(4, 10))
 print("corpus:", catalog.n_users, "users,", catalog.n_items, "items,", store.n_triples, "records")
 
 user_feats = l2_normalize_rows(co_participation_features(store))
-item_feats = empty_features(catalog.n_items, "item")
+item_feats = empty_features(catalog.n_items)
 
 config = TrainConfig(epochs=6, k=8, threshold_epochs=8, seed=0)
 model = train(store, user_feats, item_feats, config)

@@ -14,7 +14,7 @@ from keenact.training import TrainConfig, train
 
 catalog, store = generate_two_stage(30, 60, 2, seed=5, items_per_user=(3, 8))
 user_feats = l2_normalize_rows(co_participation_features(store))
-model = train(store, user_feats, empty_features(catalog.n_items, "item"),
+model = train(store, user_feats, empty_features(catalog.n_items),
               TrainConfig(epochs=6, k=8, threshold_epochs=8, seed=0))
 
 u = 0

@@ -37,7 +37,7 @@ from keenact.features import (
     tfidf_item_features,
 )
 from keenact.recommend import write_recommendations
-from keenact.snapshot import SnapshotError, load_model, save_model
+from keenact.snapshot import load_model, save_model
 from keenact.synth import generate_two_stage
 from keenact.training import (
     ConfigError,
@@ -157,7 +157,7 @@ def _load_config(args) -> TrainConfig:
 def _item_features(args, catalog):
     if getattr(args, "tags", None):
         return tfidf_item_features(read_tag_file(args.tags), catalog)
-    return empty_features(catalog.n_items, "item")
+    return empty_features(catalog.n_items)
 
 
 def _adoption_band(args, n_items: int) -> tuple[int, int]:
@@ -238,8 +238,6 @@ def cmd_train(args) -> int:
 
 def cmd_recommend(args) -> int:
     model = load_model(args.model)
-    if model.catalog is None:
-        raise SnapshotError("snapshot carries no id catalog; cannot map raw ids")
     _warn_if_stale(args.model)
     catalog = model.catalog
     if args.all_users:

@@ -80,10 +80,6 @@ class Catalog:
     def to_dict(self) -> dict:
         return {"users": list(self.users), "items": list(self.items), "activities": list(self.activities)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Catalog":
-        return cls(d["users"], d["items"], d["activities"])
-
 
 def _invalid_triple(raw, limits) -> DatasetError:
     """The error for a triple list that fails the vectorised checks.

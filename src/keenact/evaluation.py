@@ -309,7 +309,7 @@ def evaluate_split(
     catalog = store.catalog
     user_feats = l2_normalize_rows(co_participation_features(split.train))
     if item_feats is None:
-        item_feats = empty_features(catalog.n_items, "item")
+        item_feats = empty_features(catalog.n_items)
     cfg = dataclasses.replace(config, seed=seed)
     space = FlatPairSpace(catalog.n_items, catalog.n_activities)
 

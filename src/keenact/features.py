@@ -153,13 +153,10 @@ class CSR:
 class FeatureMatrix:
     """One sparse feature row per entity, all rows sharing one dimension."""
 
-    def __init__(self, matrix: CSR, entity_kind: str):
-        if entity_kind not in ("user", "item"):
-            raise ValueError(f"unknown entity kind {entity_kind!r}")
+    def __init__(self, matrix: CSR):
         if not isinstance(matrix, CSR):
             raise TypeError(f"feature rows must be a CSR, not {type(matrix).__name__}")
         self.matrix = matrix
-        self.entity_kind = entity_kind
 
     @property
     def n_rows(self) -> int:
@@ -177,9 +174,9 @@ class FeatureMatrix:
         return self.matrix.indices[start:end].astype(np.int64), self.matrix.data[start:end]
 
 
-def empty_features(n_rows: int, entity_kind: str) -> FeatureMatrix:
+def empty_features(n_rows: int) -> FeatureMatrix:
     """Zero-width feature matrix for datasets without side information."""
-    return FeatureMatrix(CSR(np.zeros(n_rows + 1, dtype=np.int64), [], [], (n_rows, 0)), entity_kind)
+    return FeatureMatrix(CSR(np.zeros(n_rows + 1, dtype=np.int64), [], [], (n_rows, 0)))
 
 
 # user pairs expanded at once by co_participation_features
@@ -236,7 +233,7 @@ def co_participation_features(train) -> FeatureMatrix:
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz))))
     indices = np.concatenate(indices)
     data = np.concatenate(data, dtype=np.float64)
-    return FeatureMatrix(CSR(indptr, indices, data, (n, n)), "user")
+    return FeatureMatrix(CSR(indptr, indices, data, (n, n)))
 
 
 def l2_normalize_rows(feats: FeatureMatrix) -> FeatureMatrix:
@@ -262,7 +259,7 @@ def l2_normalize_rows(feats: FeatureMatrix) -> FeatureMatrix:
     scaled = (1.0 / norms)[m.row_ids()] * m.data
     kept = scaled != 0.0
     indptr = np.concatenate(([0], np.cumsum(kept)))[m.indptr]
-    return FeatureMatrix(CSR(indptr, m.indices[kept], scaled[kept], m.shape), feats.entity_kind)
+    return FeatureMatrix(CSR(indptr, m.indices[kept], scaled[kept], m.shape))
 
 
 def tfidf_item_features(tags: dict, catalog) -> FeatureMatrix:
@@ -298,7 +295,7 @@ def tfidf_item_features(tags: dict, catalog) -> FeatureMatrix:
             rows.append(v)
             cols.append(j)
             vals.append(x / norm)
-    return FeatureMatrix(CSR.from_coo(rows, cols, vals, (n_items, len(vocab))), "item")
+    return FeatureMatrix(CSR.from_coo(rows, cols, vals, (n_items, len(vocab))))
 
 
 def read_tag_file(path) -> dict[str, list[str]]:
@@ -367,13 +364,6 @@ class FeatureLayout:
         if self.n_activities:
             out.append(("activity", self.activity_offset, self.n_activities))
         return out
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureLayout":
-        return cls(**d)
 
     @classmethod
     def for_keen(cls, catalog, user_feats: FeatureMatrix, item_feats: FeatureMatrix, id_onehots: bool = True) -> "FeatureLayout":

@@ -4,9 +4,13 @@ Every float64 array is stored as one base64 string of its little-endian
 bytes in row-major order (a float block); scalars, integer lists, the
 config, the catalog and the report are plain JSON. A saved model
 therefore reloads bit-exactly, and two identical training runs produce
-byte-identical snapshot files. Loading checks each block's length
-against the shape that the stored layouts, ``config.k`` and the feature
-``rows`` give it, and that every stored number is finite.
+byte-identical snapshot files. Each fact is stored once: a feature
+matrix is its CSR ``indptr``, ``indices``, ``values`` and ``width``
+with the catalog's row count, and the layouts are rebuilt from the
+catalog, the feature widths and ``config.id_onehots``, as ``train``
+builds them. Loading checks every value's type, each block's length
+against the shape those layouts and ``config.k`` give it, and that
+every stored number is finite.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from keenact.fm import FMParameters
 from keenact.training import ThresholdTable, TrainConfig, TrainedModel
 
 FORMAT_NAME = "keenact-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class SnapshotError(ValueError):
@@ -80,23 +84,36 @@ def _params_from_dict(payload: dict, name: str, dim: int, k: int) -> FMParameter
     )
 
 
+def _list_of(kind: type, value, name: str) -> list:
+    """``value`` if it is a JSON list whose items are all exactly ``kind``: ``true`` and ``1.0`` are not ints."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {kind}:
+        raise SnapshotError(f"malformed snapshot: {name} is not a list of {kind.__name__} values")
+    return value
+
+
 def _feats_to_dict(feats: FeatureMatrix) -> dict:
     m = feats.matrix
     return {
-        "kind": feats.entity_kind,
-        "shape": list(m.shape),
-        "rows": m.row_ids().tolist(),
-        "cols": m.indices.tolist(),
+        "indptr": m.indptr.tolist(),
+        "indices": m.indices.tolist(),
         "values": encode_block(m.data),
+        "width": m.shape[1],
     }
 
 
-def _feats_from_dict(payload: dict, name: str) -> FeatureMatrix:
-    """Entries in any order; duplicates are summed and zeros dropped."""
-    rows = payload["rows"]
-    values = _finite_block(payload["values"], (len(rows),), f"{name}.values")
-    matrix = CSR.from_coo(rows, payload["cols"], values, payload["shape"])
-    return FeatureMatrix(matrix, payload["kind"])
+def _feats_from_dict(payload: dict, name: str, n_rows: int) -> FeatureMatrix:
+    """The canonical CSR rows as stored; the CSR constructor rejects any other."""
+    indptr = _list_of(int, payload["indptr"], f"{name}.indptr")
+    indices = _list_of(int, payload["indices"], f"{name}.indices")
+    values = _finite_block(payload["values"], (len(indices),), f"{name}.values")
+    # CSR takes a shape of non-negative ints only, so it rejects a bool or float width
+    return FeatureMatrix(CSR(indptr, indices, values, (n_rows, payload["width"])))
+
+
+def _report_row(row) -> tuple[int, str, str, float]:
+    if not (isinstance(row, list) and len(row) == 4 and [type(x) for x in row[:3]] == [int, str, str]):
+        raise SnapshotError(f"malformed snapshot: report row {row!r} is not [epoch, phase, metric, value]")
+    return row[0], row[1], row[2], float(_finite(row[3], "a report value"))
 
 
 def model_to_dict(model: TrainedModel) -> dict:
@@ -104,11 +121,9 @@ def model_to_dict(model: TrainedModel) -> dict:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "config": model.config.to_dict(),
-        "catalog": model.catalog.to_dict() if model.catalog is not None else None,
+        "catalog": model.catalog.to_dict(),
         "keen": _params_to_dict(model.keen),
         "act": _params_to_dict(model.act),
-        "keen_layout": model.keen_layout.to_dict(),
-        "act_layout": model.act_layout.to_dict(),
         "thresholds": {
             "item": encode_block(model.thresholds.item_thresholds),
             "activity": encode_block(model.thresholds.activity_thresholds),
@@ -121,14 +136,9 @@ def model_to_dict(model: TrainedModel) -> dict:
     }
 
 
-def _check_shape(name: str, array: np.ndarray, shape: tuple) -> None:
-    if array.shape != shape:
-        raise SnapshotError(f"{name} has shape {array.shape}, expected {shape}")
-
-
 def model_from_dict(payload: dict) -> TrainedModel:
     """Rebuild a model; a missing key, a wrong type or a size that does
-    not fit the stored layouts, catalog counts included, is a SnapshotError."""
+    not fit the layouts the catalog and features give is a SnapshotError."""
     if payload.get("format") != FORMAT_NAME:
         raise SnapshotError(f"not a {FORMAT_NAME} file")
     if payload.get("version") != FORMAT_VERSION:
@@ -147,30 +157,24 @@ def model_from_dict(payload: dict) -> TrainedModel:
 
 def _model_from_payload(payload: dict) -> TrainedModel:
     config = TrainConfig(**payload["config"])
-    keen_layout = FeatureLayout.from_dict(payload["keen_layout"])
-    act_layout = FeatureLayout.from_dict(payload["act_layout"])
+    names = payload["catalog"]
+    catalog = Catalog(*(_list_of(str, names[key], f"catalog.{key}") for key in ("users", "items", "activities")))
+    user_feats = _feats_from_dict(payload["user_feats"], "user_feats", catalog.n_users)
+    item_feats = _feats_from_dict(payload["item_feats"], "item_feats", catalog.n_items)
+    keen_layout = FeatureLayout.for_keen(catalog, user_feats, item_feats, config.id_onehots)
+    act_layout = FeatureLayout.for_act(catalog, user_feats, item_feats, config.id_onehots)
     keen = _params_from_dict(payload["keen"], "keen", keen_layout.dim, config.k)
     act = _params_from_dict(payload["act"], "act", act_layout.dim, config.k)
-    user_feats = _feats_from_dict(payload["user_feats"], "user_feats")
-    item_feats = _feats_from_dict(payload["item_feats"], "item_feats")
-    _check_shape("user_feats", user_feats.matrix, (keen_layout.n_users, keen_layout.d_user))
-    _check_shape("item_feats", item_feats.matrix, (keen_layout.n_items, keen_layout.d_item))
     cutoffs = payload["thresholds"]
-    trained = cutoffs["trained"]
-    if not isinstance(trained, list) or {type(b) for b in trained} - {int} or set(trained) - {0, 1}:
-        raise SnapshotError("malformed snapshot: thresholds.trained is not a list of 0s and 1s")
+    trained = _list_of(int, cutoffs["trained"], "thresholds.trained")
+    if len(trained) != catalog.n_items or set(trained) - {0, 1}:
+        raise SnapshotError("malformed snapshot: thresholds.trained is not one 0 or 1 per catalog item")
     thresholds = ThresholdTable(
-        item_thresholds=_finite_block(cutoffs["item"], (keen_layout.n_items,), "thresholds.item"),
-        activity_thresholds=_finite_block(cutoffs["activity"], (act_layout.n_activities,), "thresholds.activity"),
+        item_thresholds=_finite_block(cutoffs["item"], (catalog.n_items,), "thresholds.item"),
+        activity_thresholds=_finite_block(cutoffs["activity"], (catalog.n_activities,), "thresholds.activity"),
         global_item_fallback=float(_finite(cutoffs["fallback"], "thresholds.fallback")),
         item_trained=np.array(trained, dtype=bool),
     )
-    _check_shape("thresholds.trained", thresholds.item_trained, (keen_layout.n_items,))
-    catalog = Catalog.from_dict(payload["catalog"]) if payload.get("catalog") else None
-    expected = (keen_layout.n_users, keen_layout.n_items, act_layout.n_activities)
-    if catalog is not None and (catalog.n_users, catalog.n_items, catalog.n_activities) != expected:
-        counts = (catalog.n_users, catalog.n_items, catalog.n_activities)
-        raise SnapshotError(f"catalog lists {counts} (users, items, activities); the layouts expect {expected}")
     return TrainedModel(
         keen=keen,
         act=act,
@@ -180,7 +184,7 @@ def _model_from_payload(payload: dict) -> TrainedModel:
         user_feats=user_feats,
         item_feats=item_feats,
         seen_items=frozenset(np.flatnonzero(thresholds.item_trained).tolist()),
-        report=[(int(e), str(p), str(m), float(v)) for e, p, m, v in payload["report"]],
+        report=[_report_row(row) for row in _list_of(list, payload["report"], "report")],
         config=config,
         catalog=catalog,
     )

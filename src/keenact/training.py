@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from keenact.data import InteractionStore
+from keenact.data import Catalog, InteractionStore
 from keenact.features import FeatureLayout, FeatureMatrix, join_tables, part_tables
 from keenact.fm import (
     AdamState,
@@ -210,7 +210,7 @@ def scorer_pair(model, item_trained: np.ndarray) -> tuple[Scorer, Scorer]:
 
 @dataclass
 class TrainedModel:
-    """Both scorers, their layouts and features, and the threshold table."""
+    """Both scorers, their layouts and features, the threshold table and the id catalog."""
 
     keen: FMParameters
     act: FMParameters
@@ -222,7 +222,7 @@ class TrainedModel:
     seen_items: frozenset
     report: list[tuple[int, str, str, float]]
     config: TrainConfig
-    catalog: object | None = None
+    catalog: Catalog
     _scorers: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):

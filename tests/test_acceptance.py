@@ -243,8 +243,8 @@ def test_07_listing_equals_the_decision_function():
             [f"i{j}" for j in range(n_items)],
             [f"a{z}" for z in range(n_acts)],
         )
-        uf = empty_features(n_users, "user")
-        itf = empty_features(n_items, "item")
+        uf = empty_features(n_users)
+        itf = empty_features(n_items)
         keen_layout = FeatureLayout.for_keen(catalog, uf, itf)
         act_layout = FeatureLayout.for_act(catalog, uf, itf)
         k = int(rng.integers(2, 5))

@@ -288,12 +288,14 @@ class TestRecommend:
         assert "u0000" in capsys.readouterr().out
 
     def test_version_1_snapshot_exits_2(self, model_dir, capsys):
+        """Versions 1 and 2 have no reader: the error names the version."""
         path = model_dir / "model.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["version"] = 1
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert main(["recommend", "--model", str(path), "--all-users"]) == 2
-        assert "version 1" in capsys.readouterr().err
+        for version in (1, 2):
+            payload["version"] = version
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            assert main(["recommend", "--model", str(path), "--all-users"]) == 2
+            assert f"version {version}" in capsys.readouterr().err
 
     def test_bad_k_leaves_out_untouched(self, model_dir, tmp_path, capsys):
         """A usage error exits 2 before --out is opened, so an existing file keeps its bytes."""
@@ -311,11 +313,11 @@ class TestRecommend:
     @pytest.mark.parametrize(
         "key, edit",
         [
-            ("cols", lambda block: block["cols"][:-1] + [block["shape"][1]]),
-            ("rows", lambda block: [-1] + block["rows"][1:]),
+            ("indices", lambda block: block["indices"][:-1] + [block["width"]]),
+            ("indptr", lambda block: [-1] + block["indptr"][1:]),
             ("values", lambda block: base64.b64encode(base64.b64decode(block["values"])[:-8]).decode("ascii")),
-            ("rows", lambda block: [0.5] + block["rows"][1:]),
-            ("shape", lambda block: [block["shape"][0], -1]),
+            ("indptr", lambda block: [0.5] + block["indptr"][1:]),
+            ("width", lambda block: -1),
         ],
         ids=["outside-shape", "negative", "unequal-lengths", "non-integer", "bad-shape"],
     )
@@ -323,7 +325,7 @@ class TestRecommend:
         path = model_dir / "model.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         block = payload["user_feats"]
-        assert block["rows"], "the corpus gives users co-participation features"
+        assert block["indices"], "the corpus gives users co-participation features"
         block[key] = edit(block)
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["recommend", "--model", str(path), "--all-users"]) == 2

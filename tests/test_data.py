@@ -262,7 +262,7 @@ class TestStore:
         write_interaction_log(split.test, tmp_path / "test.tsv")
         feats = co_participation_features(split.train)
         _flat_by_user(split.test, FlatPairSpace(store.catalog.n_items, store.catalog.n_activities))
-        items = empty_features(store.catalog.n_items, "item")
+        items = empty_features(store.catalog.n_items)
         train_baseline(split.train, feats, items, TrainConfig(epochs=1), kind="bpr")
         columns = {"catalog", "columns", "times", "n_duplicates", "_pair_rows", "pair_columns", "pair_ids"}
         for s in (raw, store, split.train, split.test):

@@ -136,7 +136,7 @@ class TestFlatPairSpace:
 def small_corpus(seed=5, n_users=10, n_items=14):
     catalog, store = generate_two_stage(n_users, n_items, 2, seed=seed, items_per_user=(2, 5))
     user_feats = l2_normalize_rows(co_participation_features(store))
-    item_feats = empty_features(catalog.n_items, "item")
+    item_feats = empty_features(catalog.n_items)
     return catalog, store, user_feats, item_feats
 
 
@@ -182,7 +182,7 @@ class TestBaselines:
         """
         catalog, store = generate_two_stage(20, 60, 2, seed=1, items_per_user=(5, 10))
         uf = l2_normalize_rows(co_participation_features(store))
-        itf = empty_features(catalog.n_items, "item")
+        itf = empty_features(catalog.n_items)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
             train_baseline(store, uf, itf, TrainConfig(lr=1e300, epochs=2), kind="warp")
 

@@ -137,7 +137,7 @@ class TestCSR:
 
     def test_feature_matrix_needs_a_csr(self):
         with pytest.raises(TypeError):
-            FeatureMatrix(sparse.csr_matrix(np.eye(2)), "user")
+            FeatureMatrix(sparse.csr_matrix(np.eye(2)))
 
 
 def scipy_co_participation(store):
@@ -186,8 +186,7 @@ class TestAgainstScipy:
     @given(coo_entries(max_rows=5, max_cols=30))
     def test_l2_normalize(self, entries):
         m = CSR.from_coo(*entries)
-        got = l2_normalize_rows(FeatureMatrix(m, "item"))
-        assert got.entity_kind == "item"
+        got = l2_normalize_rows(FeatureMatrix(m))
         assert_same_csr(got.matrix, scipy_l2_normalize(as_scipy(m)))
 
     def test_l2_normalize_long_rows(self):
@@ -197,7 +196,7 @@ class TestAgainstScipy:
         dense[rng.random((40, 300)) < 0.05] = 1e-170  # stored, but its square is 0.0
         dense[3] = 0.0
         m = CSR.from_dense(dense)
-        assert_same_csr(l2_normalize_rows(FeatureMatrix(m, "user")).matrix, scipy_l2_normalize(as_scipy(m)))
+        assert_same_csr(l2_normalize_rows(FeatureMatrix(m)).matrix, scipy_l2_normalize(as_scipy(m)))
         store = generate_two_stage(120, 300, 2, seed=2)[1]
         co = co_participation_features(store)
         assert_same_csr(l2_normalize_rows(co).matrix, scipy_l2_normalize(as_scipy(co.matrix)))
@@ -251,7 +250,7 @@ class TestL2Normalize:
         np.testing.assert_allclose(norms, np.ones(2))
 
     def test_zero_rows_stay_zero(self):
-        m = FeatureMatrix(CSR.from_dense(np.array([[3.0, 4.0], [0.0, 0.0]])), "user")
+        m = FeatureMatrix(CSR.from_dense(np.array([[3.0, 4.0], [0.0, 0.0]])))
         scaled = l2_normalize_rows(m).matrix.toarray()
         np.testing.assert_allclose(scaled[0], [0.6, 0.8])
         np.testing.assert_array_equal(scaled[1], [0.0, 0.0])
@@ -312,8 +311,8 @@ class TestLayout:
 
     def test_block_offsets_contiguous(self):
         catalog = self._catalog()
-        user_feats = empty_features(5, "user")
-        item_feats = empty_features(4, "item")
+        user_feats = empty_features(5)
+        item_feats = empty_features(4)
         layout = FeatureLayout.for_act(catalog, user_feats, item_feats)
         assert layout.user_id_offset == 0
         assert layout.item_id_offset == 5
@@ -326,22 +325,17 @@ class TestLayout:
 
     def test_keen_layout_has_no_activity_block(self):
         catalog = self._catalog()
-        layout = FeatureLayout.for_keen(catalog, empty_features(5, "user"), empty_features(4, "item"))
+        layout = FeatureLayout.for_keen(catalog, empty_features(5), empty_features(4))
         assert layout.n_activities == 0
         assert layout.dim == 9
 
     def test_id_onehots_off(self):
         catalog = self._catalog()
         layout = FeatureLayout.for_keen(
-            catalog, empty_features(5, "user"), empty_features(4, "item"), id_onehots=False
+            catalog, empty_features(5), empty_features(4), id_onehots=False
         )
         assert layout.dim == 0
         assert [name for name, _, _ in layout.blocks()] == ["user_features", "item_features"]
-
-    def test_round_trip_dict(self):
-        catalog = self._catalog()
-        layout = FeatureLayout.for_act(catalog, empty_features(5, "user"), empty_features(4, "item"))
-        assert FeatureLayout.from_dict(layout.to_dict()) == layout
 
 
 class TestAssembly:
@@ -357,13 +351,13 @@ class TestAssembly:
         item_rows[0, 1] = 0.5
         item_rows[1, 0] = 1.0
         item_rows[1, 2] = 2.0
-        item_feats = FeatureMatrix(CSR.from_dense(item_rows), "item")
+        item_feats = FeatureMatrix(CSR.from_dense(item_rows))
         return catalog, user_feats, item_feats
 
     def test_user_onehot_position(self):
         catalog, _, _ = self._parts()
-        layout = FeatureLayout.for_keen(catalog, empty_features(5, "user"), empty_features(4, "item"))
-        x = assemble_keen_input(3, 1, layout, empty_features(5, "user"), empty_features(4, "item"))
+        layout = FeatureLayout.for_keen(catalog, empty_features(5), empty_features(4))
+        x = assemble_keen_input(3, 1, layout, empty_features(5), empty_features(4))
         assert (3, 1.0) in x.to_entries()
         assert (5 + 1, 1.0) in x.to_entries()
         assert x.nnz == 2

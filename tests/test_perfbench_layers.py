@@ -35,8 +35,8 @@ def test_instrument_installs_and_uninstalls():
         catalog, store = generate_two_stage(6, 12, 2, seed=1, items_per_user=(2, 4))
         training.train(
             store,
-            empty_features(catalog.n_users, "user"),
-            empty_features(catalog.n_items, "item"),
+            empty_features(catalog.n_users),
+            empty_features(catalog.n_items),
             TrainConfig(epochs=1, k=2, threshold_epochs=1, batch_size=4),
         )
     finally:

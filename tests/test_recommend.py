@@ -53,8 +53,8 @@ def build_model(keen_scores, act_scores, item_cutoffs, act_cutoffs, n_users=1, f
         [f"i{j}" for j in range(n_items)],
         [f"a{z}" for z in range(n_acts)],
     )
-    uf = empty_features(n_users, "user")
-    itf = empty_features(n_items, "item")
+    uf = empty_features(n_users)
+    itf = empty_features(n_items)
     keen_layout = FeatureLayout.for_keen(catalog, uf, itf)
     act_layout = FeatureLayout.for_act(catalog, uf, itf)
     k = n_items
@@ -454,8 +454,8 @@ def random_model(n_users, n_items, n_acts, k, seed, cold=()):
         [f"i{j}" for j in range(n_items)],
         [f"a{z}" for z in range(n_acts)],
     )
-    uf = empty_features(n_users, "user")
-    itf = empty_features(n_items, "item")
+    uf = empty_features(n_users)
+    itf = empty_features(n_items)
     keen_layout = FeatureLayout.for_keen(catalog, uf, itf)
     act_layout = FeatureLayout.for_act(catalog, uf, itf)
     keen = init_params(keen_layout.dim, k, seed=seed, scale=1.0)

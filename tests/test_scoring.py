@@ -49,7 +49,7 @@ def random_setup(seed, n_users=6, n_items=9, n_acts=3, d_item=4, id_onehots=True
     store = InteractionStore(catalog, triples)
     user_feats = co_participation_features(store)
     item_rows = rng.normal(size=(n_items, d_item)) * (rng.random((n_items, d_item)) < 0.4)
-    item_feats = FeatureMatrix(CSR.from_dense(item_rows), "item")
+    item_feats = FeatureMatrix(CSR.from_dense(item_rows))
     keen_layout = FeatureLayout.for_keen(catalog, user_feats, item_feats, id_onehots)
     act_layout = FeatureLayout.for_act(catalog, user_feats, item_feats, id_onehots)
     keen_params = init_params(keen_layout.dim, 5, seed=seed + 1, scale=0.5)
@@ -147,7 +147,7 @@ class TestPartGradient:
         if dense_items:
             # every item row fills every column, so candidates share feature rows
             rows = np.random.default_rng(5).normal(size=(catalog.n_items, itf.dim))
-            itf = FeatureMatrix(CSR.from_dense(rows), "item")
+            itf = FeatureMatrix(CSR.from_dense(rows))
         rng = np.random.default_rng(17)
         n_items, n_acts = catalog.n_items, catalog.n_activities
         keen, act, flat = [], [], []
@@ -277,7 +277,7 @@ class TestBlockStatsAgainstScipy:
     @given(feature_blocks(), st.booleans(), st.booleans())
     def test_block_stats(self, block, onehots, masked):
         rows, params = block
-        feats = FeatureMatrix(rows, "user")
+        feats = FeatureMatrix(rows)
         n = rows.shape[0]
         args = (params, 0 if onehots else None, n, n, feats)
         mask = (np.arange(n) % 3 == 0).astype(float) if masked else None

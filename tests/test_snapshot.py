@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keenact.data import Catalog
-from keenact.features import co_participation_features, empty_features, l2_normalize_rows
+from keenact.features import co_participation_features, empty_features, l2_normalize_rows, tfidf_item_features
 from keenact.fm import FMParameters
 from keenact.recommend import recommend
 from keenact.snapshot import SnapshotError, decode_block, encode_block, load_model, save_model
@@ -19,11 +19,16 @@ from keenact.synth import generate_two_stage
 from keenact.training import ThresholdTable, TrainConfig, train
 
 
-def trained_model(seed=3):
+def trained_model(seed=3, id_onehots=True, tags=False):
+    """A small trained model; ``tags`` gives items tf-idf features over three tags."""
     catalog, store = generate_two_stage(8, 12, 2, seed=seed, items_per_user=(2, 5))
     user_feats = l2_normalize_rows(co_participation_features(store))
-    item_feats = empty_features(catalog.n_items, "item")
-    config = TrainConfig(epochs=2, k=4, threshold_epochs=3, max_neg_samples=5)
+    if tags:
+        item_tags = {item: [f"t{j % 3}"] * (1 + j % 2) + [f"t{j % 2}"] for j, item in enumerate(catalog.items)}
+        item_feats = tfidf_item_features(item_tags, catalog)
+    else:
+        item_feats = empty_features(catalog.n_items)
+    config = TrainConfig(epochs=2, k=4, threshold_epochs=3, max_neg_samples=5, id_onehots=id_onehots)
     return train(store, user_feats, item_feats, config)
 
 
@@ -51,7 +56,6 @@ class TestRoundTrip:
         assert back.catalog.items == model.catalog.items
         assert back.catalog.activities == model.catalog.activities
         for back_feats, feats in ((back.user_feats, model.user_feats), (back.item_feats, model.item_feats)):
-            assert back_feats.entity_kind == feats.entity_kind
             assert back_feats.matrix.shape == feats.matrix.shape
             np.testing.assert_array_equal(back_feats.matrix.indptr, feats.matrix.indptr)
             np.testing.assert_array_equal(back_feats.matrix.indices, feats.matrix.indices)
@@ -67,6 +71,36 @@ class TestRoundTrip:
             b = recommend(back, u).entries
             assert [(e.item, e.activity) for e in a] == [(e.item, e.activity) for e in b]
             assert [e.keen_score for e in a] == [e.keen_score for e in b]
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"id_onehots": False}, {"tags": True}, {"id_onehots": False, "tags": True}],
+        ids=["id-onehots", "no-id-onehots", "tfidf-items", "tfidf-items-no-id-onehots"],
+    )
+    def test_layouts_are_rebuilt_as_training_built_them(self, tmp_path, kwargs):
+        model = trained_model(**kwargs)
+        assert model.item_feats.dim == (3 if kwargs.get("tags") else 0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.keen_layout == model.keen_layout
+        assert back.act_layout == model.act_layout
+        for back_feats, feats in ((back.user_feats, model.user_feats), (back.item_feats, model.item_feats)):
+            assert back_feats.matrix.shape == feats.matrix.shape
+            np.testing.assert_array_equal(back_feats.matrix.data, feats.matrix.data)
+        for u in range(model.n_users):
+            assert recommend(back, u).entries == recommend(model, u).entries
+
+    def test_each_fact_is_stored_once(self, tmp_path):
+        """Version 3 keys: no layouts, and a feature block is its CSR arrays and width."""
+        path = tmp_path / "model.json"
+        save_model(trained_model(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["version"] == 3
+        assert set(payload) == {
+            "format", "version", "config", "catalog", "keen", "act", "thresholds", "user_feats", "item_feats", "report",
+        }
+        for name in ("user_feats", "item_feats"):
+            assert set(payload[name]) == {"indptr", "indices", "values", "width"}
 
     def test_resave_is_byte_identical(self, tmp_path):
         model = trained_model()
@@ -183,15 +217,17 @@ class TestFormatChecks:
             load_model(path)
 
     def test_version_1_rejected(self, tmp_path):
-        """Version 1 stored floats as JSON numbers; no reader for it remains."""
+        """Version 1 stored floats as JSON numbers and version 2 stored the
+        layouts and a COO row list; no reader for either remains."""
         model = trained_model()
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["version"] = 1
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(SnapshotError, match="version 1"):
-            load_model(path)
+        for version in (1, 2):
+            payload["version"] = version
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(SnapshotError, match=f"version {version}"):
+                load_model(path)
 
     @pytest.mark.parametrize(
         "text",
@@ -228,13 +264,6 @@ class TestFormatChecks:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.json")
-
-    def test_catalog_optional(self, tmp_path):
-        model = trained_model()
-        model.catalog = None
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        assert load_model(path).catalog is None
 
 
 def saved_payload(tmp_path):
@@ -282,6 +311,14 @@ def factors(edit, stage):
     return apply
 
 
+def unsorted_row(payload):
+    """Swap the first two columns of the first user feature row that has two."""
+    feats = payload["user_feats"]
+    indptr, indices = feats["indptr"], feats["indices"]
+    start = next(indptr[r] for r in range(len(indptr) - 1) if indptr[r + 1] - indptr[r] >= 2)
+    indices[start], indices[start + 1] = indices[start + 1], indices[start]
+
+
 def w_as_rows(payload):
     """Move each row's first factor into keen.w: the block lengths still add
     up, but each one misses the shape its layout gives it."""
@@ -292,7 +329,8 @@ def w_as_rows(payload):
 
 
 class TestContract:
-    """A snapshot that does not fit its own layouts is a SnapshotError, not a crash."""
+    """A snapshot that does not fit the layouts its catalog, feature widths and
+    config give, or holds a value of the wrong type, is a SnapshotError, not a crash."""
 
     @pytest.mark.parametrize(
         "edit",
@@ -300,11 +338,9 @@ class TestContract:
             drop("keen"),
             drop("thresholds", "item"),
             drop("act", "factors"),
-            drop("keen_layout", "n_items"),
             put([], "thresholds"),
             put("abc", "keen"),
             put(None, "thresholds", "fallback"),
-            put(lambda d: {**d, "colour": 1}, "keen_layout"),
             block(lambda w: w[:-1], "keen", "w"),
             put(lambda w: [w], "act", "w"),
             factors(lambda f: f[:-1], "keen"),
@@ -318,21 +354,21 @@ class TestContract:
             put(lambda u: u + ["extra"], "catalog", "users"),
             put(lambda i: i[:-1], "catalog", "items"),
             put(lambda a: a[:-1], "catalog", "activities"),
-            put(lambda r: r[:-1] + [8], "user_feats", "rows"),
-            put(lambda c: c[:-1] + [8], "user_feats", "cols"),
-            put(lambda c: [-1] + c[1:], "user_feats", "cols"),
-            put(lambda r: [-1] + r[1:], "user_feats", "rows"),
+            put(lambda p: p + [p[-1]], "user_feats", "indptr"),
+            put(lambda c: c[:-1] + [8], "user_feats", "indices"),
+            put(lambda c: [-1] + c[1:], "user_feats", "indices"),
+            put(lambda p: [-1] + p[1:], "user_feats", "indptr"),
             block(lambda v: v[:-1], "user_feats", "values"),
-            put(lambda c: c + [0], "user_feats", "cols"),
-            put(lambda r: [r[0] + 0.5] + r[1:], "user_feats", "rows"),
-            put(lambda c: [float(c[0])] + c[1:], "user_feats", "cols"),
-            put(lambda c: ["0"] + c[1:], "user_feats", "cols"),
+            put(lambda c: c + [0], "user_feats", "indices"),
+            put(lambda p: [p[0] + 0.5] + p[1:], "user_feats", "indptr"),
+            put(lambda c: [float(c[0])] + c[1:], "user_feats", "indices"),
+            put(lambda c: ["0"] + c[1:], "user_feats", "indices"),
             put(lambda v: "!" + v[1:], "user_feats", "values"),
-            put([8, -1], "user_feats", "shape"),
-            put([12.0, 0], "item_feats", "shape"),
-            put([12, 0, 1], "item_feats", "shape"),
-            put(12, "item_feats", "shape"),
-            put([True, 0], "item_feats", "shape"),
+            put(-1, "user_feats", "width"),
+            put(0.0, "item_feats", "width"),
+            put([0], "item_feats", "width"),
+            put(None, "item_feats", "width"),
+            put(False, "item_feats", "width"),
             put(lambda f: floats(f).tolist(), "keen", "factors"),
             put(None, "thresholds", "item"),
             put(lambda w: base64.b64encode(base64.b64decode(w)[:-3]).decode("ascii"), "keen", "w"),
@@ -356,11 +392,32 @@ class TestContract:
             block(lambda t: np.where(np.arange(t.size) == 0, -np.inf, t), "thresholds", "item"),
             block(lambda t: np.where(np.arange(t.size) == 0, np.nan, t), "thresholds", "activity"),
             block(lambda v: np.where(np.arange(v.size) == 0, np.inf, v), "user_feats", "values"),
+            put(lambda c: {**c, "id_onehots": not c["id_onehots"]}, "config"),
+            put(lambda w: w + 1, "user_feats", "width"),
+            put(lambda w: w - 1, "user_feats", "width"),
+            put(lambda w: w + 1, "item_feats", "width"),
+            put(lambda p: p[:-1], "user_feats", "indptr"),
+            put(lambda p: [0] + p, "user_feats", "indptr"),
+            put(lambda p: p[:-1], "item_feats", "indptr"),
+            unsorted_row,
+            block(lambda v: np.where(np.arange(v.size) == 0, 0.0, v), "user_feats", "values"),
+            put(None, "catalog"),
+            drop("catalog"),
+            put(lambda p: [True] + p[1:], "user_feats", "indptr"),
+            put(lambda c: [c[0] == 1] + c[1:], "user_feats", "indices"),
+            put(lambda u: [7] + u[1:], "catalog", "users"),
+            put(lambda a: a[:-1] + [None], "catalog", "activities"),
+            put(lambda r: [["0", 7, None, "1e3"]] + r[1:], "report"),
+            put(lambda r: [[True, "keen_rank", "warp_loss", 1.0]] + r[1:], "report"),
+            put(lambda r: [[0.5, "keen_rank", "warp_loss", 1.0]] + r[1:], "report"),
+            put(lambda r: [[0, "keen_rank", "warp_loss", math.nan]] + r[1:], "report"),
+            put(lambda r: [[0, "keen_rank", "warp_loss"]] + r[1:], "report"),
+            put({"0": []}, "report"),
         ],
         ids=[
-            "missing-keen", "missing-item-thresholds", "missing-factors", "missing-layout-field",
+            "missing-keen", "missing-item-thresholds", "missing-factors",
             "thresholds-not-object", "params-not-object", "fallback-null",
-            "unknown-layout-field", "short-w", "w-not-vector", "short-factors", "narrow-factors",
+            "short-w", "w-not-vector", "short-factors", "narrow-factors",
             "w-as-rows", "long-item-thresholds", "short-activity-thresholds", "short-trained-mask",
             "bad-config",
             "catalog-user-short", "catalog-user-extra", "catalog-item-short", "catalog-activity-short",
@@ -374,6 +431,13 @@ class TestContract:
             "trained-mask-negative", "trained-mask-fraction",
             "fallback-nan", "fallback-string", "fallback-bool", "w0-string", "w0-inf", "w0-overflows-float",
             "w-nan", "factors-inf", "item-thresholds-minus-inf", "activity-thresholds-nan", "feature-values-inf",
+            "id-onehots-flipped", "user-width-plus-one", "user-width-minus-one", "item-width-plus-one",
+            "user-indptr-short", "user-indptr-long", "item-indptr-short", "feature-row-unsorted", "feature-value-zero",
+            "catalog-null", "catalog-missing",
+            "feature-indptr-bool", "feature-index-bool",
+            "catalog-user-int", "catalog-activity-null",
+            "report-row-coerced", "report-epoch-bool", "report-epoch-fraction", "report-value-nan",
+            "report-row-short", "report-not-list",
         ],
     )
     def test_rejected_with_snapshot_error(self, tmp_path, edit):
@@ -382,22 +446,6 @@ class TestContract:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SnapshotError):
             load_model(path)
-
-    def test_feature_entries_in_any_order_load_canonical(self, tmp_path):
-        """Feature entries are read as a COO list: duplicates are summed and zeros dropped."""
-        path, payload = saved_payload(tmp_path)
-        block = payload["user_feats"]
-        want = load_model(path).user_feats.matrix
-        entries = list(zip(block["rows"], block["cols"], floats(block["values"]).tolist()))
-        halves = [(r, c, v / 2) for r, c, v in entries]
-        extra = [(0, 1, 0.0), (2, 2, 0.0)]
-        block["rows"], block["cols"], values = (list(x) for x in zip(*reversed(halves + extra + halves)))
-        block["values"] = encode_block(np.array(values))
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        got = load_model(path).user_feats.matrix
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        np.testing.assert_array_equal(got.data, want.data)
 
     def test_config_without_batch_size_loads_with_the_default(self, tmp_path):
         """Snapshots written before the key existed still load."""
@@ -424,11 +472,11 @@ class TestContract:
         assert "error:" in capsys.readouterr().err
 
     def test_recommend_exits_2_on_short_item_list(self, tmp_path, capsys):
-        """A catalog that names fewer items than the layouts is a data error, not an IndexError."""
+        """A catalog that names fewer items than the item features have rows is a data error, not an IndexError."""
         from keenact.cli import main
 
         path, payload = saved_payload(tmp_path)
         payload["catalog"]["items"].pop()
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["recommend", "--model", str(path), "--all-users"]) == 2
-        assert "catalog lists" in capsys.readouterr().err
+        assert "indptr needs one entry per row" in capsys.readouterr().err

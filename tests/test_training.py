@@ -643,7 +643,7 @@ class TestSplitStreams:
         """The keen streams of an 800-user, 2,000-item corpus at the default ratio."""
         catalog, store = generate_two_stage(800, 2000, 2, seed=0)
         trainer = Trainer(
-            store, empty_features(catalog.n_users, "user"), empty_features(catalog.n_items, "item"), TrainConfig()
+            store, empty_features(catalog.n_users), empty_features(catalog.n_items), TrainConfig()
         )
         users = np.flatnonzero(np.diff(trainer.keen_space.key_starts)).tolist()
         items = np.concatenate([trainer._threshold_enum_items(u)[0] for u in users])
@@ -669,7 +669,7 @@ def small_store(seed=0, n_users=6, n_items=10, n_acts=2, density=40):
     )
     store = InteractionStore(catalog, triples)
     user_feats = l2_normalize_rows(co_participation_features(store))
-    item_feats = empty_features(n_items, "item")
+    item_feats = empty_features(n_items)
     return store, user_feats, item_feats
 
 
@@ -717,7 +717,7 @@ class TestWarpSteps:
         store = InteractionStore(catalog, [(0, 0, 0), (0, 1, 0)])
         config = TrainConfig(seed=0, epochs=3, threshold_epochs=1)
         with caplog.at_level(logging.WARNING, logger="keenact.training"):
-            trainer = Trainer(store, empty_features(1, "user"), empty_features(2, "item"), config)
+            trainer = Trainer(store, empty_features(1), empty_features(2), config)
             w_before = trainer.keen.w.copy()
             result = step_rows(trainer, "keen", np.arange(2))
             trainer.run_rank_learning()
@@ -732,7 +732,7 @@ class TestWarpSteps:
         catalog = Catalog(["a", "b"], ["x", "y"], ["fork", "watch"])
         store = InteractionStore(catalog, [(0, 0, 0), (0, 0, 1), (1, 1, 0)])
         trainer = Trainer(
-            store, empty_features(2, "user"), empty_features(2, "item"), TrainConfig(seed=0)
+            store, empty_features(2), empty_features(2), TrainConfig(seed=0)
         )
         assert step_rows(trainer, "act", one(0)).skipped == 1
         # the third triple's pair has a negative; the batch skips only the first two
@@ -893,7 +893,7 @@ class TestStepMatchesReference:
         catalog, store = generate_two_stage(12, 30, 3, seed=4, items_per_user=(3, 8))
         uf = l2_normalize_rows(co_participation_features(store))
         rows = np.random.default_rng(9).random((catalog.n_items, 5))
-        itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.6)), "item")
+        itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.6)))
         config = TrainConfig(seed=6, k=4)
         new, ref = Trainer(store, uf, itf, config), Trainer(store, uf, itf, config)
         updates = 0
@@ -950,7 +950,7 @@ def sparse_corpus():
     catalog, store = generate_two_stage(30, 60, 3, seed=8, items_per_user=(3, 8))
     uf = l2_normalize_rows(co_participation_features(store))
     rows = np.random.default_rng(3).random((catalog.n_items, 4))
-    itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.5)), "item")
+    itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.5)))
     return catalog, store, uf, itf
 
 
@@ -1124,7 +1124,7 @@ class TestBatchOfOneMatchesPairwiseStep:
         catalog, store = generate_two_stage(14, 30, 3, seed=2, items_per_user=(3, 9))
         uf = l2_normalize_rows(co_participation_features(store))
         rows = np.random.default_rng(4).random((catalog.n_items, 5))
-        itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.6)), "item")
+        itf = FeatureMatrix(CSR.from_dense(rows * (rows < 0.6)))
         config = TrainConfig(seed=3, k=4, batch_size=1)
         new, ref = make_stage(store, uf, itf, config, stage), make_stage(store, uf, itf, config, stage)
         params, *_, step = stage_views(new, stage)
@@ -1208,7 +1208,7 @@ class TestFrozenBatch:
         triples |= {(1, 2, z) for z in range(3)} | {(1, 5, z) for z in range(3)}  # fully active pairs
         triples |= {(int(u), int(v), int(z)) for u, v, z in zip(rng.integers(1, 6, 50), rng.integers(0, 9, 50), rng.integers(0, 3, 50))}
         store = InteractionStore(catalog, sorted(triples))
-        return store, l2_normalize_rows(co_participation_features(store)), empty_features(10, "item")
+        return store, l2_normalize_rows(co_participation_features(store)), empty_features(10)
 
     @pytest.mark.parametrize("stage", ["keen", "act", "fm_bpr", "fm_warp"])
     @pytest.mark.parametrize("batch_size", [7, 1000])
@@ -1280,7 +1280,7 @@ class TestRunPhase:
         """No example has a negative: a zero-width block, no update and zero report rows."""
         catalog = Catalog(["a"], ["x", "y", "w"], ["fork"])
         store = InteractionStore(catalog, [(0, 0, 0), (0, 1, 0), (0, 2, 0)])
-        trainer = Trainer(store, empty_features(1, "user"), empty_features(3, "item"), TrainConfig(seed=0, batch_size=2))
+        trainer = Trainer(store, empty_features(1), empty_features(3), TrainConfig(seed=0, batch_size=2))
         before = trainer.keen.table.copy()
         blocks, report = [], []
 
@@ -1337,7 +1337,7 @@ class TestCandidateSpace:
     def test_columns_match_per_context_lists(self, store):
         """Keen, act and flat spaces from positive columns derive what the per-context position lists gave."""
         catalog = store.catalog
-        uf, itf = empty_features(catalog.n_users, "user"), empty_features(catalog.n_items, "item")
+        uf, itf = empty_features(catalog.n_users), empty_features(catalog.n_items)
         trainer = Trainer(store, uf, itf, TrainConfig(k=2))
         items = np.unique(store.columns[1]).tolist()
         flat_ids = [v * catalog.n_activities + z for v in items for z in range(catalog.n_activities)]
@@ -1598,7 +1598,7 @@ class TestFitScoresAreServingScores:
         catalog, store = generate_two_stage(30, 250, 2, seed=1, items_per_user=(20, 20))
         train_store = split_per_user(store, fraction=0.8, seed=1).train
         uf = l2_normalize_rows(co_participation_features(train_store))
-        itf = empty_features(catalog.n_items, "item")
+        itf = empty_features(catalog.n_items)
         trainer = Trainer(train_store, uf, itf, TrainConfig(epochs=2))
         trainer.run_rank_learning()
         fed = []
@@ -1730,8 +1730,8 @@ class TestTrain:
         """Catalog items never enumerated fall back to the trained mean."""
         catalog = Catalog(["a", "b"], ["x", "y", "ghost"], ["fork", "watch"])
         store = InteractionStore(catalog, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)])
-        uf = empty_features(2, "user")
-        itf = empty_features(3, "item")
+        uf = empty_features(2)
+        itf = empty_features(3)
         model = train(store, uf, itf, TrainConfig(seed=9, epochs=2, threshold_negative_ratio="full"))
         table = model.thresholds
         assert not table.item_trained[2]
@@ -1743,7 +1743,7 @@ class TestTrain:
         """Item scores separate observed from unobserved pairs after training."""
         catalog, store = generate_two_stage(n_users=20, n_items=50, n_activities=2, seed=1)
         uf = l2_normalize_rows(co_participation_features(store))
-        itf = empty_features(catalog.n_items, "item")
+        itf = empty_features(catalog.n_items)
         model = train(store, uf, itf, TrainConfig(seed=1, epochs=30))
         keen_scorer, _ = model.scorers()
         scores, labels = [], []
@@ -1793,7 +1793,7 @@ def exact_loss_drops(batch_size, epochs):
             n_users=5, n_items=8, n_activities=2, seed=seed, items_per_user=(2, 5)
         )
         uf = l2_normalize_rows(co_participation_features(store))
-        itf = empty_features(catalog.n_items, "item")
+        itf = empty_features(catalog.n_items)
         config = TrainConfig(seed=seed, epochs=epochs, lambda_keen=0.001, batch_size=batch_size)
         trainer = Trainer(store, uf, itf, config)
         before = exact_warp_loss(
