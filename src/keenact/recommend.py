@@ -66,13 +66,15 @@ def keen_stage(model: TrainedModel, u: int) -> tuple[np.ndarray, np.ndarray]:
     return scores, scores >= model.thresholds.effective_item_thresholds()
 
 
-def act_stage(model: TrainedModel, u: int) -> tuple[np.ndarray, np.ndarray]:
-    """Act scores as an (items, activities) matrix over the catalog and which pairs stage two accepts.
+def act_stage(model: TrainedModel, u: int, items: np.ndarray | list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Act scores as an (items, activities) matrix and which pairs stage two accepts.
 
-    A pair is accepted when its score is at least its activity's cutoff.
+    ``items`` picks the rows, every catalog item when None; a row's
+    scores are the same bits whichever rows are asked for.  A pair is
+    accepted when its score is at least its activity's cutoff.
     """
     _, act_scorer = model.scorers()
-    scores = act_scorer.score_pair_matrix(u)
+    scores = act_scorer.score_pair_matrix(u, items)
     return scores, scores >= model.thresholds.activity_thresholds
 
 
@@ -90,7 +92,7 @@ def select_activities(model: TrainedModel, u: int, v: int) -> np.ndarray:
     _check_item(model, v)
     if not keen_stage(model, u)[1][v]:
         raise StageOrderError(f"item {v} was not selected for user {u}")
-    return np.flatnonzero(act_stage(model, u)[1][v])
+    return np.flatnonzero(act_stage(model, u, [v])[1][0])
 
 
 def decide(model: TrainedModel, u: int, v: int, z: int) -> bool:
@@ -98,7 +100,7 @@ def decide(model: TrainedModel, u: int, v: int, z: int) -> bool:
     _check_item(model, v)
     if not 0 <= z < model.n_activities:
         raise ValueError(f"unknown activity index {z}")
-    return bool(keen_stage(model, u)[1][v] and act_stage(model, u)[1][v, z])
+    return bool(keen_stage(model, u)[1][v] and act_stage(model, u, [v])[1][0, z])
 
 
 def accepted_pairs(model: TrainedModel, u: int, k: int | None = None) -> tuple[np.ndarray, ...]:
@@ -107,19 +109,33 @@ def accepted_pairs(model: TrainedModel, u: int, k: int | None = None) -> tuple[n
     The four arrays are in list order: keen score descending, then act
     score descending within an item, ascending ids breaking exact ties.
     ``k`` keeps the first k pairs; None keeps everything.
+
+    Act rows are formed only for the leading accepted items: those whose
+    keen score ties or beats the ``lead``-th best.  They head the list,
+    so their pairs are its prefix; ``lead`` starts at ``k`` and doubles
+    until that prefix holds k pairs or covers every accepted item.
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     keen, keen_ok = keen_stage(model, u)
-    act, act_ok = act_stage(model, u)
-    items = np.flatnonzero(keen_ok)
-    # lexsort's last key is primary: keen score descending, then item id
-    items = items[np.lexsort((items, -keen[items]))]
-    # a stable sort keeps ascending activity ids among equal act scores
-    order = np.argsort(-act[items], axis=1, kind="stable")
-    rows, cols = np.nonzero(np.take_along_axis(act_ok[items], order, axis=1))
-    pair_items, pair_acts = items[rows[:k]], order[rows[:k], cols[:k]]
-    return pair_items, pair_acts, keen[pair_items], act[pair_items, pair_acts]
+    accepted = np.flatnonzero(keen_ok)
+    lead = accepted.size if k is None else k
+    while True:
+        items = accepted
+        if lead < accepted.size:
+            kth = -np.partition(-keen[accepted], lead - 1)[lead - 1]
+            items = accepted[keen[accepted] >= kth]
+        # a stable sort keeps ascending ids among equal scores
+        items = items[np.argsort(-keen[items], kind="stable")]
+        act, act_ok = act_stage(model, u, items)
+        order = np.argsort(-act, axis=1, kind="stable")
+        rows, cols = np.nonzero(np.take_along_axis(act_ok, order, axis=1))
+        if k is None or rows.size >= k or items.size == accepted.size:
+            break
+        lead *= 2
+    rows, cols = rows[:k], cols[:k]
+    pair_items, pair_acts = items[rows], order[rows, cols]
+    return pair_items, pair_acts, keen[pair_items], act[rows, pair_acts]
 
 
 def recommend(model: TrainedModel, u: int, k: int | None = None) -> RecommendationList:

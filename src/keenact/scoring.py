@@ -216,14 +216,20 @@ class Scorer:
         """A(u, v, z) for every activity z: row ``v`` of score_pair_matrix."""
         if not 0 <= v < self.layout.n_items:
             raise ValueError(f"item id {v} outside [0, {self.layout.n_items})")
-        return self.score_pair_matrix(u)[v]
+        return self.score_pair_matrix(u, [v])[0]
 
-    def score_pair_matrix(self, u: int) -> np.ndarray:
-        """A(u, v, z) as an (n_items, n_activities) matrix over every catalog item."""
+    def score_pair_matrix(self, u: int, items: np.ndarray | list[int] | None = None) -> np.ndarray:
+        """A(u, v, z) as an (items, n_activities) matrix; ``items`` None is every catalog item.
+
+        The item product always covers the whole catalog, and ``items``
+        cuts its rows afterwards; every later step is elementwise, so a
+        row's bits do not depend on which rows are asked for.
+        """
         self._check_user(u)
         if not self.layout.n_activities:
             raise ValueError("scorer layout has no activity block")
         us = self._user_s[u]
-        item_terms = self._item_base + self._item_s @ us
+        rows = slice(None) if items is None else items
+        item_terms = (self._item_base + self._item_s @ us)[rows]
         act_terms = self._act_base + self._act_s @ us
-        return self.params.w0 + self._user_base[u] + item_terms[:, None] + act_terms[None, :] + self._item_act_cross
+        return self.params.w0 + self._user_base[u] + item_terms[:, None] + act_terms[None, :] + self._item_act_cross[rows]

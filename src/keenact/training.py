@@ -831,12 +831,13 @@ class Trainer:
         """Fit per-activity cutoffs on the frozen act ``scorer`` over positive pairs.
 
         The pairs are the keen space's positives, sorted by user, so each
-        user's rows are cut from one ``score_pair_matrix`` call.
+        user's rows come from one ``score_pair_matrix`` call, which cuts
+        them from the whole-catalog item terms.
         """
         keen, act, all_z = self.keen_space, self.act_space, self.activity_universe
         starts = keen.key_starts.tolist()
         users = np.flatnonzero(np.diff(keen.key_starts)).tolist()
-        scores = np.concatenate([scorer.score_pair_matrix(u)[keen.positive_ids[starts[u] : starts[u + 1]]] for u in users])
+        scores = np.concatenate([scorer.score_pair_matrix(u, keen.positive_ids[starts[u] : starts[u + 1]]) for u in users])
         labels = np.zeros(scores.shape)
         labels[act.positive_contexts, act.positive_ids] = 1.0
         return fit_thresholds(

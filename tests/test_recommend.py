@@ -580,6 +580,100 @@ class TestWholeCatalogAgreement:
         assert keen_col.tobytes() == keen[items].tobytes() and act_col.tobytes() == act[items, acts].tobytes()
 
 
+class TestRowCuts:
+    """score_pair_matrix cuts the rows it is asked for after the whole-catalog
+    product, so a row's bits do not depend on which rows are asked for."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rows_are_the_whole_matrix_rows(self, data):
+        n_items = data.draw(st.integers(1, 40))
+        n_acts, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 16))
+        model = random_model(2, n_items, n_acts, k=k, seed=data.draw(st.integers(0, 2**16)))
+        _, act_scorer = model.scorers()
+        u = data.draw(st.integers(0, 1))
+        size = data.draw(st.integers(1, n_items))
+        # unsorted, with repeats
+        items = data.draw(st.lists(st.integers(0, n_items - 1), min_size=size, max_size=size))
+        whole = act_scorer.score_pair_matrix(u)
+        assert act_scorer.score_pair_matrix(u, items).tobytes() == whole[items].tobytes()
+        assert act_scorer.score_pair_matrix(u, np.array(items)).tobytes() == whole[items].tobytes()
+
+    def test_every_size_where_one_row_products_round_differently(self):
+        n_items, u = 120, 1
+        model = random_model(2, n_items, 2, k=16, seed=59)
+        _, act_scorer = model.scorers()
+        whole = act_scorer.score_pair_matrix(u)
+        single = np.vstack([one_row_scores(act_scorer, u, v)[1] for v in range(n_items)])
+        assert (whole != single).any(), "no score rounds differently; the test shows nothing"
+        rng = np.random.default_rng(3)
+        for size in range(n_items + 1):
+            items = rng.permutation(n_items)[:size]
+            items = np.concatenate((items, items[: size // 3]))
+            got = act_scorer.score_pair_matrix(u, items)
+            assert got.shape == (items.size, 2) and got.tobytes() == whole[items].tobytes()
+
+
+@st.composite
+def prefix_cases(draw):
+    """A build_model model whose keen scores tie often and whose ``dead`` best keen
+    items have every activity rejected, so that a short lead finds too few pairs."""
+    n_items, n_acts = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    keen = np.array(draw(st.lists(st.integers(-2, 3).map(float), min_size=n_items, max_size=n_items)))
+    act = np.array(draw(st.lists(st.integers(-2, 2).map(float), min_size=n_items * n_acts, max_size=n_items * n_acts)))
+    act = act.reshape(n_items, n_acts)
+    dead = draw(st.integers(0, n_items))
+    act[np.argsort(-keen, kind="stable")[:dead]] = -5.0
+    item_cutoffs = draw(st.lists(st.sampled_from([-9.0, 0.0, 1.0]), min_size=n_items, max_size=n_items))
+    act_cutoffs = draw(st.lists(st.sampled_from([-2.0, 0.0, 1.0]), min_size=n_acts, max_size=n_acts))
+    return build_model(keen, act, item_cutoffs, act_cutoffs)
+
+
+class TestLeadingItems:
+    """accepted_pairs(k) forms act rows only for the leading keen items, and its
+    list is the full list's first k pairs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prefix_cases())
+    def test_top_k_is_the_full_list_prefix(self, model):
+        full = accepted_pairs(model, 0)
+        for k in range(1, len(full[0]) + 3):
+            top = accepted_pairs(model, 0, k)
+            assert [c.dtype for c in top] == [c.dtype for c in full]
+            assert [c.tobytes() for c in top] == [c[:k].tobytes() for c in full]
+
+    def test_lead_widens_past_rejected_items_and_takes_ties(self, monkeypatch):
+        # items 0-2 lead on keen with every activity rejected; items 3 and 4 tie
+        act = [[-1.0, -1.0]] * 3 + [[1.0, 0.5]] * 3
+        model = build_model([5.0, 4.0, 3.0, 2.0, 2.0, 1.0], act, [0.0] * 6, [0.0, 0.0])
+        asked, real = [], recommend_module.act_stage
+
+        def spied(model, u, items=None):
+            asked.append(np.asarray(items).tolist())
+            return real(model, u, items)
+
+        monkeypatch.setattr(recommend_module, "act_stage", spied)
+        items, acts, _, _ = accepted_pairs(model, 0, 1)
+        assert list(zip(items.tolist(), acts.tolist())) == [(3, 0)]
+        # lead 1, 2, then 4, whose 4th best keen score ties item 4
+        assert asked == [[0], [0, 1], [0, 1, 2, 3, 4]]
+        asked.clear()
+        assert accepted_pairs(model, 0, 3)[0].tolist() == [3, 3, 4]
+        assert asked == [[0, 1, 2], [0, 1, 2, 3, 4, 5]]
+        asked.clear()
+        assert len(accepted_pairs(model, 0)[0]) == 6
+        assert asked == [[0, 1, 2, 3, 4, 5]]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, None])
+    @pytest.mark.parametrize("rejected", ["items", "activities"])
+    def test_empty_list_stays_empty(self, k, rejected):
+        cutoffs = ([9.0, 9.0, 9.0], [0.0]) if rejected == "items" else ([0.0, 0.0, 0.0], [9.0])
+        model = build_model([3.0, 2.0, 1.0], [[1.0], [1.0], [1.0]], *cutoffs)
+        columns = accepted_pairs(model, 0, k)
+        assert [c.size for c in columns] == [0, 0, 0, 0]
+        assert [c.dtype for c in columns] == [c.dtype for c in accepted_pairs(two_item_model(), 0)]
+
+
 # -- serving: the CLI streams one user's list at a time -------------------------
 
 
