@@ -48,7 +48,7 @@ catalog = Catalog(["ana", "ben"], ["repo-a", "repo-b", "repo-c"], ["fork", "watc
 uf = empty_features(2)
 itf = empty_features(3)
 layout = FeatureLayout.for_act(catalog, uf, itf)
-print("input blocks:", layout.blocks())
+print("item ids start at", layout.item_id_offset, "and activities at", layout.activity_offset, "of", layout.dim)
 
 act_params = FMParameters(w0=0.0, w=np.zeros(layout.dim), factors=np.ones((layout.dim, 2)) * 0.1)
 scorer = Scorer(act_params, layout, uf, itf)

@@ -124,11 +124,13 @@ def _warn_if_stale(model_path) -> None:
 
 def _load_store(args):
     """(catalog, store after --min-activities, duplicate rows ingest dropped)."""
+    min_acts = args.min_activities
+    if min_acts < 1:
+        raise ConfigError("min_activities", f"--min-activities must be >= 1, got {min_acts}")
     activities = tuple(args.activities.split(",")) if getattr(args, "activities", None) else None
     catalog, store = ingest(args.log, activities)
     duplicates = store.n_duplicates
-    min_acts = getattr(args, "min_activities", None)
-    if min_acts and min_acts > 1:
+    if min_acts > 1:
         store = filter_active_users(store, min_acts)
         catalog = store.catalog
     return catalog, store, duplicates

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from collections import defaultdict
 
 import numpy as np
 
@@ -241,11 +240,13 @@ def l2_normalize_rows(feats: FeatureMatrix) -> FeatureMatrix:
 
     Raw co-participation counts grow with corpus density and would
     dwarf the identity one-hots inside a scorer, so the training
-    pipeline feeds them through this.
+    pipeline feeds them through this; tf-idf item rows are scaled here too.
 
     The arithmetic is a sparse library's: the squares that are not 0 are
     summed per row by ``np.add.reduceat``, each value is multiplied by
-    its row's reciprocal norm, and products of 0 are dropped.
+    its row's reciprocal norm, and products of 0 are dropped.  An in-order
+    sum such as ``np.bincount`` would not do: ``reduceat`` groups the
+    additions differently, so the last bits of a norm would change.
     """
     m = feats.matrix
     squares = m.data * m.data
@@ -263,39 +264,20 @@ def l2_normalize_rows(feats: FeatureMatrix) -> FeatureMatrix:
 
 
 def tfidf_item_features(tags: dict, catalog) -> FeatureMatrix:
-    """TF-IDF rows over description tags, L2-normalized per item.
+    """TF-IDF rows over description tags, scaled per item by ``l2_normalize_rows``.
 
     tf is the raw count of a tag on the item; idf(t) uses add-one
     smoothing, ln((1 + |V|) / (1 + df(t))) + 1.  Items without tags get
     zero rows.  ``tags`` maps raw item ids to tag lists; unknown items
     are ignored.
     """
-    tag_counts: dict[int, dict[str, int]] = {}
-    df: dict[str, int] = defaultdict(int)
-    for raw_id, tag_list in tags.items():
-        v = catalog.item_index.get(raw_id)
-        if v is None:
-            continue
-        counts: dict[str, int] = defaultdict(int)
-        for t in tag_list:
-            counts[t] += 1
-        if counts:
-            tag_counts[v] = dict(counts)
-            for t in counts:
-                df[t] += 1
-    vocab = {t: j for j, t in enumerate(sorted(df))}
-    n_items = catalog.n_items
-    idf = {t: np.log((1.0 + n_items) / (1.0 + df[t])) + 1.0 for t in vocab}
-
-    rows, cols, vals = [], [], []
-    for v, counts in tag_counts.items():
-        entries = [(vocab[t], c * idf[t]) for t, c in counts.items()]
-        norm = np.sqrt(sum(x * x for _, x in entries))
-        for j, x in entries:
-            rows.append(v)
-            cols.append(j)
-            vals.append(x / norm)
-    return FeatureMatrix(CSR.from_coo(rows, cols, vals, (n_items, len(vocab))))
+    index = catalog.item_index
+    pairs = [(index[raw_id], t) for raw_id, tag_list in tags.items() if raw_id in index for t in tag_list]
+    vocab = {t: j for j, t in enumerate(sorted({t for _, t in pairs}))}
+    rows, cols = [v for v, _ in pairs], [vocab[t] for _, t in pairs]
+    tf = CSR.from_coo(rows, cols, np.ones(len(pairs)), (catalog.n_items, len(vocab)))
+    idf = np.log((1.0 + catalog.n_items) / (1.0 + np.bincount(tf.indices, minlength=len(vocab)))) + 1.0
+    return l2_normalize_rows(FeatureMatrix(CSR(tf.indptr, tf.indices, tf.data * idf[tf.indices], tf.shape)))
 
 
 def read_tag_file(path) -> dict[str, list[str]]:
@@ -325,8 +307,7 @@ class FeatureLayout:
     d_user: int
     d_item: int
     n_activities: int = 0
-    use_user_ids: bool = True
-    use_item_ids: bool = True
+    id_onehots: bool = True
 
     @property
     def user_id_offset(self) -> int:
@@ -334,11 +315,11 @@ class FeatureLayout:
 
     @property
     def item_id_offset(self) -> int:
-        return self.n_users if self.use_user_ids else 0
+        return self.n_users if self.id_onehots else 0
 
     @property
     def user_feat_offset(self) -> int:
-        return self.item_id_offset + (self.n_items if self.use_item_ids else 0)
+        return self.item_id_offset + (self.n_items if self.id_onehots else 0)
 
     @property
     def item_feat_offset(self) -> int:
@@ -352,19 +333,6 @@ class FeatureLayout:
     def dim(self) -> int:
         return self.activity_offset + self.n_activities
 
-    def blocks(self) -> list[tuple[str, int, int]]:
-        """(name, offset, size) for each enabled block, in layout order."""
-        out = []
-        if self.use_user_ids:
-            out.append(("user_id", self.user_id_offset, self.n_users))
-        if self.use_item_ids:
-            out.append(("item_id", self.item_id_offset, self.n_items))
-        out.append(("user_features", self.user_feat_offset, self.d_user))
-        out.append(("item_features", self.item_feat_offset, self.d_item))
-        if self.n_activities:
-            out.append(("activity", self.activity_offset, self.n_activities))
-        return out
-
     @classmethod
     def for_keen(cls, catalog, user_feats: FeatureMatrix, item_feats: FeatureMatrix, id_onehots: bool = True) -> "FeatureLayout":
         return dataclasses.replace(cls.for_act(catalog, user_feats, item_feats, id_onehots), n_activities=0)
@@ -377,8 +345,7 @@ class FeatureLayout:
             d_user=user_feats.dim,
             d_item=item_feats.dim,
             n_activities=catalog.n_activities,
-            use_user_ids=id_onehots,
-            use_item_ids=id_onehots,
+            id_onehots=id_onehots,
         )
 
 
@@ -396,7 +363,7 @@ def user_part(u: int, layout: FeatureLayout, user_feats: FeatureMatrix) -> tuple
     """User-side entries (id one-hot + feature block), absolute indices."""
     if not (0 <= u < layout.n_users):
         raise ValueError(f"user id {u} outside [0, {layout.n_users})")
-    one_hot = layout.user_id_offset + u if layout.use_user_ids else None
+    one_hot = layout.user_id_offset + u if layout.id_onehots else None
     return _entity_part(u, one_hot, layout.user_feat_offset, user_feats)
 
 
@@ -409,7 +376,7 @@ def item_part(
     """Item-side entries; a cold item contributes features only, no one-hot."""
     if not (0 <= v < layout.n_items):
         raise ValueError(f"item id {v} outside [0, {layout.n_items})")
-    one_hot = layout.item_id_offset + v if layout.use_item_ids and not cold else None
+    one_hot = layout.item_id_offset + v if layout.id_onehots and not cold else None
     return _entity_part(v, one_hot, layout.item_feat_offset, item_feats)
 
 

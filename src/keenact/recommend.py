@@ -129,7 +129,7 @@ def accepted_pairs(model: TrainedModel, u: int, k: int | None = None) -> tuple[n
         items = items[np.argsort(-keen[items], kind="stable")]
         act, act_ok = act_stage(model, u, items)
         order = np.argsort(-act, axis=1, kind="stable")
-        rows, cols = np.nonzero(np.take_along_axis(act_ok, order, axis=1))
+        rows, cols = np.nonzero(act_ok[np.arange(len(order))[:, None], order])
         if k is None or rows.size >= k or items.size == accepted.size:
             break
         lead *= 2

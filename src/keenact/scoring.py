@@ -183,11 +183,11 @@ class Scorer:
             raise ValueError(f"layout dim {layout.dim} != parameter dim {params.dim}")
         self.params = params
         self.layout = layout
-        user_oh = layout.user_id_offset if layout.use_user_ids else None
+        user_oh = layout.user_id_offset if layout.id_onehots else None
         self._user_base, self._user_s = _block_stats(
             params, user_oh, layout.n_users, layout.user_feat_offset, user_feats
         )
-        item_oh = layout.item_id_offset if layout.use_item_ids else None
+        item_oh = layout.item_id_offset if layout.id_onehots else None
         self._item_base, self._item_s = _block_stats(
             params, item_oh, layout.n_items, layout.item_feat_offset, item_feats, onehot_mask=item_trained
         )

@@ -95,6 +95,14 @@ class TestIngest:
         assert main(["ingest", "--log", str(tmp_path / "absent.tsv")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_min_activities_below_one(self, corpus, tmp_path, capsys, bad):
+        log, _ = corpus
+        out_dir = tmp_path / "canon"
+        assert main(["ingest", "--log", str(log), "--min-activities", bad, "--out", str(out_dir)]) == 2
+        assert "--min-activities" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestTrain:
     def test_writes_model_report_manifest(self, corpus, tmp_path, capsys):
@@ -136,6 +144,15 @@ class TestTrain:
         assert main(["train", "--log", str(log), "--config", str(config),
                      "--out", str(tmp_path / "x"), "--split", "1.5"]) == 2
         assert "split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_min_activities_below_one(self, corpus, tmp_path, capsys, bad):
+        log, config = corpus
+        out_dir = tmp_path / "x"
+        assert main(["train", "--log", str(log), "--config", str(config),
+                     "--out", str(out_dir), "--min-activities", bad]) == 2
+        assert "--min-activities" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_config_key(self, corpus, tmp_path, capsys):
         log, _ = corpus
@@ -363,6 +380,15 @@ class TestEvaluate:
         log, config = corpus
         assert main(["evaluate", "--log", str(log), "--config", str(config), "--ks", "0"]) == 2
         assert "cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_min_activities_below_one(self, corpus, tmp_path, capsys, bad):
+        log, config = corpus
+        out_dir = tmp_path / "eval"
+        assert main(["evaluate", "--log", str(log), "--config", str(config),
+                     "--min-activities", bad, "--out", str(out_dir)]) == 2
+        assert "--min-activities" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

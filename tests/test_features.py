@@ -1,5 +1,8 @@
 """Sparse vectors, side features, layouts, and scorer input assembly."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,10 +47,17 @@ class TestSparseVector:
 
 # finite values whose squares cannot overflow; the smallest square to 0.0
 csr_values = st.floats(-1e100, 1e100, allow_nan=False, allow_subnormal=True)
+# values whose squares underflow to 0.0 or overflow to inf; at most 1e300,
+# so that 16 duplicates still sum to a finite value
+extreme_values = st.one_of(
+    csr_values,
+    st.sampled_from([1e-170, -3e-200, 5e-324, 1e155, -1e160, 1e200, -1e300]),
+    st.floats(1e150, 1e300).map(lambda x: -x),
+)
 
 
 @st.composite
-def coo_entries(draw, max_rows=6, max_cols=6):
+def coo_entries(draw, max_rows=6, max_cols=6, values=csr_values):
     """(rows, cols, values, shape): up to 16 entries in any order, with
     duplicates and explicit zeros; zero-row and zero-width shapes included.
 
@@ -58,7 +68,7 @@ def coo_entries(draw, max_rows=6, max_cols=6):
     if 0 in shape:
         return [], [], [], shape
     cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
-    entries = draw(st.lists(st.tuples(cells, st.one_of(st.just(0.0), csr_values)), max_size=12))
+    entries = draw(st.lists(st.tuples(cells, st.one_of(st.just(0.0), values)), max_size=12))
     if entries and draw(st.booleans()):
         entries += draw(st.lists(st.sampled_from(entries), max_size=4))  # exact duplicates
     entries = draw(st.permutations(entries))
@@ -183,8 +193,10 @@ class TestAgainstScipy:
         assert_same_csr(co_participation_features(store).matrix, scipy_co_participation(store))
 
     @settings(max_examples=300, deadline=None)
-    @given(coo_entries(max_rows=5, max_cols=30))
+    @given(coo_entries(max_rows=5, max_cols=30, values=extreme_values))
     def test_l2_normalize(self, entries):
+        """Equal where squares underflow to 0.0 (the row keeps its
+        values when all do) and where they overflow (the row drops out)."""
         m = CSR.from_coo(*entries)
         got = l2_normalize_rows(FeatureMatrix(m))
         assert_same_csr(got.matrix, scipy_l2_normalize(as_scipy(m)))
@@ -256,6 +268,29 @@ class TestL2Normalize:
         np.testing.assert_array_equal(scaled[1], [0.0, 0.0])
 
 
+@st.composite
+def tag_maps(draw):
+    """(tags, catalog): tag lists with repeated tags, empty lists and unknown items."""
+    items = [f"i{j}" for j in range(draw(st.integers(1, 6)))]
+    catalog = Catalog(["u"], items, ["a"])
+    raw_ids = st.sampled_from(items + ["ghost", "i99"])
+    tags = draw(st.dictionaries(raw_ids, st.lists(st.sampled_from("abcde"), max_size=8)))
+    return tags, catalog
+
+
+def brute_force_tfidf(tags, catalog):
+    """Dense tf-idf rows, each scaled to unit length, from dicts of counts."""
+    counts = {catalog.item_index[i]: Counter(ts) for i, ts in tags.items() if i in catalog.item_index and ts}
+    df = Counter(t for c in counts.values() for t in c)
+    vocab = sorted(df)
+    dense = np.zeros((catalog.n_items, len(vocab)))
+    for v, c in counts.items():
+        for t, n in c.items():
+            dense[v, vocab.index(t)] = n * (math.log((1 + catalog.n_items) / (1 + df[t])) + 1)
+        dense[v] /= math.sqrt(sum(x * x for x in dense[v]))
+    return dense
+
+
 class TestTfidf:
     def _catalog(self):
         return Catalog(["a"], ["x", "y"], ["fork"])
@@ -289,6 +324,29 @@ class TestTfidf:
         # the ghost item's tag never enters the vocabulary
         assert dense.shape[1] == 2
 
+    def test_equals_normalized_raw_tfidf(self):
+        """The rows are l2_normalize_rows of the raw tf x idf rows, byte for byte."""
+        catalog = Catalog(["a"], ["x", "y", "z", "w"], ["fork"])
+        tags = {"x": ["b", "a", "b", "c", "b"], "y": ["c", "a"], "ghost": ["d"], "z": []}
+        tf = np.array([[1.0, 3.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        idf = np.log(5.0 / (1.0 + np.array([2.0, 1.0, 2.0]))) + 1.0
+        expected = l2_normalize_rows(FeatureMatrix(CSR.from_dense(tf * idf)))
+        assert_same_csr(tfidf_item_features(tags, catalog).matrix, as_scipy(expected.matrix))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tag_maps())
+    def test_matches_brute_force(self, tags_and_catalog):
+        tags, catalog = tags_and_catalog
+        got = tfidf_item_features(tags, catalog).matrix
+        expected = brute_force_tfidf(tags, catalog)
+        reference = CSR.from_dense(expected)
+        assert got.shape == reference.shape
+        np.testing.assert_array_equal(got.indptr, reference.indptr)
+        np.testing.assert_array_equal(got.indices, reference.indices)
+        np.testing.assert_allclose(got.toarray(), expected, rtol=1e-12)
+        norms = np.linalg.norm(got.toarray(), axis=1)
+        np.testing.assert_allclose(norms[np.diff(got.indptr) > 0], 1.0, rtol=1e-12)
+
     def test_read_tag_file(self, tmp_path):
         path = tmp_path / "tags.tsv"
         path.write_text("x\tpython, ml\ny\t\n\nz\tsolo\n", encoding="utf-8")
@@ -320,8 +378,7 @@ class TestLayout:
         assert layout.item_feat_offset == 9
         assert layout.activity_offset == 9
         assert layout.dim == 12
-        names = [name for name, _, _ in layout.blocks()]
-        assert names == ["user_id", "item_id", "user_features", "item_features", "activity"]
+        assert layout.id_onehots
 
     def test_keen_layout_has_no_activity_block(self):
         catalog = self._catalog()
@@ -334,8 +391,8 @@ class TestLayout:
         layout = FeatureLayout.for_keen(
             catalog, empty_features(5), empty_features(4), id_onehots=False
         )
-        assert layout.dim == 0
-        assert [name for name, _, _ in layout.blocks()] == ["user_features", "item_features"]
+        assert not layout.id_onehots
+        assert layout.item_id_offset == layout.user_feat_offset == layout.dim == 0
 
 
 class TestAssembly:
