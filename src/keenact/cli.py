@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -59,6 +58,9 @@ logger = logging.getLogger("keenact.cli")
 
 
 def _sha256(path) -> str:
+    # imported here, its only use: loading it maps OpenSSL, which ingest never needs
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -94,6 +94,15 @@ def _invalid_triple(raw, limits) -> DatasetError:
     return DatasetError(f"triple ({u}, {v}, {z}) outside catalog bounds")
 
 
+def _run_starts(*columns) -> np.ndarray:
+    """The first row of each run of equal keys in lexicographically sorted columns."""
+    starts = np.zeros(columns[0].size, dtype=bool)
+    starts[:1] = True
+    for col in columns:
+        starts[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(starts)
+
+
 class InteractionStore:
     """Deduplicated activity triples and their timestamps, stored as columns.
 
@@ -106,18 +115,22 @@ class InteractionStore:
     of its first input row.  ``pair_columns`` and ``pair_ids`` are derived
     from the columns on first use.
 
+    An int64 ``(n, 3)`` array of triples, and an int64 timestamp array,
+    are read in place: the store neither copies nor modifies them, and
+    keeps no reference to them, so the caller may drop them at once.
+
     Instances are read-only after construction; a concurrent first use
     may derive a column twice, with equal results.
     """
 
     def __init__(self, catalog: Catalog, triples, timestamps=None):
         self.catalog = catalog
-        arr = np.array(triples) if len(triples) else np.empty((0, 3), dtype=np.int64)
+        arr = np.asarray(triples) if len(triples) else np.empty((0, 3), dtype=np.int64)
         limits = (catalog.n_users, catalog.n_items, catalog.n_activities)
         if arr.dtype.kind not in "biu" or ((arr < 0) | (arr >= limits)).any():
             raise _invalid_triple(triples, limits)
         try:
-            times = np.zeros(len(arr), dtype=np.int64) if timestamps is None else np.array(timestamps, dtype=np.int64)
+            times = np.zeros(len(arr), dtype=np.int64) if timestamps is None else np.asarray(timestamps, dtype=np.int64)
         except OverflowError:
             raise DatasetError("a timestamp is outside the int64 range") from None
         if times.shape != (len(arr),):
@@ -125,10 +138,12 @@ class InteractionStore:
         arr = arr.astype(np.int64, copy=False)
         keys = (arr[:, 0] * limits[1] + arr[:, 1]) * limits[2] + arr[:, 2]
         keys, rows = np.unique(keys, return_index=True)  # first rows, in key order
-        self.n_duplicates = len(arr) - rows.size
-        pair_keys, z = np.divmod(keys, limits[2])
-        u, v = np.divmod(pair_keys, limits[1])
+        self.n_duplicates = len(times) - rows.size
         self.times = times[rows]
+        del times, rows
+        pair_keys, z = np.divmod(keys, limits[2])
+        del keys
+        u, v = np.divmod(pair_keys, limits[1])
         for col in (u, v, z, self.times):
             col.flags.writeable = False
         self.columns: tuple[np.ndarray, np.ndarray, np.ndarray] = (u, v, z)
@@ -143,7 +158,7 @@ class InteractionStore:
 
     @cached_property
     def _pair_rows(self) -> np.ndarray:
-        return np.unique(self.columns[0] * self.catalog.n_items + self.columns[1], return_index=True)[1]
+        return _run_starts(*self.columns[:2])
 
     @cached_property
     def pair_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,9 +174,9 @@ class InteractionStore:
 
     def user_rows(self) -> dict[int, slice]:
         """Each user's rows of ``columns``, in ascending user order."""
-        users, starts = np.unique(self.columns[0], return_index=True)
-        bounds = [*starts.tolist(), self.n_triples]  # the user column is sorted
-        return {u: slice(a, b) for u, a, b in zip(users.tolist(), bounds, bounds[1:])}
+        starts = _run_starts(self.columns[0])
+        bounds = [*starts.tolist(), self.n_triples]
+        return {u: slice(a, b) for u, a, b in zip(self.columns[0][starts].tolist(), bounds, bounds[1:])}
 
 
 @dataclass(frozen=True)
@@ -191,6 +206,12 @@ def _parse_line(line: str, lineno: int) -> tuple[str, str, str, int]:
     return user, item, activity, ts
 
 
+# characters of log lines that ingest parses at once: a ``readlines`` size hint
+INGEST_BLOCK = 1 << 16
+# rows that write_interaction_log turns into Python objects at once
+WRITE_BLOCK = 1 << 13
+
+
 def ingest(path, activities: tuple[str, ...] | None = None) -> tuple[Catalog, InteractionStore]:
     """Read an interaction log into a catalog and a deduplicated store.
 
@@ -199,30 +220,53 @@ def ingest(path, activities: tuple[str, ...] | None = None) -> tuple[Catalog, In
     Duplicate rows collapse to one triple that keeps the timestamp of its
     first row (the count is recorded on the store); the keen pairs are
     the projection of the triples onto (user, item).
+
+    The log is read in blocks of about ``INGEST_BLOCK`` characters of
+    whole lines.  Only one block's lines and parsed values are Python
+    objects at a time: each block's ids and timestamps become int64
+    arrays, joined once at the end and handed to the store uncopied.
+    A timestamp outside the int64 range is reported after every line
+    has parsed, as a line that does not parse comes first.
     """
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     declared = None if activities is None else {name: i for i, name in enumerate(activities)}
     activity_ids: dict[str, int] = dict(declared or {})
 
-    ids: list[int] = []
-    times: list[int] = []
+    id_blocks: list[np.ndarray] = []
+    time_blocks: list[np.ndarray] = []
+    overflow = False
+    lineno = 0
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            user, item, activity, ts = _parse_line(line, lineno)
-            if declared is not None and activity not in declared:
-                raise SchemaError(f"line {lineno}: activity {activity!r} not in declared set {sorted(declared)}")
-            ids.append(users.setdefault(user, len(users)))
-            ids.append(items.setdefault(item, len(items)))
-            ids.append(activity_ids.setdefault(activity, len(activity_ids)))
-            times.append(ts)
+        while lines := fh.readlines(INGEST_BLOCK):
+            ids: list[int] = []
+            times: list[int] = []
+            for lineno, line in enumerate(lines, start=lineno + 1):
+                if not line.strip():
+                    continue
+                user, item, activity, ts = _parse_line(line, lineno)
+                if declared is not None and activity not in declared:
+                    raise SchemaError(f"line {lineno}: activity {activity!r} not in declared set {sorted(declared)}")
+                ids.append(users.setdefault(user, len(users)))
+                ids.append(items.setdefault(item, len(items)))
+                ids.append(activity_ids.setdefault(activity, len(activity_ids)))
+                times.append(ts)
+            del lines  # the next block is read without this one's strings
+            id_blocks.append(np.array(ids, dtype=np.int64))
+            try:
+                time_blocks.append(np.array(times, dtype=np.int64))
+            except OverflowError:
+                overflow = True
+            del ids, times
 
-    if not times:
+    if not users:
         raise EmptyDatasetError(f"empty dataset: no interactions in {path}")
+    if overflow:
+        raise DatasetError("a timestamp is outside the int64 range")
     catalog = Catalog(list(users), list(items), list(activity_ids))
-    return catalog, InteractionStore(catalog, np.array(ids, dtype=np.int64).reshape(-1, 3), times)
+    triples, stamps = np.concatenate(id_blocks).reshape(-1, 3), np.concatenate(time_blocks)
+    del id_blocks, time_blocks
+    return catalog, InteractionStore(catalog, triples, stamps)
 
 
 def filter_active_users(store: InteractionStore, min_activities: int) -> InteractionStore:
@@ -250,7 +294,10 @@ def filter_active_users(store: InteractionStore, min_activities: int) -> Interac
         [old.items[i] for i in np.flatnonzero(keep_item).tolist()],
         old.activities,
     )
-    remapped = np.column_stack((user_map[u[rows]], item_map[v[rows]], z[rows]))
+    remapped = np.empty((np.count_nonzero(rows), 3), dtype=np.int64)
+    remapped[:, 0] = user_map[u[rows]]
+    remapped[:, 1] = item_map[v[rows]]
+    remapped[:, 2] = z[rows]
     return InteractionStore(catalog, remapped, store.times[rows])
 
 
@@ -281,11 +328,16 @@ def write_interaction_log(store: InteractionStore, path) -> None:
 
     Re-ingesting it keeps raw ids, triples and first timestamps, but may
     renumber dense ids: no row order keeps every first-seen numbering.
+    Rows are written in column order, ``WRITE_BLOCK`` at a time: only one
+    block's ids and timestamps are Python ints at once.
     """
     catalog = store.catalog
+    columns = (*store.columns, store.times)
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, z, ts in zip(*(c.tolist() for c in (*store.columns, store.times))):
-            fh.write(f"{catalog.users[u]}\t{catalog.items[v]}\t{catalog.activities[z]}\t{ts}\n")
+        for lo in range(0, store.n_triples, WRITE_BLOCK):
+            block = (c[lo : lo + WRITE_BLOCK].tolist() for c in columns)
+            for u, v, z, ts in zip(*block):
+                fh.write(f"{catalog.users[u]}\t{catalog.items[v]}\t{catalog.activities[z]}\t{ts}\n")
 
 
 def write_split_manifest(split: SplitPair, out_dir) -> dict[str, str]:

@@ -246,7 +246,9 @@ def l2_normalize_rows(feats: FeatureMatrix) -> FeatureMatrix:
     summed per row by ``np.add.reduceat``, each value is multiplied by
     its row's reciprocal norm, and products of 0 are dropped.  An in-order
     sum such as ``np.bincount`` would not do: ``reduceat`` groups the
-    additions differently, so the last bits of a norm would change.
+    additions differently, so the last bits of a norm would change.  A
+    row whose norm is infinite has reciprocal 0 and stores nothing, an
+    infinite value included, as a product with a zero diagonal would.
     """
     m = feats.matrix
     squares = m.data * m.data
@@ -257,8 +259,9 @@ def l2_normalize_rows(feats: FeatureMatrix) -> FeatureMatrix:
     norms[filled] = np.add.reduceat(squares[nonzero], ptr[filled])
     norms = np.sqrt(norms)
     norms[norms == 0.0] = 1.0
-    scaled = (1.0 / norms)[m.row_ids()] * m.data
-    kept = scaled != 0.0
+    scale = (1.0 / norms)[m.row_ids()]
+    scaled = scale * m.data
+    kept = (scale != 0.0) & (scaled != 0.0)
     indptr = np.concatenate(([0], np.cumsum(kept)))[m.indptr]
     return FeatureMatrix(CSR(indptr, m.indices[kept], scaled[kept], m.shape))
 

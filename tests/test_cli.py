@@ -1,6 +1,7 @@
 """End-to-end command flows through the argparse entry point."""
 
 import base64
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,12 @@ class TestTrain:
             assert len(entry["sha256"]) == 64
         out = capsys.readouterr().out
         assert "final" in out and "wrote" in out
+
+    def test_manifest_digest_is_the_log_sha256(self, corpus, tmp_path):
+        log, config = corpus
+        manifest = json.loads((run_train(tmp_path, log, config) / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"]["log"]["sha256"] == hashlib.sha256(log.read_bytes()).hexdigest()
+        assert manifest["inputs"]["config"]["sha256"] == hashlib.sha256(config.read_bytes()).hexdigest()
 
     def test_reruns_are_byte_identical(self, corpus, tmp_path):
         log, config = corpus
@@ -436,3 +443,20 @@ class TestWithoutScipy:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "recs.tsv").read_text(encoding="utf-8")
         assert (tmp_path / "eval" / "eval.tsv").exists()
+
+
+class TestIngestImports:
+    def test_ingest_loads_no_openssl(self, corpus, tmp_path):
+        """Only the run manifests hash, so ingest never maps OpenSSL's ``_hashlib``."""
+        log, _ = corpus
+        done = run_python(
+            "import sys\n"
+            "from keenact.cli import main\n"
+            "code = main(['ingest', '--log', sys.argv[1], '--min-activities', '2', '--out', sys.argv[2]])\n"
+            "print(code, '_hashlib' in sys.modules)",
+            str(log),
+            str(tmp_path / "clean"),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "clean" / "interactions.tsv").exists()

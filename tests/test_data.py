@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from keenact import data
 from keenact.data import (
     Catalog,
     DatasetError,
@@ -16,6 +17,7 @@ from keenact.data import (
     InteractionStore,
     ParseError,
     SchemaError,
+    _parse_line,
     filter_active_users,
     ingest,
     split_per_user,
@@ -185,6 +187,17 @@ def raw_logs(draw):
     return draw(st.lists(row, min_size=1, max_size=25))
 
 
+@st.composite
+def raw_logs_with_blank_lines(draw):
+    """A ``raw_logs`` table as log text, BOM-started or not, with blank lines and CRLF endings."""
+    lines = []
+    for row in draw(raw_logs()):
+        lines.append("\t".join(str(c) for c in row) + draw(st.sampled_from(["\n", "\r\n"])))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["\n", " \n", "\r\n"])))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
+
+
 def raw_view(catalog, store):
     """Catalog id sets, triples and timestamps in raw ids."""
     def raw(t):
@@ -220,7 +233,149 @@ class TestRoundTripProperty:
         assert reread.n_duplicates == 0
 
 
+def line_by_line_ingest(path, activities=None):
+    """``ingest`` as one pass over the file's lines, every row a Python int: the block reader's oracle."""
+    users, items = {}, {}
+    declared = None if activities is None else {name: i for i, name in enumerate(activities)}
+    activity_ids = dict(declared or {})
+    ids, times = [], []
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            user, item, activity, ts = _parse_line(line, lineno)
+            if declared is not None and activity not in declared:
+                raise SchemaError(f"line {lineno}: activity {activity!r} not in declared set {sorted(declared)}")
+            ids.append(users.setdefault(user, len(users)))
+            ids.append(items.setdefault(item, len(items)))
+            ids.append(activity_ids.setdefault(activity, len(activity_ids)))
+            times.append(ts)
+    if not times:
+        raise EmptyDatasetError(f"empty dataset: no interactions in {path}")
+    catalog = Catalog(list(users), list(items), list(activity_ids))
+    return catalog, InteractionStore(catalog, np.array(ids, dtype=np.int64).reshape(-1, 3), times)
+
+
+def read_blocks(path):
+    """The log's lines as ``ingest`` reads them, one list per block."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return list(iter(lambda: fh.readlines(data.INGEST_BLOCK), []))
+
+
+def assert_same_ingest(got, expected):
+    (catalog, store), (ref_catalog, ref) = got, expected
+    assert (catalog.users, catalog.items, catalog.activities) == (ref_catalog.users, ref_catalog.items, ref_catalog.activities)
+    for col, ref_col in zip((*store.columns, store.times), (*ref.columns, ref.times)):
+        np.testing.assert_array_equal(col, ref_col)
+    assert store.n_duplicates == ref.n_duplicates
+
+
+def block_log(path, n_rows, bad_row=None):
+    """A BOM-started log of ``n_rows`` rows, one of them repeated, one CRLF-ended
+    and one after a blank line; ``bad_row`` is put first in the second block."""
+    lines = [f"u{i % 97}\ti{(7 * i) % 131}\t{('fork', 'watch')[i % 2]}\t{i}\n" for i in range(n_rows)]
+    lines[5] = lines[4]
+    lines[9] = lines[9].replace("\n", "\r\n")
+    lines[12] = "\n"
+
+    def write():
+        path.write_bytes(b"\xef\xbb\xbf" + "".join(lines).encode("utf-8"))
+
+    write()
+    if bad_row is not None:
+        lines.insert(len(read_blocks(path)[0]), bad_row)  # the lines before it keep their block
+        write()
+    return path
+
+
+class TestIngestBlocks:
+    def test_matches_the_line_by_line_oracle(self, tmp_path):
+        log = block_log(tmp_path / "log.tsv", 4 * data.INGEST_BLOCK // 20)
+        assert len(read_blocks(log)) > 3
+        got = ingest(log)
+        assert_same_ingest(got, line_by_line_ingest(log))
+        assert got[1].n_duplicates > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_logs_with_blank_lines(), st.sampled_from([1, 9, 40]))
+    def test_matches_the_oracle_at_any_block_size(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "log.tsv"
+            log.write_bytes(text.encode("utf-8"))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "INGEST_BLOCK", block)
+                try:
+                    got = ingest(log)
+                except EmptyDatasetError:
+                    with pytest.raises(EmptyDatasetError):
+                        line_by_line_ingest(log)
+                    return
+            assert_same_ingest(got, line_by_line_ingest(log))
+
+    def test_parse_error_first_in_the_second_block(self, tmp_path):
+        log = block_log(tmp_path / "log.tsv", 3 * data.INGEST_BLOCK // 20, bad_row="broken\n")
+        first, second = read_blocks(log)[:2]
+        assert second[0] == "broken\n"
+        with pytest.raises(ParseError) as err:
+            ingest(log)
+        assert err.value.line_number == len(first) + 1
+        assert f"line {len(first) + 1}:" in str(err.value)
+
+    def test_undeclared_activity_first_in_the_second_block(self, tmp_path):
+        log = block_log(tmp_path / "log.tsv", 3 * data.INGEST_BLOCK // 20, bad_row="a\tx\tstar\t1\n")
+        first, second = read_blocks(log)[:2]
+        assert second[0] == "a\tx\tstar\t1\n"
+        with pytest.raises(SchemaError, match=f"^line {len(first) + 1}: activity 'star' not in declared set"):
+            ingest(log, ("fork", "watch"))
+
+    def test_timestamp_overflow_reported_after_a_later_parse_error(self, tmp_path, monkeypatch):
+        """As in one pass: every line parses before the int64 range is checked."""
+        monkeypatch.setattr(data, "INGEST_BLOCK", 1)
+        log = write_log(tmp_path / "log.tsv", [("a", "x", "fork", 2**63), ("broken",)])
+        with pytest.raises(ParseError) as err:
+            ingest(log)
+        assert err.value.line_number == 2
+
+
+def one_shot_log(store) -> bytes:
+    """The canonical log as one f-string per row over whole-column lists."""
+    c = store.catalog
+    return "".join(
+        f"{c.users[u]}\t{c.items[v]}\t{c.activities[z]}\t{ts}\n"
+        for u, v, z, ts in zip(*(col.tolist() for col in (*store.columns, store.times)))
+    ).encode("utf-8")
+
+
+class TestWriteBlocks:
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_same_bytes_as_a_one_shot_writer(self, tmp_path, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(data, "WRITE_BLOCK", block)
+        n = 2 * data.WRITE_BLOCK + 5 if block is None else 40
+        rng = np.random.default_rng(3)
+        catalog = Catalog([f"u{i}" for i in range(50)], [f"i{j}" for j in range(400)], ["fork", "watch", "star"])
+        triples = np.column_stack([rng.integers(0, k, n) for k in (50, 400, 3)])
+        store = InteractionStore(catalog, triples, rng.integers(-(2**62), 2**62, n))
+        assert store.n_triples > data.WRITE_BLOCK
+        write_interaction_log(store, tmp_path / "log.tsv")
+        assert (tmp_path / "log.tsv").read_bytes() == one_shot_log(store)
+
+
 class TestStore:
+    def test_int64_input_is_read_in_place(self):
+        """The store neither writes to its int64 inputs nor keeps a view of them."""
+        rng = np.random.default_rng(6)
+        catalog = Catalog([f"u{i}" for i in range(4)], [f"i{j}" for j in range(5)], ["fork", "watch"])
+        triples = np.column_stack([rng.integers(0, k, 30) for k in (4, 5, 2)]).astype(np.int64)
+        times = rng.integers(0, 1000, 30)
+        before = triples.copy(), times.copy()
+        store = InteractionStore(catalog, triples, times)
+        np.testing.assert_array_equal(triples, before[0])
+        np.testing.assert_array_equal(times, before[1])
+        derived = (*store.columns, store.times, *store.pair_columns, store.pair_ids)
+        assert not any(np.shares_memory(col, given) for col in derived for given in (triples, times))
+        assert triples.flags.writeable and times.flags.writeable
+
     def test_positive_sets(self):
         catalog = Catalog(["a", "b"], ["x", "y", "z"], ["fork", "watch"])
         store = InteractionStore(catalog, [(0, 0, 0), (0, 0, 1), (0, 2, 0), (1, 1, 0)])
@@ -327,6 +482,21 @@ class TestStoreProperty:
         assert all(c.dtype == np.int64 for c in (*store.pair_columns, store.pair_ids))
         assert timestamps_of(store) == first
         assert store.times.tolist() == [first[t] for t in distinct]
+
+    @settings(max_examples=300, deadline=None)
+    @given(catalogs_and_triples())
+    @example((Catalog(["u0"], ["i0"], ["a0"]), [(0, 0, 0)]))
+    @example((Catalog(["u0"], ["i0", "i1"], ["a0", "a1"]), [(0, 1, 1), (0, 0, 1), (0, 1, 0), (0, 1, 1)]))
+    def test_runs_equal_the_unique_form(self, case):
+        """Pair and user run starts are the first rows np.unique finds, one triple and one user included."""
+        catalog, triples = case
+        store = InteractionStore(catalog, triples)
+        u, v, _ = store.columns
+        np.testing.assert_array_equal(store._pair_rows, np.unique(u * catalog.n_items + v, return_index=True)[1])
+        assert store._pair_rows.dtype == np.intp
+        users, starts = np.unique(u, return_index=True)
+        bounds = [*starts.tolist(), store.n_triples]
+        assert store.user_rows() == {a: slice(b, c) for a, b, c in zip(users.tolist(), bounds, bounds[1:])}
 
     @settings(max_examples=300, deadline=None)
     @given(catalogs_and_triples(margin=2))

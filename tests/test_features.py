@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -47,12 +47,12 @@ class TestSparseVector:
 
 # finite values whose squares cannot overflow; the smallest square to 0.0
 csr_values = st.floats(-1e100, 1e100, allow_nan=False, allow_subnormal=True)
-# values whose squares underflow to 0.0 or overflow to inf; at most 1e300,
-# so that 16 duplicates still sum to a finite value
+# values whose squares underflow to 0.0 or overflow to inf, infinities,
+# and values whose duplicates sum to an infinity
 extreme_values = st.one_of(
     csr_values,
-    st.sampled_from([1e-170, -3e-200, 5e-324, 1e155, -1e160, 1e200, -1e300]),
-    st.floats(1e150, 1e300).map(lambda x: -x),
+    st.sampled_from([1e-170, -3e-200, 5e-324, 1e155, -1e160, 1e200, -1e300, math.inf, -1.7e308]),
+    st.floats(1e150, 1e308).map(lambda x: -x),
 )
 
 
@@ -194,9 +194,13 @@ class TestAgainstScipy:
 
     @settings(max_examples=300, deadline=None)
     @given(coo_entries(max_rows=5, max_cols=30, values=extreme_values))
+    # an infinite stored value, and one that four finite duplicates sum to
+    @example(([0, 0, 1], [0, 1, 0], [math.inf, 1.0, 2.0], (2, 2)))
+    @example(([0, 0, 0, 0], [0, 0, 0, 0], [-4.495e307] * 4, (1, 1)))
     def test_l2_normalize(self, entries):
         """Equal where squares underflow to 0.0 (the row keeps its
-        values when all do) and where they overflow (the row drops out)."""
+        values when all do) and where they overflow or a value is
+        infinite (the row drops out)."""
         m = CSR.from_coo(*entries)
         got = l2_normalize_rows(FeatureMatrix(m))
         assert_same_csr(got.matrix, scipy_l2_normalize(as_scipy(m)))
