@@ -123,6 +123,19 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest(log)
 
+    @pytest.mark.parametrize("ts", ["1_000", "\u0661\u0662", "+-5", "5.0", "0x10", ""])
+    def test_timestamp_is_ascii_digits(self, tmp_path, ts):
+        """A timestamp is ``[+-]?[0-9]+``, not whatever ``int()`` accepts."""
+        log = write_log(tmp_path / "log.tsv", [("a", "x", "fork", 1), ("b", "x", "fork", ts)])
+        with pytest.raises(ParseError, match=f"^line 2: timestamp {re.escape(repr(ts))} is not an integer$"):
+            ingest(log)
+
+    def test_signed_timestamps_and_leading_zeros(self, tmp_path):
+        rows = [("a", "x", "fork", "+5"), ("b", "x", "fork", "-007"), ("c", "x", "fork", " +0 ")]
+        log = write_log(tmp_path / "log.tsv", rows)
+        _, store = ingest(log)
+        assert timestamps_of(store) == {(0, 0, 0): 5, (1, 0, 0): -7, (2, 0, 0): 0}
+
     def test_timestamp_outside_int64_is_a_data_error(self, tmp_path):
         log = write_log(tmp_path / "log.tsv", [("a", "x", "fork", 2**63 - 1), ("b", "x", "fork", 2**63)])
         with pytest.raises(DatasetError, match="int64"):
@@ -337,6 +350,179 @@ class TestIngestBlocks:
         assert err.value.line_number == 2
 
 
+# ids of 1 to 40 UTF-8 bytes: mostly plain ASCII, which the numpy path packs
+# (up to 8 bytes) or hashes, and some beyond ASCII
+block_ids = st.one_of(
+    st.text(st.sampled_from("abcxyz0189/-_."), min_size=1, max_size=40),
+    st.text(
+        st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), exclude_characters="\ufeff"),
+        min_size=1,
+        max_size=10,
+    ),
+)
+# leading zeros, signs, and 18 and 19 digits; ``+`` and 19 digits fall back
+block_times = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.integers(0, 999).map(lambda n: f"00{n}"),
+    st.integers(10**17, 10**18 - 1).map(str),
+    st.integers(10**17, 10**18 - 1).map(lambda n: f"-{n}"),
+    st.integers(10**18, 2**63 - 1).map(str),
+    st.integers(0, 99).map(lambda n: f"+{n}"),
+)
+
+
+@st.composite
+def mixed_logs(draw):
+    """Log text whose blocks mostly qualify for the numpy path and sometimes fall back.
+
+    Rarer lines fall back: blank, whitespace-padded, or a line that does
+    not parse.  Some lines have extra columns.
+    """
+    users, items, acts = (draw(st.lists(block_ids, min_size=1, max_size=6, unique=True)) for _ in range(3))
+    lines = []
+    for _ in range(draw(st.integers(1, 40))):
+        cols = [draw(st.sampled_from(pool)) for pool in (users, items, acts)] + [draw(block_times)]
+        cols += draw(st.lists(block_ids, max_size=2))
+        odd = draw(st.integers(0, 30))
+        if odd == 0:
+            lines.append("\n")
+        elif odd == 1:
+            cols[0] = f" {cols[0]}"
+        elif odd == 2:
+            cols = cols[:3]
+        lines.append("\t".join(cols) + "\n")
+    return "".join(lines)
+
+
+def ingest_outcome(read, path, activities=None):
+    """What ``read`` gives for a log: its catalog and store, or its error's type and message."""
+    try:
+        return read(path, activities)
+    except DatasetError as err:
+        return type(err), str(err)
+
+
+class TestNumpyBlocks:
+    """``_parse_block`` parses a qualifying block as ``_parse_lines`` would, and leaves any other alone."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list[bool]:
+        """Whether each block took the numpy path, in read order."""
+        took, parse_block = [], data._parse_block
+
+        def spied(lines, names):
+            parsed = parse_block(lines, names)
+            took.append(parsed is not None)
+            return parsed
+
+        monkeypatch.setattr(data, "_parse_block", spied)
+        return took
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_logs(), st.sampled_from([1, 9, 40, None]), st.sampled_from([None, 0, 1]), st.sampled_from([1, None]))
+    def test_matches_the_oracle(self, text, block, undeclared, recent):
+        """At block sizes 1, 9, 40 and the default; with no declared activities, or
+        all of them but the first ``undeclared`` in sorted order; with index levels
+        that merge after one new key, or as they do."""
+        acts = sorted({line.split("\t")[2] for line in text.split("\n") if line.count("\t") >= 3})
+        declared = None if undeclared is None else tuple(acts[undeclared:])
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "log.tsv"
+            log.write_bytes(text.encode("utf-8"))
+            with pytest.MonkeyPatch.context() as mp:
+                if block is not None:
+                    mp.setattr(data, "INGEST_BLOCK", block)
+                if recent is not None:
+                    mp.setattr(data, "_RECENT_KEYS", recent)
+                got = ingest_outcome(ingest, log, declared)
+            expected = ingest_outcome(line_by_line_ingest, log, declared)
+        if isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert not isinstance(got[0], type), got
+            assert_same_ingest(got, expected)
+
+    def test_both_paths_in_one_log(self, tmp_path, monkeypatch):
+        rows = [f"owner/repository-{i % 13:04d}\t\u00fcml-{i % 5}\tfork\t{i:018d}\n" for i in range(300)]
+        rows[150] = rows[150].replace("fork", " fork")
+        log = tmp_path / "log.tsv"
+        log.write_text("".join(rows), encoding="utf-8")
+        monkeypatch.setattr(data, "INGEST_BLOCK", 2000)
+        took = self.spy(monkeypatch)
+        assert_same_ingest(ingest(log), line_by_line_ingest(log))
+        assert len(took) > 4 and took.count(False) == 1
+
+    def test_undeclared_activity_inside_a_numpy_block(self, tmp_path, monkeypatch):
+        rows = [f"u{i % 17}\ti{i % 29}\t{('fork', 'watch')[i % 2]}\t{i}\n" for i in range(400)]
+        rows[250] = "u3\ti7\tstar\t5\n"
+        log = tmp_path / "log.tsv"
+        log.write_text("".join(rows), encoding="utf-8")
+        monkeypatch.setattr(data, "INGEST_BLOCK", 1000)
+        sizes = [len(b) for b in read_blocks(log)]
+        assert 250 not in np.cumsum(sizes)  # line 251 is not the first of its block
+        took = self.spy(monkeypatch)
+        with pytest.raises(SchemaError) as err:
+            ingest(log, ("fork", "watch"))
+        with pytest.raises(SchemaError) as ref:
+            line_by_line_ingest(log, ("fork", "watch"))
+        assert str(err.value) == str(ref.value)
+        assert str(err.value).startswith("line 251: activity 'star'")
+        assert took == [True] * (len(took) - 1) + [False]
+        assert sum(sizes[: len(took) - 1]) < 251 <= sum(sizes[: len(took)])
+
+    def test_a_hash_collision_keeps_ids_apart(self, tmp_path, monkeypatch):
+        """With every long id hashed alike, a block that holds two of them falls back.
+
+        ``a`` and ``c`` differ in one byte; ``b`` is ``a`` cut at a word
+        boundary, so its words are ``a``'s first ones.  The first block
+        holds ``a`` and ``c``, both new; the later ones ``a``, ``b`` and
+        ``c`` in turn, while the index holds ``a``.
+        """
+        monkeypatch.setattr(data, "_hash_words", lambda words, place, first: np.zeros(first.size, dtype=np.uint64))
+        a, b, c = "owner/repository-name-0001", "owner/repository-name-00", "owner/repository-name-0002"
+        row = {a: "u{}\t" + a + "\t{}\t{:02d}\n", c: "u{}\t" + c + "\t{}\t{:02d}\n", b: "u{}\t" + b + "\t{}\t{:04d}\n"}
+        rows = [row[(a, c)[i % 2]].format(i % 7, "star", i) for i in range(60)]
+        for name in (a, b, c):
+            rows += [row[name].format(i % 7, "fork", i) for i in range(60)]
+        log = tmp_path / "log.tsv"
+        log.write_text("".join(rows), encoding="utf-8")
+        monkeypatch.setattr(data, "INGEST_BLOCK", 60 * len(rows[0]) - 1)
+        assert [len(block) for block in read_blocks(log)] == [60, 60, 60, 60]
+        took = self.spy(monkeypatch)
+        catalog, store = ingest(log)
+        assert took == [False, True, False, False]
+        assert catalog.items == (a, c, b)
+        assert_same_ingest((catalog, store), line_by_line_ingest(log))
+
+    @pytest.mark.parametrize("user", ["\xa0u1", "u1\u3000", "\x85u1", "u1\u2028"])
+    def test_whitespace_beyond_ascii_is_stripped(self, tmp_path, user):
+        log = tmp_path / "log.tsv"
+        log.write_text(f"{user}\tx\tfork\t1\nu2\tx\tfork\t2\n", encoding="utf-8")
+        catalog, store = ingest(log)
+        assert catalog.users == ("u1", "u2")
+        assert_same_ingest((catalog, store), line_by_line_ingest(log))
+
+    def test_wide_spaces_are_all_the_whitespace_beyond_ascii(self):
+        assert set(data._WIDE_SPACES) == {c for c in map(chr, range(0x80, 0x110000)) if c.isspace()}
+
+    def test_every_block_of_a_corpus_log_takes_the_numpy_path(self, tmp_path, monkeypatch):
+        """A shuffled synthetic log with repeated rows, as the benchmark's ``corpus`` reads."""
+        from keenact.synth import generate_two_stage
+
+        _, store = generate_two_stage(200, 400, 3, seed=1, items_per_user=(5, 60))
+        write_interaction_log(store, tmp_path / "canonical.tsv")
+        rows = (tmp_path / "canonical.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        rng = np.random.default_rng(1)
+        rows += [rows[i] for i in rng.choice(len(rows), len(rows) // 10)]
+        log = tmp_path / "raw.tsv"
+        log.write_text("".join(rows[i] for i in rng.permutation(len(rows))), encoding="utf-8")
+        took = self.spy(monkeypatch)
+        got = ingest(log)
+        assert len(took) > 2 and all(took)
+        assert_same_ingest(got, line_by_line_ingest(log))
+        assert got[1].n_duplicates > 0
+
+
 def one_shot_log(store) -> bytes:
     """The canonical log as one f-string per row over whole-column lists."""
     c = store.catalog
@@ -497,6 +683,21 @@ class TestStoreProperty:
         users, starts = np.unique(u, return_index=True)
         bounds = [*starts.tolist(), store.n_triples]
         assert store.user_rows() == {a: slice(b, c) for a, b, c in zip(users.tolist(), bounds, bounds[1:])}
+
+    @settings(max_examples=300, deadline=None)
+    @given(catalogs_and_triples(), st.lists(st.integers(-(2**62), 2**62), min_size=40, max_size=40))
+    def test_canonical_path_equals_the_full_constructor(self, case, times):
+        """Distinct sorted triples taken as they are make the store the full sort makes."""
+        catalog, triples = case
+        full = InteractionStore(catalog, triples, times[: len(triples)])
+        store = InteractionStore._canonical(catalog, [c.copy() for c in full.columns], full.times.copy())
+        derived = [(*s.columns, s.times, *s.pair_columns, s.pair_ids) for s in (store, full)]
+        for col, ref in zip(*derived):
+            np.testing.assert_array_equal(col, ref)
+            assert col.dtype == ref.dtype
+        assert store.n_duplicates == 0
+        assert store.user_rows() == full.user_rows()
+        assert not any(c.flags.writeable for c in (*store.columns, store.times))
 
     @settings(max_examples=300, deadline=None)
     @given(catalogs_and_triples(margin=2))
