@@ -214,10 +214,13 @@ def _parse_line(line: str, lineno: int) -> tuple[str, str, str, int]:
     ts_raw = cols[3].strip()
     if not user or not item or not activity:
         raise ParseError("empty user, item or activity field", lineno)
-    digits = ts_raw[1:] if ts_raw[:1] in ("+", "-") else ts_raw
-    if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(f"timestamp {ts_raw!r} is not an integer", lineno)
-    return user, item, activity, int(ts_raw)
+    try:
+        if not ts_raw.isascii() or "_" in ts_raw:  # int() reads "1_000" and non-ASCII digits too
+            raise ValueError
+        ts = int(ts_raw)
+    except ValueError:
+        raise ParseError(f"timestamp {ts_raw!r} is not an integer", lineno) from None
+    return user, item, activity, ts
 
 
 # characters of log lines that ingest parses at once: a ``readlines`` size hint
@@ -231,12 +234,6 @@ WRITE_BLOCK = 1 << 13
 # (11 MiB more peak at 10x the corpus rows).  A small log gets one small chunk.
 _CHUNK_ROWS = 1 << 16
 
-# the characters beyond ASCII that ``str.strip`` removes, the first bytes of
-# their UTF-8 forms, and those forms as big-endian ints, a 2-byte one followed
-# by a zero byte
-_WIDE_SPACES = "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u2028\u2029\u202f\u205f\u3000"
-_WIDE_SPACE_LEADS = sorted({c.encode()[:1] for c in _WIDE_SPACES})
-_WIDE_SPACE_CODES = np.array(sorted(int.from_bytes(c.encode().ljust(3, b"\0"), "big") for c in _WIDE_SPACES))
 # the most timestamp digits a numpy-parsed block holds: 10**18 - 1 < 2**63
 _TIME_DIGITS = 18
 _POW10 = np.array([10**k for k in reversed(range(_TIME_DIGITS))], dtype=np.int64)
@@ -245,9 +242,6 @@ _DIGIT_MASKS = np.array([[0] * (_TIME_DIGITS - n) + [1] * n for n in range(_TIME
 # a name of up to _WORD bytes keys as those bytes; _LOW_BYTES[n] keeps n of them
 _WORD = 8
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(_WORD + 1)], dtype=np.uint64)
-_ENTRY = np.dtype([("id", np.int64), ("length", np.int64), ("at", np.int64)])
-# the keys that a column's second index level holds before it may merge into the first
-_RECENT_KEYS = 1 << 12
 
 
 def _windows(buf: bytes, width: int) -> np.ndarray:
@@ -255,204 +249,87 @@ def _windows(buf: bytes, width: int) -> np.ndarray:
     return np.ndarray((len(buf) - width + 1, width), dtype=np.uint8, buffer=buf, strides=(1, 1))
 
 
-def _spans(at: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``at[i], at[i] + 1, ..., at[i] + counts[i] - 1`` for every i, concatenated."""
-    ends = np.cumsum(counts)
-    return np.repeat(at - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+def _field_keys(buf: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each field's bytes as a little-endian uint64, zero past its end.
 
-
-def _word_counts(lengths: np.ndarray) -> np.ndarray:
-    """The ``_WORD``-byte words that fields of ``lengths`` bytes take."""
-    return (lengths + _WORD - 1) // _WORD
-
-
-def _same_words(x, x_at, y, y_at, counts) -> bool:
-    """Whether ``x[x_at[i]:][:counts[i]]`` equals ``y[y_at[i]:][:counts[i]]`` for every i."""
-    return np.array_equal(x[_spans(x_at, counts)], y[_spans(y_at, counts)])
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, elementwise, wrapping mod 2**64."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _hash_words(words: np.ndarray, place: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """A hash of each field's words, shifted left a byte.
-
-    ``place`` is each word's place in its field and ``first[i]`` field
-    i's first word.  The key of a name of up to ``_WORD`` bytes is its
-    bytes, whose low byte is never zero, so no hash equals one of those.
-    """
-    return np.add.reduceat(_mix(words ^ place.astype(np.uint64)), first) << np.uint64(8)
-
-
-def _field_keys(buf: bytes, starts: np.ndarray, lengths: np.ndarray):
-    """Each field's uint64 key, the fields' words, and the index of each field's first word.
-
-    Field i is ``buf[starts[i] : starts[i] + lengths[i]]``, with at least
-    ``_WORD - 1`` bytes of ``buf`` after it.  Its words are its bytes,
-    ``_WORD`` at a time, read as little-endian uint64 and zero past its
-    end; a field of up to ``_WORD`` bytes keys as its one word, a longer
-    one as ``_hash_words``.
+    Field i is ``buf[starts[i] : starts[i] + lengths[i]]``, of 1 to
+    ``_WORD`` bytes, with at least ``_WORD - 1`` bytes of ``buf`` after
+    it.  No field holds a zero byte, so distinct fields have distinct keys.
     """
     at = _windows(buf, _WORD).view("<u8")[:, 0]  # at[i] is the word that starts at byte i
-    keys = at[starts] & _LOW_BYTES[np.minimum(lengths, _WORD)]
-    long = np.flatnonzero(lengths > _WORD)
-    if not long.size:
-        return keys, keys, np.arange(keys.size)
-    counts = _word_counts(lengths)
-    first = np.cumsum(counts) - counts
-    place = np.arange(first[-1] + counts[-1]) - np.repeat(first, counts)
-    rest = np.repeat(lengths, counts) - _WORD * place
-    words = at[np.repeat(starts, counts) + _WORD * place] & _LOW_BYTES[np.minimum(rest, _WORD)]
-    keys[long] = _hash_words(words, place, first)[long]
-    return keys, words, first
-
-
-def _append(arr: np.ndarray, used: int, values: np.ndarray) -> np.ndarray:
-    """``arr`` with ``values`` written after its first ``used`` items; it doubles when they do not fit."""
-    if used + values.size > arr.size:
-        grown = np.empty(max(2 * arr.size, used + values.size), dtype=arr.dtype)
-        grown[:used] = arr[:used]
-        arr = grown
-    arr[used : used + values.size] = values
-    return arr
+    return at[starts] & _LOW_BYTES[lengths]
 
 
 class _Names:
     """One id column: names and their dense ids in first-seen order, and a key index over them.
 
-    Each indexed name has an entry: its dense id, its length in bytes and
-    where its words start in ``words``, so that a hash match can be
-    checked byte for byte.  ``levels`` holds two sorted uint64 arrays of
-    ``_field_keys`` keys, each with the entry of every key.  New keys go
-    into the second, which merges into the first once it holds more than
-    ``_RECENT_KEYS`` keys and more than sqrt(``_RECENT_KEYS`` * n) keys,
-    n the size of the first.  With n keys in all, a block's insert then
-    copies at most about that many, and the merges copy the index about
-    sqrt(n / ``_RECENT_KEYS``) times in all; inserting every block's new
-    keys into one array would copy the whole index once per block.
-
-    Only names that a numpy-parsed block holds are indexed; a hash key
-    already taken stays with its first name, and a block that holds the
-    other one falls back.
+    ``keys`` is a sorted uint64 array of the ``_field_keys`` keys of the
+    names that numpy-parsed blocks have held, and ``key_ids`` their dense
+    ids.  A block's new keys are merged in with one ``np.insert``.
     """
 
     def __init__(self, names=(), frozen: bool = False):
         self.ids: dict[str, int] = {name: i for i, name in enumerate(names)}
         self.frozen = frozen  # the names are declared: another one fails its block
-        self.levels = [(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)) for _ in range(2)]
-        self.entries, self.n_entries = np.empty(0, dtype=_ENTRY), 0
-        self.words, self.n_words = np.empty(0, dtype=np.uint64), 0
+        self.keys, self.key_ids = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's entry, or -1 where the index does not hold it."""
+        """Each key's dense id, or -1 where the index does not hold it."""
+        if not self.keys.size:
+            return np.full(keys.size, -1)
         order = np.argsort(keys)  # searchsorted is several times faster on sorted keys
-        sorted_keys, found = keys[order], np.full(keys.size, -1)
-        for level, entries in self.levels:
-            if level.size:
-                pos = np.minimum(np.searchsorted(level, sorted_keys), level.size - 1)
-                found = np.where(level[pos] == sorted_keys, entries[pos], found)
-        out = np.empty_like(found)
-        out[order] = found
+        sorted_keys = keys[order]
+        pos = np.minimum(np.searchsorted(self.keys, sorted_keys), self.keys.size - 1)
+        out = np.empty(keys.size, dtype=np.int64)
+        out[order] = np.where(self.keys[pos] == sorted_keys, self.key_ids[pos], -1)
         return out
 
-    def same_bytes(self, entry, miss, ref, words, first, lengths) -> bool:
-        """Whether every field has the bytes of its match.
-
-        Field ``miss[i]`` matches field ``ref[i]``, and any other field the
-        indexed name of its entry; ``words[first[i]:]`` holds field i's
-        words.
-        """
-        hit = np.flatnonzero(entry >= 0)
-        matched = self.entries[entry[hit]]
-        if not (np.array_equal(matched["length"], lengths[hit]) and np.array_equal(lengths[ref], lengths[miss])):
-            return False
-        counts = _word_counts(lengths)
-        if not _same_words(self.words, matched["at"], words, first[hit], counts[hit]):
-            return False
-        return not miss.size or _same_words(words, first[ref], words, first[miss], counts[miss])
-
-    def _insert(self, keys, ids, lengths, words, first) -> None:
-        """Index sorted keys that it does not hold; each name's words start at ``words[first]``."""
-        counts = _word_counts(lengths)
-        entries = np.empty(keys.size, dtype=_ENTRY)
-        entries["id"], entries["length"] = ids, lengths
-        entries["at"] = self.n_words + np.cumsum(counts) - counts
-        self.words = _append(self.words, self.n_words, words[_spans(first, counts)])
-        self.n_words += counts.sum()
-        numbers = self.n_entries + np.arange(keys.size)
-        self.entries = _append(self.entries, self.n_entries, entries)
-        self.n_entries += keys.size
-        (main, main_entries), (recent, recent_entries) = self.levels
-        pos = np.searchsorted(recent, keys)
-        recent, recent_entries = np.insert(recent, pos, keys), np.insert(recent_entries, pos, numbers)
-        if recent.size > _RECENT_KEYS and recent.size**2 > _RECENT_KEYS * main.size:
-            pos = np.searchsorted(main, recent)
-            main, main_entries = np.insert(main, pos, recent), np.insert(main_entries, pos, recent_entries)
-            recent, recent_entries = recent[:0], recent_entries[:0]
-        self.levels = [(main, main_entries), (recent, recent_entries)]
-
-    def assign(self, buf, starts, lengths, keys, words, first):
+    def assign(self, buf, starts, lengths, keys):
         """Give a block's fields of this column their dense ids; None when the block must fall back.
 
-        Nothing changes until the returned function runs: it names the
-        block's new names, in first-seen order, and returns every
-        field's dense id.  A name is new to the index the first time a
-        numpy-parsed block holds it, even when ``ids`` already has it.
+        A block falls back when a new name has whitespace to strip: the
+        bytes below 0x21 are only tabs and newlines, but ``str.strip``
+        also removes whitespace beyond ASCII.  Nothing changes until the
+        returned function runs: it names the block's new names, in
+        first-seen order, and returns every field's dense id.  A name is
+        new to the index the first time a numpy-parsed block holds it,
+        even when ``ids`` already has it.
         """
-        entry = self.lookup(keys)
-        miss = np.flatnonzero(entry < 0)
-        new_keys, new_rows, new_of, names = keys[:0], miss, miss, []
-        if miss.size:
-            new_keys, new_at, new_of = np.unique(keys[miss], return_index=True, return_inverse=True)
-            new_rows = miss[new_at]  # each new key's first field
-        if lengths.max() > _WORD and not self.same_bytes(entry, miss, new_rows[new_of], words, first, lengths):
+        found = self.lookup(keys)
+        miss = np.flatnonzero(found < 0)
+        if not miss.size:
+            return lambda: found
+        new_keys, new_at, new_of = np.unique(keys[miss], return_index=True, return_inverse=True)
+        new_rows = miss[new_at]  # each new key's first field
+        seen = np.argsort(new_rows)
+        bounds = zip(starts[new_rows[seen]].tolist(), (starts + lengths)[new_rows[seen]].tolist())
+        names = [buf[a:b].decode() for a, b in bounds]
+        if any(name != name.strip() for name in names) or (self.frozen and not all(n in self.ids for n in names)):
             return None
-        if new_rows.size:
-            seen = np.argsort(new_rows)
-            bounds = zip(starts[new_rows[seen]].tolist(), (starts + lengths)[new_rows[seen]].tolist())
-            names = [buf[a:b].decode() for a, b in bounds]
-            if self.frozen and not all(name in self.ids for name in names):
-                return None
 
         def commit() -> np.ndarray:
-            out = self.entries["id"][entry] if self.n_entries else np.empty(keys.size, dtype=np.int64)
-            if names:
-                ids = np.empty(new_rows.size, dtype=np.int64)
-                ids[seen] = [self.ids.setdefault(name, len(self.ids)) for name in names]
-                out[miss] = ids[new_of]
-                self._insert(new_keys, ids, lengths[new_rows], words, first[new_rows])
-            return out
+            ids = np.empty(new_rows.size, dtype=np.int64)
+            ids[seen] = [self.ids.setdefault(name, len(self.ids)) for name in names]
+            found[miss] = ids[new_of]
+            pos = np.searchsorted(self.keys, new_keys)
+            self.keys, self.key_ids = np.insert(self.keys, pos, new_keys), np.insert(self.key_ids, pos, ids)
+            return found
 
         return commit
-
-
-def _has_wide_space(buf: bytes) -> bool:
-    """Whether UTF-8 ``buf``, with 2 bytes more after its text, holds a character of ``_WIDE_SPACES``."""
-    leads = [lead[0] for lead in _WIDE_SPACE_LEADS if lead in buf]
-    if not leads:
-        return False
-    a = np.frombuffer(buf, dtype=np.uint8)
-    at = np.flatnonzero(np.logical_or.reduce([a == lead for lead in leads]))
-    first = a[at].astype(np.int64)
-    code = first << 16 | a[at + 1].astype(np.int64) << 8 | np.where(first < 0xE0, 0, a[at + 2])
-    pos = np.minimum(np.searchsorted(_WIDE_SPACE_CODES, code), _WIDE_SPACE_CODES.size - 1)
-    return bool((_WIDE_SPACE_CODES[pos] == code).any())
 
 
 def _parse_block(lines: list[str], names: tuple[_Names, _Names, _Names]):
     """A block's (n, 3) dense ids and int64 timestamps, parsed with numpy; None when it does not qualify.
 
     A block qualifies when its only bytes below 0x21 are tabs and
-    newlines, it holds no other whitespace, every line has at least
-    three tabs, the first three fields are non-empty, the fourth matches
-    ``-?[0-9]{1,18}``, every activity is declared (when declared) and no
-    two names share a key.  Such a block parses as ``_parse_lines`` would
+    newlines, every line has at least three tabs, the first three fields
+    are 1 to ``_WORD`` bytes long with no whitespace to strip, the
+    fourth matches ``-?[0-9]{1,18}`` and every activity is declared
+    (when declared).  Such a block parses as ``_parse_lines`` would
     parse it.  Nothing changes unless the block qualifies.
     """
+    if max(map(len, lines[0].split("\t", 3)[:3])) > _WORD:  # a long id: the block cannot qualify
+        return None
     text = "".join(lines)
     buf = b"0" * _TIME_DIGITS + text.encode() + (b"" if text.endswith("\n") else b"\n") + b"0" * _WORD
     del text
@@ -460,7 +337,7 @@ def _parse_block(lines: list[str], names: tuple[_Names, _Names, _Names]):
     seps = np.flatnonzero(a < 0x21)
     kind = a[seps]
     newline = kind == 10
-    if not (newline | (kind == 9)).all() or (not buf.isascii() and _has_wide_space(buf)):
+    if not (newline | (kind == 9)).all():
         return None
     ends = np.flatnonzero(newline)  # each line's newline, as an index into seps
     firsts = np.concatenate(([0], ends[:-1] + 1))
@@ -469,7 +346,7 @@ def _parse_block(lines: list[str], names: tuple[_Names, _Names, _Names]):
     t1, t2, t3, t4 = (seps[firsts + i] for i in range(4))  # three tabs and the fourth field's end
     starts = np.concatenate(([_TIME_DIGITS], seps[ends[:-1]] + 1, t1 + 1, t2 + 1))
     lengths = np.concatenate((t1, t2, t3)) - starts
-    if lengths.min() < 1:
+    if lengths.min() < 1 or lengths.max() > _WORD:
         return None
     negative = a[t3 + 1] == 45
     n_digits = t4 - t3 - 1 - negative
@@ -478,11 +355,9 @@ def _parse_block(lines: list[str], names: tuple[_Names, _Names, _Names]):
     digits = (_windows(buf, _TIME_DIGITS)[t4 - _TIME_DIGITS] - np.uint8(48)) * _DIGIT_MASKS[n_digits]
     if digits.max() > 9:
         return None
-    keys, words, first = _field_keys(buf, starts, lengths)
+    keys = _field_keys(buf, starts, lengths)
     column = [slice(c * ends.size, (c + 1) * ends.size) for c in range(3)]
-    commits = [
-        col.assign(buf, starts[c], lengths[c], keys[c], words, first[c]) for col, c in zip(names, column)
-    ]
+    commits = [col.assign(buf, starts[c], lengths[c], keys[c]) for col, c in zip(names, column)]
     if None in commits:
         return None
     times = digits @ _POW10
@@ -527,17 +402,18 @@ def ingest(path, activities: tuple[str, ...] | None = None) -> tuple[Catalog, In
     the projection of the triples onto (user, item).
 
     The log is read in blocks of about ``INGEST_BLOCK`` characters of
-    whole lines.  A block of plain lines is parsed as one byte array by
-    ``_parse_block``.  Any other block goes through ``_parse_lines``,
-    which defines the format and every error message and line number:
-    one with whitespace to strip, a blank line, a ``+`` or 19-digit
-    timestamp, an undeclared activity, a hash collision or a line that
-    does not parse.  A name goes through Python when it is first seen,
-    not once per line.  Only one block's lines are Python objects at a
-    time: each block's ids and timestamps are written to int64 chunks
-    that double up to ``_CHUNK_ROWS`` rows, joined once at the end and
-    handed to the store uncopied.  A timestamp outside the int64 range is reported after
-    every line has parsed, as a line that does not parse comes first.
+    whole lines.  A block of plain lines with ids of up to 8 bytes is
+    parsed as one byte array by ``_parse_block``.  Any other block goes
+    through ``_parse_lines``, which defines the format and every error
+    message and line number: one with a longer id, whitespace to strip,
+    a blank line, a ``+`` or 19-digit timestamp, an undeclared activity
+    or a line that does not parse.  A name goes through Python when it
+    is first seen, not once per line.  Only one block's lines are Python
+    objects at a time: each block's ids and timestamps are written to
+    int64 chunks that double up to ``_CHUNK_ROWS`` rows, joined once at
+    the end and handed to the store uncopied.  A timestamp outside the
+    int64 range is reported after every line has parsed, as a line that
+    does not parse comes first.
     """
     names = (_Names(), _Names(), _Names(activities or (), frozen=activities is not None))
     chunks: list[np.ndarray] = []  # (rows, 4) int64: user, item, activity, timestamp

@@ -350,13 +350,23 @@ class TestIngestBlocks:
         assert err.value.line_number == 2
 
 
-# ids of 1 to 40 UTF-8 bytes: mostly plain ASCII, which the numpy path packs
-# (up to 8 bytes) or hashes, and some beyond ASCII
-block_ids = st.one_of(
-    st.text(st.sampled_from("abcxyz0189/-_."), min_size=1, max_size=40),
+# ids of 1 to 8 UTF-8 bytes, which the numpy path keys by their bytes: plain
+# ASCII, or one or two characters beyond it
+short_ids = st.one_of(
+    st.text(st.sampled_from("abcxyz0189/-_."), min_size=1, max_size=8),
     st.text(
         st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), exclude_characters="\ufeff"),
         min_size=1,
+        max_size=2,
+    ),
+)
+# ids of 1 to 40 UTF-8 bytes; a block with one longer than 8 falls back
+block_ids = st.one_of(
+    short_ids,
+    st.text(st.sampled_from("abcxyz0189/-_."), min_size=9, max_size=40),
+    st.text(
+        st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), exclude_characters="\ufeff"),
+        min_size=3,
         max_size=10,
     ),
 )
@@ -373,12 +383,14 @@ block_times = st.one_of(
 
 @st.composite
 def mixed_logs(draw):
-    """Log text whose blocks mostly qualify for the numpy path and sometimes fall back.
+    """Log text whose blocks often qualify for the numpy path and sometimes fall back.
 
-    Rarer lines fall back: blank, whitespace-padded, or a line that does
-    not parse.  Some lines have extra columns.
+    Half the logs hold only ids of up to 8 bytes.  Rarer lines fall
+    back: blank, padded with whitespace in or beyond ASCII, or a line
+    that does not parse.  Some lines have extra columns.
     """
-    users, items, acts = (draw(st.lists(block_ids, min_size=1, max_size=6, unique=True)) for _ in range(3))
+    ids = draw(st.sampled_from([short_ids, block_ids]))
+    users, items, acts = (draw(st.lists(ids, min_size=1, max_size=6, unique=True)) for _ in range(3))
     lines = []
     for _ in range(draw(st.integers(1, 40))):
         cols = [draw(st.sampled_from(pool)) for pool in (users, items, acts)] + [draw(block_times)]
@@ -388,6 +400,8 @@ def mixed_logs(draw):
             lines.append("\n")
         elif odd == 1:
             cols[0] = f" {cols[0]}"
+        elif odd == 3:
+            cols[1] += draw(st.sampled_from(["\xa0", "\u3000", "\x85", "\u2028"]))
         elif odd == 2:
             cols = cols[:3]
         lines.append("\t".join(cols) + "\n")
@@ -419,11 +433,10 @@ class TestNumpyBlocks:
         return took
 
     @settings(max_examples=300, deadline=None)
-    @given(mixed_logs(), st.sampled_from([1, 9, 40, None]), st.sampled_from([None, 0, 1]), st.sampled_from([1, None]))
-    def test_matches_the_oracle(self, text, block, undeclared, recent):
+    @given(mixed_logs(), st.sampled_from([1, 9, 40, None]), st.sampled_from([None, 0, 1]))
+    def test_matches_the_oracle(self, text, block, undeclared):
         """At block sizes 1, 9, 40 and the default; with no declared activities, or
-        all of them but the first ``undeclared`` in sorted order; with index levels
-        that merge after one new key, or as they do."""
+        all of them but the first ``undeclared`` in sorted order."""
         acts = sorted({line.split("\t")[2] for line in text.split("\n") if line.count("\t") >= 3})
         declared = None if undeclared is None else tuple(acts[undeclared:])
         with tempfile.TemporaryDirectory() as tmp:
@@ -432,8 +445,6 @@ class TestNumpyBlocks:
             with pytest.MonkeyPatch.context() as mp:
                 if block is not None:
                     mp.setattr(data, "INGEST_BLOCK", block)
-                if recent is not None:
-                    mp.setattr(data, "_RECENT_KEYS", recent)
                 got = ingest_outcome(ingest, log, declared)
             expected = ingest_outcome(line_by_line_ingest, log, declared)
         if isinstance(expected[0], type):
@@ -443,7 +454,7 @@ class TestNumpyBlocks:
             assert_same_ingest(got, expected)
 
     def test_both_paths_in_one_log(self, tmp_path, monkeypatch):
-        rows = [f"owner/repository-{i % 13:04d}\t\u00fcml-{i % 5}\tfork\t{i:018d}\n" for i in range(300)]
+        rows = [f"r-{i % 13:04d}\t\u00fcml-{i % 5}\tfork\t{i:018d}\n" for i in range(300)]
         rows[150] = rows[150].replace("fork", " fork")
         log = tmp_path / "log.tsv"
         log.write_text("".join(rows), encoding="utf-8")
@@ -470,28 +481,21 @@ class TestNumpyBlocks:
         assert took == [True] * (len(took) - 1) + [False]
         assert sum(sizes[: len(took) - 1]) < 251 <= sum(sizes[: len(took)])
 
-    def test_a_hash_collision_keeps_ids_apart(self, tmp_path, monkeypatch):
-        """With every long id hashed alike, a block that holds two of them falls back.
+    def test_an_id_longer_than_8_bytes_sends_its_block_to_the_line_loop(self, tmp_path, monkeypatch):
+        """Ids of 8 bytes key as their bytes; ``owner/r-0001`` and ``owner/r-0002`` would share them.
 
-        ``a`` and ``c`` differ in one byte; ``b`` is ``a`` cut at a word
-        boundary, so its words are ``a``'s first ones.  The first block
-        holds ``a`` and ``c``, both new; the later ones ``a``, ``b`` and
-        ``c`` in turn, while the index holds ``a``.
+        The second block's first line has no long id, so the block is parsed until its field lengths.
         """
-        monkeypatch.setattr(data, "_hash_words", lambda words, place, first: np.zeros(first.size, dtype=np.uint64))
-        a, b, c = "owner/repository-name-0001", "owner/repository-name-00", "owner/repository-name-0002"
-        row = {a: "u{}\t" + a + "\t{}\t{:02d}\n", c: "u{}\t" + c + "\t{}\t{:02d}\n", b: "u{}\t" + b + "\t{}\t{:04d}\n"}
-        rows = [row[(a, c)[i % 2]].format(i % 7, "star", i) for i in range(60)]
-        for name in (a, b, c):
-            rows += [row[name].format(i % 7, "fork", i) for i in range(60)]
+        rows = [f"u{i % 7}\towner/r-\tfork\t{i:02d}\n" for i in range(40)]
+        rows += ["u0\tx\tfork\t0\n"] + [f"u{i % 7}\towner/r-{i % 2 + 1:04d}\tfork\t{i}\n" for i in range(29)]
         log = tmp_path / "log.tsv"
         log.write_text("".join(rows), encoding="utf-8")
-        monkeypatch.setattr(data, "INGEST_BLOCK", 60 * len(rows[0]) - 1)
-        assert [len(block) for block in read_blocks(log)] == [60, 60, 60, 60]
+        monkeypatch.setattr(data, "INGEST_BLOCK", 40 * len(rows[0]) - 1)
+        assert [len(block) for block in read_blocks(log)] == [40, 30]
         took = self.spy(monkeypatch)
         catalog, store = ingest(log)
-        assert took == [False, True, False, False]
-        assert catalog.items == (a, c, b)
+        assert took == [True, False]
+        assert catalog.items == ("owner/r-", "x", "owner/r-0001", "owner/r-0002")
         assert_same_ingest((catalog, store), line_by_line_ingest(log))
 
     @pytest.mark.parametrize("user", ["\xa0u1", "u1\u3000", "\x85u1", "u1\u2028"])
@@ -502,8 +506,14 @@ class TestNumpyBlocks:
         assert catalog.users == ("u1", "u2")
         assert_same_ingest((catalog, store), line_by_line_ingest(log))
 
-    def test_wide_spaces_are_all_the_whitespace_beyond_ascii(self):
-        assert set(data._WIDE_SPACES) == {c for c in map(chr, range(0x80, 0x110000)) if c.isspace()}
+    def test_whitespace_inside_a_name_is_kept_on_the_numpy_path(self, tmp_path, monkeypatch):
+        log = tmp_path / "log.tsv"
+        log.write_text("u\u30001\tx\tfork\t1\nu2\tx\u00a0y\tfork\t2\n", encoding="utf-8")
+        took = self.spy(monkeypatch)
+        catalog, store = ingest(log)
+        assert took == [True]
+        assert (catalog.users, catalog.items) == (("u\u30001", "u2"), ("x", "x\u00a0y"))
+        assert_same_ingest((catalog, store), line_by_line_ingest(log))
 
     def test_every_block_of_a_corpus_log_takes_the_numpy_path(self, tmp_path, monkeypatch):
         """A shuffled synthetic log with repeated rows, as the benchmark's ``corpus`` reads."""
