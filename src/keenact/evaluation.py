@@ -184,8 +184,15 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
 
 
 def _excluding(flat: np.ndarray, exclude: frozenset) -> list[int]:
-    """``flat`` in its own order without the ids in ``exclude``, as Python ints."""
-    return flat[~np.isin(flat, list(exclude))].tolist()
+    """``flat`` in its own order without the ids in ``exclude``, as Python ints.
+
+    A sorted lookup, not ``np.isin``: that would import ``numpy.ma``.
+    """
+    if not exclude:
+        return flat.tolist()
+    ids = np.sort(np.fromiter(exclude, np.int64, len(exclude)))
+    at = np.minimum(np.searchsorted(ids, flat), ids.size - 1)
+    return flat[ids[at] != flat].tolist()
 
 
 def _ordered_flat(scores: np.ndarray, exclude: frozenset, keep: np.ndarray | None = None) -> list[int]:

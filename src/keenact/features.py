@@ -391,30 +391,43 @@ def activity_part(z: int, layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray
     return np.array([layout.activity_offset + z], dtype=np.int64), np.array([1.0])
 
 
-def pad_parts(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Stack parts into one padded (indices, values) pair, one row per part.
+def padded_rows(feats: FeatureMatrix, rows: np.ndarray, one_hot: int | None, feat_offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Part-table rows of the entities ``rows``, as one padded (indices, values) pair
+    as wide as its widest row.
 
-    Padding is index 0 with value 0, at the end of each row, which adds
-    nothing to a part's base or factor sum; stored values are never 0, so
-    a row's nonzero entries are its part.
+    Row r holds entity ``rows[r]``'s one-hot ``one_hot + rows[r]`` at value 1
+    (None: no one-hot), then its feature entries at ``feat_offset + column``,
+    then padding: index 0 with value 0, which adds nothing to a part's base
+    or factor sum.  Stored values are never 0, so a row's nonzero entries
+    are its part.
     """
-    parts = list(parts)
-    width = max([1] + [p[0].size for p in parts])
-    indices = np.zeros((len(parts), width), dtype=np.int64)
-    values = np.zeros((len(parts), width))
-    for row, (idx, val) in enumerate(parts):
-        indices[row, : idx.size] = idx
-        values[row, : val.size] = val
+    m = feats.matrix
+    lead = one_hot is not None
+    lengths = np.diff(m.indptr)[rows]
+    width = max(1, int(lengths.max(initial=0)) + lead)
+    indices = np.zeros((rows.size, width), dtype=np.int64)
+    values = np.zeros((rows.size, width))
+    if lead:
+        indices[:, 0] = one_hot + rows
+        values[:, 0] = 1.0
+    # row-major order of the filled slots is the rows' entries in turn
+    filled = np.arange(lead, width) < (lead + lengths)[:, None]
+    entry = np.arange(lengths.sum()) + np.repeat(m.indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+    indices[:, lead:][filled] = feat_offset + m.indices[entry]
+    values[:, lead:][filled] = m.data[entry]
     return indices, values
 
 
 def part_tables(layout: FeatureLayout, user_feats: FeatureMatrix, item_feats: FeatureMatrix):
     """The padded (user, item, activity) part tables of ``layout``: row i of
-    each holds the entries of entity i, and every item keeps its one-hot."""
+    each holds the entries of entity i, as ``user_part``, ``item_part`` and
+    ``activity_part`` give them, and every item keeps its one-hot."""
+    user_oh = layout.user_id_offset if layout.id_onehots else None
+    item_oh = layout.item_id_offset if layout.id_onehots else None
     return (
-        pad_parts(user_part(u, layout, user_feats) for u in range(layout.n_users)),
-        pad_parts(item_part(v, layout, item_feats) for v in range(layout.n_items)),
-        pad_parts(activity_part(z, layout) for z in range(layout.n_activities)),
+        padded_rows(user_feats, np.arange(layout.n_users), user_oh, layout.user_feat_offset),
+        padded_rows(item_feats, np.arange(layout.n_items), item_oh, layout.item_feat_offset),
+        padded_rows(empty_features(layout.n_activities), np.arange(layout.n_activities), layout.activity_offset, 0),
     )
 
 

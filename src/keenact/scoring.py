@@ -7,16 +7,21 @@ factor sums S_p = sum_{i in p} v_i x_i the score decomposes as
 
 with base_p folding the linear term and the within-part pairwise term.
 This lets one user be scored against every item (or every item-activity
-pair) with a few matrix products instead of per-pair loops.  Equality
-with fm_score on assembled inputs is covered by tests, and so is the
-equality of part_gradient, summed per row, with fm_gradient/combine_gradients.
+pair) with a few matrix products instead of per-pair loops.
+
+``table_stats`` is the one kernel that computes a part's (base, S): over
+padded part tables (``features.part_tables``) for phase-1 batches, and
+over blocks of the same rows for ``Scorer``'s per-user and per-item
+terms.  Equality with fm_score on assembled inputs is covered by tests,
+and so is the equality of part_gradient, summed per row, with
+fm_gradient/combine_gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from keenact.features import CSR, FeatureLayout, FeatureMatrix
+from keenact.features import FeatureLayout, FeatureMatrix, padded_rows
 from keenact.fm import FMParameters
 
 
@@ -35,12 +40,14 @@ def table_stats(params: FMParameters, idx: np.ndarray, val: np.ndarray) -> tuple
     """part_stats for every row of a padded part table: (base per row, factor sums).
 
     One sum of the scaled ``[w | v]`` rows gives the linear term and the
-    factor sums together.
+    factor sums together.  The rows are gathered position-major, so that
+    sum runs over the leading axis and adds each row's products in order.
     """
-    scaled = params.table[idx] * val[:, :, None]
-    sums = scaled.sum(axis=1)
+    scaled = params.table[idx.T]
+    scaled *= val.T[:, :, None]
+    sums = scaled.sum(axis=0)
     s, vx = sums[:, 1:], scaled[:, :, 1:]
-    base = sums[:, 0] + 0.5 * (np.einsum("ij,ij->i", s, s) - np.einsum("ijk,ijk->i", vx, vx))
+    base = sums[:, 0] + 0.5 * (np.einsum("ij,ij->i", s, s) - np.einsum("jik,jik->i", vx, vx))
     return base, s
 
 
@@ -85,81 +92,37 @@ def part_gradient(
     return indices[stored], owners[stored], rows[stored]
 
 
-# floats in one padded block of _row_products
-PRODUCT_BLOCK = 1 << 15
+# scaled table floats in one block of _side_terms
+_TERM_BLOCK = 1 << 16
 
 
-def _row_products(mat: CSR, table: np.ndarray, col_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mat @ table, (mat * mat) @ col_weights), each row adding its
-    entries' products in stored order, from 0.
-
-    That order is a sparse library's, so the sums keep its bits; a
-    reduction that regroups them, as numpy's pairwise sum along the fast
-    axis of an array does, would not.  ``bincount`` adds in that order, and
-    so does ``np.add.reduce`` along any other axis, slice after slice.
-    For the table, rows of similar length, longest first, go up to
-    ``PRODUCT_BLOCK`` floats at a time into a (position, row, column)
-    block whose slice p + 1 holds each row's p-th product and is summed
-    over positions.  Every other slot gathers the product of an appended
-    0 entry and zero row, +0.0: a sum that starts from +0.0 is never -0.0,
-    so adding it changes nothing.
-    """
-    n_rows, width = mat.shape[0], table.shape[1]
-    sq = np.bincount(mat.row_ids(), (mat.data * mat.data) * col_weights[mat.indices], minlength=n_rows)
-    lengths = np.diff(mat.indptr)
-    order = np.argsort(-lengths, kind="stable")
-    data, cols = np.append(mat.data, 0.0), np.append(mat.indices, table.shape[0])
-    table = np.vstack((table, np.zeros(width)))
-    prod = np.zeros((n_rows, width))
-    start = 0
-    while start < n_rows and lengths[order[start]]:
-        longest = int(lengths[order[start]])
-        rows = order[start : start + max(1, PRODUCT_BLOCK // ((longest + 1) * width))]
-        counts = lengths[rows]
-        position = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        # the spare last row keeps axis 0 from being the fast axis
-        at = np.full((longest + 1, rows.size + 1), mat.nnz)
-        at[1 + position, np.repeat(np.arange(rows.size), counts)] = np.repeat(mat.indptr[rows], counts) + position
-        block = table[cols[at]]
-        block *= data[at][..., None]
-        prod[rows] = np.add.reduce(block, axis=0)[:-1]
-        start += rows.size
-    return prod, sq
-
-
-def _block_stats(
+def _side_terms(
     params: FMParameters,
-    onehot_offset: int | None,
-    n_entities: int,
-    feat_offset: int,
     feats: FeatureMatrix,
-    onehot_mask: np.ndarray | None = None,
+    one_hot: int | None,
+    feat_offset: int,
+    kept: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (base, S) over all entities of one side.
+    """table_stats over the part-table rows of every entity of one side:
+    (base per entity, factor sums).
 
-    ``onehot_offset`` None disables the id block; ``onehot_mask``, a
-    boolean mask over the entities, keeps it only where set (cold items
-    lose it).
+    Rows go longest first, up to ``_TERM_BLOCK`` scaled floats at a time,
+    and each block is cut to its widest row, so memory stays bounded.
+    ``kept``, a boolean mask over the entities, keeps the one-hot only
+    where set; elsewhere it gets value 0 (cold items score on their
+    features).  Widths count the one-hot slot either way.
     """
-    k = params.k
-    d = feats.dim
-    s = np.zeros((n_entities, k))
-    lin = np.zeros(n_entities)
-    sumsq = np.zeros(n_entities)
-    if d:
-        block = params.table[feat_offset : feat_offset + d]
-        prod, sq = _row_products(feats.matrix, block, (block[:, 1:] ** 2).sum(axis=1))
-        lin += prod[:, 0]
-        s += prod[:, 1:]
-        sumsq += sq
-    if onehot_offset is not None:
-        oh = params.factors[onehot_offset : onehot_offset + n_entities]
-        w_oh = params.w[onehot_offset : onehot_offset + n_entities]
-        mask = np.ones(n_entities) if onehot_mask is None else onehot_mask
-        s += mask[:, None] * oh
-        lin += mask * w_oh
-        sumsq += mask * (oh * oh).sum(axis=1)
-    base = lin + 0.5 * ((s * s).sum(axis=1) - sumsq)
+    lengths = np.diff(feats.matrix.indptr) + (one_hot is not None)
+    order = np.argsort(-lengths, kind="stable")
+    base, s = np.empty(order.size), np.empty((order.size, params.k))
+    start = 0
+    while start < order.size:
+        rows = order[start : start + max(1, _TERM_BLOCK // (max(1, lengths[order[start]]) * (params.k + 1)))]
+        idx, val = padded_rows(feats, rows, one_hot, feat_offset)
+        if one_hot is not None and kept is not None:
+            val[:, 0] = kept[rows]
+        base[rows], s[rows] = table_stats(params, idx, val)
+        start += rows.size
     return base, s
 
 
@@ -183,13 +146,13 @@ class Scorer:
             raise ValueError(f"layout dim {layout.dim} != parameter dim {params.dim}")
         self.params = params
         self.layout = layout
+        if (user_feats.n_rows, item_feats.n_rows) != (layout.n_users, layout.n_items):
+            raise ValueError("feature rows do not match the layout's users and items")
         user_oh = layout.user_id_offset if layout.id_onehots else None
-        self._user_base, self._user_s = _block_stats(
-            params, user_oh, layout.n_users, layout.user_feat_offset, user_feats
-        )
+        self._user_base, self._user_s = _side_terms(params, user_feats, user_oh, layout.user_feat_offset)
         item_oh = layout.item_id_offset if layout.id_onehots else None
-        self._item_base, self._item_s = _block_stats(
-            params, item_oh, layout.n_items, layout.item_feat_offset, item_feats, onehot_mask=item_trained
+        self._item_base, self._item_s = _side_terms(
+            params, item_feats, item_oh, layout.item_feat_offset, kept=item_trained
         )
         # the activity block is the layout's last; the keen layout has none
         activities = slice(layout.activity_offset, layout.dim)

@@ -460,3 +460,29 @@ class TestIngestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 False"
         assert (tmp_path / "clean" / "interactions.tsv").exists()
+
+
+class TestEvaluateImports:
+    def test_evaluate_loads_no_numpy_ma(self, tmp_path):
+        """Ranking filters the excluded ids without ``np.isin``, whose sorting
+        path (an empty exclusion, or ids spread wide) imports ``numpy.ma``."""
+        log, config = tmp_path / "log.tsv", tmp_path / "fast.conf"
+        assert main(["synth", "--out", str(log), "--users", "30", "--items", "100", "--seed", "3",
+                     "--items-per-user", "10,20"]) == 0
+        config.write_text(FAST_CONFIG, encoding="utf-8")
+        done = run_python(
+            "import sys\n"
+            "import numpy as np\n"
+            "from keenact.cli import main\n"
+            "from keenact.evaluation import _excluding\n"
+            "code = main(['evaluate', '--log', sys.argv[1], '--config', sys.argv[2], '--splits', '1',\n"
+            "             '--ks', '5', '--seed', '0', '--out', sys.argv[3]])\n"
+            "kept = _excluding(np.arange(3), frozenset()), _excluding(np.array([5, 900]), frozenset({1, 900, 2000}))\n"
+            "print(code, kept, 'numpy.ma' in sys.modules)",
+            str(log),
+            str(config),
+            str(tmp_path / "eval"),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 ([0, 1, 2], [5]) False"
+        assert (tmp_path / "eval" / "eval.tsv").exists()

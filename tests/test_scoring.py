@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from keenact.data import Catalog, InteractionStore
 from keenact.features import (
@@ -15,13 +14,25 @@ from keenact.features import (
     assemble_keen_input,
     co_participation_features,
     empty_features,
-    l2_normalize_rows,
+    padded_rows,
+    part_tables,
 )
-from keenact.features import activity_part, item_part, pad_parts, user_part
-from keenact.fm import FMGradient, FMParameters, combine_gradients, fm_gradient, fm_score, init_params
-from keenact import scoring
+from keenact.features import activity_part, item_part, user_part
+from keenact.fm import FMGradient, combine_gradients, fm_gradient, fm_score, init_params
 from keenact.scoring import Scorer, part_gradient, part_stats, table_stats
-from keenact.synth import generate_two_stage
+
+
+def pad_parts(parts):
+    """Stack (indices, values) parts into one padded pair, one row per part,
+    padded at the end with index 0 and value 0: the part-table oracle."""
+    parts = list(parts)
+    width = max([1] + [p[0].size for p in parts])
+    indices = np.zeros((len(parts), width), dtype=np.int64)
+    values = np.zeros((len(parts), width))
+    for row, (idx, val) in enumerate(parts):
+        indices[row, : idx.size] = idx
+        values[row, : val.size] = val
+    return indices, values
 
 
 def join_parts(*parts):
@@ -118,6 +129,48 @@ class TestTableStats:
             assert s[row].tolist() == in_order.tolist()
             np.testing.assert_allclose(s[row], want_s, rtol=0, atol=1e-12)
             np.testing.assert_allclose(base[row], want_base, rtol=0, atol=1e-12)
+
+
+@st.composite
+def part_layouts(draw):
+    """A layout and its user and item feature rows: empty rows, zero-width
+    feature blocks, id one-hots on or off, with or without an activity block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def feature_rows(n):
+        width, density = draw(st.integers(0, 6)), draw(st.sampled_from([0.0, 0.3, 1.0]))
+        return FeatureMatrix(CSR.from_dense(rng.normal(size=(n, width)) * (rng.random((n, width)) < density)))
+
+    n_users, n_items = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    uf, itf = feature_rows(n_users), feature_rows(n_items)
+    layout = FeatureLayout(n_users, n_items, uf.dim, itf.dim, draw(st.integers(0, 3)), draw(st.booleans()))
+    return layout, uf, itf
+
+
+class TestPartTables:
+    """part_tables and padded_rows against pad_parts over the per-entity parts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(part_layouts(), st.data())
+    def test_rows_match_the_per_entity_parts(self, case, data):
+        layout, uf, itf = case
+        want = (
+            pad_parts(user_part(u, layout, uf) for u in range(layout.n_users)),
+            pad_parts(item_part(v, layout, itf) for v in range(layout.n_items)),
+            pad_parts(activity_part(z, layout) for z in range(layout.n_activities)),
+        )
+        for got, oracle in zip(part_tables(layout, uf, itf), want):
+            assert got[0].dtype == np.int64 and got[1].dtype == np.float64
+            np.testing.assert_array_equal(got[0], oracle[0])
+            np.testing.assert_array_equal(got[1], oracle[1])
+        # Scorer's blocks: any rows, in any order, cut to the widest of them
+        draw_items = st.lists(st.integers(0, max(0, layout.n_items - 1)), max_size=6 if layout.n_items else 0)
+        items = np.array(data.draw(draw_items), dtype=np.int64)
+        one_hot = layout.item_id_offset if layout.id_onehots else None
+        idx, val = padded_rows(itf, items, one_hot, layout.item_feat_offset)
+        oracle = pad_parts(item_part(v, layout, itf) for v in items)
+        np.testing.assert_array_equal(idx, oracle[0])
+        np.testing.assert_array_equal(val, oracle[1])
 
 
 def assert_part_gradient_matches_oracle(params, cases):
@@ -226,80 +279,6 @@ class TestScorerEquality:
                 np.testing.assert_allclose(batch[v], fm_score(kp, x), atol=1e-10)
 
 
-def scipy_block_stats(params, onehot_offset, n_entities, feat_offset, feats, onehot_mask=None):
-    """_block_stats with the feature products formed by scipy's CSR kernels."""
-    k, d = params.k, feats.dim
-    s, lin, sumsq = np.zeros((n_entities, k)), np.zeros(n_entities), np.zeros(n_entities)
-    if d:
-        m = feats.matrix
-        mat = sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-        block = params.table[feat_offset : feat_offset + d]
-        prod = mat @ block
-        lin += prod[:, 0]
-        s += prod[:, 1:]
-        sumsq += mat.power(2) @ (block[:, 1:] ** 2).sum(axis=1)
-    if onehot_offset is not None:
-        oh = params.factors[onehot_offset : onehot_offset + n_entities]
-        w_oh = params.w[onehot_offset : onehot_offset + n_entities]
-        mask = np.ones(n_entities) if onehot_mask is None else onehot_mask
-        s += mask[:, None] * oh
-        lin += mask * w_oh
-        sumsq += mask * (oh * oh).sum(axis=1)
-    return lin + 0.5 * ((s * s).sum(axis=1) - sumsq), s
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
-@st.composite
-def feature_blocks(draw):
-    """Feature rows (empty, trailing-empty and long rows, zero width or
-    none) and a parameter table whose feature block they index."""
-    n_rows, width = draw(st.integers(0, 8)), draw(st.integers(0, 40))
-    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dense = rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-3, 4, size=(n_rows, width))
-    dense *= rng.random((n_rows, width)) < density
-    if n_rows and draw(st.booleans()):
-        dense[-1] = 0.0
-    k = draw(st.integers(1, 5))
-    table = rng.normal(size=(n_rows + width, k + 1))
-    table[rng.random(table.shape) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
-    return CSR.from_dense(dense), FMParameters(0.0, table[:, 0], table[:, 1:])
-
-
-class TestBlockStatsAgainstScipy:
-    """The feature products keep the bits of scipy's CSR products."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(feature_blocks(), st.booleans(), st.booleans())
-    def test_block_stats(self, block, onehots, masked):
-        rows, params = block
-        feats = FeatureMatrix(rows)
-        n = rows.shape[0]
-        args = (params, 0 if onehots else None, n, n, feats)
-        mask = (np.arange(n) % 3 == 0).astype(float) if masked else None
-        for got, want in zip(scoring._block_stats(*args, onehot_mask=mask), scipy_block_stats(*args, onehot_mask=mask)):
-            assert_same_bits(got, want)
-
-    @pytest.mark.parametrize("width", [9, 1])
-    @pytest.mark.parametrize("n_rows", [400, 1])
-    def test_row_products_on_co_participation_rows(self, width, n_rows):
-        """Rows hundreds of entries long, as co-participation gives; one
-        row of one column is summed along the only axis numpy could pair."""
-        store = generate_two_stage(400, 1000, 2, seed=1)[1]
-        m = l2_normalize_rows(co_participation_features(store)).matrix
-        m = CSR(m.indptr[: n_rows + 1], m.indices[: m.indptr[n_rows]], m.data[: m.indptr[n_rows]], (n_rows, m.shape[1]))
-        table = np.random.default_rng(3).normal(size=(m.shape[1], width))
-        weights = (table[:, 1:] ** 2).sum(axis=1)
-        mat = sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-        prod, sq = scoring._row_products(m, table, weights)
-        assert_same_bits(prod, mat @ table)
-        assert_same_bits(sq, mat.power(2) @ weights)
-
-
 class TestColdItems:
     def test_unseen_items_scored_without_identity(self):
         """Items outside the item_trained mask score as if their one-hot were absent."""
@@ -311,6 +290,26 @@ class TestColdItems:
             for v in range(catalog.n_items):
                 x = assemble_keen_input(u, v, kl, uf, itf, cold_item=not trained[v])
                 np.testing.assert_allclose(batch[v], fm_score(kp, x), atol=1e-10)
+
+    def test_cold_items_that_are_the_widest_rows(self):
+        """A cold item's one-hot keeps its slot, at value 0, so cutting a block
+        to its widest row keeps every feature of a cold item."""
+        catalog, _, uf, _, _, _, _, _ = random_setup(23, n_items=3)
+        itf = FeatureMatrix(CSR.from_dense([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.3, 0.4, 0.5]]))
+        trained = np.array([True, True, False])
+        kl, al = FeatureLayout.for_keen(catalog, uf, itf), FeatureLayout.for_act(catalog, uf, itf)
+        kp, ap = init_params(kl.dim, 5, seed=1, scale=0.5), init_params(al.dim, 5, seed=2, scale=0.5)
+        rng = np.random.default_rng(4)
+        kp.w[:], ap.w[:] = rng.normal(size=kl.dim), rng.normal(size=al.dim)
+        keen, act = Scorer(kp, kl, uf, itf, trained), Scorer(ap, al, uf, itf, trained)
+        for u in range(catalog.n_users):
+            items, pairs = keen.score_items(u), act.score_pair_matrix(u)
+            for v in range(catalog.n_items):
+                x = assemble_keen_input(u, v, kl, uf, itf, cold_item=not trained[v])
+                np.testing.assert_allclose(items[v], fm_score(kp, x), rtol=0, atol=1e-10)
+                for z in range(catalog.n_activities):
+                    x = assemble_act_input(u, v, z, al, uf, itf, cold_item=not trained[v])
+                    np.testing.assert_allclose(pairs[v, z], fm_score(ap, x), rtol=0, atol=1e-10)
 
     def test_cold_and_warm_differ_for_trained_identity(self):
         catalog, _, uf, itf, kl, _, kp, _ = random_setup(22)
