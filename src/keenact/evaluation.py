@@ -188,11 +188,8 @@ def _excluding(flat: np.ndarray, exclude: frozenset) -> list[int]:
 
     A sorted lookup, not ``np.isin``: that would import ``numpy.ma``.
     """
-    if not exclude:
-        return flat.tolist()
     ids = np.sort(np.fromiter(exclude, np.int64, len(exclude)))
-    at = np.minimum(np.searchsorted(ids, flat), ids.size - 1)
-    return flat[ids[at] != flat].tolist()
+    return flat[np.searchsorted(ids, flat, "left") == np.searchsorted(ids, flat, "right")].tolist()
 
 
 def _ordered_flat(scores: np.ndarray, exclude: frozenset, keep: np.ndarray | None = None) -> list[int]:

@@ -325,6 +325,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Scorer(wrong, kl, uf, itf)
 
+    def test_feature_rows_must_match_the_layout(self):
+        catalog, _, uf, itf, kl, _, kp, _ = random_setup(1)
+        with pytest.raises(ValueError, match="feature rows"):
+            Scorer(kp, kl, uf, FeatureMatrix(CSR.from_dense(itf.matrix.toarray()[:-1])))
+
     def test_unknown_user_rejected(self):
         catalog, _, uf, itf, kl, _, kp, _ = random_setup(2)
         scorer = Scorer(kp, kl, uf, itf)
