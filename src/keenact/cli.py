@@ -129,7 +129,7 @@ def _load_store(args):
     min_acts = args.min_activities
     if min_acts < 1:
         raise ConfigError("min_activities", f"--min-activities must be >= 1, got {min_acts}")
-    activities = tuple(args.activities.split(",")) if getattr(args, "activities", None) else None
+    activities = tuple(args.activities.split(",")) if args.activities else None
     catalog, store = ingest(args.log, activities)
     duplicates = store.n_duplicates
     if min_acts > 1:
@@ -138,34 +138,21 @@ def _load_store(args):
     return catalog, store, duplicates
 
 
-def _config_path(args) -> str | None:
-    # precedence: explicit flag, then environment, then built-in defaults
-    return getattr(args, "config", None) or os.environ.get("KEENACT_CONFIG")
-
-
 def _load_config(args) -> TrainConfig:
-    path = _config_path(args)
-    config = parse_config(path) if path else TrainConfig()
-    seed = getattr(args, "seed", None)
-    if seed is None and os.environ.get("KEENACT_SEED"):
-        raw = os.environ["KEENACT_SEED"]
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigError("seed", f"KEENACT_SEED must be an integer, got {raw!r}") from None
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+    config = parse_config(args.config) if args.config else TrainConfig()
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
 def _item_features(args, catalog):
-    if getattr(args, "tags", None):
+    if args.tags:
         return tfidf_item_features(read_tag_file(args.tags), catalog)
     return empty_features(catalog.n_items)
 
 
-def _adoption_band(args, n_items: int) -> tuple[int, int]:
-    raw = getattr(args, "items_per_user", None)
+def _adoption_band(args) -> tuple[int, int]:
+    raw = args.items_per_user
     if raw:
         try:
             lo, hi = (int(t) for t in raw.split(","))
@@ -173,17 +160,7 @@ def _adoption_band(args, n_items: int) -> tuple[int, int]:
             raise ConfigError("items_per_user", f"expected LO,HI integers, got {raw!r}") from None
         return lo, hi
     # clamp the usual band so tiny corpora stay generable
-    return min(10, n_items), min(30, n_items)
-
-
-def _synthetic_corpus(args, seed: int):
-    return generate_two_stage(
-        n_users=args.users,
-        n_items=args.items,
-        n_activities=args.n_activities,
-        seed=seed,
-        items_per_user=_adoption_band(args, args.items),
-    )
+    return min(10, args.items), min(30, args.items)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -213,7 +190,8 @@ def cmd_train(args) -> int:
     if args.split is not None:
         if not 0 < args.split < 1:
             raise ConfigError("split", "--split must be a fraction in (0, 1)")
-        split = split_per_user(store, fraction=args.split, seed=args.split_seed)
+        # the split evaluate draws first for this seed and fraction
+        split = split_per_user(store, fraction=args.split, seed=config.seed)
         write_split_manifest(split, args.out)
         train_store = split.train
         print(f"split: {split.train.n_triples} train / {split.test.n_triples} test records")
@@ -225,9 +203,8 @@ def cmd_train(args) -> int:
     save_model(model, model_path)
     write_training_report(model.report, report_path)
     inputs = {"log": args.log}
-    config_path = _config_path(args)
-    if config_path:
-        inputs["config"] = config_path
+    if args.config:
+        inputs["config"] = args.config
     if args.tags:
         inputs["tags"] = args.tags
     write_manifest(os.path.join(args.out, "manifest.json"), config, inputs, [model_path, report_path])
@@ -288,14 +265,9 @@ def _parse_ks(text: str):
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    if args.synthetic:
-        catalog, store = _synthetic_corpus(args, config.seed)
-        dataset = args.dataset or "synthetic"
-        item_feats = None
-    else:
-        catalog, store, _ = _load_store(args)
-        dataset = args.dataset or os.path.splitext(os.path.basename(args.log))[0]
-        item_feats = _item_features(args, catalog) if args.tags else None
+    catalog, store, _ = _load_store(args)
+    dataset = args.dataset or os.path.splitext(os.path.basename(args.log))[0]
+    item_feats = _item_features(args, catalog) if args.tags else None
     variants = tuple(v.strip() for v in args.variants.split(",")) if args.variants else VARIANTS
     for v in variants:
         if v not in VARIANTS:
@@ -324,7 +296,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    catalog, store = _synthetic_corpus(args, args.seed)
+    catalog, store = generate_two_stage(
+        n_users=args.users,
+        n_items=args.items,
+        n_activities=args.n_activities,
+        seed=args.seed,
+        items_per_user=_adoption_band(args),
+    )
     write_interaction_log(store, args.out)
     print(f"wrote {store.n_triples} records for {catalog.n_users} users to {args.out}")
     return 0
@@ -334,12 +312,7 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="keenact",
-        description=__doc__.splitlines()[0],
-        epilog="Environment: KEENACT_CONFIG and KEENACT_SEED override the config path "
-        "and seed when the corresponding flags are absent.",
-    )
+    parser = argparse.ArgumentParser(prog="keenact", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"keenact {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activities", help="comma-separated declared activity vocabulary")
     p.add_argument("--min-activities", type=int, default=1)
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--split", type=float, help="hold out a test fraction before training")
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split", type=float, help="train fraction per user; hold out the rest")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("recommend", help="emit ranked pairs from a saved model")
@@ -372,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="repeated-split comparison of the variants")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--log")
-    src.add_argument("--synthetic", action="store_true", help="generate a synthetic corpus instead")
+    p.add_argument("--log", required=True)
     p.add_argument("--config")
     p.add_argument("--out", help="directory for eval records and the table")
     p.add_argument("--variants", help=f"comma-separated subset of: {', '.join(VARIANTS)}")
@@ -386,10 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-activities", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--dataset", help="dataset label in the records")
-    p.add_argument("--users", type=int, default=200, help="synthetic corpus size")
-    p.add_argument("--items", type=int, default=500)
-    p.add_argument("--n-activities", type=int, default=2)
-    p.add_argument("--items-per-user", help="LO,HI adoption band per user")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="write a synthetic two-stage corpus")

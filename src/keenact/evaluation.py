@@ -208,10 +208,8 @@ def rank_keen2act(model: TrainedModel, space: FlatPairSpace, u: int, exclude: fr
 def rank_keen_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
     """Stage-one items by keen score, each expanded to all activities in id order."""
     scores, keep = keen_stage(model, u)
-    items = np.flatnonzero(keep)
-    items = items[np.lexsort((items, -scores[items]))]
-    flat = (items[:, None] * space.n_activities + np.arange(space.n_activities)).reshape(-1)
-    return _excluding(flat, exclude)
+    # ties break by flat id: by item, then activity
+    return _ordered_flat(np.repeat(scores, space.n_activities), exclude, np.repeat(keep, space.n_activities))
 
 
 def rank_act_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
@@ -339,10 +337,16 @@ def evaluate_split(
         else:
             trained = train_baseline(split.train, user_feats, item_feats, cfg, kind=variant.removeprefix("fm_"))
             rank, seconds = rank_baseline, time.perf_counter() - started
-        started = time.perf_counter()
-        ranked = {u: rank(trained, space, u, exclude.get(u, empty)) for u in relevant}
-        rank_seconds = time.perf_counter() - started
-        metrics = {_metric_name(k): map_at_k(ranked, relevant, k) for k in ks}
+        # one user's list at a time; APs in map_at_k's order, so MAP keeps its bytes
+        aps: dict = {k: [] for k in ks}
+        rank_seconds = 0.0
+        for u, rel in relevant.items():
+            started = time.perf_counter()
+            ranked = rank(trained, space, u, exclude.get(u, empty))
+            rank_seconds += time.perf_counter() - started
+            for k in ks:
+                aps[k].append(average_precision_at_k(ranked, rel, k))
+        metrics = {_metric_name(k): float(np.mean(aps[k])) for k in ks}
         metrics["train_seconds"] = seconds
         metrics["rank_seconds"] = rank_seconds
         metrics["eval_users"] = float(len(relevant))

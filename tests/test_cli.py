@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from keenact.cli import main, stale_inputs
+from keenact.data import ingest, split_per_user, write_split_manifest
 
 FAST_CONFIG = "epochs = 2\nk = 4\nthreshold_epochs = 3\nmax_neg_samples = 5\n"
 
@@ -146,6 +147,17 @@ class TestTrain:
         assert (out_dir / "test.tsv").exists()
         assert "split:" in capsys.readouterr().out
 
+    def test_split_is_evaluates_first_split_for_the_seed(self, corpus, tmp_path):
+        """--split holds out what split_per_user draws with the run's seed."""
+        log, config = corpus
+        out_dir = run_train(tmp_path, log, config, extra=["--split", "0.8", "--seed", "3"])
+        split = split_per_user(ingest(str(log))[1], 0.8, 3)
+        expected = tmp_path / "expected"
+        write_split_manifest(split, expected)
+        for name in ("train.tsv", "test.tsv"):
+            assert (out_dir / name).read_bytes() == (expected / name).read_bytes()
+        assert json.loads((out_dir / "split.json").read_text(encoding="utf-8"))["seed"] == 3
+
     def test_bad_split(self, corpus, tmp_path, capsys):
         log, config = corpus
         assert main(["train", "--log", str(log), "--config", str(config),
@@ -202,40 +214,6 @@ class TestTrain:
         assert main(["train", "--log", str(log), "--config", str(config), "--out", str(out_dir)]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (out_dir / "model.json").exists()
-
-
-class TestEnvironmentOverrides:
-    def test_config_from_environment(self, corpus, tmp_path, monkeypatch):
-        log, config = corpus
-        monkeypatch.setenv("KEENACT_CONFIG", str(config))
-        out_dir = tmp_path / "env_run"
-        assert main(["train", "--log", str(log), "--out", str(out_dir)]) == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["config"]["epochs"] == 2
-        assert manifest["inputs"]["config"]["path"] == str(config)
-
-    def test_flag_beats_environment(self, corpus, tmp_path, monkeypatch):
-        log, config = corpus
-        other = tmp_path / "other.conf"
-        other.write_text(FAST_CONFIG.replace("epochs = 2", "epochs = 1"), encoding="utf-8")
-        monkeypatch.setenv("KEENACT_CONFIG", str(other))
-        out_dir = run_train(tmp_path, log, config)
-        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["config"]["epochs"] == 2
-
-    def test_seed_from_environment(self, corpus, tmp_path, monkeypatch):
-        log, config = corpus
-        monkeypatch.setenv("KEENACT_SEED", "9")
-        out_dir = run_train(tmp_path, log, config)
-        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["seed"] == 9
-
-    def test_bad_seed_env(self, corpus, tmp_path, monkeypatch, capsys):
-        log, config = corpus
-        monkeypatch.setenv("KEENACT_SEED", "nine")
-        assert main(["train", "--log", str(log), "--config", str(config),
-                     "--out", str(tmp_path / "x")]) == 2
-        assert "KEENACT_SEED" in capsys.readouterr().err
 
 
 class TestRecommend:
@@ -358,10 +336,10 @@ class TestRecommend:
 
 class TestEvaluate:
     def test_synthetic_table(self, corpus, tmp_path, capsys):
-        _, config = corpus
+        """A synthetic corpus is evaluated as synth, then evaluate --log."""
+        log, config = corpus
         out_dir = tmp_path / "eval"
-        code = main(["evaluate", "--synthetic", "--users", "8", "--items", "12",
-                     "--items-per-user", "2,5", "--config", str(config), "--splits", "1",
+        code = main(["evaluate", "--log", str(log), "--config", str(config), "--splits", "1",
                      "--variants", "keen2act,fm_bpr", "--ks", "5,inf", "--out", str(out_dir)])
         assert code == 0
         out = capsys.readouterr().out
@@ -369,6 +347,13 @@ class TestEvaluate:
         tsv = (out_dir / "eval.tsv").read_text(encoding="utf-8")
         assert "map@5" in tsv and "map@inf" in tsv
         assert (out_dir / "table.txt").exists()
+
+    def test_log_is_the_only_source(self, corpus, capsys):
+        _, config = corpus
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--synthetic", "--config", str(config)])
+        assert exc.value.code == 2
+        assert "--log" in capsys.readouterr().err
 
     def test_log_input(self, corpus, tmp_path, capsys):
         log, config = corpus

@@ -10,6 +10,7 @@ from keenact.evaluation import (
     VARIANTS,
     EvalReport,
     FlatPairSpace,
+    _flat_by_user,
     average_precision_at_k,
     evaluate_split,
     map_at_k,
@@ -20,6 +21,7 @@ from keenact.evaluation import (
     run_experiment,
     train_baseline,
 )
+from keenact.data import split_per_user
 from keenact.features import co_participation_features, empty_features, l2_normalize_rows
 from keenact.recommend import recommend
 from keenact.synth import generate_two_stage
@@ -321,6 +323,29 @@ class TestEvaluateSplit:
         for variant in result:
             for metric in ("map@5", "map@inf", "eval_users"):
                 assert result[variant][metric] == again[variant][metric]
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_map_equals_map_at_k_over_the_rankers_lists(self, seed):
+        """One list at a time gives map_at_k's values bit for bit."""
+        catalog, store, _, _ = small_corpus(seed=seed, n_users=8, n_items=10)
+        ks = (1, 3, None)
+        result = evaluate_split(store, seed=seed, config=FAST, variants=VARIANTS, ks=ks)
+        split = split_per_user(store, fraction=0.8, seed=seed)
+        uf = l2_normalize_rows(co_participation_features(split.train))
+        itf = empty_features(catalog.n_items)
+        cfg = dataclasses.replace(FAST, seed=seed)
+        model = train(split.train, uf, itf, cfg)
+        space = FlatPairSpace(catalog.n_items, catalog.n_activities)
+        relevant, exclude = _flat_by_user(split.test, space), _flat_by_user(split.train, space)
+        rankers = {"keen2act": rank_keen2act, "keen": rank_keen_only, "act": rank_act_only}
+        trained = dict.fromkeys(rankers, model)
+        for kind in ("bpr", "warp"):
+            rankers[f"fm_{kind}"] = rank_baseline
+            trained[f"fm_{kind}"] = train_baseline(split.train, uf, itf, cfg, kind=kind)
+        for variant, rank in rankers.items():
+            ranked = {u: rank(trained[variant], space, u, exclude.get(u, frozenset())) for u in relevant}
+            for k, name in zip(ks, ("map@1", "map@3", "map@inf")):
+                assert result[variant][name] == map_at_k(ranked, relevant, k)
 
     def test_unknown_variant(self):
         _, store, _, _ = small_corpus(seed=21, n_users=8, n_items=10)
