@@ -192,6 +192,21 @@ def _excluding(flat: np.ndarray, exclude: frozenset) -> list[int]:
     return flat[np.searchsorted(ids, flat, "left") == np.searchsorted(ids, flat, "right")].tolist()
 
 
+def _average_precision_all(ranked: list[int], relevant: frozenset, size: int) -> float:
+    """``average_precision_at_k(ranked, relevant)`` for ids below ``size``, walking only the hits.
+
+    A dense mask over the ids finds the ranks of the hits; adding the same
+    terms ``hits / (i + 1)`` in rank order gives the same float.
+    """
+    is_relevant = np.zeros(size, dtype=bool)
+    is_relevant[np.fromiter(relevant, np.int64, len(relevant))] = True
+    ranks = np.flatnonzero(is_relevant[np.fromiter(ranked, np.int64, len(ranked))]).tolist()
+    score = 0.0
+    for hits, i in enumerate(ranks, 1):
+        score += hits / (i + 1)
+    return score / len(relevant)
+
+
 def _ordered_flat(scores: np.ndarray, exclude: frozenset, keep: np.ndarray | None = None) -> list[int]:
     """Flat ids by score descending, ties by id; ``keep`` masks the candidates."""
     flat_ids = np.arange(len(scores), dtype=np.int64) if keep is None else np.flatnonzero(keep)
@@ -345,7 +360,9 @@ def evaluate_split(
             ranked = rank(trained, space, u, exclude.get(u, empty))
             rank_seconds += time.perf_counter() - started
             for k in ks:
-                aps[k].append(average_precision_at_k(ranked, rel, k))
+                aps[k].append(
+                    _average_precision_all(ranked, rel, space.size) if k is None else average_precision_at_k(ranked, rel, k)
+                )
         metrics = {_metric_name(k): float(np.mean(aps[k])) for k in ks}
         metrics["train_seconds"] = seconds
         metrics["rank_seconds"] = rank_seconds

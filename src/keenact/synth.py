@@ -26,14 +26,55 @@ from keenact.training import sigmoid
 LATENT_DIM = 8
 AFFINITY_GAIN = 4.0
 PROPENSITY_SHAPE = 0.4
+#: relative gap between the target and a calibration sum that decides a
+#: halving without evaluating it, far above the sum's rounding error
+CALIBRATION_MARGIN = 1e-10
+#: most Newton steps that look for sums on either side of the target
+CALIBRATION_NEWTON_STEPS = 20
 
 
 def _calibrate_offset(logits: np.ndarray, target: float) -> float:
-    """Offset b with sum(sigmoid(logits + b)) = target, by bisection."""
+    """Offset b with sum(sigmoid(logits + b)) = target: the float that 60
+    halvings of [-60, 60] reach.
+
+    The sum f rises with the offset and is computed to about 1e-14
+    relative.  So once f(a) < target * (1 - CALIBRATION_MARGIN), every
+    halving at or below a moves ``lo`` up, and once f(c) > target * (1 +
+    CALIBRATION_MARGIN), every halving at or above c moves ``hi`` down,
+    without evaluating f.  A few safeguarded Newton steps, aimed just
+    below and then just above the target, find such a and c; the
+    halvings evaluate f only between them.  Where Newton finds no a or c,
+    that side stays infinite and every halving there evaluates f, as
+    plain bisection does.
+    """
+    a, c = -math.inf, math.inf
+    aim = target * (1.0 - 2.0 * CALIBRATION_MARGIN)
+    lo, hi = -60.0, 60.0  # brackets the offset whose sum is the aim
+    offset = 0.0
+    for _ in range(CALIBRATION_NEWTON_STEPS):
+        p = sigmoid(logits + offset)
+        total = float(p.sum())
+        slope = float((p * (1.0 - p)).sum())
+        if total < target * (1.0 - CALIBRATION_MARGIN):
+            a = max(a, offset)
+            if aim < target and total >= target * (1.0 - 3.0 * CALIBRATION_MARGIN):
+                # a sits just below the target: aim just above it for c
+                aim, hi = target * (1.0 + 2.0 * CALIBRATION_MARGIN), 60.0
+        elif total > target * (1.0 + CALIBRATION_MARGIN):
+            c = min(c, offset)
+        if (c - a) * slope <= 8.0 * CALIBRATION_MARGIN * target:
+            break  # a and c are a few margins apart: few halvings fall between them
+        if total < aim:
+            lo = offset
+        else:
+            hi = offset
+        step = (aim - total) / slope if slope > 0.0 else math.nan
+        offset = offset + step if lo < offset + step < hi else 0.5 * (lo + hi)
+
     lo, hi = -60.0, 60.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if float(sigmoid(logits + mid).sum()) < target:
+        if mid <= a or (mid < c and float(sigmoid(logits + mid).sum()) < target):
             lo = mid
         else:
             hi = mid
@@ -70,7 +111,7 @@ def generate_two_stage(
     affinity = (user_latent @ item_latent.T) / math.sqrt(LATENT_DIM)
     propensity = rng.beta(PROPENSITY_SHAPE, PROPENSITY_SHAPE, size=(n_users, n_activities))
 
-    triples: list[tuple[int, int, int]] = []
+    items, activities = [], []
     base_ts = 1_600_000_000
     for u in range(n_users):
         logits = AFFINITY_GAIN * affinity[u]
@@ -79,12 +120,15 @@ def generate_two_stage(
         adopted = np.flatnonzero(rng.random(n_items) < sigmoid(logits + offset))
         if len(adopted) == 0:
             adopted = np.array([int(np.argmax(logits))])
-        for v in adopted:
-            mask = rng.random(n_activities) < propensity[u]
-            if not mask.any():
-                mask[int(np.argmax(propensity[u]))] = True
-            for z in np.flatnonzero(mask):
-                triples.append((u, int(v), int(z)))
+        # a row of draws per adopted item: the doubles that one call per item would take
+        mask = rng.random((adopted.size, n_activities)) < propensity[u]
+        mask[~mask.any(axis=1), int(np.argmax(propensity[u]))] = True
+        rows, acts = np.nonzero(mask)
+        items.append(adopted[rows])
+        activities.append(acts)
+
+    users = np.repeat(np.arange(n_users), [len(acts) for acts in activities])
+    triples = np.column_stack((users, np.concatenate(items), np.concatenate(activities)))
 
     digits_u = max(4, len(str(n_users - 1)))
     digits_i = max(4, len(str(n_items - 1)))

@@ -10,6 +10,7 @@ from keenact.evaluation import (
     VARIANTS,
     EvalReport,
     FlatPairSpace,
+    _average_precision_all,
     _flat_by_user,
     average_precision_at_k,
     evaluate_split,
@@ -89,6 +90,33 @@ class TestAveragePrecision:
 
     def test_empty_ranked_scores_zero(self):
         assert average_precision_at_k([], {1, 2}) == 0.0
+
+
+class TestAveragePrecisionAll:
+    """The hits-only AP with no cutoff that evaluate_split uses, against the reference."""
+
+    def test_equals_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            size = int(rng.integers(1, 400))
+            # a ranked list of any length, and relevant ids in it, outside it or both
+            ranked = rng.permutation(size)[: int(rng.integers(0, size + 1))].tolist()
+            relevant = frozenset(rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False).tolist())
+            assert _average_precision_all(ranked, relevant, size) == average_precision_at_k(ranked, relevant)
+
+    @pytest.mark.parametrize(
+        "ranked, relevant",
+        [
+            ([], {3}),
+            ([0, 1, 2], {5}),
+            ([4, 2, 0, 1, 3], {0, 1, 2, 3, 4}),
+            ([9], {9, 0}),
+            (list(range(999, -1, -1)), {0, 500, 998}),
+        ],
+    )
+    def test_edge_cases(self, ranked, relevant):
+        got = _average_precision_all(ranked, frozenset(relevant), 1000)
+        assert got == average_precision_at_k(ranked, relevant)
 
 
 class TestMapAtK:
