@@ -84,10 +84,10 @@ class FlatPairSpace:
         return v * self.n_activities + z
 
 
-def _flat_by_user(store: InteractionStore, space: FlatPairSpace) -> dict[int, frozenset]:
-    """Flat pair ids of each user's triples."""
-    flat = (store.columns[1] * space.n_activities + store.columns[2]).tolist()
-    return {u: frozenset(flat[rows]) for u, rows in store.user_rows().items()}
+def _flat_by_user(store: InteractionStore, space: FlatPairSpace) -> dict[int, np.ndarray]:
+    """Flat pair ids of each user's triples: ascending, as the store sorts its columns by (u, v, z)."""
+    flat = store.columns[1] * space.n_activities + store.columns[2]
+    return {u: flat[rows] for u, rows in store.user_rows().items()}
 
 
 def average_precision_at_k(ranked, relevant, k: int | None = None) -> float:
@@ -183,57 +183,56 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
 # -- ranked candidate lists per variant -------------------------------------
 
 
-def _excluding(flat: np.ndarray, exclude: frozenset) -> list[int]:
-    """``flat`` in its own order without the ids in ``exclude``, as Python ints.
+def _excluding(flat: np.ndarray, exclude) -> np.ndarray:
+    """``flat`` in its own order without the ids in ``exclude``, any collection of flat ids.
 
     A sorted lookup, not ``np.isin``: that would import ``numpy.ma``.
     """
     ids = np.sort(np.fromiter(exclude, np.int64, len(exclude)))
-    return flat[np.searchsorted(ids, flat, "left") == np.searchsorted(ids, flat, "right")].tolist()
+    return flat[np.searchsorted(ids, flat, "left") == np.searchsorted(ids, flat, "right")]
 
 
-def _average_precision_all(ranked: list[int], relevant: frozenset, size: int) -> float:
-    """``average_precision_at_k(ranked, relevant)`` for ids below ``size``, walking only the hits.
+def _average_precisions(ranked: np.ndarray, relevant: np.ndarray, ks) -> list[float]:
+    """``average_precision_at_k(ranked, relevant, k)`` for each k, ``relevant`` ascending and non-empty.
 
-    A dense mask over the ids finds the ranks of the hits; adding the same
-    terms ``hits / (i + 1)`` in rank order gives the same float.
+    One lookup in ``relevant`` finds the hits' ranks.  The running sum of
+    ``hits / (i + 1)`` over them, in rank order, is the reference's score at every cutoff, to the bit.
     """
-    is_relevant = np.zeros(size, dtype=bool)
-    is_relevant[np.fromiter(relevant, np.int64, len(relevant))] = True
-    ranks = np.flatnonzero(is_relevant[np.fromiter(ranked, np.int64, len(ranked))]).tolist()
-    score = 0.0
-    for hits, i in enumerate(ranks, 1):
-        score += hits / (i + 1)
-    return score / len(relevant)
+    at = np.minimum(np.searchsorted(relevant, ranked), relevant.size - 1)
+    ranks = np.flatnonzero(relevant[at] == ranked)
+    sums = [0.0]
+    for hits, i in enumerate(ranks.tolist(), 1):
+        sums.append(sums[-1] + hits / (i + 1))
+    return [sums[-1] / relevant.size if k is None else sums[np.searchsorted(ranks, k)] / min(relevant.size, k) for k in ks]
 
 
-def _ordered_flat(scores: np.ndarray, exclude: frozenset, keep: np.ndarray | None = None) -> list[int]:
+def _ordered_flat(scores: np.ndarray, exclude, keep: np.ndarray | None = None) -> np.ndarray:
     """Flat ids by score descending, ties by id; ``keep`` masks the candidates."""
     flat_ids = np.arange(len(scores), dtype=np.int64) if keep is None else np.flatnonzero(keep)
     order = np.lexsort((flat_ids, -scores[flat_ids]))
     return _excluding(flat_ids[order], exclude)
 
 
-def rank_keen2act(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
+def rank_keen2act(model: TrainedModel, space: FlatPairSpace, u: int, exclude) -> np.ndarray:
     """Thresholded two-stage list in recommendation order (may be short)."""
     items, activities, _, _ = accepted_pairs(model, u)
     return _excluding(items * space.n_activities + activities, exclude)
 
 
-def rank_keen_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
+def rank_keen_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude) -> np.ndarray:
     """Stage-one items by keen score, each expanded to all activities in id order."""
     scores, keep = keen_stage(model, u)
     # ties break by flat id: by item, then activity
     return _ordered_flat(np.repeat(scores, space.n_activities), exclude, np.repeat(keep, space.n_activities))
 
 
-def rank_act_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
+def rank_act_only(model: TrainedModel, space: FlatPairSpace, u: int, exclude) -> np.ndarray:
     """Pairs whose act score clears its activity cutoff, by score alone (no item stage)."""
     scores, keep = act_stage(model, u)
     return _ordered_flat(scores.reshape(-1), exclude, keep.reshape(-1))
 
 
-def rank_baseline(baseline: BaselineModel, space: FlatPairSpace, u: int, exclude: frozenset) -> list[int]:
+def rank_baseline(baseline: BaselineModel, space: FlatPairSpace, u: int, exclude) -> np.ndarray:
     scores = baseline.scorer.score_pair_matrix(u).reshape(-1)
     return _ordered_flat(scores, exclude)
 
@@ -333,8 +332,11 @@ def evaluate_split(
     relevant = _flat_by_user(split.test, space)
     if not relevant:
         raise ValueError("split produced no held-out positives")
+    # every user keeps a training triple, so every held-out user has an exclusion
     exclude = _flat_by_user(split.train, space)
-    empty = frozenset()
+    ks = tuple(dict.fromkeys(ks))
+    if any(k is not None and k < 1 for k in ks):
+        raise ValueError("k must be >= 1 or None")
 
     out: dict[str, dict[str, float]] = {}
     two_stage = {"keen2act": rank_keen2act, "keen": rank_keen_only, "act": rank_act_only}
@@ -353,17 +355,14 @@ def evaluate_split(
             trained = train_baseline(split.train, user_feats, item_feats, cfg, kind=variant.removeprefix("fm_"))
             rank, seconds = rank_baseline, time.perf_counter() - started
         # one user's list at a time; APs in map_at_k's order, so MAP keeps its bytes
-        aps: dict = {k: [] for k in ks}
+        aps = []
         rank_seconds = 0.0
         for u, rel in relevant.items():
             started = time.perf_counter()
-            ranked = rank(trained, space, u, exclude.get(u, empty))
+            ranked = rank(trained, space, u, exclude[u])
             rank_seconds += time.perf_counter() - started
-            for k in ks:
-                aps[k].append(
-                    _average_precision_all(ranked, rel, space.size) if k is None else average_precision_at_k(ranked, rel, k)
-                )
-        metrics = {_metric_name(k): float(np.mean(aps[k])) for k in ks}
+            aps.append(_average_precisions(ranked, rel, ks))
+        metrics = {_metric_name(k): float(np.mean(column)) for k, column in zip(ks, zip(*aps))}
         metrics["train_seconds"] = seconds
         metrics["rank_seconds"] = rank_seconds
         metrics["eval_users"] = float(len(relevant))
@@ -381,9 +380,10 @@ def run_experiment(
     fraction: float = 0.8,
     item_feats: FeatureMatrix | None = None,
 ) -> EvalReport:
-    """Repeated-split evaluation; records per-split values plus means."""
+    """Repeated-split evaluation; records per-split values plus means, each variant and k once."""
     if n_splits < 1:
         raise ValueError("n_splits must be >= 1")
+    variants = tuple(dict.fromkeys(variants))
     report = EvalReport(dataset=dataset)
     per_split: list[dict] = []
     for i in range(n_splits):

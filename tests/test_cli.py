@@ -463,11 +463,11 @@ class TestEvaluateImports:
             "code = main(['evaluate', '--log', sys.argv[1], '--config', sys.argv[2], '--splits', '1',\n"
             "             '--ks', '5', '--seed', '0', '--out', sys.argv[3]])\n"
             "kept = _excluding(np.arange(3), frozenset()), _excluding(np.array([5, 900]), frozenset({1, 900, 2000}))\n"
-            "print(code, kept, 'numpy.ma' in sys.modules)",
+            "print(code, [ids.tolist() for ids in kept], 'numpy.ma' in sys.modules)",
             str(log),
             str(config),
             str(tmp_path / "eval"),
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 ([0, 1, 2], [5]) False"
+        assert done.stdout.splitlines()[-1] == "0 [[0, 1, 2], [5]] False"
         assert (tmp_path / "eval" / "eval.tsv").exists()

@@ -10,7 +10,7 @@ from keenact.evaluation import (
     VARIANTS,
     EvalReport,
     FlatPairSpace,
-    _average_precision_all,
+    _average_precisions,
     _flat_by_user,
     average_precision_at_k,
     evaluate_split,
@@ -93,16 +93,30 @@ class TestAveragePrecision:
 
 
 class TestAveragePrecisionAll:
-    """The hits-only AP with no cutoff that evaluate_split uses, against the reference."""
+    """The one-pass AP at every cutoff that evaluate_split uses, against the reference."""
+
+    @staticmethod
+    def cutoffs(rng, ranked, relevant):
+        """1, a k past the list's end, a k before the first hit, no cutoff, a random k and a repeat."""
+        hits = np.flatnonzero(np.isin(ranked, relevant))
+        ks = [1, len(ranked) + int(rng.integers(1, 5)), max(1, int(hits[0])) if hits.size else 2, None]
+        ks.append(int(rng.integers(1, len(ranked) + 2)))
+        ks.append(ks[int(rng.integers(0, len(ks)))])
+        return [ks[i] for i in rng.permutation(len(ks))]
+
+    def check(self, rng, ranked, relevant):
+        ranked, relevant = np.asarray(ranked, dtype=np.int64), np.unique(np.asarray(relevant, dtype=np.int64))
+        ks = self.cutoffs(rng, ranked, relevant)
+        expected = [average_precision_at_k(ranked.tolist(), frozenset(relevant.tolist()), k) for k in ks]
+        assert _average_precisions(ranked, relevant, ks) == expected
 
     def test_equals_reference_bit_for_bit(self):
         rng = np.random.default_rng(17)
         for _ in range(500):
             size = int(rng.integers(1, 400))
             # a ranked list of any length, and relevant ids in it, outside it or both
-            ranked = rng.permutation(size)[: int(rng.integers(0, size + 1))].tolist()
-            relevant = frozenset(rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False).tolist())
-            assert _average_precision_all(ranked, relevant, size) == average_precision_at_k(ranked, relevant)
+            ranked = rng.permutation(size)[: int(rng.integers(0, size + 1))]
+            self.check(rng, ranked, rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False))
 
     @pytest.mark.parametrize(
         "ranked, relevant",
@@ -115,8 +129,7 @@ class TestAveragePrecisionAll:
         ],
     )
     def test_edge_cases(self, ranked, relevant):
-        got = _average_precision_all(ranked, frozenset(relevant), 1000)
-        assert got == average_precision_at_k(ranked, relevant)
+        self.check(np.random.default_rng(len(ranked)), ranked, sorted(relevant))
 
 
 class TestMapAtK:
@@ -253,10 +266,15 @@ class TestRankers:
         for ranker in self.rankers():
             for u in range(3):
                 base = ranker(u, frozenset())
-                assert len(set(base)) == len(base)
-                dropped = frozenset(base[::2])
-                got = ranker(u, dropped)
-                assert got == [f for f in base if f not in dropped]
+                assert base.dtype == np.int64
+                assert len(set(base.tolist())) == len(base)
+                dropped = frozenset(base[::2].tolist())
+                expected = [f for f in base.tolist() if f not in dropped]
+                # any collection of flat ids: a frozenset or a sorted int64 array
+                for exclude in (dropped, np.sort(base[::2])):
+                    got = ranker(u, exclude)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == expected
 
     def test_keen2act_matches_recommendations(self):
         """Equal to filtering recommend()'s entries one by one, for every user."""
@@ -267,13 +285,17 @@ class TestRankers:
             held_in = frozenset(self.space.flatten(v, z) for v, z in positives.get(u, ()))
             for exclude in (frozenset(), held_in, frozenset(flat[::2]) | {self.space.size - 1}):
                 expected = [f for f in flat if f not in exclude]
-                assert rank_keen2act(self.model, self.space, u, exclude) == expected
+                got = rank_keen2act(self.model, self.space, u, exclude)
+                assert got.dtype == np.int64
+                assert got.tolist() == expected
 
     def test_keen_only_expands_selected_items_over_all_activities(self):
         from keenact.recommend import select_items
 
         for u in range(3):
             ranked = rank_keen_only(self.model, self.space, u, frozenset())
+            assert ranked.dtype == np.int64
+            ranked = ranked.tolist()
             selected = select_items(self.model, u)
             assert len(ranked) == len(selected) * self.space.n_activities
             items_in_order = [f // self.space.n_activities for f in ranked]
@@ -294,6 +316,8 @@ class TestRankers:
         cutoffs = self.model.thresholds.activity_thresholds
         for u in range(3):
             ranked = rank_act_only(self.model, self.space, u, frozenset())
+            assert ranked.dtype == np.int64
+            ranked = ranked.tolist()
             scores = act_scorer.score_pair_matrix(u)
             expected = {
                 self.space.flatten(v, z)
@@ -364,7 +388,8 @@ class TestEvaluateSplit:
         cfg = dataclasses.replace(FAST, seed=seed)
         model = train(split.train, uf, itf, cfg)
         space = FlatPairSpace(catalog.n_items, catalog.n_activities)
-        relevant, exclude = _flat_by_user(split.test, space), _flat_by_user(split.train, space)
+        # frozensets, as the benchmark's held-out MAP passes them
+        relevant, exclude = ({u: frozenset(ids.tolist()) for u, ids in _flat_by_user(s, space).items()} for s in (split.test, split.train))
         rankers = {"keen2act": rank_keen2act, "keen": rank_keen_only, "act": rank_act_only}
         trained = dict.fromkeys(rankers, model)
         for kind in ("bpr", "warp"):
@@ -375,6 +400,20 @@ class TestEvaluateSplit:
             for k, name in zip(ks, ("map@1", "map@3", "map@inf")):
                 assert result[variant][name] == map_at_k(ranked, relevant, k)
 
+    def test_repeated_cutoff_scores_once(self):
+        """A repeated k gives the bytes of the k given once, not a mean over a doubled list."""
+        _, store = generate_two_stage(40, 250, 2, seed=0, items_per_user=(20, 20))
+        config = TrainConfig(epochs=1)
+        once = evaluate_split(store, seed=0, config=config, variants=("fm_warp",), ks=(10, None))["fm_warp"]
+        again = evaluate_split(store, seed=0, config=config, variants=("fm_warp",), ks=(10, None, 10, None))["fm_warp"]
+        assert list(again) == list(once)
+        assert (again["map@10"], again["map@inf"]) == (once["map@10"], once["map@inf"])
+
+    def test_bad_cutoff(self):
+        _, store, _, _ = small_corpus(seed=21, n_users=8, n_items=10)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate_split(store, seed=0, config=FAST, variants=("keen",), ks=(5, 0))
+
     def test_unknown_variant(self):
         _, store, _, _ = small_corpus(seed=21, n_users=8, n_items=10)
         with pytest.raises(ValueError, match="unknown variant"):
@@ -384,7 +423,9 @@ class TestEvaluateSplit:
 class TestRunExperiment:
     def test_single_split_mean(self):
         _, store, _, _ = small_corpus(seed=23, n_users=8, n_items=10)
-        report = run_experiment(store, FAST, n_splits=1, variants=("keen",), ks=(5,), dataset="toy")
+        # a repeated variant or cutoff is recorded once
+        report = run_experiment(store, FAST, n_splits=1, variants=("keen", "keen"), ks=(5, 5), dataset="toy")
+        assert [met for _, _, met, sp, _ in report.records if sp == "mean"] == ["map@5", "train_seconds", "rank_seconds", "eval_users"]
         assert report.value("keen", "map@5", "mean") == report.value("keen", "map@5", "0")
         assert report.values("keen", "map@5") == [report.value("keen", "map@5", "0")]
 
