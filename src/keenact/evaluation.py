@@ -34,7 +34,6 @@ from keenact.fm import AdamState, init_params
 from keenact.scoring import Scorer
 from keenact.training import (
     CandidateSpace,
-    NegativeBlock,
     NumericalError,
     TrainConfig,
     TrainedModel,
@@ -163,7 +162,7 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
     space = flat_candidate_space(store, layout, user_feats, item_feats, item_trained)
     bpr = kind == "bpr"
 
-    def step(batch: NegativeBlock):
+    def step(batch):
         # the flat space is dominated by item coordinates, so the
         # item-stage decay is the comparable setting for the baselines
         return batch_step(params, state, config.lambda_keen, space, batch, config, bpr=bpr)
@@ -184,11 +183,12 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
 
 
 def _excluding(flat: np.ndarray, exclude) -> np.ndarray:
-    """``flat`` in its own order without the ids in ``exclude``, any collection of flat ids.
+    """``flat`` in its own order without the ids in ``exclude``: a sorted
+    int64 array, used as it is, or any other collection of flat ids.
 
     A sorted lookup, not ``np.isin``: that would import ``numpy.ma``.
     """
-    ids = np.sort(np.fromiter(exclude, np.int64, len(exclude)))
+    ids = exclude if isinstance(exclude, np.ndarray) else np.sort(np.fromiter(exclude, np.int64, len(exclude)))
     return flat[np.searchsorted(ids, flat, "left") == np.searchsorted(ids, flat, "right")]
 
 
@@ -319,8 +319,16 @@ def evaluate_split(
 
     User features are co-participation counts rebuilt from the training
     half only; item features default to none (identity one-hots carry
-    the items) unless an item feature matrix is supplied.
+    the items) unless an item feature matrix is supplied.  An unknown
+    variant or a cutoff below 1 raises ValueError before the split.
     """
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r} (choose from {', '.join(VARIANTS)})")
+    ks = tuple(dict.fromkeys(ks))
+    for k in ks:
+        if k is not None and k < 1:
+            raise ValueError(f"cutoff k must be >= 1 or None, got {k}")
     split = split_per_user(store, fraction=fraction, seed=seed)
     catalog = store.catalog
     user_feats = l2_normalize_rows(co_participation_features(split.train))
@@ -334,16 +342,11 @@ def evaluate_split(
         raise ValueError("split produced no held-out positives")
     # every user keeps a training triple, so every held-out user has an exclusion
     exclude = _flat_by_user(split.train, space)
-    ks = tuple(dict.fromkeys(ks))
-    if any(k is not None and k < 1 for k in ks):
-        raise ValueError("k must be >= 1 or None")
 
     out: dict[str, dict[str, float]] = {}
     two_stage = {"keen2act": rank_keen2act, "keen": rank_keen_only, "act": rank_act_only}
     model = None
     for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
         started = time.perf_counter()
         if variant in two_stage:
             # the three two-stage variants share one trained model

@@ -430,37 +430,18 @@ def sample_negatives(
     return positions, counts, total_neg
 
 
-@dataclass
-class NegativeBlock:
-    """Examples with their drawn negatives, one row each.
-
-    Row r ranks ``candidates[r, 0]``, a positive of context
-    ``contexts[r]``, against its ``counts[r]`` drawn negatives in
-    ``candidates[r, 1:]``, where ``drawn[r]`` is set; the rest of the row
-    repeats the positive as padding.  ``total_neg[r]`` counts the
-    context's negatives.  Slicing the block slices every array, as views.
-    """
-
-    contexts: np.ndarray
-    candidates: np.ndarray
-    drawn: np.ndarray
-    counts: np.ndarray
-    total_neg: np.ndarray
-
-    def __getitem__(self, rows) -> NegativeBlock:
-        return NegativeBlock(
-            self.contexts[rows], self.candidates[rows], self.drawn[rows], self.counts[rows], self.total_neg[rows]
-        )
-
-
-def draw_block(rng: np.random.Generator, space: CandidateSpace, examples: np.ndarray, cap: int) -> NegativeBlock:
+def draw_block(rng, space: CandidateSpace, examples: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``examples`` (indices into the space's positive columns), in their
-    order, with up to ``cap`` negatives each from one ``sample_negatives`` call."""
+    order, with up to ``cap`` negatives each from one ``sample_negatives`` call.
+
+    Returns ``(contexts, candidates)``: row r ranks ``candidates[r, 0]``, a
+    positive of context ``contexts[r]``, against the min(cap, negatives of
+    that context) drawn after it; the rest of the row repeats the positive.
+    """
     contexts, positives = space.positive_contexts[examples], space.positive_ids[examples, None]
-    at, counts, total_neg = sample_negatives(rng, space, contexts, cap)
-    drawn = at >= 0
-    candidates = np.concatenate((positives, np.where(drawn, space.universe[at], positives)), axis=1)
-    return NegativeBlock(contexts, candidates, drawn, counts, total_neg)
+    at, _, _ = sample_negatives(rng, space, contexts, cap)
+    candidates = np.concatenate((positives, np.where(at >= 0, space.universe[at], positives)), axis=1)
+    return contexts, candidates
 
 
 def _sum_rows(indices: np.ndarray, owners: np.ndarray, rows: np.ndarray, params: FMParameters, lam: float) -> FMGradient:
@@ -489,16 +470,18 @@ def batch_step(
     state: AdamState,
     lam: float,
     space: CandidateSpace,
-    batch: NegativeBlock,
+    batch: tuple[np.ndarray, np.ndarray],
     config: TrainConfig,
     bpr: bool = False,
 ) -> StepResult:
     """One sampled pairwise update of ``params`` over a batch of examples.
 
-    ``batch`` holds the rows' candidates, drawn beforehand (``run_phase``
-    draws a whole epoch's with one ``draw_block`` call); the step only
-    does the work that reads the parameters, which stay frozen within the
-    batch.  A row whose context has no negative is skipped.  Every row's
+    ``batch`` is ``(contexts, candidates)``, rows of a ``draw_block``
+    result (``run_phase`` draws a whole epoch's with one call); the step
+    only does the work that reads the parameters, which stay frozen within
+    the batch.  The block is one column wider than its largest draw, so
+    row r drew min(width - 1, its context's negatives) negatives, as
+    ``sample_negatives`` counted; a row with none is skipped.  Every row's
     context is scored with one ``table_stats`` call and every row's
     positive and negatives with one more, as one gather from the part
     table.  WARP updates a row on its first margin violator, found with
@@ -513,13 +496,15 @@ def batch_step(
     cancels in every difference taken.  With one row per batch this is
     per-example SGD.
     """
-    live = batch.counts > 0
+    contexts, candidates = batch
+    total_neg = space.n_negatives[contexts]
+    counts = np.minimum(candidates.shape[1] - 1, total_neg)
+    live = counts > 0
     skipped = live.size - int(live.sum())
     if skipped == live.size:
         return StepResult(updated=0, draws=0, skipped=skipped)
     if skipped:
-        batch = batch[live]
-    contexts, candidates, drawn = batch.contexts, batch.candidates, batch.drawn
+        contexts, candidates, total_neg, counts = contexts[live], candidates[live], total_neg[live], counts[live]
 
     n, n_cand = candidates.shape
     width = int(space.context_widths[contexts].max())
@@ -537,12 +522,13 @@ def batch_step(
         diff = scores[:, 1] - scores[:, 0]
         weight, losses = sigmoid(diff), np.logaddexp(0.0, diff)
     else:
+        drawn = np.arange(n_cand - 1) < counts[:, None]
         violates = (scores[:, :1] < config.margin + scores[:, 1:]) & drawn
         first = violates.argmax(axis=1)
         hit = violates[rows, first]
-        draws = np.where(hit, first + 1, batch.counts)
+        draws = np.where(hit, first + 1, counts)
         rows, col = rows[hit], first[hit] + 1
-        weight = warp_weights(batch.total_neg[rows], col, space.harmonic)
+        weight = warp_weights(total_neg[rows], col, space.harmonic)
         losses = weight * (config.margin - scores[rows, 0] + scores[rows, col])
     result = StepResult(updated=rows.size, draws=int(draws.sum()), loss=float(losses.sum()), skipped=skipped)
     if not rows.size:
@@ -562,19 +548,20 @@ def run_phase(
     """One epoch of ``step`` over the space's examples (its positives) in a fresh random order.
 
     One ``draw_block`` call draws up to ``cap`` negatives for every
-    example of the epoch, in that order, and ``step`` takes the block one
-    slice of ``batch_size`` rows at a time, so the RNG's use does not
-    depend on ``batch_size``.  Appends mean loss, draws and violation
-    rate rows, per example, to ``report``; raises NumericalError on a
-    non-finite loss sum or ``params``.
+    example of the epoch, in that order, and ``step`` takes both of its
+    arrays one slice of ``batch_size`` rows at a time, so the RNG's use
+    does not depend on ``batch_size``.  Appends mean loss, draws and
+    violation rate rows, per example, to ``report``; raises
+    NumericalError on a non-finite loss sum or ``params``.
     """
     n_examples = space.positive_ids.size
-    block = draw_block(rng, space, rng.permutation(n_examples), cap)
+    contexts, candidates = draw_block(rng, space, rng.permutation(n_examples), cap)
     losses = 0.0
     draws = 0
     updates = 0
     for start in range(0, n_examples, batch_size):
-        result = step(block[start : start + batch_size])
+        rows = slice(start, start + batch_size)
+        result = step((contexts[rows], candidates[rows]))
         draws += result.draws
         losses += result.loss
         updates += result.updated
@@ -696,14 +683,14 @@ def fit_thresholds(
 ) -> tuple[np.ndarray, list[float]]:
     """Adam-fit cutoffs minimizing CE(score - delta[coord], label).
 
-    A group holds each coordinate at most once and Adam is elementwise,
-    so each cutoff is its own recurrence over its (score, label) stream
-    in group order, run ``epochs`` times; cost is linear in observations
-    x epochs.  ``split_streams`` splits the cutoffs by stream length:
-    the longest run as scalar recurrences in Python floats, and the rest
-    in lockstep, one array step per stream position.  An unobserved
-    coordinate keeps 0.0.  Returns (thresholds, mean CE per epoch), the
-    CE sums added in coordinate order.
+    Adam is elementwise, so each cutoff is its own recurrence over its
+    stream, its coordinate's (score, label) observations in the order of
+    the groups concatenated, run ``epochs`` times; cost is linear in
+    observations x epochs.  ``split_streams`` splits the cutoffs by
+    stream length: the longest run as scalar recurrences in Python
+    floats, and the rest in lockstep, one array step per stream
+    position.  An unobserved coordinate keeps 0.0.  Returns (thresholds,
+    mean CE per epoch), the CE sums added in coordinate order.
     """
     delta = np.zeros(n_coords)
     total = sum(len(s) for s in scores_by_group)
@@ -780,12 +767,12 @@ class Trainer:
 
     # -- phase 1: rank learning ------------------------------------------
 
-    def warp_step_keen(self, batch: NegativeBlock) -> StepResult:
-        """One batched WARP step over a block of keen pairs; negatives are training items."""
+    def warp_step_keen(self, batch: tuple[np.ndarray, np.ndarray]) -> StepResult:
+        """One batched WARP step over drawn keen pairs; negatives are training items."""
         return batch_step(self.keen, self.keen_state, self.config.lambda_keen, self.keen_space, batch, self.config)
 
-    def warp_step_act(self, batch: NegativeBlock) -> StepResult:
-        """One batched WARP step over a block of triples; negatives are activities."""
+    def warp_step_act(self, batch: tuple[np.ndarray, np.ndarray]) -> StepResult:
+        """One batched WARP step over drawn triples; negatives are activities."""
         return batch_step(self.act, self.act_state, self.config.lambda_act, self.act_space, batch, self.config)
 
     def run_rank_learning(self) -> None:
@@ -799,31 +786,30 @@ class Trainer:
 
     def _threshold_enum_items(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """Items a user contributes to threshold fitting and their 0/1 labels:
-        all training items, or positives plus a sampled negative subset when
-        the ratio is finite."""
+        the positives, then all other training items or, when the ratio is
+        finite, a sampled subset of them, in universe order."""
         space = self.keen_space
         positives = space.positions[space.key_starts[u] : space.key_starts[u + 1]]
-        negative = np.ones(self.item_universe.size, dtype=bool)
-        negative[positives] = False
+        negatives = np.delete(self.item_universe, positives)
         ratio = self.config.threshold_negative_ratio
-        if ratio == "full":
-            return self.item_universe, (~negative).astype(np.float64)
-        negatives = self.item_universe[negative]
-        n_neg = math.ceil(float(ratio) * positives.size)
-        if n_neg < negatives.size:
-            chosen = self.rng.choice(negatives.size, size=n_neg, replace=False)
-            negatives = negatives[np.sort(chosen)]
+        if ratio != "full":
+            n_neg = math.ceil(float(ratio) * positives.size)
+            if n_neg < negatives.size:
+                negatives = negatives[np.sort(self.rng.choice(negatives.size, size=n_neg, replace=False))]
         items = np.concatenate([self.item_universe[positives], negatives])
         labels = np.zeros(items.size)
         labels[: positives.size] = 1.0
         return items, labels
 
     def learn_thresholds_keen(self, scorer: Scorer) -> tuple[np.ndarray, list[float]]:
-        """Fit per-item cutoffs on the frozen keen ``scorer``; returns (cutoffs over the catalog, CE trace)."""
+        """Fit per-item cutoffs on the frozen keen ``scorer``; returns (cutoffs over the catalog, CE trace).
+
+        One group holds every user's items, user after user, so each item's stream runs in user order."""
         users = np.flatnonzero(np.diff(self.keen_space.key_starts)).tolist()
         items, labels = zip(*(self._threshold_enum_items(u) for u in users))
+        scores = np.concatenate([scorer.score_items(u)[enum] for u, enum in zip(users, items)])
         return fit_thresholds(
-            [scorer.score_items(u)[enum] for u, enum in zip(users, items)], labels, items, self.item_trained.size,
+            [scores], [np.concatenate(labels)], [np.concatenate(items)], self.item_trained.size,
             self.config.threshold_epochs, **self.config.adam_kwargs(),
         )
 
@@ -832,16 +818,17 @@ class Trainer:
 
         The pairs are the keen space's positives, sorted by user, so each
         user's rows come from one ``score_pair_matrix`` call, which cuts
-        them from the whole-catalog item terms.
+        them from the whole-catalog item terms.  One group holds the score
+        matrix row by row, so each activity's stream runs in pair order.
         """
-        keen, act, all_z = self.keen_space, self.act_space, self.activity_universe
+        keen, act = self.keen_space, self.act_space
         starts = keen.key_starts.tolist()
         users = np.flatnonzero(np.diff(keen.key_starts)).tolist()
         scores = np.concatenate([scorer.score_pair_matrix(u, keen.positive_ids[starts[u] : starts[u + 1]]) for u in users])
         labels = np.zeros(scores.shape)
         labels[act.positive_contexts, act.positive_ids] = 1.0
         return fit_thresholds(
-            list(scores), list(labels), [all_z] * len(scores), all_z.size,
+            [scores.ravel()], [labels.ravel()], [np.tile(self.activity_universe, len(scores))], scores.shape[1],
             self.config.threshold_epochs, **self.config.adam_kwargs(),
         )
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from keenact import evaluation
 from keenact.evaluation import (
     DEFAULT_KS,
     VARIANTS,
@@ -270,8 +271,10 @@ class TestRankers:
                 assert len(set(base.tolist())) == len(base)
                 dropped = frozenset(base[::2].tolist())
                 expected = [f for f in base.tolist() if f not in dropped]
-                # any collection of flat ids: a frozenset or a sorted int64 array
-                for exclude in (dropped, np.sort(base[::2])):
+                # any collection of flat ids: a frozenset or a sorted int64 array, used as it is,
+                # which may hold ids the list lacks or none at all
+                assert ranker(u, np.zeros(0, dtype=np.int64)).tolist() == base.tolist()
+                for exclude in (dropped, np.sort(base[::2]), np.union1d(base[::2], [-1, self.space.size])):
                     got = ranker(u, exclude)
                     assert got.dtype == np.int64
                     assert got.tolist() == expected
@@ -418,6 +421,20 @@ class TestEvaluateSplit:
         _, store, _, _ = small_corpus(seed=21, n_users=8, n_items=10)
         with pytest.raises(ValueError, match="unknown variant"):
             evaluate_split(store, seed=0, config=FAST, variants=("popularity",), ks=(5,))
+
+    @pytest.mark.parametrize(
+        "variants, ks, message",
+        [(("keen2act", "typo"), (5,), "unknown variant"), (("fm_bpr", "keen"), (5, 0), "cutoff")],
+    )
+    def test_inputs_are_checked_before_any_work(self, monkeypatch, variants, ks, message):
+        """A bad variant or cutoff anywhere in the lists fails before the split, so nothing is trained."""
+        _, store, _, _ = small_corpus(seed=21, n_users=8, n_items=10)
+        called = []
+        for name in ("split_per_user", "train", "train_baseline"):
+            monkeypatch.setattr(evaluation, name, lambda *a, _n=name, **k: called.append(_n))
+        with pytest.raises(ValueError, match=message):
+            evaluate_split(store, seed=0, config=FAST, variants=variants, ks=ks)
+        assert called == []
 
 
 class TestRunExperiment:

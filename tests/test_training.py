@@ -29,6 +29,7 @@ from keenact.features import (
 from keenact.fm import (
     AdamState,
     FMGradient,
+    FMParameters,
     adam_moves,
     adam_update,
     combine_gradients,
@@ -868,8 +869,8 @@ def reference_warp_step(config, params, state, lam, universe, positives, assembl
 
 def run_checked_epoch(space, cap, step, params, rng, batch_size, order, check):
     """One run_phase epoch of ``step`` over ``space``, where ``order`` is the
-    caller's copy of the epoch's permutation.  Each batch's block must hold
-    the next ``batch_size`` examples of ``order``; after its step,
+    caller's copy of the epoch's permutation.  Each batch's (contexts,
+    candidates) must hold the next ``batch_size`` examples of ``order``; after its step,
     ``check(start, rows, got)`` gets the batch's offset in the epoch, its
     example indices and the step's result."""
     starts = iter(range(0, order.size, batch_size))
@@ -877,8 +878,9 @@ def run_checked_epoch(space, cap, step, params, rng, batch_size, order, check):
     def checked(batch):
         start = next(starts)
         rows = order[start : start + batch_size]
-        np.testing.assert_array_equal(batch.contexts, space.positive_contexts[rows])
-        np.testing.assert_array_equal(batch.candidates[:, 0], space.positive_ids[rows])
+        contexts, candidates = batch
+        np.testing.assert_array_equal(contexts, space.positive_contexts[rows])
+        np.testing.assert_array_equal(candidates[:, 0], space.positive_ids[rows])
         got = step(batch)
         check(start, rows, got)
         return got
@@ -1259,16 +1261,18 @@ class TestRunPhase:
 
         def step(batch):
             batches.append(batch)
-            return training.StepResult(updated=batch.contexts.size - 1, draws=2 * batch.contexts.size, loss=float(batch.contexts.size))
+            n_rows = batch[0].size
+            return training.StepResult(updated=n_rows - 1, draws=2 * n_rows, loss=float(n_rows))
 
         report = []
         run_phase(0, "keen_rank", space, 3, step, init_params(2, 1, seed=0), rng, report, batch_size)
-        assert [b.contexts.size for b in batches] == sizes
-        for name in ("contexts", "candidates", "drawn", "counts", "total_neg"):
-            parts = [getattr(b, name) for b in batches]
-            np.testing.assert_array_equal(np.concatenate(parts), getattr(want, name))
+        assert all(len(b) == 2 for b in batches)
+        assert [b[0].size for b in batches] == sizes
+        for column, whole in enumerate(want):
+            parts = [b[column] for b in batches]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
             assert all(p.base is not None and p.base is parts[0].base for p in parts)
-        np.testing.assert_array_equal(want.contexts, space.positive_contexts[order])
+        np.testing.assert_array_equal(want[0], space.positive_contexts[order])
         # report rows are means per example, not per batch
         assert report == [
             (0, "keen_rank", "warp_loss", 1.0),
@@ -1289,8 +1293,8 @@ class TestRunPhase:
             return trainer.warp_step_keen(batch)
 
         run_phase(0, "keen_rank", trainer.keen_space, 20, step, trainer.keen, trainer.rng, report, 2)
-        assert [b.candidates.shape for b in blocks] == [(2, 1), (1, 1)]
-        assert all(b.counts.sum() == 0 for b in blocks)
+        assert [candidates.shape for _, candidates in blocks] == [(2, 1), (1, 1)]
+        assert all((trainer.keen_space.n_negatives[contexts] == 0).all() for contexts, _ in blocks)
         assert [value for *_, value in report] == [0.0, 0.0, 0.0]
         np.testing.assert_array_equal(trainer.keen.table, before)
         assert trainer.keen_state.t == 0
@@ -1437,6 +1441,92 @@ class TestSampleNegatives:
         assert set(np.unique(at).tolist()) == {0, 2, 3, 5, 6}
 
 
+def owner_space(n_universe, positive_sets, violators):
+    """A space and parameters that score (context c, id v) as 10 * [v is a
+    positive of c] + 10 * [v in ``violators``]: under margin 1 a positive
+    outside ``violators`` is violated by a drawn violator, and by a padding
+    repeat of itself should a step count one as drawn."""
+    n_ctx = len(positive_sets)
+    contexts = (np.arange(n_ctx, dtype=np.int64)[:, None], np.ones((n_ctx, 1)))
+    table = (n_ctx + np.arange(n_universe, dtype=np.int64)[:, None], np.ones((n_universe, 1)))
+    pos_contexts = np.array([c for c, p in enumerate(positive_sets) for _ in p], dtype=np.int64)
+    pos_ids = np.array([v for p in positive_sets for v in sorted(p)], dtype=np.int64)
+    space = CandidateSpace(contexts, table, np.arange(n_universe, dtype=np.int64), pos_contexts, pos_ids)
+    factors = np.zeros((n_ctx + n_universe, n_ctx + 1))
+    factors[np.arange(n_ctx), np.arange(n_ctx)] = 1.0
+    factors[:n_ctx, n_ctx] = 1.0
+    factors[n_ctx + pos_ids, pos_contexts] = 10.0
+    factors[n_ctx + np.array(sorted(violators), dtype=np.int64), n_ctx] = 10.0
+    return space, FMParameters(0.0, np.zeros(n_ctx + n_universe), factors)
+
+
+class TestDerivedCounts:
+    """batch_step works out each row's negatives, draw count and drawn columns
+    from (contexts, candidates) alone; they are sample_negatives' ``total_neg``,
+    ``counts`` and ``at >= 0`` for the rows it drew."""
+
+    @staticmethod
+    def case(kind, seed):
+        """(positive sets over 40 ids, cap), in the regime ``kind`` names."""
+        rng = np.random.default_rng(seed)
+        ids = np.arange(40)
+        if kind == "cap-below-total":
+            sets = [set(rng.choice(ids, size=int(rng.integers(1, 11)), replace=False).tolist()) for _ in range(6)]
+            return sets, (8, 19)[seed % 2]  # sparse rows, or dense and sparse rows
+        if kind == "cap-at-or-above-total":
+            sets = [set(rng.choice(ids, size=int(rng.integers(30, 40)), replace=False).tolist()) for _ in range(6)]
+            return sets, 12
+        sets = [set(rng.choice(ids, size=int(rng.integers(1, 30)), replace=False).tolist()) for _ in range(5)]
+        return sets + [set(ids.tolist())], 1 if kind == "bpr" else 5
+
+    @pytest.mark.parametrize("kind", ["cap-below-total", "cap-at-or-above-total", "no-negatives", "bpr"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_outcome_follows_the_sampler(self, kind, seed):
+        positive_sets, cap = self.case(kind, seed)
+        rng = np.random.default_rng(100 + seed)
+        violators = set(rng.choice(40, size=12, replace=False).tolist())
+        space, params = owner_space(40, positive_sets, violators)
+        examples = rng.integers(0, space.positive_ids.size, 60)
+        contexts, candidates = draw_block(np.random.Generator(np.random.PCG64(seed)), space, examples, cap)
+        at, counts, total_neg = sample_negatives(np.random.Generator(np.random.PCG64(seed)), space, contexts, cap)
+        # the drawn columns are the first counts[r] of each row, as batch_step reads them
+        drawn = at >= 0
+        np.testing.assert_array_equal(drawn, np.arange(drawn.shape[1]) < counts[:, None])
+        np.testing.assert_array_equal(np.where(drawn, at, candidates[:, :1]), candidates[:, 1:])
+        np.testing.assert_array_equal(total_neg, space.n_negatives[contexts])
+        if kind == "cap-below-total":
+            assert (counts == cap).all() and (total_neg > cap).all()
+        elif kind == "cap-at-or-above-total":
+            assert (counts == total_neg).all() and counts.max() < cap and (counts < counts.max()).any()
+        else:
+            assert (counts == 0).any() and (counts > 0).any()
+        config = TrainConfig(max_neg_samples=cap)
+        for batch_size in (1, 7, 60):
+            for start in range(0, examples.size, batch_size):
+                rows = slice(start, start + batch_size)
+                want = self.expected(candidates[rows, 0], at[rows], counts[rows], violators, kind == "bpr")
+                batch = (contexts[rows], candidates[rows])
+                got = batch_step(params.copy(), AdamState.for_params(params), 0.0, space, batch, config, bpr=kind == "bpr")
+                assert (got.updated, got.draws, got.skipped) == want
+
+    @staticmethod
+    def expected(positives, at, counts, violators, bpr):
+        """(updated, draws, skipped) over rows from the sampler's own output:
+        the first drawn violator of a positive outside ``violators``."""
+        updated = draws = skipped = 0
+        for p, row, n in zip(positives.tolist(), at.tolist(), counts.tolist()):
+            if n == 0:
+                skipped += 1
+                continue
+            hits = [j for j, x in enumerate(row[:n]) if p not in violators and x in violators]
+            if bpr or hits:
+                updated += 1
+                draws += 1 if bpr else hits[0] + 1
+            else:
+                draws += n
+        return updated, draws, skipped
+
+
 class TestStepCost:
     def test_two_table_stats_calls_per_batch(self, monkeypatch):
         """A batch scores its contexts with one table_stats call and its candidates
@@ -1452,10 +1542,10 @@ class TestStepCost:
         for start in range(0, 60, 16):
             for stage in ("keen", "act"):
                 before = calls["table_stats"]
-                batch = blocks[stage][start : start + 16]
+                batch = tuple(column[start : start + 16] for column in blocks[stage])
                 result = getattr(trainer, f"warp_step_{stage}")(batch)
-                assert calls["table_stats"] - before == (0 if result.skipped == batch.contexts.size else 2)
-                batches += result.skipped < batch.contexts.size
+                assert calls["table_stats"] - before == (0 if result.skipped == batch[0].size else 2)
+                batches += result.skipped < batch[0].size
         assert batches == 8
         assert calls["part_stats"] == calls["sample_negatives"] == 0
 
@@ -1523,22 +1613,22 @@ class TestEpochDraws:
 
 
 def list_threshold_groups(trainer, rng):
-    """Keen and act threshold groups built with Python lists, as a written-out reference."""
+    """Keen and act threshold groups built with Python lists, as a written-out
+    reference: a user's positives, then the other training items or a sample of them."""
     store, universe = trainer.store, trainer.item_universe
     ratio = trainer.config.threshold_negative_ratio
     keen = []
     pos_items, pos_acts = positive_items(store), positive_activities(store)
     for u in store.user_rows():
         pos_set = pos_items[u]
-        items = universe
+        positives = sorted(pos_set)
+        negatives = np.array([v for v in universe if v not in pos_set], dtype=np.int64)
         if ratio != "full":
-            positives = sorted(pos_set)
             n_neg = math.ceil(float(ratio) * len(positives))
-            negatives = np.array([v for v in universe if v not in pos_set], dtype=np.int64)
             if n_neg < len(negatives):
                 chosen = rng.choice(len(negatives), size=n_neg, replace=False)
                 negatives = negatives[np.sort(chosen)]
-            items = np.concatenate([np.array(positives, dtype=np.int64), negatives])
+        items = np.concatenate([np.array(positives, dtype=np.int64), negatives])
         keen.append((items, np.array([1.0 if v in pos_set else 0.0 for v in items])))
     act = [
         np.array([1.0 if z in pos_acts[u, v] else 0.0 for z in trainer.activity_universe])
@@ -1589,6 +1679,37 @@ class TestThresholdSampling:
         assert (ratio == "full") != any(len(items) < len(trainer.item_universe) for items, _ in keen)
 
 
+class TestOneGroupPerTable:
+    """Phase 2 passes each cutoff table's observations as one group; that fits
+    as the per-row groups (one per user, one per keen pair) do, to the bit."""
+
+    @pytest.mark.parametrize("ratio", ["full", 5.0, 0.5])
+    def test_both_tables_equal_the_per_row_groups(self, ratio):
+        store, uf, itf = small_store(seed=29, n_users=8, n_items=20, density=70)
+        config = TrainConfig(seed=4, epochs=1, threshold_negative_ratio=ratio, threshold_epochs=3)
+        trainer = Trainer(store, uf, itf, config)
+        trainer.run_rank_learning()
+        keen_scorer, act_scorer = training.scorer_pair(trainer, trainer.item_trained)
+        adam = config.adam_kwargs()
+        state = trainer.rng.bit_generator.state
+        users = np.flatnonzero(np.diff(trainer.keen_space.key_starts)).tolist()
+        items, labels = zip(*(trainer._threshold_enum_items(u) for u in users))
+        scores = [keen_scorer.score_items(u)[enum] for u, enum in zip(users, items)]
+        want = fit_thresholds(scores, labels, items, store.catalog.n_items, config.threshold_epochs, **adam)
+        trainer.rng.bit_generator.state = state
+        got = trainer.learn_thresholds_keen(keen_scorer)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+        # one group per keen pair, each holding every activity, as phase 2 built them before
+        keen, act, all_z = trainer.keen_space, trainer.act_space, trainer.activity_universe
+        starts = keen.key_starts.tolist()
+        rows = np.concatenate([act_scorer.score_pair_matrix(u, keen.positive_ids[starts[u] : starts[u + 1]]) for u in users])
+        row_labels = np.zeros(rows.shape)
+        row_labels[act.positive_contexts, act.positive_ids] = 1.0
+        want = fit_thresholds(list(rows), list(row_labels), [all_z] * len(rows), all_z.size, config.threshold_epochs, **adam)
+        got = trainer.learn_thresholds_act(act_scorer)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+
+
 class TestFitScoresAreServingScores:
     def test_cutoffs_are_fitted_on_whole_catalog_scores(self, monkeypatch):
         """Every score phase 2 fits a cutoff on is, to the last bit, the score that
@@ -1601,22 +1722,31 @@ class TestFitScoresAreServingScores:
         itf = empty_features(catalog.n_items)
         trainer = Trainer(train_store, uf, itf, TrainConfig(epochs=2))
         trainer.run_rank_learning()
-        fed = []
+        fed, enumerated = [], []
         fit = training.fit_thresholds
         monkeypatch.setattr(training, "fit_thresholds", lambda *args, **kw: fed.append(args[:3]) or fit(*args, **kw))
+        enum_items = trainer._threshold_enum_items
+        trainer._threshold_enum_items = lambda u: enumerated.append(enum_items(u)) or enumerated[-1]
         trainer.run_threshold_learning()
-        (keen_scores, _, keen_items), (act_scores, _, act_items) = fed
+        sizes = [items.size for items, _ in enumerated]
+        # each table's observations arrive as one group
+        assert [len(group) for args in fed for group in args] == [1] * 6
+        (keen_scores, _, keen_items), (act_scores, _, act_items) = ((group[0] for group in args) for args in fed)
         keen_scorer, act_scorer = trainer.scorers
         pair_users, pair_items = train_store.pair_columns
         users = np.unique(pair_users)
-        assert len(keen_scores) == users.size and len(act_scores) == pair_users.size
+        n_acts = catalog.n_activities
+        assert len(sizes) == users.size and keen_scores.size == keen_items.size == sum(sizes)
+        assert act_scores.size == act_items.size == pair_users.size * n_acts
 
         def bits(scores):
             return np.ascontiguousarray(scores, dtype=np.float64).view(np.uint64)
 
-        for u, scores, items in zip(users, keen_scores, keen_items):
+        bounds = np.cumsum(sizes)[:-1]
+        for u, scores, items in zip(users, np.split(keen_scores, bounds), np.split(keen_items, bounds)):
             np.testing.assert_array_equal(bits(scores), bits(keen_scorer.score_items(u)[items]))
-        for u, v, scores, activities in zip(pair_users, pair_items, act_scores, act_items):
+        rows = zip(pair_users, pair_items, act_scores.reshape(-1, n_acts), act_items.reshape(-1, n_acts))
+        for u, v, scores, activities in rows:
             np.testing.assert_array_equal(bits(scores), bits(act_scorer.score_pair_matrix(u)[v, activities]))
 
 
