@@ -183,12 +183,11 @@ def train_baseline(store, user_feats, item_feats, config: TrainConfig, kind: str
 
 
 def _excluding(flat: np.ndarray, exclude) -> np.ndarray:
-    """``flat`` in its own order without the ids in ``exclude``: a sorted
-    int64 array, used as it is, or any other collection of flat ids.
+    """``flat`` in its own order without the ids in ``exclude``, any collection of flat ids.
 
     A sorted lookup, not ``np.isin``: that would import ``numpy.ma``.
     """
-    ids = exclude if isinstance(exclude, np.ndarray) else np.sort(np.fromiter(exclude, np.int64, len(exclude)))
+    ids = np.sort(np.fromiter(exclude, np.int64, len(exclude)))
     return flat[np.searchsorted(ids, flat, "left") == np.searchsorted(ids, flat, "right")]
 
 

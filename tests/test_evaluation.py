@@ -271,10 +271,10 @@ class TestRankers:
                 assert len(set(base.tolist())) == len(base)
                 dropped = frozenset(base[::2].tolist())
                 expected = [f for f in base.tolist() if f not in dropped]
-                # any collection of flat ids: a frozenset or a sorted int64 array, used as it is,
+                # any collection of flat ids: a frozenset or an int64 array, sorted or not,
                 # which may hold ids the list lacks or none at all
                 assert ranker(u, np.zeros(0, dtype=np.int64)).tolist() == base.tolist()
-                for exclude in (dropped, np.sort(base[::2]), np.union1d(base[::2], [-1, self.space.size])):
+                for exclude in (dropped, np.sort(base[::2]), np.sort(base[::2])[::-1], np.union1d(base[::2], [-1, self.space.size])):
                     got = ranker(u, exclude)
                     assert got.dtype == np.int64
                     assert got.tolist() == expected

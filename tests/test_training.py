@@ -1638,9 +1638,10 @@ def list_threshold_groups(trainer, rng):
 
 
 class TestThresholdSampling:
-    @pytest.mark.parametrize("ratio", ["full", 0.5, 1.0])
+    @pytest.mark.parametrize("ratio", ["full", 5.0, 0.5, 1.0])
     def test_masks_match_list_version(self, ratio):
-        """Same RNG state: the same items, labels and cutoffs as the list version."""
+        """Same RNG state: the same items, labels, cutoffs and CE traces as the list
+        version, which fits one group per user and one per keen pair."""
         store, uf, itf = small_store(seed=29, n_users=8, n_items=20, density=70)
         config = TrainConfig(seed=4, epochs=1, threshold_negative_ratio=ratio, threshold_epochs=3)
         trainer = Trainer(store, uf, itf, config)
@@ -1659,7 +1660,7 @@ class TestThresholdSampling:
             for m, layout in ((trainer.keen, trainer.keen_layout), (trainer.act, trainer.act_layout))
         )
         users = list(store.user_rows())
-        want_keen, _ = fit_thresholds(
+        want_keen, keen_trace = fit_thresholds(
             [keen_scorer.score_items(u)[items] for u, (items, _) in zip(users, keen)],
             [labels for _, labels in keen], [items for items, _ in keen],
             store.catalog.n_items, config.threshold_epochs, **config.adam_kwargs(),
@@ -1667,7 +1668,7 @@ class TestThresholdSampling:
         # each user's pairs cut from one whole-catalog score_pair_matrix call, as phase 2 does
         user_items = {u: [v for w, v in pairs_of(store) if w == u] for u in users}
         act_scores = [row for u in users for row in act_scorer.score_pair_matrix(u)[user_items[u]]]
-        want_act, _ = fit_thresholds(
+        want_act, act_trace = fit_thresholds(
             act_scores, act,
             [trainer.activity_universe] * len(act), store.catalog.n_activities,
             config.threshold_epochs, **config.adam_kwargs(),
@@ -1675,39 +1676,10 @@ class TestThresholdSampling:
         table = trainer.run_threshold_learning()
         np.testing.assert_array_equal(table.item_thresholds, want_keen)
         np.testing.assert_array_equal(table.activity_thresholds, want_act)
-        # a finite ratio samples the negatives of at least one user
-        assert (ratio == "full") != any(len(items) < len(trainer.item_universe) for items, _ in keen)
-
-
-class TestOneGroupPerTable:
-    """Phase 2 passes each cutoff table's observations as one group; that fits
-    as the per-row groups (one per user, one per keen pair) do, to the bit."""
-
-    @pytest.mark.parametrize("ratio", ["full", 5.0, 0.5])
-    def test_both_tables_equal_the_per_row_groups(self, ratio):
-        store, uf, itf = small_store(seed=29, n_users=8, n_items=20, density=70)
-        config = TrainConfig(seed=4, epochs=1, threshold_negative_ratio=ratio, threshold_epochs=3)
-        trainer = Trainer(store, uf, itf, config)
-        trainer.run_rank_learning()
-        keen_scorer, act_scorer = training.scorer_pair(trainer, trainer.item_trained)
-        adam = config.adam_kwargs()
-        state = trainer.rng.bit_generator.state
-        users = np.flatnonzero(np.diff(trainer.keen_space.key_starts)).tolist()
-        items, labels = zip(*(trainer._threshold_enum_items(u) for u in users))
-        scores = [keen_scorer.score_items(u)[enum] for u, enum in zip(users, items)]
-        want = fit_thresholds(scores, labels, items, store.catalog.n_items, config.threshold_epochs, **adam)
-        trainer.rng.bit_generator.state = state
-        got = trainer.learn_thresholds_keen(keen_scorer)
-        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
-        # one group per keen pair, each holding every activity, as phase 2 built them before
-        keen, act, all_z = trainer.keen_space, trainer.act_space, trainer.activity_universe
-        starts = keen.key_starts.tolist()
-        rows = np.concatenate([act_scorer.score_pair_matrix(u, keen.positive_ids[starts[u] : starts[u + 1]]) for u in users])
-        row_labels = np.zeros(rows.shape)
-        row_labels[act.positive_contexts, act.positive_ids] = 1.0
-        want = fit_thresholds(list(rows), list(row_labels), [all_z] * len(rows), all_z.size, config.threshold_epochs, **adam)
-        got = trainer.learn_thresholds_act(act_scorer)
-        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+        traces = {phase: [ce for _, p, _, ce in trainer.report if p == phase] for phase in ("keen_threshold", "act_threshold")}
+        assert traces == {"keen_threshold": keen_trace, "act_threshold": act_trace}
+        # 0.5 and 1.0 sample the negatives of at least one user; 5.0 keeps them all, as "full" does
+        assert (ratio in ("full", 5.0)) != any(len(items) < len(trainer.item_universe) for items, _ in keen)
 
 
 class TestFitScoresAreServingScores:
